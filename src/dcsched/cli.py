@@ -6,9 +6,12 @@ Subcommands:
   validate <config>    parse and validate the config, nothing else
   gen-signals <config> emit the signal CSVs a run would use
 
-Exit codes: 0 success, 1 solver failure (partial artifacts preserved),
-2 invalid config or empty sweep. DCSCHED_TIME_LIMIT overrides
-solver.time_limit_s.
+Every sweep cell runs in a process pool of solver.workers processes, one
+worker or many. Exit codes: 0 success; 1 if any cell failed, in which case
+each failed cell gets one `error: <cell>: ...` line on stderr, a cell whose
+run aborted keeps its `<cell>_trajectory.partial.csv`, and summary.csv still
+lists every other cell; 2 invalid config or empty sweep.
+DCSCHED_TIME_LIMIT overrides solver.time_limit_s.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, dump_config, load_config
-from .core import ArrivalProfile, DCConfig, HorizonConfig, JobClass, ObjectiveWeights
+from .core import ArrivalProfile, DCConfig, DomainError, HorizonConfig, JobClass, ObjectiveWeights
 from .engine import RunAborted, run, write_trajectory_csv
 from .metrics import summary_row, write_summary_csv
 from .offline import solve_offline, write_schedule_csv
@@ -79,8 +82,10 @@ def _class_totals(cfg: ExperimentConfig) -> dict[JobClass, int]:
     )
 
 
-def _profile(cfg: ExperimentConfig, shape: str, seed: int) -> ArrivalProfile:
-    return sample_arrivals(_class_totals(cfg), shape, int(cfg["signals"]["hours"]), seed)
+def _profile(
+    cfg: ExperimentConfig, totals: dict[JobClass, int], shape: str, seed: int
+) -> ArrivalProfile:
+    return sample_arrivals(totals, shape, int(cfg["signals"]["hours"]), seed)
 
 
 def _carbon_truth(cfg: ExperimentConfig) -> SignalSeries:
@@ -150,12 +155,28 @@ def _cell_name(cell: tuple) -> str:
     return f"{shape}_ce{lce:g}_pd{lpd:g}_T{t}_{mode}_s{seed}"
 
 
-def _run_cell(config_data: dict, cell: tuple, out_dir: str) -> dict:
-    cfg = ExperimentConfig(config_data)
+def _run_cell(config_data: dict, cell: tuple, out_dir: str) -> dict | str:
+    """Run one cell and return its summary row, or an error string if the
+    run aborted (its partial trajectory is written) or broke a domain
+    invariant. Only plain data goes back to the parent process."""
+    name = _cell_name(cell)
+    try:
+        return _run_cell_or_raise(ExperimentConfig(config_data), cell, out_dir)
+    except RunAborted as exc:
+        write_trajectory_csv(
+            exc.trajectory, os.path.join(out_dir, f"{name}_trajectory.partial.csv")
+        )
+        return str(exc)
+    except DomainError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _run_cell_or_raise(cfg: ExperimentConfig, cell: tuple, out_dir: str) -> dict:
     shape, lce, lpd, horizon_t, mode, seed = cell
     dc = _dc_config(cfg)
-    profile = _profile(cfg, shape, seed)
-    classes = tuple(sorted(_class_totals(cfg)))
+    totals = _class_totals(cfg)
+    profile = _profile(cfg, totals, shape, seed)
+    classes = tuple(sorted(totals))
     carbon = _carbon_truth(cfg)
     capacity = _capacity_truth(cfg, seed)
     carbon_fc, capacity_fc = _forecasts(cfg, mode, seed, carbon, capacity)
@@ -200,28 +221,17 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     workers = int(cfg["solver"]["workers"])
     rows: dict[tuple, dict] = {}
     failed = False
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_run_cell, cfg.data, cell, out_dir): cell for cell in cells
-            }
-            for future, cell in futures.items():
-                try:
-                    rows[cell] = future.result()
-                except RunAborted as exc:
-                    failed = True
-                    print(f"error: {_cell_name(cell)}: {exc}", file=sys.stderr)
-    else:
-        for cell in cells:
-            try:
-                rows[cell] = _run_cell(cfg.data, cell, out_dir)
-            except RunAborted as exc:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {
+            pool.submit(_run_cell, cfg.data, cell, out_dir): cell for cell in cells
+        }
+        for future, cell in futures.items():
+            result = future.result()
+            if isinstance(result, str):
                 failed = True
-                print(f"error: {_cell_name(cell)}: {exc}", file=sys.stderr)
-                write_trajectory_csv(
-                    exc.trajectory,
-                    os.path.join(out_dir, f"{_cell_name(cell)}_trajectory.partial.csv"),
-                )
+                print(f"error: {_cell_name(cell)}: {result}", file=sys.stderr)
+            else:
+                rows[cell] = result
     ordered = [rows[cell] for cell in sorted(rows, key=_cell_name)]
     write_summary_csv(ordered, os.path.join(out_dir, "summary.csv"))
     print(f"wrote {len(ordered)} of {len(cells)} cells to {out_dir}/summary.csv")
@@ -231,11 +241,12 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 def cmd_offline(cfg: ExperimentConfig) -> int:
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    classes = tuple(sorted(_class_totals(cfg)))
+    totals = _class_totals(cfg)
+    classes = tuple(sorted(totals))
     seeds = [int(s) for s in cfg["sweep"]["seeds"]]
     for shape in cfg["profiles"]["shapes"]:
         for seed in seeds:
-            profile = _profile(cfg, shape, seed)
+            profile = _profile(cfg, totals, shape, seed)
             capacity = _capacity_truth(cfg, seed)
             schedule = solve_offline(
                 profile, [int(v) for v in capacity.values], classes,
@@ -252,6 +263,7 @@ def cmd_gen_signals(cfg: ExperimentConfig) -> int:
     os.makedirs(out_dir, exist_ok=True)
     carbon = _carbon_truth(cfg)
     save_signal_csv(carbon, os.path.join(out_dir, "carbon.csv"))
+    totals = _class_totals(cfg)
     seeds = [int(s) for s in cfg["sweep"]["seeds"]]
     for seed in seeds:
         capacity = _capacity_truth(cfg, seed)
@@ -266,7 +278,7 @@ def cmd_gen_signals(cfg: ExperimentConfig) -> int:
                 save_signal_csv(
                     capacity_fc, os.path.join(out_dir, f"capacity_forecast_s{seed}.csv")
                 )
-        profile = _profile(cfg, cfg["profiles"]["shapes"][0], seed)
+        profile = _profile(cfg, totals, cfg["profiles"]["shapes"][0], seed)
         write_profile_csv(profile, os.path.join(out_dir, f"profile_s{seed}.csv"))
     print(f"signal CSVs written to {out_dir}")
     return 0

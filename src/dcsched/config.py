@@ -1,6 +1,6 @@
-"""Experiment configuration: YAML sections {dc, horizons, weights, signals,
-profiles, sweep, solver} with production-scale defaults and field-level
-validation errors."""
+"""Experiment configuration: YAML sections {dc, signals, profiles, sweep,
+solver} with production-scale defaults and field-level validation errors.
+The objective weights and the look-ahead horizon are sweep axes only."""
 
 from __future__ import annotations
 
@@ -22,8 +22,6 @@ DEFAULTS: dict[str, Any] = {
         "p_idle_mw": 30.0,
         "dt_hours": 1.0,
     },
-    "horizons": {"t_h": 24, "t_j": 24, "t_c": 24},
-    "weights": {"lambda_ce": 0.0, "lambda_pd": 0.0},
     "signals": {
         "hours": 168,
         "carbon": {"source": "synthetic", "base": 500.0, "amplitude": 1.0, "csv": None},
@@ -55,7 +53,6 @@ DEFAULTS: dict[str, Any] = {
     "solver": {
         "gap": 1e-4,
         "time_limit_s": 60.0,
-        "lp_dump": False,
         "workers": 1,
     },
     "output_dir": "results",
@@ -106,10 +103,6 @@ def validate(data: dict[str, Any]) -> None:
         "dc.p_idle_mw: need 0 <= p_idle_mw <= p_peak_mw",
     )
     _require(float(dc["dt_hours"]) > 0, "dc.dt_hours: must be positive")
-    for key in ("t_h", "t_j", "t_c"):
-        _require(int(data["horizons"][key]) >= 1, f"horizons.{key}: must be >= 1")
-    for key in ("lambda_ce", "lambda_pd"):
-        _require(float(data["weights"][key]) >= 0, f"weights.{key}: must be >= 0")
 
     sig = data["signals"]
     _require(int(sig["hours"]) >= 24, "signals.hours: must be >= 24")
@@ -153,8 +146,9 @@ def validate(data: dict[str, Any]) -> None:
         )
     for mode in sweep["forecast"]:
         _require(mode in FORECAST_MODES, f"sweep.forecast: unknown mode {mode!r}")
-    for lam in sweep["lambda_ce"] + sweep["lambda_pd"]:
-        _require(float(lam) >= 0, "sweep.lambda_ce/lambda_pd: weights must be >= 0")
+    for key in ("lambda_ce", "lambda_pd"):
+        for lam in sweep[key]:
+            _require(float(lam) >= 0, f"sweep.{key}: weights must be >= 0")
     for t in sweep["horizon_t"]:
         _require(int(t) >= 1, "sweep.horizon_t: horizons must be >= 1")
 

@@ -105,9 +105,6 @@ class ArrivalProfile:
             out[c] = out.get(c, 0) + num
         return out
 
-    def total_jobs(self) -> int:
-        return sum(self.counts.values())
-
 
 @dataclass
 class SystemState:
@@ -124,15 +121,6 @@ class SystemState:
     queued: dict[JobClass, int] = field(default_factory=dict)
     completed: dict[JobClass, int] = field(default_factory=dict)
     arrived: dict[JobClass, int] = field(default_factory=dict)
-
-    def copy(self) -> "SystemState":
-        return SystemState(
-            stage=self.stage,
-            running=dict(self.running),
-            queued=dict(self.queued),
-            completed=dict(self.completed),
-            arrived=dict(self.arrived),
-        )
 
     def running_by_class(self) -> dict[JobClass, int]:
         out: dict[JobClass, int] = {}

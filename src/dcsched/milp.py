@@ -137,17 +137,6 @@ def solve(model: MilpModel, gap_tol: float = 1e-4,
             bounds=bounds,
             options=options,
         )
-        if res.status == 2:
-            # the HiGHS build shipped with scipy 1.15 can mis-declare a
-            # feasible integer model infeasible during presolve; only
-            # trust the verdict if it survives with presolve disabled
-            res = _scipy_milp(
-                c=sign * c,
-                constraints=constraints,
-                integrality=integrality,
-                bounds=bounds,
-                options={**options, "presolve": False},
-            )
     except Exception as exc:  # backend failure
         return SolveResult("error", None, None, np.inf, f"backend failure: {exc}")
 
@@ -190,32 +179,3 @@ def check_feasible(model: MilpModel, values: np.ndarray, tol: float = 1e-6) -> l
         elif con.sense == "=" and abs(lhs - con.rhs) > tol:
             bad.append(f"{con.name or '='}: {lhs} != {con.rhs}")
     return bad
-
-
-def write_lp(model: MilpModel, path: str) -> None:
-    """Dump the model in LP text format for debugging."""
-    def term(coef: float, name: str) -> str:
-        return f"{'+' if coef >= 0 else '-'} {abs(coef):g} {name} "
-
-    lines = ["Maximize" if model.maximize else "Minimize", " obj: "]
-    for vid, coef in sorted(model.objective.items()):
-        lines[-1] += term(coef, model.variables[vid].name)
-    lines.append("Subject To")
-    for i, con in enumerate(model.constraints):
-        expr = "".join(
-            term(coef, model.variables[vid].name)
-            for vid, coef in sorted(con.coeffs.items())
-        )
-        op = {"<=": "<=", ">=": ">=", "=": "="}[con.sense]
-        lines.append(f" {con.name or f'c{i}'}: {expr}{op} {con.rhs:g}")
-    lines.append("Bounds")
-    for var in model.variables:
-        ub = "+inf" if np.isinf(var.ub) else f"{var.ub:g}"
-        lines.append(f" {var.lb:g} <= {var.name} <= {ub}")
-    generals = [v.name for v in model.variables if v.kind == "integer"]
-    if generals:
-        lines.append("General")
-        lines.append(" " + " ".join(generals))
-    lines.append("End")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

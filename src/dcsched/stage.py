@@ -23,7 +23,7 @@ from .core import (
     max_runtime_of,
     power_of,
 )
-from .milp import MilpModel, solve, write_lp
+from .milp import MilpModel, solve
 
 log = logging.getLogger(__name__)
 
@@ -123,11 +123,13 @@ def build_stage(
         totals[c] = state.queued.get(c, 0) + sum(
             inputs.job_forecast.get((c, t), 0) for t in ts
         )
+    class_starts: dict[JobClass, list[int]] = {}
     for c in inputs.classes:
+        class_starts[c] = []
         for t in _start_hours(inputs, c):
-            h.starts[(c, t)] = model.add_var(
-                f"n_{c.servers}_{c.runtime}_{t}", "integer", 0, totals[c]
-            )
+            vid = model.add_var(f"n_{c.servers}_{c.runtime}_{t}", "integer", 0, totals[c])
+            h.starts[(c, t)] = vid
+            class_starts[c].append(vid)
     # termination variables exist only when the realized hour-r capacity
     # cannot hold the prior commitments; a job is never cancelled for
     # economic gain or on an unrealized forecast dip
@@ -193,7 +195,7 @@ def build_stage(
             for t in ts[:half]
             if t <= last_start
         )
-        coeffs = {vid: 1.0 for (c2, _), vid in h.starts.items() if c2 == c}
+        coeffs = {vid: 1.0 for vid in class_starts[c]}
         if with_slack:
             coeffs[h.slack[c]] = 1.0
         # a class with no admissible start hour (cannot finish by t_end)
@@ -242,14 +244,11 @@ def solve_stage(
     inputs: StageInputs,
     gap_tol: float = 1e-4,
     time_limit: float = 60.0,
-    lp_dump: str | None = None,
 ) -> StageDecision:
     """Solve the stage problem; on infeasible minimum clearance, re-solve
     with penalized slack and return the relaxed optimum."""
     r = inputs.state.stage
     model, h = build_stage(inputs, with_slack=False)
-    if lp_dump:
-        write_lp(model, lp_dump)
     res = solve(model, gap_tol=gap_tol, time_limit=time_limit)
     relaxed = False
     if res.status == "infeasible":

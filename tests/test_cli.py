@@ -1,8 +1,13 @@
+import csv
 import os
 
 import pytest
 
+import dcsched.cli
+import dcsched.engine
 from dcsched.cli import main
+from dcsched.core import DomainError
+from dcsched.stage import StageError
 
 TINY = """\
 dc:
@@ -111,3 +116,64 @@ def test_time_limit_env_override(tmp_path, monkeypatch):
     path, out = tiny_config(tmp_path)
     monkeypatch.setenv("DCSCHED_TIME_LIMIT", "5")
     assert main(["run", path]) == 0
+
+
+def fail_seed_at_stage(monkeypatch, seed, stage, make_error):
+    """Make every cell of one sweep seed raise `make_error()` in place of
+    its stage solve at `stage`. Fork-started pool workers inherit both
+    patches; each worker runs its cells one at a time, so the seed seen by
+    the last arrival sampling is the seed of the running cell."""
+    current = {}
+    sample = dcsched.cli.sample_arrivals
+    solve = dcsched.engine.solve_stage
+
+    def recording_sample(totals, shape, hours, cell_seed):
+        current["seed"] = cell_seed
+        return sample(totals, shape, hours, cell_seed)
+
+    def failing_solve(inputs, *args, **kwargs):
+        if current["seed"] == seed and inputs.state.stage == stage:
+            raise make_error()
+        return solve(inputs, *args, **kwargs)
+
+    monkeypatch.setattr(dcsched.cli, "sample_arrivals", recording_sample)
+    monkeypatch.setattr(dcsched.engine, "solve_stage", failing_solve)
+
+
+@pytest.mark.parametrize("make_error, aborted", [
+    (lambda: StageError(5, "injected solver failure"), True),
+    (lambda: DomainError("injected invariant breach"), False),
+])
+def test_failing_cell_keeps_the_rest_of_the_sweep(
+    tmp_path, monkeypatch, capsys, make_error, aborted
+):
+    fail_seed_at_stage(monkeypatch, seed=2, stage=5, make_error=make_error)
+    failed_cell = "uniform_ce0_pd0_T4_accurate_s2"
+    artefacts = {}
+    for workers in (1, 2):
+        out = tmp_path / f"results{workers}"
+        path = tmp_path / f"workers{workers}.yaml"
+        path.write_text(
+            TINY.format(out=out)
+            .replace("seeds: [1]", "seeds: [1, 2]")
+            .replace("time_limit_s: 30\n", f"time_limit_s: 30\n  workers: {workers}\n")
+        )
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {failed_cell}: " in err
+        assert err.count("error: ") == 1
+        with open(out / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["seed"] for row in rows] == ["1"]
+        partial = out / f"{failed_cell}_trajectory.partial.csv"
+        if aborted:
+            assert len(partial.read_text().splitlines()) == 1 + 4  # stages 1-4
+        else:
+            assert not partial.exists()
+        assert not (out / f"{failed_cell}_trajectory.csv").exists()
+        # manifests hash the config, which names the worker count
+        artefacts[workers] = {
+            f.name: f.read_text() for f in out.iterdir()
+            if not f.name.endswith("_manifest.txt")
+        }
+    assert artefacts[1] == artefacts[2]

@@ -39,16 +39,23 @@ def test_user_file_overrides_defaults(tmp_path):
 
 
 def test_unknown_key_is_an_error(tmp_path):
-    path = write(tmp_path, "dc:\n  num_servers: 16\n")
-    with pytest.raises(ConfigError, match="dc.num_servers"):
-        load_config(path)
+    cases = [
+        ("dc:\n  num_servers: 16\n", "dc.num_servers"),
+        # the weights and the horizon are sweep axes only
+        ("weights:\n  lambda_ce: 0.1\n", "weights"),
+        ("horizons:\n  t_h: 12\n", "horizons"),
+        ("solver:\n  lp_dump: true\n", "solver.lp_dump"),
+    ]
+    for text, needle in cases:
+        with pytest.raises(ConfigError, match=f"unknown config key: {needle}"):
+            load_config(write(tmp_path, text))
 
 
 def test_field_errors_name_the_field(tmp_path):
     cases = [
         ("dc:\n  total_servers: 0\n", "dc.total_servers"),
         ("signals:\n  hours: 3\n", "signals.hours"),
-        ("weights:\n  lambda_ce: -1\n", "weights.lambda_ce"),
+        ("sweep:\n  lambda_ce: [-1]\n", "sweep.lambda_ce"),
         ("sweep:\n  forecast: [psychic]\n", "sweep.forecast"),
         ("profiles:\n  shapes: [square]\n", "profiles.shapes"),
         ("solver:\n  workers: 0\n", "solver.workers"),

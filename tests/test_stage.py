@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import dcsched.milp
 from dcsched.core import (
     DCConfig,
     DomainError,
@@ -127,15 +128,23 @@ def test_carbon_weight_shifts_start_to_cleaner_hour():
     carbon_by_hour = {1: 100.0, 2: 100.0, 3: 500.0, 4: 10.0}
     state = SystemState(stage=1, queued={C11: 1}, arrived={C11: 1})
 
-    greedy = solve_stage(make_inputs(state.copy(), [C11], carbon=carbon_by_hour))
+    greedy = solve_stage(make_inputs(state, [C11], carbon=carbon_by_hour))
     assert greedy.starts == {(C11, 1): 1}
 
-    aware = solve_stage(make_inputs(state.copy(), [C11], carbon=carbon_by_hour,
+    aware = solve_stage(make_inputs(state, [C11], carbon=carbon_by_hour,
                                     weights=ObjectiveWeights(lambda_ce=10.0)))
     assert aware.starts == {(C11, 4): 1}
 
 
-def test_infeasible_clearance_relaxes_with_slack():
+def test_infeasible_clearance_relaxes_with_slack(monkeypatch):
+    calls = []
+    highs = dcsched.milp._scipy_milp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return highs(*args, **kwargs)
+
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", counted)
     # a 2-server job can never fit on a 1-server facility
     state = SystemState(stage=1, queued={C22: 1}, arrived={C22: 1})
     inputs = make_inputs(state, [C22], capacity=1)
@@ -143,6 +152,8 @@ def test_infeasible_clearance_relaxes_with_slack():
     assert decision.slack == {C22: 1}
     assert decision.starts == {}
     assert not validate_decision(inputs, decision)
+    # the infeasible model, then the model with slack
+    assert len(calls) == 2
 
 
 def test_slack_is_last_resort():
@@ -167,10 +178,10 @@ def test_peak_weight_flattens_profile():
     # two queued 1-hour jobs: without the peak term both run right away;
     # with a moderate weight they are staggered across two hours
     state = SystemState(stage=1, queued={C11: 2}, arrived={C11: 2})
-    flat_free = solve_stage(make_inputs(state.copy(), [C11]))
+    flat_free = solve_stage(make_inputs(state, [C11]))
     assert max(flat_free.active.values()) == 2
 
-    flat = solve_stage(make_inputs(state.copy(), [C11],
+    flat = solve_stage(make_inputs(state, [C11],
                                    weights=ObjectiveWeights(lambda_pd=1.0)))
     assert max(flat.active.values()) == 1
     assert flat.peak == pytest.approx(power_of(1, CFG))
