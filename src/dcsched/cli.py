@@ -11,7 +11,6 @@ worker or many. Exit codes: 0 success; 1 if any cell failed, in which case
 each failed cell gets one `error: <cell>: ...` line on stderr, a cell whose
 run aborted keeps its `<cell>_trajectory.partial.csv`, and summary.csv still
 lists every other cell; 2 invalid config or empty sweep.
-DCSCHED_TIME_LIMIT overrides solver.time_limit_s.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, dump_config, load_config
+from .config import ConfigError, ExperimentConfig, dump_experiment, load_config
 from .core import ArrivalProfile, DCConfig, DomainError, HorizonConfig, JobClass, ObjectiveWeights
 from .engine import RunAborted, run, write_trajectory_csv
 from .metrics import summary_row, write_summary_csv
@@ -133,11 +132,6 @@ def _forecasts(
     return carbon_fc, capacity_fc
 
 
-def _time_limit(cfg: ExperimentConfig) -> float:
-    override = os.environ.get("DCSCHED_TIME_LIMIT")
-    return float(override) if override else float(cfg["solver"]["time_limit_s"])
-
-
 def _cells(cfg: ExperimentConfig) -> list[tuple]:
     sweep = cfg["sweep"]
     return list(itertools.product(
@@ -157,8 +151,8 @@ def _cell_name(cell: tuple) -> str:
 
 def _run_cell(config_data: dict, cell: tuple, out_dir: str) -> dict | str:
     """Run one cell and return its summary row, or an error string if the
-    run aborted (its partial trajectory is written) or broke a domain
-    invariant. Only plain data goes back to the parent process."""
+    run aborted (its partial trajectory is written) or its set-up broke a
+    domain invariant. Only plain data goes back to the parent process."""
     name = _cell_name(cell)
     try:
         return _run_cell_or_raise(ExperimentConfig(config_data), cell, out_dir)
@@ -189,7 +183,7 @@ def _run_cell_or_raise(cfg: ExperimentConfig, cell: tuple, out_dir: str) -> dict
     traj = run(
         dc, profile, classes, capacity, carbon, horizons, weights,
         capacity_forecast=capacity_fc, carbon_forecast=carbon_fc,
-        gap_tol=float(cfg["solver"]["gap"]), time_limit=_time_limit(cfg),
+        gap_tol=float(cfg["solver"]["gap"]), time_limit=float(cfg["solver"]["time_limit_s"]),
     )
     write_trajectory_csv(traj, os.path.join(out_dir, f"{name}_trajectory.csv"))
     _write_manifest(cfg, cell, traj, os.path.join(out_dir, f"{name}_manifest.txt"))
@@ -197,7 +191,7 @@ def _run_cell_or_raise(cfg: ExperimentConfig, cell: tuple, out_dir: str) -> dict
 
 
 def _write_manifest(cfg: ExperimentConfig, cell: tuple, traj, path: str) -> None:
-    digest = hashlib.sha256(dump_config(cfg).encode()).hexdigest()
+    digest = hashlib.sha256(dump_experiment(cfg).encode()).hexdigest()
     max_gap = max((rec.gap for rec in traj.records), default=0.0)
     lines = [
         f"dcsched {__version__}",
@@ -250,7 +244,7 @@ def cmd_offline(cfg: ExperimentConfig) -> int:
             capacity = _capacity_truth(cfg, seed)
             schedule = solve_offline(
                 profile, [int(v) for v in capacity.values], classes,
-                gap_tol=float(cfg["solver"]["gap"]), time_limit=_time_limit(cfg),
+                gap_tol=float(cfg["solver"]["gap"]), time_limit=float(cfg["solver"]["time_limit_s"]),
             )
             path = os.path.join(out_dir, f"offline_{shape}_s{seed}.csv")
             write_schedule_csv(schedule, path)

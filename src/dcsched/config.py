@@ -176,3 +176,11 @@ def load_config(path: str | None, desk_scale: bool = False) -> ExperimentConfig:
 
 def dump_config(cfg: ExperimentConfig) -> str:
     return yaml.safe_dump(cfg.data, sort_keys=True)
+
+
+def dump_experiment(cfg: ExperimentConfig) -> str:
+    """The config without its deployment settings (output_dir and
+    solver.workers), which do not change what a run computes."""
+    data = {key: value for key, value in cfg.data.items() if key != "output_dir"}
+    data["solver"] = {key: value for key, value in data["solver"].items() if key != "workers"}
+    return dump_config(ExperimentConfig(data))

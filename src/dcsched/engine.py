@@ -8,6 +8,7 @@ and advances the inventory state.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import logging
 from dataclasses import dataclass, field
 
@@ -21,6 +22,7 @@ from .core import (
     StageDecision,
     SystemState,
     check_state,
+    committed_servers,
     max_runtime_of,
     power_of,
     server_commitments,
@@ -67,7 +69,8 @@ class Trajectory:
 
 
 class RunAborted(RuntimeError):
-    """A stage solve failed; the partial trajectory is preserved."""
+    """A stage failed, in its solve or on a domain invariant; the partial
+    trajectory of the hours before it is preserved."""
 
     def __init__(self, stage: int, trajectory: Trajectory, cause: Exception) -> None:
         self.stage = stage
@@ -135,16 +138,8 @@ def assemble_inputs(
     carbon = {}
     for t in inputs.extended_window():
         carbon[t] = carbon_truth.at(r) if t == r else car_fc.at(t)
-    return StageInputs(
-        cfg=cfg,
-        state=state,
-        classes=classes,
-        job_forecast=jobs,
-        capacity_forecast=caps,
-        carbon_forecast=carbon,
-        weights=weights,
-        horizons=horizons,
-        t_end=t_end,
+    return dataclasses.replace(
+        inputs, job_forecast=jobs, capacity_forecast=caps, carbon_forecast=carbon
     )
 
 
@@ -261,28 +256,26 @@ def run(
     traj = Trajectory()
     for r in range(1, t_end + 1):
         arrivals = profile.at(r)
-        inputs = assemble_inputs(
-            r, state, cfg, classes, profile, capacity_truth, carbon_truth,
-            horizons, weights, capacity_forecast, carbon_forecast,
-        )
-        committed_before = sum(
-            c.servers * num for (c, _), num in state.running.items()
-        )
         try:
+            inputs = assemble_inputs(
+                r, state, cfg, classes, profile, capacity_truth, carbon_truth,
+                horizons, weights, capacity_forecast, carbon_forecast,
+            )
             decision = solve_stage(inputs, gap_tol=gap_tol, time_limit=time_limit)
-        except StageError as exc:
+            realized_m = decision.active[r]
+            if realized_m > capacity_truth.at(r):
+                raise DomainError(
+                    f"stage {r}: realized active servers {realized_m} exceed "
+                    f"capacity {capacity_truth.at(r)}"
+                )
+            new_state = advance_state(state, decision, arrivals, max_runtime)
+        except (StageError, DomainError) as exc:
             traj.final_state = state
             raise RunAborted(r, traj, exc) from exc
         wasted = sum(
             c.servers * (r - t_b) * num
             for (c, t_b), num in decision.terminations.items()
         )
-        realized_m = decision.active[r]
-        if realized_m > capacity_truth.at(r):
-            raise DomainError(
-                f"stage {r}: realized active servers {realized_m} exceed "
-                f"capacity {capacity_truth.at(r)}"
-            )
         traj.records.append(
             HourRecord(
                 hour=r,
@@ -291,8 +284,8 @@ def run(
                 carbon=carbon_truth.at(r),
                 starts=decision.starts_at(r),
                 terminations=dict(decision.terminations),
-                queued_after=0,  # filled below
-                committed_before=committed_before,
+                queued_after=sum(new_state.queued.values()),
+                committed_before=committed_servers(state, r),
                 objective=decision.objective,
                 gap=decision.gap,
                 status=decision.status,
@@ -300,8 +293,7 @@ def run(
                 wasted_server_hours=wasted,
             )
         )
-        state = advance_state(state, decision, arrivals, max_runtime)
-        traj.records[-1].queued_after = sum(state.queued.values())
+        state = new_state
     traj.final_state = state
     return traj
 

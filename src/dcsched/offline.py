@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .core import ArrivalProfile, DomainError, JobClass
 from .milp import MilpModel, solve
+from .stage import add_allocation_rows, occupancy_row
 
 
 @dataclass
@@ -54,26 +56,15 @@ def build_offline(
 
     # hourly capacity on active servers
     for t in range(1, t_end + 1):
-        coeffs: dict[int, float] = {}
-        for c in classes:
-            for t2 in range(max(t - c.runtime + 1, 1), t + 1):
-                vid = handles.get((c, t2))
-                if vid is not None:
-                    coeffs[vid] = c.servers
-        model.add_constraint(coeffs, "<=", capacity[t - 1], f"cap_{t}")
+        model.add_constraint(
+            occupancy_row(handles, classes, t, 1, t_end), "<=", capacity[t - 1], f"cap_{t}"
+        )
 
     # cumulative starts bounded by cumulative submissions
+    hours = range(1, t_end + 1)
     for c in classes:
-        cumulative = 0
-        for t in range(1, t_end + 1):
-            cumulative += profile.counts.get((t, c), 0)
-            coeffs = {
-                handles[(c, t2)]: 1.0
-                for t2 in range(1, t + 1)
-                if (c, t2) in handles
-            }
-            if coeffs:
-                model.add_constraint(coeffs, "<=", cumulative, f"subm_{c.servers}_{c.runtime}_{t}")
+        submitted = accumulate(profile.counts.get((t, c), 0) for t in hours)
+        add_allocation_rows(model, handles, c, hours, submitted)
 
     model.set_objective(
         {vid: c.server_hours for (c, _), vid in handles.items()}, maximize=True

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import cached_property
+from itertools import accumulate
+from typing import Iterable, Mapping
 
 from .core import (
     DCConfig,
@@ -34,6 +36,18 @@ class StageError(RuntimeError):
     def __init__(self, stage: int, message: str) -> None:
         self.stage = stage
         super().__init__(f"stage {stage}: {message}")
+
+
+@dataclass(frozen=True)
+class StageBounds:
+    """Right-hand sides of the stage's scheduling rules, derived once and
+    read by both the model and the exact re-check."""
+
+    start_hours: dict[JobClass, list[int]]  # admissible start hours per class
+    allowance: dict[JobClass, list[int]]  # queue + forecast arrivals up to each window hour
+    required: dict[JobClass, int]  # minimum clearance, classes with an admissible start
+    capacity: dict[int, int]  # active-server bound per window hour
+    held: dict[int, int]  # servers held by earlier starts per extended-window hour
 
 
 @dataclass(frozen=True)
@@ -70,6 +84,48 @@ class StageInputs:
         l_max = max_runtime_of(self.classes)
         return list(range(ts[0], ts[-1] + l_max - 1 + 1))
 
+    @cached_property
+    def bounds(self) -> StageBounds:
+        """The stage bounds, derived once per stage."""
+        state = self.state
+        r = state.stage
+        ts = self.window()
+        for c in state.queued:
+            if c not in self.classes:
+                raise DomainError(f"queued class {c} outside declared class set")
+        for (c, _t) in self.job_forecast:
+            if c not in self.classes:
+                raise DomainError(f"forecast class {c} outside declared class set")
+
+        half = len(ts) // 2
+        start_hours: dict[JobClass, list[int]] = {}
+        allowance: dict[JobClass, list[int]] = {}
+        required: dict[JobClass, int] = {}
+        for c in self.classes:
+            # starts that cannot finish by t_end are excluded so end-of-run
+            # windows never strand jobs mid-execution
+            hours = [t for t in ts if self.t_end is None or t + c.runtime - 1 <= self.t_end]
+            start_hours[c] = hours
+            available = list(accumulate(
+                (self.job_forecast.get((c, t), 0) for t in ts), initial=state.queued.get(c, 0)
+            ))
+            allowance[c] = available[1:]
+            # minimum clearance: the queue plus the first half-window's
+            # arrivals at hours the class may still start; a class with no
+            # admissible start simply waits
+            if hours:
+                required[c] = available[min(half, len(hours))]
+
+        held = {t: committed_servers(state, t) for t in self.extended_window()}
+        # at future hours the bound never forces termination of committed
+        # work (pre-emptive termination on an unrealized forecast dip is
+        # not modelled)
+        capacity = {
+            t: self.capacity_forecast[t] if t == r else max(self.capacity_forecast[t], held[t])
+            for t in ts
+        }
+        return StageBounds(start_hours, allowance, required, capacity, held)
+
 
 def util_coeff(r: int, t_h: int, c: JobClass, t: int) -> int:
     """Utilization reward for starting a job of class c at hour t (or the
@@ -86,16 +142,30 @@ class _StageHandles:
     slack: dict[JobClass, int] = field(default_factory=dict)
 
 
-def _start_hours(inputs: StageInputs, c: JobClass) -> list[int]:
-    """Hours in the window at which class c may start.
+def occupancy_row(starts: Mapping[tuple[JobClass, int], int], classes: Iterable[JobClass],
+                  t: int, first: int, last: int) -> dict[int, float]:
+    """Servers busy at hour t from start variables at hours first..last:
+    coefficient c.servers on each start of class c still running at t."""
+    coeffs: dict[int, float] = {}
+    for c in classes:
+        for t2 in range(max(first, t - c.runtime + 1), min(t, last) + 1):
+            vid = starts.get((c, t2))
+            if vid is not None:
+                coeffs[vid] = float(c.servers)
+    return coeffs
 
-    Starts that cannot finish by t_end are excluded so end-of-run windows
-    never strand jobs mid-execution.
-    """
-    ts = inputs.window()
-    if inputs.t_end is None:
-        return ts
-    return [t for t in ts if t + c.runtime - 1 <= inputs.t_end]
+
+def add_allocation_rows(model: MilpModel, starts: Mapping[tuple[JobClass, int], int],
+                        c: JobClass, hours: Iterable[int], allowance: Iterable[int]) -> None:
+    """Starts of class c up to each hour limited to the jobs available by
+    then (`allowance`, cumulative over `hours`)."""
+    run: dict[int, float] = {}
+    for t, available in zip(hours, allowance):
+        vid = starts.get((c, t))
+        if vid is not None:
+            run[vid] = 1.0
+        if run:
+            model.add_constraint(run, "<=", available, f"alloc_{c.servers}_{c.runtime}_{t}")
 
 
 def build_stage(
@@ -107,33 +177,20 @@ def build_stage(
     ts = inputs.window()
     ext = inputs.extended_window()
     slope = cfg.slope_mw_per_server
-
-    for c in state.queued:
-        if c not in inputs.classes:
-            raise DomainError(f"queued class {c} outside declared class set")
-    for (c, _t) in inputs.job_forecast:
-        if c not in inputs.classes:
-            raise DomainError(f"forecast class {c} outside declared class set")
+    b = inputs.bounds
 
     model = MilpModel()
     h = _StageHandles()
 
-    totals: dict[JobClass, int] = {}
     for c in inputs.classes:
-        totals[c] = state.queued.get(c, 0) + sum(
-            inputs.job_forecast.get((c, t), 0) for t in ts
-        )
-    class_starts: dict[JobClass, list[int]] = {}
-    for c in inputs.classes:
-        class_starts[c] = []
-        for t in _start_hours(inputs, c):
-            vid = model.add_var(f"n_{c.servers}_{c.runtime}_{t}", "integer", 0, totals[c])
-            h.starts[(c, t)] = vid
-            class_starts[c].append(vid)
+        for t in b.start_hours[c]:
+            h.starts[(c, t)] = model.add_var(
+                f"n_{c.servers}_{c.runtime}_{t}", "integer", 0, b.allowance[c][-1]
+            )
     # termination variables exist only when the realized hour-r capacity
     # cannot hold the prior commitments; a job is never cancelled for
     # economic gain or on an unrealized forecast dip
-    if committed_servers(state, r) > inputs.capacity_forecast[r]:
+    if b.held[r] > b.capacity[r]:
         for (c, t_b), num in sorted(
             state.running.items(), key=lambda kv: (kv[0][1], kv[0][0])
         ):
@@ -148,7 +205,7 @@ def build_stage(
         default=1,
     )
     if with_slack:
-        for c in inputs.classes:
+        for c in b.required:
             h.slack[c] = model.add_var(
                 f"s_{c.servers}_{c.runtime}", "integer", 0
             )
@@ -156,63 +213,24 @@ def build_stage(
     # active-server accounting: new starts + prior commitments - freed
     for t in ext:
         coeffs: dict[int, float] = {h.active[t]: -1.0}
-        for c in inputs.classes:
-            for t2 in range(max(r, t - c.runtime + 1), min(t, ts[-1]) + 1):
-                vid = h.starts.get((c, t2))
-                if vid is not None:
-                    coeffs[vid] = coeffs.get(vid, 0.0) + c.servers
-        held = 0
-        for (c, t_b), num in state.running.items():
-            if t_b + c.runtime > t:
-                held += c.servers * num
-                vid = h.terms.get((c, t_b))
-                if vid is not None:
-                    coeffs[vid] = coeffs.get(vid, 0.0) - c.servers
-        model.add_constraint(coeffs, "=", -held, f"active_{t}")
+        coeffs.update(occupancy_row(h.starts, inputs.classes, t, r, ts[-1]))
+        if h.terms:
+            for (c, t_b) in state.running:
+                if t_b + c.runtime > t:
+                    coeffs[h.terms[(c, t_b)]] = -float(c.servers)
+        model.add_constraint(coeffs, "=", -b.held[t], f"active_{t}")
 
-    # starts limited to queue plus submissions seen so far
     for c in inputs.classes:
-        cumulative = state.queued.get(c, 0)
-        run: dict[int, float] = {}
-        for t in ts:
-            cumulative += inputs.job_forecast.get((c, t), 0)
-            vid = h.starts.get((c, t))
-            if vid is not None:
-                run[vid] = 1.0
-            if run:
-                model.add_constraint(
-                    dict(run), "<=", cumulative, f"alloc_{c.servers}_{c.runtime}_{t}"
-                )
+        add_allocation_rows(model, h.starts, c, ts, b.allowance[c])
 
-    # minimum clearance: first half-window arrivals plus the queue; only
-    # arrivals with an admissible start hour at or after arrival count
-    half = len(ts) // 2
-    for c in inputs.classes:
-        admissible = _start_hours(inputs, c)
-        last_start = admissible[-1] if admissible else ts[0] - 1
-        required = state.queued.get(c, 0) + sum(
-            inputs.job_forecast.get((c, t), 0)
-            for t in ts[:half]
-            if t <= last_start
-        )
-        coeffs = {vid: 1.0 for vid in class_starts[c]}
+    for c, required in b.required.items():
+        coeffs = {h.starts[(c, t)]: 1.0 for t in b.start_hours[c]}
         if with_slack:
             coeffs[h.slack[c]] = 1.0
-        # a class with no admissible start hour (cannot finish by t_end)
-        # simply waits in the queue; it cannot be force-cleared
-        if coeffs:
-            model.add_constraint(
-                coeffs, ">=", required, f"clear_{c.servers}_{c.runtime}"
-            )
+        model.add_constraint(coeffs, ">=", required, f"clear_{c.servers}_{c.runtime}")
 
-    # capacity bound within the decision window; at future hours the bound
-    # never forces termination of already-committed work (pre-emptive
-    # termination on an unrealized forecast dip is not modelled)
     for t in ts:
-        cap = inputs.capacity_forecast[t]
-        if t > r:
-            cap = max(cap, committed_servers(state, t))
-        model.add_constraint({h.active[t]: 1.0}, "<=", cap, f"cap_{t}")
+        model.add_constraint({h.active[t]: 1.0}, "<=", b.capacity[t], f"cap_{t}")
 
     # stage peak power epigraph
     for t in ts:
@@ -233,9 +251,8 @@ def build_stage(
             obj[h.active[t]] = obj.get(h.active[t], 0.0) - inputs.weights.lambda_ce * cr * slope
             constant -= inputs.weights.lambda_ce * cr * cfg.p_idle_mw
     obj[h.peak] = -inputs.weights.lambda_pd
-    if with_slack:
-        for vid in h.slack.values():
-            obj[vid] = -10.0 * max_coeff
+    for vid in h.slack.values():
+        obj[vid] = -10.0 * max_coeff
     model.set_objective(obj, constant=constant, maximize=True)
     return model, h
 
@@ -250,9 +267,7 @@ def solve_stage(
     r = inputs.state.stage
     model, h = build_stage(inputs, with_slack=False)
     res = solve(model, gap_tol=gap_tol, time_limit=time_limit)
-    relaxed = False
     if res.status == "infeasible":
-        relaxed = True
         model, h = build_stage(inputs, with_slack=True)
         res = solve(model, gap_tol=gap_tol, time_limit=time_limit)
     if res.status in ("infeasible", "error"):
@@ -271,7 +286,7 @@ def solve_stage(
         status=res.status,
         slack={c: int(res.value(vid)) for c, vid in h.slack.items() if res.value(vid)},
     )
-    if relaxed:
+    if decision.slack:
         log.warning(
             "stage %d: minimum clearance relaxed, slack=%s",
             r,
@@ -293,52 +308,48 @@ def stage_emissions(inputs: StageInputs, decision: StageDecision) -> float:
 
 
 def validate_decision(inputs: StageInputs, decision: StageDecision) -> list[str]:
-    """Re-check the scheduling constraints on integer values, exactly."""
+    """Re-check the scheduling rules on the decision's own integer counts,
+    exactly, against the stage bounds; never reads the model."""
     state = inputs.state
     r = state.stage
     ts = inputs.window()
-    ext = inputs.extended_window()
+    b = inputs.bounds
     bad: list[str] = []
 
+    for table in (decision.starts, decision.terminations, decision.slack):
+        for key, num in table.items():
+            if num < 0:
+                bad.append(f"negative count {num} for {key}")
+    for (c, t), num in decision.starts.items():
+        if num and t not in b.start_hours.get(c, ()):
+            bad.append(f"class {c} started at inadmissible hour {t}")
+    if any(decision.terminations.values()) and b.held[r] <= b.capacity[r]:
+        bad.append(f"terminations without a shortfall: {b.held[r]} <= {b.capacity[r]}")
     for (c, t_b), num in decision.terminations.items():
         if num > state.running.get((c, t_b), 0):
             bad.append(f"terminating {num} of {(c, t_b)}, only {state.running.get((c, t_b), 0)} running")
 
-    for t in ext:
-        occ = 0
+    for t in inputs.extended_window():
+        occ = b.held[t]
         for (c, t2), num in decision.starts.items():
             if t2 <= min(t, ts[-1]) and t2 + c.runtime > t:
                 occ += c.servers * num
-        for (c, t_b), num in state.running.items():
+        for (c, t_b), num in decision.terminations.items():
             if t_b + c.runtime > t:
-                occ += c.servers * (num - decision.terminations.get((c, t_b), 0))
+                occ -= c.servers * num
         if occ != decision.active.get(t, 0):
             bad.append(f"active-server mismatch at t={t}: {occ} != {decision.active.get(t)}")
 
     for c in inputs.classes:
-        cumulative = state.queued.get(c, 0)
         started = 0
-        for t in ts:
-            cumulative += inputs.job_forecast.get((c, t), 0)
+        for t, available in zip(ts, b.allowance[c]):
             started += decision.starts.get((c, t), 0)
-            if started > cumulative:
+            if started > available:
                 bad.append(f"class {c} over-allocated by hour {t}")
-        admissible = _start_hours(inputs, c)
-        if admissible:
-            half = len(ts) // 2
-            required = state.queued.get(c, 0) + sum(
-                inputs.job_forecast.get((c, t), 0)
-                for t in ts[:half]
-                if t <= admissible[-1]
-            )
-            total = sum(decision.starts.get((c, t), 0) for t in ts)
-            if total + decision.slack.get(c, 0) < required:
-                bad.append(f"class {c} clears {total} of {required} required")
+        if c in b.required and started + decision.slack.get(c, 0) < b.required[c]:
+            bad.append(f"class {c} clears {started} of {b.required[c]} required")
 
     for t in ts:
-        cap = inputs.capacity_forecast[t]
-        if t > r:
-            cap = max(cap, committed_servers(state, t))
-        if decision.active.get(t, 0) > cap:
-            bad.append(f"capacity exceeded at t={t}: {decision.active.get(t)} > {cap}")
+        if decision.active.get(t, 0) > b.capacity[t]:
+            bad.append(f"capacity exceeded at t={t}: {decision.active.get(t)} > {b.capacity[t]}")
     return bad

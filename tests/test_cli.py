@@ -112,12 +112,6 @@ def test_gen_signals(tmp_path, capsys):
     assert "profile_s3.csv" in files
 
 
-def test_time_limit_env_override(tmp_path, monkeypatch):
-    path, out = tiny_config(tmp_path)
-    monkeypatch.setenv("DCSCHED_TIME_LIMIT", "5")
-    assert main(["run", path]) == 0
-
-
 def fail_seed_at_stage(monkeypatch, seed, stage, make_error):
     """Make every cell of one sweep seed raise `make_error()` in place of
     its stage solve at `stage`. Fork-started pool workers inherit both
@@ -140,13 +134,11 @@ def fail_seed_at_stage(monkeypatch, seed, stage, make_error):
     monkeypatch.setattr(dcsched.engine, "solve_stage", failing_solve)
 
 
-@pytest.mark.parametrize("make_error, aborted", [
-    (lambda: StageError(5, "injected solver failure"), True),
-    (lambda: DomainError("injected invariant breach"), False),
-])
-def test_failing_cell_keeps_the_rest_of_the_sweep(
-    tmp_path, monkeypatch, capsys, make_error, aborted
-):
+@pytest.mark.parametrize("make_error", [
+    lambda: StageError(5, "injected solver failure"),
+    lambda: DomainError("injected invariant breach"),
+], ids=["StageError", "DomainError"])
+def test_failing_cell_keeps_the_rest_of_the_sweep(tmp_path, monkeypatch, capsys, make_error):
     fail_seed_at_stage(monkeypatch, seed=2, stage=5, make_error=make_error)
     failed_cell = "uniform_ce0_pd0_T4_accurate_s2"
     artefacts = {}
@@ -166,14 +158,7 @@ def test_failing_cell_keeps_the_rest_of_the_sweep(
             rows = list(csv.DictReader(fh))
         assert [row["seed"] for row in rows] == ["1"]
         partial = out / f"{failed_cell}_trajectory.partial.csv"
-        if aborted:
-            assert len(partial.read_text().splitlines()) == 1 + 4  # stages 1-4
-        else:
-            assert not partial.exists()
+        assert len(partial.read_text().splitlines()) == 1 + 4  # stages 1-4
         assert not (out / f"{failed_cell}_trajectory.csv").exists()
-        # manifests hash the config, which names the worker count
-        artefacts[workers] = {
-            f.name: f.read_text() for f in out.iterdir()
-            if not f.name.endswith("_manifest.txt")
-        }
+        artefacts[workers] = {f.name: f.read_text() for f in out.iterdir()}
     assert artefacts[1] == artefacts[2]

@@ -1,8 +1,12 @@
+import dataclasses
 import math
+import random
 
+import numpy as np
 import pytest
 
 import dcsched.milp
+from dcsched.milp import check_feasible
 from dcsched.core import (
     DCConfig,
     DomainError,
@@ -165,6 +169,16 @@ def test_slack_is_last_resort():
     assert sum(num for (c, _), num in decision.starts.items() if c == C11) == 1
 
 
+def test_class_that_cannot_finish_gets_no_clearance_slack():
+    # with t_end=4 a (2,3) job queued at stage 3 cannot start at all, so it
+    # waits; only the (2,2) job, which cannot fit on one server, is relaxed
+    state = SystemState(stage=3, queued={C22: 1, C23: 1}, arrived={C22: 1, C23: 1})
+    inputs = make_inputs(state, [C22, C23], capacity=1, t_end=4)
+    decision = solve_stage(inputs)
+    assert decision.slack == {C22: 1}
+    assert decision.starts == {}
+
+
 def test_completable_start_filter_near_t_end():
     # with t_end=4 a 3-hour job may start no later than hour 2
     state = SystemState(stage=1, queued={C23: 1}, arrived={C23: 1})
@@ -204,6 +218,17 @@ def test_validate_decision_catches_tampering():
     decision.active[1] += 1
     assert any("mismatch" in v for v in validate_decision(inputs, decision))
 
+    # a start or termination the model has no column for: a (2,3) job
+    # cannot start at hour 3 when the run ends at 4, and two held servers
+    # fit the capacity, so nothing may be terminated
+    state = SystemState(stage=2, running={(C23, 1): 1}, queued={C23: 1}, arrived={C23: 2})
+    inputs = make_inputs(state, [C23], t_end=4)
+    decision = solve_stage(inputs)
+    late = dataclasses.replace(decision, starts={**decision.starts, (C23, 3): 1})
+    assert any("inadmissible" in v for v in validate_decision(inputs, late))
+    cancelled = dataclasses.replace(decision, terminations={(C23, 1): 1})
+    assert any("shortfall" in v for v in validate_decision(inputs, cancelled))
+
 
 def test_unknown_queued_class_rejected():
     state = SystemState(stage=1, queued={C22: 1}, arrived={C22: 1})
@@ -221,3 +246,105 @@ def test_objective_is_finite_and_status_optimal():
     assert decision.status == "optimal"
     assert math.isfinite(decision.objective)
     assert decision.gap <= 1e-4
+
+
+AGREE_CFG = DCConfig(total_servers=12, p_peak_mw=10.0, p_idle_mw=2.0)
+AGREE_CLASSES = (C11, C12, C22, C23)
+
+
+def random_stage(seed):
+    """A small stage with running jobs, a queue, forecast arrivals, a
+    capacity that may fall under the running jobs at r, and sometimes an
+    end of run inside the window."""
+    rng = random.Random(seed)
+    r = rng.randint(2, 5)
+    running = {
+        (c, t_b): 1
+        for c in AGREE_CLASSES
+        for t_b in range(r - c.runtime + 1, r)
+        if rng.random() < 0.6
+    }
+    queued = {c: rng.randint(0, 2) for c in AGREE_CLASSES}
+    state = SystemState(stage=r, running=running, queued=queued)
+    hz = HorizonConfig(t_h=4, t_j=4, t_c=4)
+    t_end = rng.choice([None, r + 1, r + 2])
+    last = r + 3 if t_end is None else t_end
+    ts = range(r, last + 1)
+    return StageInputs(
+        cfg=AGREE_CFG,
+        state=state,
+        classes=AGREE_CLASSES,
+        job_forecast={(c, t): rng.randint(0, 1) for c in AGREE_CLASSES for t in ts},
+        capacity_forecast={t: rng.randint(0, 8) for t in ts},
+        carbon_forecast={t: float(rng.randint(0, 100)) for t in range(r, last + 3)},
+        weights=ObjectiveWeights(rng.choice([0.0, 0.01]), rng.choice([0.0, 1.0])),
+        horizons=hz,
+        t_end=t_end,
+    )
+
+
+def with_occupancy(inputs, decision):
+    """The decision with `active` recomputed from its starts, the running
+    jobs and its terminations, and the realized peak."""
+    active = {}
+    for t in inputs.extended_window():
+        m = sum(c.servers * n for (c, t2), n in decision.starts.items() if t2 <= t < t2 + c.runtime)
+        m += sum(
+            c.servers * (n - decision.terminations.get((c, t_b), 0))
+            for (c, t_b), n in inputs.state.running.items()
+            if t < t_b + c.runtime
+        )
+        active[t] = m
+    cfg = inputs.cfg
+    peak = max(cfg.slope_mw_per_server * active[t] + cfg.p_idle_mw for t in inputs.window())
+    return dataclasses.replace(decision, active=active, peak=peak)
+
+
+def model_values(model, handles, decision):
+    x = np.zeros(len(model.variables))
+    for key, vid in handles.starts.items():
+        x[vid] = decision.starts.get(key, 0)
+    for key, vid in handles.terms.items():
+        x[vid] = decision.terminations.get(key, 0)
+    for c, vid in handles.slack.items():
+        x[vid] = decision.slack.get(c, 0)
+    for t, vid in handles.active.items():
+        x[vid] = decision.active[t]
+    x[handles.peak] = decision.peak
+    return x
+
+
+def test_model_and_recheck_agree_on_perturbed_decisions():
+    # the model and validate_decision state the same rules independently:
+    # around each solved decision, a +-1 change to any quantity the model
+    # has a column for is feasible in one exactly when it is in the other
+    seen = {"terms": 0, "truncated": 0, "slack": 0, "accepted": 0, "rejected": 0}
+    cases = [random_stage(seed) for seed in range(40)]
+    cases.append(make_inputs(
+        SystemState(stage=3, queued={C22: 1, C23: 1}), [C22, C23], capacity=1, t_end=4,
+    ))
+    for inputs in cases:
+        decision = solve_stage(inputs)
+        model, h = build_stage(inputs, with_slack=bool(decision.slack))
+        seen["terms"] += bool(h.terms)
+        seen["truncated"] += len(inputs.window()) < inputs.horizons.t_h
+        seen["slack"] += bool(h.slack)
+        assert validate_decision(inputs, decision) == []
+        assert check_feasible(model, model_values(model, h, decision)) == []
+        columns = (
+            [("starts", key) for key in h.starts]
+            + [("terminations", key) for key in h.terms]
+            + [("slack", c) for c in h.slack]
+        )
+        for field_name, key in columns:
+            for delta in (1, -1):
+                table = dict(getattr(decision, field_name))
+                table[key] = table.get(key, 0) + delta
+                changed = with_occupancy(
+                    inputs, dataclasses.replace(decision, **{field_name: table})
+                )
+                ok_model = check_feasible(model, model_values(model, h, changed)) == []
+                ok_check = validate_decision(inputs, changed) == []
+                assert ok_model == ok_check, (field_name, key, delta)
+                seen["accepted" if ok_check else "rejected"] += 1
+    assert all(seen.values()), seen
