@@ -12,7 +12,6 @@ from .core import (
     StageDecision,
     SystemState,
     committed_servers,
-    energy_of,
     power_of,
 )
 from .engine import Trajectory, advance_state, assemble_inputs, run
@@ -39,7 +38,6 @@ __all__ = [
     "build_stage",
     "capacity_walk",
     "committed_servers",
-    "energy_of",
     "noisy_forecast",
     "power_of",
     "run",

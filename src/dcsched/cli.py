@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, dump_experiment, load_config
-from .core import ArrivalProfile, DCConfig, DomainError, HorizonConfig, JobClass, ObjectiveWeights
+from .core import DCConfig, DomainError, HorizonConfig, JobClass, ObjectiveWeights
 from .engine import RunAborted, run, write_trajectory_csv
 from .metrics import summary_row, write_summary_csv
 from .offline import solve_offline, write_schedule_csv
@@ -57,10 +57,7 @@ _SEED_CAPACITY_FC = 3001
 
 def _dc_config(cfg: ExperimentConfig) -> DCConfig:
     dc = cfg["dc"]
-    return DCConfig(
-        int(dc["total_servers"]), float(dc["p_peak_mw"]),
-        float(dc["p_idle_mw"]), float(dc["dt_hours"]),
-    )
+    return DCConfig(int(dc["total_servers"]), float(dc["p_peak_mw"]), float(dc["p_idle_mw"]))
 
 
 def _class_totals(cfg: ExperimentConfig) -> dict[JobClass, int]:
@@ -79,12 +76,6 @@ def _class_totals(cfg: ExperimentConfig) -> dict[JobClass, int]:
         int(prof["jobs"]), tuple(prof["k_buckets"]), int(prof["max_runtime_hours"]),
         seed=0,
     )
-
-
-def _profile(
-    cfg: ExperimentConfig, totals: dict[JobClass, int], shape: str, seed: int
-) -> ArrivalProfile:
-    return sample_arrivals(totals, shape, int(cfg["signals"]["hours"]), seed)
 
 
 def _carbon_truth(cfg: ExperimentConfig) -> SignalSeries:
@@ -120,14 +111,12 @@ def _forecasts(
     carbon_fc = capacity_fc = None
     if mode in ("noisy_carbon", "noisy_both"):
         carbon_fc = noisy_forecast(
-            carbon, float(sig["carbon_forecast_sigma"]), seed + _SEED_CARBON_FC,
-            sigma_is_variance=bool(sig["sigma_is_variance"]),
+            carbon, float(sig["carbon_forecast_sigma"]), seed + _SEED_CARBON_FC
         )
     if mode in ("noisy_capacity", "noisy_both"):
         capacity_fc = noisy_forecast(
             capacity, float(sig["capacity_forecast_sigma"]), seed + _SEED_CAPACITY_FC,
             total_servers=_dc_config(cfg).total_servers,
-            sigma_is_variance=bool(sig["sigma_is_variance"]),
         )
     return carbon_fc, capacity_fc
 
@@ -169,7 +158,7 @@ def _run_cell_or_raise(cfg: ExperimentConfig, cell: tuple, out_dir: str) -> dict
     shape, lce, lpd, horizon_t, mode, seed = cell
     dc = _dc_config(cfg)
     totals = _class_totals(cfg)
-    profile = _profile(cfg, totals, shape, seed)
+    profile = sample_arrivals(totals, shape, int(cfg["signals"]["hours"]), seed)
     classes = tuple(sorted(totals))
     carbon = _carbon_truth(cfg)
     capacity = _capacity_truth(cfg, seed)
@@ -238,9 +227,10 @@ def cmd_offline(cfg: ExperimentConfig) -> int:
     totals = _class_totals(cfg)
     classes = tuple(sorted(totals))
     seeds = [int(s) for s in cfg["sweep"]["seeds"]]
+    hours = int(cfg["signals"]["hours"])
     for shape in cfg["profiles"]["shapes"]:
         for seed in seeds:
-            profile = _profile(cfg, totals, shape, seed)
+            profile = sample_arrivals(totals, shape, hours, seed)
             capacity = _capacity_truth(cfg, seed)
             schedule = solve_offline(
                 profile, [int(v) for v in capacity.values], classes,
@@ -272,7 +262,9 @@ def cmd_gen_signals(cfg: ExperimentConfig) -> int:
                 save_signal_csv(
                     capacity_fc, os.path.join(out_dir, f"capacity_forecast_s{seed}.csv")
                 )
-        profile = _profile(cfg, totals, cfg["profiles"]["shapes"][0], seed)
+        profile = sample_arrivals(
+            totals, cfg["profiles"]["shapes"][0], int(cfg["signals"]["hours"]), seed
+        )
         write_profile_csv(profile, os.path.join(out_dir, f"profile_s{seed}.csv"))
     print(f"signal CSVs written to {out_dir}")
     return 0

@@ -6,9 +6,13 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import yaml
+
+from .core import DomainError
+from .signals import capacity_walk, synthetic_carbon
+from .traces import AggregationRule
 
 
 class ConfigError(ValueError):
@@ -20,7 +24,6 @@ DEFAULTS: dict[str, Any] = {
         "total_servers": 20000,
         "p_peak_mw": 100.0,
         "p_idle_mw": 30.0,
-        "dt_hours": 1.0,
     },
     "signals": {
         "hours": 168,
@@ -33,7 +36,6 @@ DEFAULTS: dict[str, Any] = {
         },
         "carbon_forecast_sigma": 0.11,
         "capacity_forecast_sigma": 0.07,
-        "sigma_is_variance": False,
     },
     "profiles": {
         "source": "synthetic",  # synthetic | trace
@@ -95,6 +97,16 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _reach(where: str, build: Callable[[], object]) -> None:
+    """Build a domain object for the rule it enforces and report a breach
+    under the config field `where`. Each rule is reached with one field set
+    and the others at the domain defaults, so the breach names its field."""
+    try:
+        build()
+    except DomainError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def validate(data: dict[str, Any]) -> None:
     dc = data["dc"]
     _require(int(dc["total_servers"]) >= 1, "dc.total_servers: must be >= 1")
@@ -102,25 +114,35 @@ def validate(data: dict[str, Any]) -> None:
         0 <= float(dc["p_idle_mw"]) <= float(dc["p_peak_mw"]),
         "dc.p_idle_mw: need 0 <= p_idle_mw <= p_peak_mw",
     )
-    _require(float(dc["dt_hours"]) > 0, "dc.dt_hours: must be positive")
 
     sig = data["signals"]
     _require(int(sig["hours"]) >= 24, "signals.hours: must be >= 24")
+    carbon = sig["carbon"]
     _require(
-        sig["carbon"]["source"] in ("synthetic", "csv"),
+        carbon["source"] in ("synthetic", "csv"),
         "signals.carbon.source: must be 'synthetic' or 'csv'",
     )
-    if sig["carbon"]["source"] == "csv":
-        _require(bool(sig["carbon"]["csv"]), "signals.carbon.csv: path required")
+    if carbon["source"] == "csv":
+        _require(bool(carbon["csv"]), "signals.carbon.csv: path required")
+    _reach("signals.carbon.base", lambda: synthetic_carbon(24, base=float(carbon["base"])))
+    _reach(
+        "signals.carbon.amplitude",
+        lambda: synthetic_carbon(24, amplitude=float(carbon["amplitude"])),
+    )
+    capacity = sig["capacity"]
     _require(
-        sig["capacity"]["mode"] in ("fixed", "walk", "csv"),
+        capacity["mode"] in ("fixed", "walk", "csv"),
         "signals.capacity.mode: must be 'fixed', 'walk' or 'csv'",
     )
-    if sig["capacity"]["mode"] == "csv":
-        _require(bool(sig["capacity"]["csv"]), "signals.capacity.csv: path required")
-    _require(
-        0 <= float(sig["capacity"]["floor_frac"]) <= 1,
-        "signals.capacity.floor_frac: must be in [0, 1]",
+    if capacity["mode"] == "csv":
+        _require(bool(capacity["csv"]), "signals.capacity.csv: path required")
+    _reach(
+        "signals.capacity.step_stddev_frac",
+        lambda: capacity_walk(1, 1, step_stddev=float(capacity["step_stddev_frac"])),
+    )
+    _reach(
+        "signals.capacity.floor_frac",
+        lambda: capacity_walk(1, 1, floor=float(capacity["floor_frac"])),
     )
     for key in ("carbon_forecast_sigma", "capacity_forecast_sigma"):
         _require(float(sig[key]) >= 0, f"signals.{key}: must be >= 0")
@@ -131,6 +153,11 @@ def validate(data: dict[str, Any]) -> None:
         _require(bool(prof["trace_csv"]), "profiles.trace_csv: path required")
     else:
         _require(int(prof["jobs"]) >= 0, "profiles.jobs: must be >= 0")
+    _reach("profiles.k_buckets", lambda: AggregationRule(k_buckets=tuple(prof["k_buckets"])))
+    _reach(
+        "profiles.max_runtime_hours",
+        lambda: AggregationRule(max_runtime_hours=int(prof["max_runtime_hours"])),
+    )
     _require(bool(prof["shapes"]), "profiles.shapes: at least one shape required")
     for shape in prof["shapes"]:
         _require(

@@ -38,15 +38,12 @@ class DCConfig:
     total_servers: int
     p_peak_mw: float
     p_idle_mw: float
-    dt_hours: float = 1.0
 
     def __post_init__(self) -> None:
         if self.total_servers < 1:
             raise DomainError("total_servers must be >= 1")
         if not (0.0 <= self.p_idle_mw <= self.p_peak_mw):
             raise DomainError("need 0 <= p_idle_mw <= p_peak_mw")
-        if self.dt_hours <= 0:
-            raise DomainError("dt_hours must be positive")
 
     @property
     def slope_mw_per_server(self) -> float:
@@ -159,9 +156,18 @@ def power_of(m: int, cfg: DCConfig) -> float:
     return cfg.slope_mw_per_server * m + cfg.p_idle_mw
 
 
-def energy_of(m: int, cfg: DCConfig) -> float:
-    """Energy in MWh consumed over one interval with `m` active servers."""
-    return power_of(m, cfg) * cfg.dt_hours
+def busy_servers(
+    entries: Mapping[tuple[JobClass, int], int], hours: Iterable[int]
+) -> dict[int, int]:
+    """Servers held at each of `hours` by (class, start hour) -> count
+    entries: a job of class c started at t_b holds c.servers machines over
+    hours t_b..t_b + c.runtime - 1."""
+    busy = dict.fromkeys(hours, 0)
+    for (c, t_b), num in entries.items():
+        for t in range(t_b, t_b + c.runtime):
+            if t in busy:
+                busy[t] += c.servers * num
+    return busy
 
 
 def committed_servers(state: SystemState, t: int) -> int:
@@ -171,11 +177,7 @@ def committed_servers(state: SystemState, t: int) -> int:
     """
     if t < state.stage:
         raise DomainError(f"hour {t} precedes stage {state.stage}")
-    return sum(
-        c.servers * num
-        for (c, t_b), num in state.running.items()
-        if t_b + c.runtime > t and num
-    )
+    return busy_servers(state.running, (t,))[t]
 
 
 def server_commitments(state: SystemState, max_runtime: int) -> list[int]:

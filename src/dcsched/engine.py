@@ -24,7 +24,6 @@ from .core import (
     check_state,
     committed_servers,
     max_runtime_of,
-    power_of,
     server_commitments,
 )
 from .signals import SignalSeries
@@ -70,16 +69,14 @@ class Trajectory:
 
 class RunAborted(RuntimeError):
     """A stage failed, in its solve or on a domain invariant; the partial
-    trajectory of the hours before it is preserved."""
+    trajectory of the hours before it is preserved. The message names the
+    stage once, then the cause's type and reason."""
 
     def __init__(self, stage: int, trajectory: Trajectory, cause: Exception) -> None:
         self.stage = stage
         self.trajectory = trajectory
-        super().__init__(f"run aborted at stage {stage}: {cause}")
-
-
-def initial_state(classes: tuple[JobClass, ...]) -> SystemState:
-    return SystemState(stage=1)
+        detail = cause.reason if isinstance(cause, StageError) else cause
+        super().__init__(f"stage {stage}: {type(cause).__name__}: {detail}")
 
 
 def assemble_inputs(
@@ -94,19 +91,18 @@ def assemble_inputs(
     weights: ObjectiveWeights,
     capacity_forecast: SignalSeries | None = None,
     carbon_forecast: SignalSeries | None = None,
-    job_forecast: ArrivalProfile | None = None,
 ) -> StageInputs:
     """Build the stage view at hour r.
 
     The current hour is always exact (truth); future hours come from the
     forecast series (truth when no forecast is given), with the capacity
     forecast held at its value at the forecast-horizon edge beyond t_c and
-    the carbon forecast persisting past the series end.
+    the carbon forecast persisting past the series end. Job arrivals are
+    read from the profile at hours before r + t_j.
     """
     t_end = profile.horizon
     cap_fc = capacity_forecast if capacity_forecast is not None else capacity_truth
     car_fc = carbon_forecast if carbon_forecast is not None else carbon_truth
-    job_fc = job_forecast if job_forecast is not None else profile
 
     inputs = StageInputs(
         cfg=cfg,
@@ -119,15 +115,11 @@ def assemble_inputs(
         horizons=horizons,
         t_end=t_end,
     )
-    jobs: dict[tuple[JobClass, int], int] = {}
-    for t in inputs.window():
-        if t == r:
-            for c, num in profile.at(r).items():
-                jobs[(c, r)] = num
-        elif t < r + horizons.t_j:
-            for (h, c), num in job_fc.counts.items():
-                if h == t and num:
-                    jobs[(c, t)] = num
+    jobs = {
+        (c, t): num
+        for t in inputs.window() if t < r + horizons.t_j
+        for c, num in profile.at(t).items()
+    }
     caps: dict[int, int] = {}
     edge = r + horizons.t_c - 1
     for t in inputs.window():
@@ -252,7 +244,7 @@ def run(
         raise DomainError("capacity series shorter than the run horizon")
     max_runtime = max_runtime_of(classes)
 
-    state = initial_state(classes)
+    state = SystemState(stage=1)
     traj = Trajectory()
     for r in range(1, t_end + 1):
         arrivals = profile.at(r)

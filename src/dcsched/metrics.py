@@ -23,8 +23,7 @@ def total_emissions(traj: Trajectory, carbon: SignalSeries, cfg: DCConfig) -> fl
             f"carbon series covers {len(carbon)} of {len(traj.records)} hours"
         )
     return sum(
-        carbon.at(rec.hour) * power_of(rec.active, cfg) * cfg.dt_hours
-        for rec in traj.records
+        carbon.at(rec.hour) * power_of(rec.active, cfg) for rec in traj.records
     )
 
 
@@ -49,10 +48,7 @@ def queued_load(state: SystemState, cfg: DCConfig) -> tuple[float, float]:
     marginal per-server slope: the idle floor is a facility constant and is
     not attributed to individual jobs."""
     slope = cfg.slope_mw_per_server
-    energy = sum(
-        num * c.server_hours * slope * cfg.dt_hours
-        for c, num in state.queued.items()
-    )
+    energy = sum(num * c.server_hours * slope for c, num in state.queued.items())
     power = sum(num * c.servers * slope for c, num in state.queued.items())
     return energy, power
 
@@ -86,9 +82,8 @@ def summary_row(
     capacity: SignalSeries,
     cfg: DCConfig,
     label: dict,
-    vol_window: int | None = None,
 ) -> dict:
-    window = vol_window or min(VOLATILITY_WINDOW, len(traj.records))
+    window = min(VOLATILITY_WINDOW, len(traj.records))
     gp = goodput(traj, capacity)
     row = dict(label)
     row.update(
@@ -110,14 +105,3 @@ def write_summary_csv(rows: list[dict], path: str) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-
-
-def write_plot_data_csv(
-    traj: Trajectory, carbon: SignalSeries, path: str
-) -> None:
-    """Per-hour (hour, active servers, capacity, carbon rate) for plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hour", "active_servers", "capacity", "carbon_rate"])
-        for rec in traj.records:
-            writer.writerow([rec.hour, rec.active, rec.capacity, f"{carbon.at(rec.hour):.6g}"])

@@ -15,7 +15,7 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as _scipy_milp
 
-INT_TOL = 1e-6
+INT_TOL = 1e-4  # largest distance from an integer HiGHS may leave an integer variable
 
 SENSES = ("<=", "=", ">=")
 
@@ -38,13 +38,13 @@ class _Constraint:
 
 @dataclass
 class MilpModel:
-    """A linear model with integer/continuous variables, maximized by default."""
+    """A linear model with integer/continuous variables and one linear
+    objective, always maximized."""
 
     variables: list[_Variable] = field(default_factory=list)
     constraints: list[_Constraint] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
     objective_constant: float = 0.0
-    maximize: bool = True
 
     def add_var(self, name: str, kind: str = "integer",
                 lb: float = 0.0, ub: float | None = None) -> int:
@@ -65,14 +65,12 @@ class MilpModel:
                 raise ValueError(f"constraint {name!r} references unknown variable {vid}")
         self.constraints.append(_Constraint(dict(coeffs), sense, float(rhs), name))
 
-    def set_objective(self, coeffs: Mapping[int, float], constant: float = 0.0,
-                      maximize: bool = True) -> None:
+    def set_objective(self, coeffs: Mapping[int, float], constant: float = 0.0) -> None:
         for vid in coeffs:
             if not (0 <= vid < len(self.variables)):
                 raise ValueError(f"objective references unknown variable {vid}")
         self.objective = dict(coeffs)
         self.objective_constant = float(constant)
-        self.maximize = maximize
 
 
 @dataclass
@@ -90,16 +88,15 @@ class SolveResult:
 
 def solve(model: MilpModel, gap_tol: float = 1e-4,
           time_limit: float = 60.0) -> SolveResult:
-    """Solve `model` with HiGHS branch-and-bound.
+    """Maximize `model` with HiGHS branch-and-bound.
 
-    Integer variables in the returned values are rounded; a residual above
-    INT_TOL after rounding is reported as an error.
+    Integer variables in the returned values are rounded to the nearest
+    integer; one further than INT_TOL from it is reported as an error.
     """
     n = len(model.variables)
     c = np.zeros(n)
     for vid, coef in model.objective.items():
         c[vid] = coef
-    sign = -1.0 if model.maximize else 1.0
 
     integrality = np.array(
         [1 if v.kind == "integer" else 0 for v in model.variables]
@@ -131,7 +128,7 @@ def solve(model: MilpModel, gap_tol: float = 1e-4,
     options = {"mip_rel_gap": gap_tol, "time_limit": time_limit, "disp": False}
     try:
         res = _scipy_milp(
-            c=sign * c,
+            c=-c,
             constraints=constraints,
             integrality=integrality,
             bounds=bounds,
@@ -150,7 +147,7 @@ def solve(model: MilpModel, gap_tol: float = 1e-4,
     for vid, var in enumerate(model.variables):
         if var.kind == "integer":
             rounded = round(values[vid])
-            if abs(values[vid] - rounded) > 1e-4:
+            if abs(values[vid] - rounded) > INT_TOL:
                 return SolveResult(
                     "error", None, None, np.inf,
                     f"integer variable {var.name} at {values[vid]} is not integral",

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .core import ArrivalProfile, DomainError, JobClass
+from .core import ArrivalProfile, DomainError, JobClass, busy_servers
 from .milp import MilpModel, solve
 from .stage import add_allocation_rows, occupancy_row
 
@@ -66,9 +66,7 @@ def build_offline(
         submitted = accumulate(profile.counts.get((t, c), 0) for t in hours)
         add_allocation_rows(model, handles, c, hours, submitted)
 
-    model.set_objective(
-        {vid: c.server_hours for (c, _), vid in handles.items()}, maximize=True
-    )
+    model.set_objective({vid: c.server_hours for (c, _), vid in handles.items()})
     return model, handles
 
 
@@ -76,11 +74,7 @@ def active_trajectory(
     starts: dict[tuple[JobClass, int], int], t_end: int
 ) -> list[int]:
     """Occupied servers at each hour 1..t_end implied by the starts."""
-    m = [0] * t_end
-    for (c, t), num in starts.items():
-        for h in range(t, min(t + c.runtime - 1, t_end) + 1):
-            m[h - 1] += c.servers * num
-    return m
+    return list(busy_servers(starts, range(1, t_end + 1)).values())
 
 
 def solve_offline(

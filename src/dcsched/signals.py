@@ -47,7 +47,6 @@ def noisy_forecast(
     sigma: float,
     seed: int,
     total_servers: int | None = None,
-    sigma_is_variance: bool = False,
 ) -> SignalSeries:
     """Multiplicative-Gaussian forecast: out(t) = xi(t) * in(t) with
     xi ~ Normal(mean 1, stddev sigma), independent per hour.
@@ -57,16 +56,15 @@ def noisy_forecast(
     """
     if sigma < 0:
         raise DomainError("sigma must be >= 0")
-    stddev = math.sqrt(sigma) if sigma_is_variance else sigma
     rng = np.random.default_rng(seed)
-    xi = rng.normal(1.0, stddev, size=len(series))
+    xi = rng.normal(1.0, sigma, size=len(series))
     out = np.asarray(series.values) * xi
     if series.kind == CAPACITY:
         hi = total_servers if total_servers is not None else max(series.values, default=0)
         out = np.clip(np.rint(out), 0, hi)
     else:
         out = np.maximum(out, 0.0)
-    meta = dict(series.meta, forecast_sigma=stddev, forecast_seed=seed)
+    meta = dict(series.meta, forecast_sigma=sigma, forecast_seed=seed)
     return SignalSeries(series.kind, tuple(float(v) for v in out), meta)
 
 
@@ -80,6 +78,8 @@ def capacity_walk(
     """Random-walk server availability: starts at the full fleet, takes
     Gaussian integer steps of stddev `step_stddev * total_servers`, clamped
     to [floor * total_servers, total_servers]."""
+    if step_stddev < 0:
+        raise DomainError("step_stddev must be >= 0")
     if not (0.0 <= floor <= 1.0):
         raise DomainError("floor must be in [0, 1]")
     rng = np.random.default_rng(seed)

@@ -21,7 +21,7 @@ from .core import (
     ObjectiveWeights,
     StageDecision,
     SystemState,
-    committed_servers,
+    busy_servers,
     max_runtime_of,
     power_of,
 )
@@ -31,11 +31,12 @@ log = logging.getLogger(__name__)
 
 
 class StageError(RuntimeError):
-    """Solver failure at a stage; carries the stage index."""
+    """Solver failure at a stage; carries the stage index and the reason."""
 
-    def __init__(self, stage: int, message: str) -> None:
+    def __init__(self, stage: int, reason: str) -> None:
         self.stage = stage
-        super().__init__(f"stage {stage}: {message}")
+        self.reason = reason
+        super().__init__(f"stage {stage}: {reason}")
 
 
 @dataclass(frozen=True)
@@ -90,11 +91,12 @@ class StageInputs:
         state = self.state
         r = state.stage
         ts = self.window()
+        declared = set(self.classes)
         for c in state.queued:
-            if c not in self.classes:
+            if c not in declared:
                 raise DomainError(f"queued class {c} outside declared class set")
         for (c, _t) in self.job_forecast:
-            if c not in self.classes:
+            if c not in declared:
                 raise DomainError(f"forecast class {c} outside declared class set")
 
         half = len(ts) // 2
@@ -116,7 +118,7 @@ class StageInputs:
             if hours:
                 required[c] = available[min(half, len(hours))]
 
-        held = {t: committed_servers(state, t) for t in self.extended_window()}
+        held = busy_servers(state.running, self.extended_window())
         # at future hours the bound never forces termination of committed
         # work (pre-emptive termination on an unrealized forecast dip is
         # not modelled)
@@ -253,7 +255,7 @@ def build_stage(
     obj[h.peak] = -inputs.weights.lambda_pd
     for vid in h.slack.values():
         obj[vid] = -10.0 * max_coeff
-    model.set_objective(obj, constant=constant, maximize=True)
+    model.set_objective(obj, constant=constant)
     return model, h
 
 
@@ -329,14 +331,11 @@ def validate_decision(inputs: StageInputs, decision: StageDecision) -> list[str]
         if num > state.running.get((c, t_b), 0):
             bad.append(f"terminating {num} of {(c, t_b)}, only {state.running.get((c, t_b), 0)} running")
 
-    for t in inputs.extended_window():
-        occ = b.held[t]
-        for (c, t2), num in decision.starts.items():
-            if t2 <= min(t, ts[-1]) and t2 + c.runtime > t:
-                occ += c.servers * num
-        for (c, t_b), num in decision.terminations.items():
-            if t_b + c.runtime > t:
-                occ -= c.servers * num
+    ext = inputs.extended_window()
+    added = busy_servers(decision.starts, ext)
+    freed = busy_servers(decision.terminations, ext)
+    for t in ext:
+        occ = b.held[t] + added[t] - freed[t]
         if occ != decision.active.get(t, 0):
             bad.append(f"active-server mismatch at t={t}: {occ} != {decision.active.get(t)}")
 

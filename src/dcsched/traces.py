@@ -40,6 +40,8 @@ class AggregationRule:
     def __post_init__(self) -> None:
         if not self.k_buckets or list(self.k_buckets) != sorted(set(self.k_buckets)):
             raise DomainError("k_buckets must be non-empty, sorted, unique")
+        if self.max_runtime_hours < 1:
+            raise DomainError("max_runtime_hours must be >= 1")
 
 
 @dataclass
@@ -116,6 +118,7 @@ def synthetic_jobs(
 ) -> dict[JobClass, int]:
     """Synthetic class totals standing in for a real trace: small jobs are
     common, big/long jobs rare (geometric-ish tails on both axes)."""
+    AggregationRule(tuple(k_buckets), max_runtime_hours)  # a trace's bucket and runtime rules
     rng = np.random.default_rng(seed)
     k_weights = np.array([2.0 ** -i for i in range(len(k_buckets))])
     k_weights /= k_weights.sum()

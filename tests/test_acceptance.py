@@ -19,10 +19,11 @@ from dcsched.core import (
     JobClass,
     ObjectiveWeights,
     StageDecision,
+    SystemState,
     check_state,
     committed_servers,
 )
-from dcsched.engine import advance_state, goodput_components, initial_state, run
+from dcsched.engine import advance_state, goodput_components, run
 from dcsched.metrics import peak_power, total_emissions, volatility
 from dcsched.offline import solve_offline
 from dcsched.signals import (
@@ -147,7 +148,7 @@ def test_c3_conservation_under_fuzzing():
     episodes = 0
     while transitions < 10_000:
         episodes += 1
-        state = initial_state(classes)
+        state = SystemState(stage=1)
         for _ in range(int(rng.integers(5, 30))):
             r = state.stage
             arrivals = {}
@@ -220,7 +221,7 @@ def _random_stage_inputs(rng: np.random.Generator, weights: ObjectiveWeights) ->
         JobClass(int(k), int(l))
         for k, l in {(rng.integers(1, 4), rng.integers(1, 5)) for _ in range(3)}
     )
-    state = initial_state(classes)
+    state = SystemState(stage=1)
     r, t_h = 1, 6
     t_end = 12
     queued = {c: int(rng.integers(0, 4)) for c in classes}
@@ -377,7 +378,7 @@ def test_c9_stage_solve_performance():
     assert len(classes) >= 110
     carbon = synthetic_carbon(168 + 24)
     inputs = assemble_inputs(
-        1, initial_state(classes), fleet, classes, profile,
+        1, SystemState(stage=1), fleet, classes, profile,
         constant_capacity(20_000, 168), carbon,
         HorizonConfig(24, 24, 24), ObjectiveWeights(lambda_ce=0.1),
     )
@@ -391,7 +392,7 @@ def test_c9_stage_solve_performance():
     profile = sample_arrivals(totals, "uniform", DESK_HOURS, seed=1)
     classes = tuple(sorted(totals))
     inputs = assemble_inputs(
-        1, initial_state(classes), DESK, classes, profile,
+        1, SystemState(stage=1), DESK, classes, profile,
         constant_capacity(200, DESK_HOURS), synthetic_carbon(DESK_HOURS + 8),
         HorizonConfig(24, 24, 24), ObjectiveWeights(lambda_ce=0.1),
     )

@@ -134,11 +134,15 @@ def fail_seed_at_stage(monkeypatch, seed, stage, make_error):
     monkeypatch.setattr(dcsched.engine, "solve_stage", failing_solve)
 
 
-@pytest.mark.parametrize("make_error", [
-    lambda: StageError(5, "injected solver failure"),
-    lambda: DomainError("injected invariant breach"),
+@pytest.mark.parametrize("make_error, reason", [
+    (lambda: StageError(5, "injected solver failure"),
+     "stage 5: StageError: injected solver failure"),
+    (lambda: DomainError("injected invariant breach"),
+     "stage 5: DomainError: injected invariant breach"),
 ], ids=["StageError", "DomainError"])
-def test_failing_cell_keeps_the_rest_of_the_sweep(tmp_path, monkeypatch, capsys, make_error):
+def test_failing_cell_keeps_the_rest_of_the_sweep(
+    tmp_path, monkeypatch, capsys, make_error, reason
+):
     fail_seed_at_stage(monkeypatch, seed=2, stage=5, make_error=make_error)
     failed_cell = "uniform_ce0_pd0_T4_accurate_s2"
     artefacts = {}
@@ -152,7 +156,7 @@ def test_failing_cell_keeps_the_rest_of_the_sweep(tmp_path, monkeypatch, capsys,
         )
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
-        assert f"error: {failed_cell}: " in err
+        assert f"error: {failed_cell}: {reason}" in err.splitlines()
         assert err.count("error: ") == 1
         with open(out / "summary.csv") as fh:
             rows = list(csv.DictReader(fh))

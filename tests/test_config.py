@@ -45,6 +45,9 @@ def test_unknown_key_is_an_error(tmp_path):
         ("weights:\n  lambda_ce: 0.1\n", "weights"),
         ("horizons:\n  t_h: 12\n", "horizons"),
         ("solver:\n  lp_dump: true\n", "solver.lp_dump"),
+        # stages are one hour and forecast sigmas are standard deviations
+        ("dc:\n  dt_hours: 1\n", "dc.dt_hours"),
+        ("signals:\n  sigma_is_variance: true\n", "signals.sigma_is_variance"),
     ]
     for text, needle in cases:
         with pytest.raises(ConfigError, match=f"unknown config key: {needle}"):
@@ -60,6 +63,14 @@ def test_field_errors_name_the_field(tmp_path):
         ("profiles:\n  shapes: [square]\n", "profiles.shapes"),
         ("solver:\n  workers: 0\n", "solver.workers"),
         ("signals:\n  capacity:\n    mode: csv\n", "signals.capacity.csv"),
+        # rules held by the domain objects a run builds from these fields
+        ("profiles:\n  k_buckets: [2, 1]\n", "profiles.k_buckets"),
+        ("profiles:\n  max_runtime_hours: 0\n", "profiles.max_runtime_hours"),
+        ("signals:\n  carbon:\n    base: -5\n", "signals.carbon.base"),
+        ("signals:\n  carbon:\n    amplitude: 6\n", "signals.carbon.amplitude"),
+        ("signals:\n  capacity:\n    step_stddev_frac: -0.1\n",
+         "signals.capacity.step_stddev_frac"),
+        ("signals:\n  capacity:\n    floor_frac: 1.5\n", "signals.capacity.floor_frac"),
     ]
     for text, needle in cases:
         with pytest.raises(ConfigError, match=needle):

@@ -6,9 +6,9 @@ from dcsched.core import (
     DomainError,
     JobClass,
     SystemState,
+    busy_servers,
     check_state,
     committed_servers,
-    energy_of,
     power_of,
     server_commitments,
 )
@@ -40,16 +40,6 @@ def test_power_is_affine():
         assert power_of(a, FLEET_DC) + power_of(b, FLEET_DC) == pytest.approx(
             2 * power_of((a + b) // 2, FLEET_DC)
         )
-
-
-def test_energy_full_hour():
-    assert energy_of(20000, FLEET_DC) == pytest.approx(100.0)
-    assert energy_of(0, FLEET_DC) == pytest.approx(30.0)
-
-
-def test_energy_half_interval():
-    half = DCConfig(20000, 100.0, 30.0, dt_hours=0.5)
-    assert energy_of(10000, half) == pytest.approx(32.5)
 
 
 def test_job_class_invariants():
@@ -85,6 +75,15 @@ def test_committed_servers_mixed_jobs():
     )
     assert committed_servers(state, r) == 6
     assert committed_servers(state, r + 1) == 0
+
+
+def test_busy_servers_counts_each_hour_a_job_runs():
+    # a (2, 3) job started at 4 holds 2 servers at hours 4-6; two (1, 1)
+    # jobs started at 6 hold 2 servers at hour 6 only
+    entries = {(JobClass(2, 3), 4): 1, (JobClass(1, 1), 6): 2}
+    assert busy_servers(entries, range(3, 9)) == {3: 0, 4: 2, 5: 2, 6: 4, 7: 0, 8: 0}
+    assert busy_servers(entries, [6]) == {6: 4}
+    assert busy_servers({}, range(1, 3)) == {1: 0, 2: 0}
 
 
 def test_committed_servers_rejects_past_hours():

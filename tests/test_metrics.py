@@ -17,7 +17,6 @@ from dcsched.metrics import (
     summary_row,
     total_emissions,
     volatility,
-    write_plot_data_csv,
     write_summary_csv,
     SUMMARY_COLUMNS,
 )
@@ -120,13 +119,3 @@ def test_summary_csv_round_trip(tmp_path):
     lines = open(path).read().strip().splitlines()
     assert lines[0] == ",".join(SUMMARY_COLUMNS)
     assert len(lines) == 2
-
-
-def test_plot_data_csv(tmp_path):
-    traj = Trajectory(records=[record(1, 5), record(2, 7)])
-    carbon = SignalSeries("carbon", (450.0, 550.0))
-    path = str(tmp_path / "plot.csv")
-    write_plot_data_csv(traj, carbon, path)
-    lines = open(path).read().strip().splitlines()
-    assert lines[1] == "1,5,20000,450"
-    assert lines[2] == "2,7,20000,550"

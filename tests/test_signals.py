@@ -47,12 +47,6 @@ def test_noisy_forecast_is_unbiased_with_stated_spread():
     assert abs(draws.std() - 11.0) < 0.2
 
 
-def test_sigma_as_variance_option():
-    truth = SignalSeries("carbon", tuple(100.0 for _ in range(100_000)))
-    fc = noisy_forecast(truth, 0.0121, seed=5, sigma_is_variance=True)
-    assert abs(np.asarray(fc.values).std() - 11.0) < 0.2
-
-
 def test_capacity_forecast_is_integer_and_clamped():
     truth = constant_capacity(100, 1000)
     fc = noisy_forecast(truth, 0.2, seed=9, total_servers=100)
@@ -73,6 +67,13 @@ def test_capacity_walk_bounds_and_start():
     for v in s.values:
         assert 100 <= v <= 200
         assert v == int(v)
+
+
+def test_capacity_walk_rejects_bad_step_and_floor():
+    with pytest.raises(DomainError, match="step_stddev"):
+        capacity_walk(200, 1, step_stddev=-0.1)
+    with pytest.raises(DomainError, match="floor"):
+        capacity_walk(200, 1, floor=1.5)
 
 
 def test_capacity_walk_is_persistent():

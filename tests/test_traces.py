@@ -52,6 +52,15 @@ def test_rule_rejects_unsorted_buckets():
         AggregationRule(k_buckets=())
 
 
+def test_rule_and_synthetic_jobs_reject_runtimes_below_one_hour():
+    with pytest.raises(DomainError, match="max_runtime_hours"):
+        AggregationRule(max_runtime_hours=0)
+    with pytest.raises(DomainError, match="max_runtime_hours"):
+        synthetic_jobs(10, max_runtime_hours=0)
+    with pytest.raises(DomainError, match="k_buckets"):
+        synthetic_jobs(10, k_buckets=(2, 1))
+
+
 def test_uniform_weights_are_flat_and_normalized():
     w = hour_weights("uniform", 48)
     assert np.allclose(w, 1.0 / 48)
