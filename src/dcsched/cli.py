@@ -10,7 +10,7 @@ Every sweep cell runs in a process pool of solver.workers processes, one
 worker or many. Exit codes: 0 success; 1 if any cell failed, in which case
 each failed cell gets one `error: <cell>: ...` line on stderr, a cell whose
 run aborted keeps its `<cell>_trajectory.partial.csv`, and summary.csv still
-lists every other cell; 2 invalid config or empty sweep.
+lists every other cell; 2 invalid config.
 """
 
 from __future__ import annotations
@@ -57,12 +57,12 @@ _SEED_CAPACITY_FC = 3001
 
 def _dc_config(cfg: ExperimentConfig) -> DCConfig:
     dc = cfg["dc"]
-    return DCConfig(int(dc["total_servers"]), float(dc["p_peak_mw"]), float(dc["p_idle_mw"]))
+    return DCConfig(dc["total_servers"], dc["p_peak_mw"], dc["p_idle_mw"])
 
 
 def _class_totals(cfg: ExperimentConfig) -> dict[JobClass, int]:
     prof = cfg["profiles"]
-    rule = AggregationRule(tuple(prof["k_buckets"]), int(prof["max_runtime_hours"]))
+    rule = AggregationRule(tuple(prof["k_buckets"]), prof["max_runtime_hours"])
     if prof["source"] == "trace":
         report = group_jobs(load_trace_csv(prof["trace_csv"]), rule)
         if report.dropped_long or report.dropped_oversize:
@@ -73,34 +73,32 @@ def _class_totals(cfg: ExperimentConfig) -> dict[JobClass, int]:
             )
         return report.class_totals
     return synthetic_jobs(
-        int(prof["jobs"]), tuple(prof["k_buckets"]), int(prof["max_runtime_hours"]),
+        prof["jobs"], tuple(prof["k_buckets"]), prof["max_runtime_hours"],
         seed=0,
     )
 
 
 def _carbon_truth(cfg: ExperimentConfig) -> SignalSeries:
     sig = cfg["signals"]
-    hours = int(sig["hours"])
     if sig["carbon"]["source"] == "csv":
         return load_signal_csv(sig["carbon"]["csv"], CARBON)
-    return synthetic_carbon(hours, float(sig["carbon"]["base"]), float(sig["carbon"]["amplitude"]))
+    return synthetic_carbon(sig["hours"], sig["carbon"]["base"], sig["carbon"]["amplitude"])
 
 
 def _capacity_truth(cfg: ExperimentConfig, seed: int) -> SignalSeries:
     sig = cfg["signals"]
-    dc = _dc_config(cfg)
-    hours = int(sig["hours"])
+    servers = cfg["dc"]["total_servers"]
     mode = sig["capacity"]["mode"]
     if mode == "csv":
         return load_signal_csv(sig["capacity"]["csv"], CAPACITY)
     if mode == "walk":
         return capacity_walk(
-            dc.total_servers, hours,
-            float(sig["capacity"]["step_stddev_frac"]),
-            float(sig["capacity"]["floor_frac"]),
+            servers, sig["hours"],
+            sig["capacity"]["step_stddev_frac"],
+            sig["capacity"]["floor_frac"],
             seed=seed + _SEED_WALK,
         )
-    return constant_capacity(dc.total_servers, hours)
+    return constant_capacity(servers, sig["hours"])
 
 
 def _forecasts(
@@ -111,12 +109,12 @@ def _forecasts(
     carbon_fc = capacity_fc = None
     if mode in ("noisy_carbon", "noisy_both"):
         carbon_fc = noisy_forecast(
-            carbon, float(sig["carbon_forecast_sigma"]), seed + _SEED_CARBON_FC
+            carbon, sig["carbon_forecast_sigma"], seed + _SEED_CARBON_FC
         )
     if mode in ("noisy_capacity", "noisy_both"):
         capacity_fc = noisy_forecast(
-            capacity, float(sig["capacity_forecast_sigma"]), seed + _SEED_CAPACITY_FC,
-            total_servers=_dc_config(cfg).total_servers,
+            capacity, sig["capacity_forecast_sigma"], seed + _SEED_CAPACITY_FC,
+            total_servers=cfg["dc"]["total_servers"],
         )
     return carbon_fc, capacity_fc
 
@@ -125,11 +123,11 @@ def _cells(cfg: ExperimentConfig) -> list[tuple]:
     sweep = cfg["sweep"]
     return list(itertools.product(
         cfg["profiles"]["shapes"],
-        [float(x) for x in sweep["lambda_ce"]],
-        [float(x) for x in sweep["lambda_pd"]],
-        [int(t) for t in sweep["horizon_t"]],
+        sweep["lambda_ce"],
+        sweep["lambda_pd"],
+        sweep["horizon_t"],
         sweep["forecast"],
-        [int(s) for s in sweep["seeds"]],
+        sweep["seeds"],
     ))
 
 
@@ -158,7 +156,7 @@ def _run_cell_or_raise(cfg: ExperimentConfig, cell: tuple, out_dir: str) -> dict
     shape, lce, lpd, horizon_t, mode, seed = cell
     dc = _dc_config(cfg)
     totals = _class_totals(cfg)
-    profile = sample_arrivals(totals, shape, int(cfg["signals"]["hours"]), seed)
+    profile = sample_arrivals(totals, shape, cfg["signals"]["hours"], seed)
     classes = tuple(sorted(totals))
     carbon = _carbon_truth(cfg)
     capacity = _capacity_truth(cfg, seed)
@@ -172,7 +170,7 @@ def _run_cell_or_raise(cfg: ExperimentConfig, cell: tuple, out_dir: str) -> dict
     traj = run(
         dc, profile, classes, capacity, carbon, horizons, weights,
         capacity_forecast=capacity_fc, carbon_forecast=carbon_fc,
-        gap_tol=float(cfg["solver"]["gap"]), time_limit=float(cfg["solver"]["time_limit_s"]),
+        gap_tol=cfg["solver"]["gap"], time_limit=cfg["solver"]["time_limit_s"],
     )
     write_trajectory_csv(traj, os.path.join(out_dir, f"{name}_trajectory.csv"))
     _write_manifest(cfg, cell, traj, os.path.join(out_dir, f"{name}_manifest.txt"))
@@ -195,13 +193,10 @@ def _write_manifest(cfg: ExperimentConfig, cell: tuple, traj, path: str) -> None
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
-    cells = _cells(cfg)
-    if not cells:
-        print("error: empty sweep", file=sys.stderr)
-        return 2
+    cells = _cells(cfg)  # never empty: every sweep list is parsed non-empty
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    workers = int(cfg["solver"]["workers"])
+    workers = cfg["solver"]["workers"]
     rows: dict[tuple, dict] = {}
     failed = False
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -226,15 +221,13 @@ def cmd_offline(cfg: ExperimentConfig) -> int:
     os.makedirs(out_dir, exist_ok=True)
     totals = _class_totals(cfg)
     classes = tuple(sorted(totals))
-    seeds = [int(s) for s in cfg["sweep"]["seeds"]]
-    hours = int(cfg["signals"]["hours"])
     for shape in cfg["profiles"]["shapes"]:
-        for seed in seeds:
-            profile = sample_arrivals(totals, shape, hours, seed)
+        for seed in cfg["sweep"]["seeds"]:
+            profile = sample_arrivals(totals, shape, cfg["signals"]["hours"], seed)
             capacity = _capacity_truth(cfg, seed)
             schedule = solve_offline(
                 profile, [int(v) for v in capacity.values], classes,
-                gap_tol=float(cfg["solver"]["gap"]), time_limit=float(cfg["solver"]["time_limit_s"]),
+                gap_tol=cfg["solver"]["gap"], time_limit=cfg["solver"]["time_limit_s"],
             )
             path = os.path.join(out_dir, f"offline_{shape}_s{seed}.csv")
             write_schedule_csv(schedule, path)
@@ -248,8 +241,7 @@ def cmd_gen_signals(cfg: ExperimentConfig) -> int:
     carbon = _carbon_truth(cfg)
     save_signal_csv(carbon, os.path.join(out_dir, "carbon.csv"))
     totals = _class_totals(cfg)
-    seeds = [int(s) for s in cfg["sweep"]["seeds"]]
-    for seed in seeds:
+    for seed in cfg["sweep"]["seeds"]:
         capacity = _capacity_truth(cfg, seed)
         save_signal_csv(capacity, os.path.join(out_dir, f"capacity_s{seed}.csv"))
         for mode in cfg["sweep"]["forecast"]:
@@ -263,7 +255,7 @@ def cmd_gen_signals(cfg: ExperimentConfig) -> int:
                     capacity_fc, os.path.join(out_dir, f"capacity_forecast_s{seed}.csv")
                 )
         profile = sample_arrivals(
-            totals, cfg["profiles"]["shapes"][0], int(cfg["signals"]["hours"]), seed
+            totals, cfg["profiles"]["shapes"][0], cfg["signals"]["hours"], seed
         )
         write_profile_csv(profile, os.path.join(out_dir, f"profile_s{seed}.csv"))
     print(f"signal CSVs written to {out_dir}")

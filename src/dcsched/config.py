@@ -92,6 +92,38 @@ def _merge(base: dict, extra: dict, path: str = "") -> dict:
     return out
 
 
+def _parse(value: Any, default: Any, where: str) -> Any:
+    """The value at `where` as the type of its default: a mapping field by
+    field, a non-empty list item by item, an int, a float, a string, or a
+    path where the default is None. An int refuses a bool and a fraction."""
+    if isinstance(default, dict):
+        return {
+            key: _parse(value[key], sub, f"{where}.{key}" if where else key)
+            for key, sub in default.items()
+        }
+    if isinstance(default, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where}: non-empty list required")
+        return [_parse(item, default[0], where) for item in value]
+    if default is None or isinstance(default, str):
+        if isinstance(value, str) or (default is None and value is None):
+            return value
+        raise ConfigError(f"{where}: expected a string, got {value!r}")
+    number = value
+    if isinstance(value, str):
+        try:
+            number = float(value)  # PyYAML reads 1e-4 without a dot as a string
+        except ValueError:
+            pass
+    if isinstance(number, bool) or not isinstance(number, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if isinstance(default, float):
+        return float(number)
+    if isinstance(number, float) and not number.is_integer():
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return int(number)
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
@@ -108,15 +140,16 @@ def _reach(where: str, build: Callable[[], object]) -> None:
 
 
 def validate(data: dict[str, Any]) -> None:
+    """Check the rules between parsed values (see `_parse` for their types)."""
     dc = data["dc"]
-    _require(int(dc["total_servers"]) >= 1, "dc.total_servers: must be >= 1")
+    _require(dc["total_servers"] >= 1, "dc.total_servers: must be >= 1")
     _require(
-        0 <= float(dc["p_idle_mw"]) <= float(dc["p_peak_mw"]),
+        0 <= dc["p_idle_mw"] <= dc["p_peak_mw"],
         "dc.p_idle_mw: need 0 <= p_idle_mw <= p_peak_mw",
     )
 
     sig = data["signals"]
-    _require(int(sig["hours"]) >= 24, "signals.hours: must be >= 24")
+    _require(sig["hours"] >= 24, "signals.hours: must be >= 24")
     carbon = sig["carbon"]
     _require(
         carbon["source"] in ("synthetic", "csv"),
@@ -124,10 +157,10 @@ def validate(data: dict[str, Any]) -> None:
     )
     if carbon["source"] == "csv":
         _require(bool(carbon["csv"]), "signals.carbon.csv: path required")
-    _reach("signals.carbon.base", lambda: synthetic_carbon(24, base=float(carbon["base"])))
+    _reach("signals.carbon.base", lambda: synthetic_carbon(24, base=carbon["base"]))
     _reach(
         "signals.carbon.amplitude",
-        lambda: synthetic_carbon(24, amplitude=float(carbon["amplitude"])),
+        lambda: synthetic_carbon(24, amplitude=carbon["amplitude"]),
     )
     capacity = sig["capacity"]
     _require(
@@ -138,27 +171,26 @@ def validate(data: dict[str, Any]) -> None:
         _require(bool(capacity["csv"]), "signals.capacity.csv: path required")
     _reach(
         "signals.capacity.step_stddev_frac",
-        lambda: capacity_walk(1, 1, step_stddev=float(capacity["step_stddev_frac"])),
+        lambda: capacity_walk(1, 1, step_stddev=capacity["step_stddev_frac"]),
     )
     _reach(
         "signals.capacity.floor_frac",
-        lambda: capacity_walk(1, 1, floor=float(capacity["floor_frac"])),
+        lambda: capacity_walk(1, 1, floor=capacity["floor_frac"]),
     )
     for key in ("carbon_forecast_sigma", "capacity_forecast_sigma"):
-        _require(float(sig[key]) >= 0, f"signals.{key}: must be >= 0")
+        _require(sig[key] >= 0, f"signals.{key}: must be >= 0")
 
     prof = data["profiles"]
     _require(prof["source"] in ("synthetic", "trace"), "profiles.source: must be 'synthetic' or 'trace'")
     if prof["source"] == "trace":
         _require(bool(prof["trace_csv"]), "profiles.trace_csv: path required")
     else:
-        _require(int(prof["jobs"]) >= 0, "profiles.jobs: must be >= 0")
+        _require(prof["jobs"] >= 0, "profiles.jobs: must be >= 0")
     _reach("profiles.k_buckets", lambda: AggregationRule(k_buckets=tuple(prof["k_buckets"])))
     _reach(
         "profiles.max_runtime_hours",
-        lambda: AggregationRule(max_runtime_hours=int(prof["max_runtime_hours"])),
+        lambda: AggregationRule(max_runtime_hours=prof["max_runtime_hours"]),
     )
-    _require(bool(prof["shapes"]), "profiles.shapes: at least one shape required")
     for shape in prof["shapes"]:
         _require(
             shape in ("uniform", "small_var", "large_var"),
@@ -166,28 +198,24 @@ def validate(data: dict[str, Any]) -> None:
         )
 
     sweep = data["sweep"]
-    for key in ("lambda_ce", "lambda_pd", "horizon_t", "forecast", "seeds"):
-        _require(
-            isinstance(sweep[key], list) and len(sweep[key]) > 0,
-            f"sweep.{key}: non-empty list required",
-        )
     for mode in sweep["forecast"]:
         _require(mode in FORECAST_MODES, f"sweep.forecast: unknown mode {mode!r}")
     for key in ("lambda_ce", "lambda_pd"):
         for lam in sweep[key]:
-            _require(float(lam) >= 0, f"sweep.{key}: weights must be >= 0")
+            _require(lam >= 0, f"sweep.{key}: weights must be >= 0")
     for t in sweep["horizon_t"]:
-        _require(int(t) >= 1, "sweep.horizon_t: horizons must be >= 1")
+        _require(t >= 1, "sweep.horizon_t: horizons must be >= 1")
 
     solver = data["solver"]
-    _require(float(solver["gap"]) >= 0, "solver.gap: must be >= 0")
-    _require(float(solver["time_limit_s"]) > 0, "solver.time_limit_s: must be positive")
-    _require(int(solver["workers"]) >= 1, "solver.workers: must be >= 1")
+    _require(solver["gap"] >= 0, "solver.gap: must be >= 0")
+    _require(solver["time_limit_s"] > 0, "solver.time_limit_s: must be positive")
+    _require(solver["workers"] >= 1, "solver.workers: must be >= 1")
 
 
 def load_config(path: str | None, desk_scale: bool = False) -> ExperimentConfig:
     """Load YAML on top of the defaults; `desk_scale` applies the small
-    CI-speed preset before the user file."""
+    CI-speed preset before the user file. Each value is parsed once, to the
+    type of its default, so callers read ints and floats as they are."""
     data = copy.deepcopy(DEFAULTS)
     if desk_scale:
         data = _merge(data, DESK_SCALE_OVERRIDES)
@@ -197,6 +225,7 @@ def load_config(path: str | None, desk_scale: bool = False) -> ExperimentConfig:
         if not isinstance(user, dict):
             raise ConfigError("top level of the config must be a mapping")
         data = _merge(data, user)
+    data = _parse(data, DEFAULTS, "")
     validate(data)
     return ExperimentConfig(data)
 

@@ -3,10 +3,17 @@
 Models are built incrementally (variables, linear constraints, one linear
 objective) and handed to :func:`solve`. Keeping the model data separate from
 the backend lets tests substitute exhaustive oracles for the same model.
+
+:func:`solve` solves the LP relaxation first and runs branch-and-bound only
+when the relaxation's optimal vertex is fractional: an integral optimal
+vertex is already a MILP optimum, and an infeasible relaxation already
+proves the MILP infeasible. Both calls go through the module binding
+``_scipy_milp``.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -88,19 +95,26 @@ class SolveResult:
 
 def solve(model: MilpModel, gap_tol: float = 1e-4,
           time_limit: float = 60.0) -> SolveResult:
-    """Maximize `model` with HiGHS branch-and-bound.
+    """Maximize `model`: the LP relaxation first, branch-and-bound only when
+    it is fractional.
+
+    HiGHS solves the relaxation with simplex, so its solution is a vertex.
+    If every integer variable sits within INT_TOL of an integer there, that
+    vertex is optimal for the MILP too and is returned as `optimal` with gap
+    0; an infeasible relaxation proves the MILP infeasible. Otherwise HiGHS
+    branch-and-bound solves the MILP to relative gap `gap_tol` in what is
+    left of `time_limit`, which bounds both calls together.
 
     Integer variables in the returned values are rounded to the nearest
     integer; one further than INT_TOL from it is reported as an error.
     """
+    deadline = time.perf_counter() + time_limit
     n = len(model.variables)
     c = np.zeros(n)
     for vid, coef in model.objective.items():
         c[vid] = coef
 
-    integrality = np.array(
-        [1 if v.kind == "integer" else 0 for v in model.variables]
-    )
+    integer = np.array([v.kind == "integer" for v in model.variables], dtype=bool)
     bounds = Bounds(
         np.array([v.lb for v in model.variables]),
         np.array([v.ub for v in model.variables]),
@@ -125,15 +139,18 @@ def solve(model: MilpModel, gap_tol: float = 1e-4,
         a = sparse.csr_matrix((data, (rows, cols)), shape=(len(model.constraints), n))
         constraints.append(LinearConstraint(a, lo, hi))
 
-    options = {"mip_rel_gap": gap_tol, "time_limit": time_limit, "disp": False}
+    def highs(integrality: np.ndarray, options: dict):
+        return _scipy_milp(c=-c, constraints=constraints, integrality=integrality,
+                           bounds=bounds, options={**options, "disp": False})
+
     try:
-        res = _scipy_milp(
-            c=-c,
-            constraints=constraints,
-            integrality=integrality,
-            bounds=bounds,
-            options=options,
-        )
+        res = highs(np.zeros(n), {"time_limit": time_limit})
+        settled = res.status == 2 or (res.status == 0 and not _fractional(res.x[integer]).any())
+        if not settled:
+            res = highs(integer.astype(int), {
+                "mip_rel_gap": gap_tol,
+                "time_limit": max(deadline - time.perf_counter(), 0.0),
+            })
     except Exception as exc:  # backend failure
         return SolveResult("error", None, None, np.inf, f"backend failure: {exc}")
 
@@ -144,20 +161,24 @@ def solve(model: MilpModel, gap_tol: float = 1e-4,
         return SolveResult("error", None, None, np.inf, res.message)
 
     values = np.asarray(res.x, dtype=float).copy()
-    for vid, var in enumerate(model.variables):
-        if var.kind == "integer":
-            rounded = round(values[vid])
-            if abs(values[vid] - rounded) > INT_TOL:
-                return SolveResult(
-                    "error", None, None, np.inf,
-                    f"integer variable {var.name} at {values[vid]} is not integral",
-                )
-            values[vid] = rounded
+    far = _fractional(values[integer])
+    if far.any():
+        vid = int(np.flatnonzero(integer)[np.argmax(far)])
+        return SolveResult(
+            "error", None, None, np.inf,
+            f"integer variable {model.variables[vid].name} at {values[vid]} is not integral",
+        )
+    values[integer] = np.round(values[integer]) + 0.0  # + 0.0 turns -0.0 into 0.0
     objective = float(c @ values + model.objective_constant)
 
     if res.status == 0:
         return SolveResult("optimal", values, objective, gap, res.message)
     return SolveResult("feasible-gap", values, objective, gap, res.message)
+
+
+def _fractional(x: np.ndarray) -> np.ndarray:
+    """Mask of the entries of `x` further than INT_TOL from an integer."""
+    return np.abs(x - np.round(x)) > INT_TOL
 
 
 def check_feasible(model: MilpModel, values: np.ndarray, tol: float = 1e-6) -> list[str]:

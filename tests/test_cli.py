@@ -5,6 +5,7 @@ import pytest
 
 import dcsched.cli
 import dcsched.engine
+import dcsched.milp
 from dcsched.cli import main
 from dcsched.core import DomainError
 from dcsched.stage import StageError
@@ -52,9 +53,10 @@ def test_validate_defaults_without_file(capsys):
 
 def test_validate_bad_config(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
-    path.write_text("dc:\n  total_servers: -1\n")
-    assert main(["validate", str(path)]) == 2
-    assert "dc.total_servers" in capsys.readouterr().err
+    for value in ("-1", "abc", "2.5"):
+        path.write_text(f"dc:\n  total_servers: {value}\n")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: dc.total_servers: ")
 
 
 def test_validate_missing_file(capsys):
@@ -166,3 +168,78 @@ def test_failing_cell_keeps_the_rest_of_the_sweep(
         assert not (out / f"{failed_cell}_trajectory.csv").exists()
         artefacts[workers] = {f.name: f.read_text() for f in out.iterdir()}
     assert artefacts[1] == artefacts[2]
+
+
+OVERLOAD = """\
+dc:
+  total_servers: 200
+signals:
+  hours: 48
+  capacity: {{mode: walk, step_stddev_frac: 0.15, floor_frac: 0.3}}
+profiles:
+  jobs: 1000
+  k_buckets: [1, 2, 4]
+  max_runtime_hours: 8
+  shapes: [large_var]
+sweep:
+  horizon_t: [3]
+  seeds: [2]
+output_dir: {out}
+"""
+
+
+def test_overload_cell_takes_the_rare_paths(tmp_path, monkeypatch):
+    # a capacity walk that drops under the running jobs: the cell must
+    # terminate jobs, relax clearance with slack and meet infeasible models
+    log = tmp_path / "log.txt"
+    highs = dcsched.milp._scipy_milp
+    engine_run = dcsched.cli.run
+
+    def logged_highs(*args, **kwargs):
+        res = highs(*args, **kwargs)
+        kind = "MILP" if kwargs["integrality"].any() else "LP"
+        with open(log, "a") as fh:
+            fh.write(f"{kind} {res.status}\n")
+        return res
+
+    def conserving_run(dc, profile, classes, *args, **kwargs):
+        traj = engine_run(dc, profile, classes, *args, **kwargs)
+        state = traj.final_state
+        running = state.running_by_class()
+        for c, arrived in profile.totals().items():
+            held = state.queued.get(c, 0) + running.get(c, 0) + state.completed.get(c, 0)
+            assert held == arrived, (c, held, arrived)
+        with open(log, "a") as fh:
+            fh.write("conserved\n")
+        return traj
+
+    # fork-started pool workers inherit both patches
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", logged_highs)
+    monkeypatch.setattr(dcsched.cli, "run", conserving_run)
+    out = tmp_path / "results"
+    path = tmp_path / "overload.yaml"
+    path.write_text(OVERLOAD.format(out=out))
+    assert main(["run", str(path)]) == 0
+
+    cell = "large_var_ce0_pd0_T3_accurate_s2"
+    with open(out / f"{cell}_trajectory.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 48
+    terminated = [row for row in rows if int(row["terminations"])]
+    assert terminated
+    for row in terminated:
+        assert int(row["committed_before"]) > int(row["capacity"]), row["hour"]
+    slack_events = sum(1 for row in rows if int(row["slack_jobs"]))
+    assert slack_events > 0
+    assert f"slack_events {slack_events}" in (out / f"{cell}_manifest.txt").read_text()
+
+    lines = log.read_text().splitlines()
+    assert lines[-1] == "conserved"
+    calls = [line.split() for line in lines[:-1]]
+    # an infeasible model is caught by its relaxation, never by a MILP call
+    assert ["LP", "2"] in calls
+    assert not [kind for kind, status in calls if kind == "MILP" and status == "2"]
+    # some relaxations are integral and accepted, the rest are branched on
+    fallbacks = sum(1 for kind, _ in calls if kind == "MILP")
+    assert fallbacks > 0
+    assert calls.count(["LP", "0"]) > fallbacks

@@ -71,10 +71,34 @@ def test_field_errors_name_the_field(tmp_path):
         ("signals:\n  capacity:\n    step_stddev_frac: -0.1\n",
          "signals.capacity.step_stddev_frac"),
         ("signals:\n  capacity:\n    floor_frac: 1.5\n", "signals.capacity.floor_frac"),
+        # each value is parsed to the type of its default
+        ("dc:\n  total_servers: abc\n", "dc.total_servers: expected a number"),
+        ("dc:\n  total_servers: 2.5\n", "dc.total_servers: expected an integer"),
+        ("dc:\n  total_servers: true\n", "dc.total_servers: expected a number"),
+        ("dc:\n  p_peak_mw: [100]\n", "dc.p_peak_mw: expected a number"),
+        ("sweep:\n  seeds: [1, 1.5]\n", "sweep.seeds: expected an integer"),
+        ("sweep:\n  lambda_pd: 5\n", "sweep.lambda_pd: non-empty list required"),
+        ("sweep:\n  horizon_t: []\n", "sweep.horizon_t: non-empty list required"),
+        ("profiles:\n  shapes: [1]\n", "profiles.shapes: expected a string"),
+        ("signals:\n  carbon:\n    csv: 3\n", "signals.carbon.csv: expected a string"),
     ]
     for text, needle in cases:
         with pytest.raises(ConfigError, match=needle):
             load_config(write(tmp_path, text))
+
+
+def test_values_are_parsed_to_the_type_of_their_default(tmp_path):
+    path = write(tmp_path, (
+        "dc:\n  total_servers: 16.0\n  p_peak_mw: 100\n"
+        "solver:\n  gap: 1e-4\n"  # PyYAML reads this as a string
+        "sweep:\n  lambda_ce: [0, 0.5]\n"
+    ))
+    cfg = load_config(path)
+    assert type(cfg["dc"]["total_servers"]) is int and cfg["dc"]["total_servers"] == 16
+    assert type(cfg["dc"]["p_peak_mw"]) is float
+    assert cfg["solver"]["gap"] == 1e-4
+    assert [type(x) for x in cfg["sweep"]["lambda_ce"]] == [float, float]
+    assert cfg["signals"]["carbon"]["csv"] is None
 
 
 def test_non_mapping_top_level_rejected(tmp_path):
