@@ -11,8 +11,8 @@ from typing import Any, Callable
 import yaml
 
 from .core import DomainError
-from .signals import capacity_walk, synthetic_carbon
-from .traces import AggregationRule
+from .signals import capacity_walk, noisy_forecast, synthetic_carbon
+from .traces import AggregationRule, hour_weights, sample_arrivals
 
 
 class ConfigError(ValueError):
@@ -149,7 +149,7 @@ def validate(data: dict[str, Any]) -> None:
     )
 
     sig = data["signals"]
-    _require(sig["hours"] >= 24, "signals.hours: must be >= 24")
+    _reach("signals.hours", lambda: sample_arrivals({}, "uniform", sig["hours"], seed=0))
     carbon = sig["carbon"]
     _require(
         carbon["source"] in ("synthetic", "csv"),
@@ -178,7 +178,7 @@ def validate(data: dict[str, Any]) -> None:
         lambda: capacity_walk(1, 1, floor=capacity["floor_frac"]),
     )
     for key in ("carbon_forecast_sigma", "capacity_forecast_sigma"):
-        _require(sig[key] >= 0, f"signals.{key}: must be >= 0")
+        _reach(f"signals.{key}", lambda: noisy_forecast(synthetic_carbon(24), sig[key], seed=0))
 
     prof = data["profiles"]
     _require(prof["source"] in ("synthetic", "trace"), "profiles.source: must be 'synthetic' or 'trace'")
@@ -192,10 +192,7 @@ def validate(data: dict[str, Any]) -> None:
         lambda: AggregationRule(max_runtime_hours=prof["max_runtime_hours"]),
     )
     for shape in prof["shapes"]:
-        _require(
-            shape in ("uniform", "small_var", "large_var"),
-            f"profiles.shapes: unknown shape {shape!r}",
-        )
+        _reach("profiles.shapes", lambda: hour_weights(shape, 24))
 
     sweep = data["sweep"]
     for mode in sweep["forecast"]:

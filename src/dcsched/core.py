@@ -78,29 +78,38 @@ class ObjectiveWeights:
 
 @dataclass(frozen=True)
 class ArrivalProfile:
-    """Job arrival counts per (hour, class), hours 1..horizon."""
+    """Job arrival counts per (hour, class), hours 1..horizon.
+
+    The counts are indexed by hour once, at construction, so reading one
+    hour costs the classes arriving then, not the whole profile."""
 
     counts: Mapping[tuple[int, JobClass], int]
     horizon: int
+    _by_hour: tuple[dict[JobClass, int], ...] = field(init=False, repr=False, compare=False)
+    _totals: dict[JobClass, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        by_hour: tuple[dict[JobClass, int], ...] = tuple({} for _ in range(self.horizon + 1))
+        totals: dict[JobClass, int] = {}
         for (t, c), num in self.counts.items():
             if num < 0:
                 raise DomainError(f"negative arrival count for {(t, c)}")
             if not (1 <= t <= self.horizon):
                 raise DomainError(f"arrival hour {t} outside 1..{self.horizon}")
+            if num:
+                by_hour[t][c] = num
+            totals[c] = totals.get(c, 0) + num
+        object.__setattr__(self, "_by_hour", by_hour)
+        object.__setattr__(self, "_totals", totals)
 
     def at(self, t: int) -> dict[JobClass, int]:
-        return {c: num for (h, c), num in self.counts.items() if h == t and num}
+        return dict(self._by_hour[t]) if 1 <= t <= self.horizon else {}
 
     def classes(self) -> frozenset[JobClass]:
-        return frozenset(c for (_, c), num in self.counts.items() if num)
+        return frozenset(c for c, num in self._totals.items() if num)
 
     def totals(self) -> dict[JobClass, int]:
-        out: dict[JobClass, int] = {}
-        for (_, c), num in self.counts.items():
-            out[c] = out.get(c, 0) + num
-        return out
+        return dict(self._totals)
 
 
 @dataclass

@@ -26,6 +26,7 @@ from .core import (
     max_runtime_of,
     server_commitments,
 )
+from .milp import WarmStart
 from .signals import SignalSeries
 from .stage import StageError, StageInputs, solve_stage
 
@@ -234,9 +235,11 @@ def run(
     gap_tol: float = 1e-4,
     time_limit: float = 60.0,
 ) -> Trajectory:
-    """Run the receding-horizon loop over hours 1..profile.horizon."""
+    """Run the receding-horizon loop over hours 1..profile.horizon. Each
+    hour's LP relaxation starts from the previous hour's optimal basis,
+    kept for this run only."""
     declared = set(classes)
-    for (_, c) in profile.counts:
+    for c in profile.totals():
         if c not in declared:
             raise DomainError(f"arrival class {c} outside declared class set")
     t_end = profile.horizon
@@ -246,6 +249,7 @@ def run(
 
     state = SystemState(stage=1)
     traj = Trajectory()
+    warm = WarmStart()
     for r in range(1, t_end + 1):
         arrivals = profile.at(r)
         try:
@@ -253,7 +257,7 @@ def run(
                 r, state, cfg, classes, profile, capacity_truth, carbon_truth,
                 horizons, weights, capacity_forecast, carbon_forecast,
             )
-            decision = solve_stage(inputs, gap_tol=gap_tol, time_limit=time_limit)
+            decision = solve_stage(inputs, gap_tol=gap_tol, time_limit=time_limit, warm=warm)
             realized_m = decision.active[r]
             if realized_m > capacity_truth.at(r):
                 raise DomainError(

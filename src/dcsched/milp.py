@@ -7,8 +7,14 @@ the backend lets tests substitute exhaustive oracles for the same model.
 :func:`solve` solves the LP relaxation first and runs branch-and-bound only
 when the relaxation's optimal vertex is fractional: an integral optimal
 vertex is already a MILP optimum, and an infeasible relaxation already
-proves the MILP infeasible. Both calls go through the module binding
-``_scipy_milp``.
+proves the MILP infeasible. The relaxation goes through the module binding
+``_highs_lp``, branch-and-bound through ``_scipy_milp``.
+
+A receding-horizon run solves one relaxation an hour, and in steady hours
+only the right-hand sides, the bounds and the objective move: the matrix is
+the same. A :class:`WarmStart` carried through the run lets each relaxation
+start from the previous hour's optimal basis, so HiGHS's dual simplex
+re-optimizes in a few iterations instead of solving from scratch.
 """
 
 from __future__ import annotations
@@ -19,8 +25,15 @@ from typing import Mapping
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint
+from scipy.optimize import Bounds, LinearConstraint, OptimizeResult
 from scipy.optimize import milp as _scipy_milp
+from scipy.optimize._highspy._core import (
+    HighsBasis,
+    HighsModelStatus,
+    MatrixFormat,
+    ObjSense,
+    _Highs,
+)
 
 INT_TOL = 1e-4  # largest distance from an integer HiGHS may leave an integer variable
 
@@ -93,8 +106,60 @@ class SolveResult:
         return float(self.values[vid])
 
 
+@dataclass
+class WarmStart:
+    """The optimal basis of the last relaxation one run solved, and the
+    constraint matrix it belongs to. Kept per run, never shared, so a
+    decision depends only on the run's own history."""
+
+    matrix: sparse.csr_matrix | None = None
+    basis: HighsBasis | None = None
+
+    def basis_for(self, a: sparse.csr_matrix) -> HighsBasis | None:
+        """The stored basis if `a` is the matrix it was found on, else None."""
+        m = self.matrix
+        if (m is not None and m.shape == a.shape
+                and np.array_equal(m.indptr, a.indptr)
+                and np.array_equal(m.indices, a.indices)
+                and np.array_equal(m.data, a.data)):
+            return self.basis
+        return None
+
+
+def _highs_lp(c: np.ndarray, a: sparse.csr_matrix, lo: np.ndarray, hi: np.ndarray,
+              lb: np.ndarray, ub: np.ndarray, time_limit: float,
+              basis: HighsBasis | None = None) -> OptimizeResult:
+    """Minimize c @ x subject to lo <= a @ x <= hi and lb <= x <= ub with
+    HiGHS, from `basis` when one is given.
+
+    Returns a scipy-style `status` (0 optimal, 2 infeasible, 4 anything
+    else, such as a limit) and `message`; when optimal, also `x` and the
+    optimal `basis`.
+    """
+    n = len(c)
+    csc = a.tocsc()
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("time_limit", float(time_limit))
+    highs.passModel(n, a.shape[0], csc.nnz, MatrixFormat.kColwise, ObjSense.kMinimize,
+                    0.0, c, lb, ub, lo, hi, csc.indptr, csc.indices, csc.data,
+                    np.zeros(n, dtype=np.int32))
+    if basis is not None:
+        highs.setBasis(basis)
+    highs.run()
+    model_status = highs.getModelStatus()
+    status = {HighsModelStatus.kOptimal: 0, HighsModelStatus.kInfeasible: 2}.get(model_status, 4)
+    res = OptimizeResult(status=status,
+                         message=highs.modelStatusToString(model_status),
+                         x=None, basis=None)
+    if res.status == 0:
+        res.x = np.array(highs.getSolution().col_value)
+        res.basis = highs.getBasis()
+    return res
+
+
 def solve(model: MilpModel, gap_tol: float = 1e-4,
-          time_limit: float = 60.0) -> SolveResult:
+          time_limit: float = 60.0, warm: WarmStart | None = None) -> SolveResult:
     """Maximize `model`: the LP relaxation first, branch-and-bound only when
     it is fractional.
 
@@ -104,6 +169,10 @@ def solve(model: MilpModel, gap_tol: float = 1e-4,
     0; an infeasible relaxation proves the MILP infeasible. Otherwise HiGHS
     branch-and-bound solves the MILP to relative gap `gap_tol` in what is
     left of `time_limit`, which bounds both calls together.
+
+    With `warm`, the relaxation starts from the stored basis when the
+    constraint matrix is the one it was found on, and an optimal relaxation
+    stores its basis there for the next call.
 
     Integer variables in the returned values are rounded to the nearest
     integer; one further than INT_TOL from it is reported as an error.
@@ -115,42 +184,39 @@ def solve(model: MilpModel, gap_tol: float = 1e-4,
         c[vid] = coef
 
     integer = np.array([v.kind == "integer" for v in model.variables], dtype=bool)
-    bounds = Bounds(
-        np.array([v.lb for v in model.variables]),
-        np.array([v.ub for v in model.variables]),
-    )
+    lb = np.array([v.lb for v in model.variables])
+    ub = np.array([v.ub for v in model.variables])
 
-    constraints = []
-    if model.constraints:
-        rows, cols, data = [], [], []
-        lo = np.empty(len(model.constraints))
-        hi = np.empty(len(model.constraints))
-        for i, con in enumerate(model.constraints):
-            for vid, coef in con.coeffs.items():
-                rows.append(i)
-                cols.append(vid)
-                data.append(coef)
-            if con.sense == "<=":
-                lo[i], hi[i] = -np.inf, con.rhs
-            elif con.sense == ">=":
-                lo[i], hi[i] = con.rhs, np.inf
-            else:
-                lo[i] = hi[i] = con.rhs
-        a = sparse.csr_matrix((data, (rows, cols)), shape=(len(model.constraints), n))
-        constraints.append(LinearConstraint(a, lo, hi))
-
-    def highs(integrality: np.ndarray, options: dict):
-        return _scipy_milp(c=-c, constraints=constraints, integrality=integrality,
-                           bounds=bounds, options={**options, "disp": False})
+    rows, cols, data = [], [], []
+    lo = np.empty(len(model.constraints))
+    hi = np.empty(len(model.constraints))
+    for i, con in enumerate(model.constraints):
+        for vid, coef in con.coeffs.items():
+            rows.append(i)
+            cols.append(vid)
+            data.append(coef)
+        if con.sense == "<=":
+            lo[i], hi[i] = -np.inf, con.rhs
+        elif con.sense == ">=":
+            lo[i], hi[i] = con.rhs, np.inf
+        else:
+            lo[i] = hi[i] = con.rhs
+    a = sparse.csr_matrix((data, (rows, cols)), shape=(len(model.constraints), n))
 
     try:
-        res = highs(np.zeros(n), {"time_limit": time_limit})
+        basis = warm.basis_for(a) if warm is not None else None
+        res = _highs_lp(-c, a, lo, hi, lb, ub, time_limit, basis)
+        if warm is not None and res.status == 0:
+            warm.matrix, warm.basis = a, res.basis
         settled = res.status == 2 or (res.status == 0 and not _fractional(res.x[integer]).any())
         if not settled:
-            res = highs(integer.astype(int), {
-                "mip_rel_gap": gap_tol,
-                "time_limit": max(deadline - time.perf_counter(), 0.0),
-            })
+            res = _scipy_milp(c=-c, constraints=LinearConstraint(a, lo, hi),
+                              integrality=integer.astype(int),
+                              bounds=Bounds(lb, ub), options={
+                                  "disp": False,
+                                  "mip_rel_gap": gap_tol,
+                                  "time_limit": max(deadline - time.perf_counter(), 0.0),
+                              })
     except Exception as exc:  # backend failure
         return SolveResult("error", None, None, np.inf, f"backend failure: {exc}")
 

@@ -40,7 +40,7 @@ def build_offline(
         raise DomainError(f"capacity series covers {len(capacity)} of {t_end} hours")
     classes = sorted(set(classes))
     declared = set(classes)
-    for (_, c) in profile.counts:
+    for c in profile.totals():
         if c not in declared:
             raise DomainError(f"arrival class {c} outside declared class set")
 

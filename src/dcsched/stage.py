@@ -25,7 +25,7 @@ from .core import (
     max_runtime_of,
     power_of,
 )
-from .milp import MilpModel, solve
+from .milp import MilpModel, WarmStart, solve
 
 log = logging.getLogger(__name__)
 
@@ -263,15 +263,17 @@ def solve_stage(
     inputs: StageInputs,
     gap_tol: float = 1e-4,
     time_limit: float = 60.0,
+    warm: WarmStart | None = None,
 ) -> StageDecision:
     """Solve the stage problem; on infeasible minimum clearance, re-solve
-    with penalized slack and return the relaxed optimum."""
+    with penalized slack and return the relaxed optimum. `warm` carries the
+    run's last optimal relaxation basis into both solves."""
     r = inputs.state.stage
     model, h = build_stage(inputs, with_slack=False)
-    res = solve(model, gap_tol=gap_tol, time_limit=time_limit)
+    res = solve(model, gap_tol=gap_tol, time_limit=time_limit, warm=warm)
     if res.status == "infeasible":
         model, h = build_stage(inputs, with_slack=True)
-        res = solve(model, gap_tol=gap_tol, time_limit=time_limit)
+        res = solve(model, gap_tol=gap_tol, time_limit=time_limit, warm=warm)
     if res.status in ("infeasible", "error"):
         raise StageError(r, f"{res.status}: {res.message}")
 

@@ -13,7 +13,7 @@ from dcsched.core import SystemState
 from dcsched.milp import MilpModel
 
 WRAPPED = {
-    dcsched.milp: ["_scipy_milp", "solve"],
+    dcsched.milp: ["_highs_lp", "_scipy_milp", "solve"],
     dcsched.stage: ["solve", "build_stage", "validate_decision"],
     dcsched.engine: ["solve_stage", "check_state", "advance_state", "assemble_inputs", "run"],
     dcsched.offline: ["solve", "build_offline", "solve_offline"],

@@ -192,15 +192,15 @@ def test_overload_cell_takes_the_rare_paths(tmp_path, monkeypatch):
     # a capacity walk that drops under the running jobs: the cell must
     # terminate jobs, relax clearance with slack and meet infeasible models
     log = tmp_path / "log.txt"
-    highs = dcsched.milp._scipy_milp
     engine_run = dcsched.cli.run
 
-    def logged_highs(*args, **kwargs):
-        res = highs(*args, **kwargs)
-        kind = "MILP" if kwargs["integrality"].any() else "LP"
-        with open(log, "a") as fh:
-            fh.write(f"{kind} {res.status}\n")
-        return res
+    def logged(kind, highs):
+        def logged_highs(*args, **kwargs):
+            res = highs(*args, **kwargs)
+            with open(log, "a") as fh:
+                fh.write(f"{kind} {res.status}\n")
+            return res
+        return logged_highs
 
     def conserving_run(dc, profile, classes, *args, **kwargs):
         traj = engine_run(dc, profile, classes, *args, **kwargs)
@@ -213,8 +213,9 @@ def test_overload_cell_takes_the_rare_paths(tmp_path, monkeypatch):
             fh.write("conserved\n")
         return traj
 
-    # fork-started pool workers inherit both patches
-    monkeypatch.setattr(dcsched.milp, "_scipy_milp", logged_highs)
+    # fork-started pool workers inherit the patches
+    monkeypatch.setattr(dcsched.milp, "_highs_lp", logged("LP", dcsched.milp._highs_lp))
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", logged("MILP", dcsched.milp._scipy_milp))
     monkeypatch.setattr(dcsched.cli, "run", conserving_run)
     out = tmp_path / "results"
     path = tmp_path / "overload.yaml"

@@ -57,13 +57,13 @@ def test_unknown_key_is_an_error(tmp_path):
 def test_field_errors_name_the_field(tmp_path):
     cases = [
         ("dc:\n  total_servers: 0\n", "dc.total_servers"),
-        ("signals:\n  hours: 3\n", "signals.hours"),
         ("sweep:\n  lambda_ce: [-1]\n", "sweep.lambda_ce"),
         ("sweep:\n  forecast: [psychic]\n", "sweep.forecast"),
-        ("profiles:\n  shapes: [square]\n", "profiles.shapes"),
         ("solver:\n  workers: 0\n", "solver.workers"),
         ("signals:\n  capacity:\n    mode: csv\n", "signals.capacity.csv"),
         # rules held by the domain objects a run builds from these fields
+        ("profiles:\n  shapes: [square]\n", "profiles.shapes"),
+        ("signals:\n  hours: 3\n", "signals.hours"),
         ("profiles:\n  k_buckets: [2, 1]\n", "profiles.k_buckets"),
         ("profiles:\n  max_runtime_hours: 0\n", "profiles.max_runtime_hours"),
         ("signals:\n  carbon:\n    base: -5\n", "signals.carbon.base"),
@@ -71,6 +71,8 @@ def test_field_errors_name_the_field(tmp_path):
         ("signals:\n  capacity:\n    step_stddev_frac: -0.1\n",
          "signals.capacity.step_stddev_frac"),
         ("signals:\n  capacity:\n    floor_frac: 1.5\n", "signals.capacity.floor_frac"),
+        ("signals:\n  carbon_forecast_sigma: -0.1\n", "signals.carbon_forecast_sigma"),
+        ("signals:\n  capacity_forecast_sigma: -0.1\n", "signals.capacity_forecast_sigma"),
         # each value is parsed to the type of its default
         ("dc:\n  total_servers: abc\n", "dc.total_servers: expected a number"),
         ("dc:\n  total_servers: 2.5\n", "dc.total_servers: expected an integer"),

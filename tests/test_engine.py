@@ -3,6 +3,8 @@ import pytest
 
 from oracle_offline import TinyInstance, brute_force_goodput, random_instance
 
+import dcsched.engine
+import dcsched.milp
 from dcsched.core import (
     ArrivalProfile,
     DCConfig,
@@ -23,6 +25,7 @@ from dcsched.engine import (
     write_trajectory_csv,
 )
 from dcsched.signals import SignalSeries, constant_capacity, synthetic_carbon
+from dcsched.traces import sample_arrivals, synthetic_jobs
 
 C11 = JobClass(1, 1)
 C12 = JobClass(1, 2)
@@ -247,3 +250,69 @@ def test_write_trajectory_csv(tmp_path):
     assert lines[0].startswith("hour,active_servers,capacity")
     assert len(lines) == 5
     assert lines[1].split(",")[1] == "4"
+
+
+# ------------------------------------------------------------- warm start
+
+STEADY_CLASSES = synthetic_jobs(300, (1, 2, 4), 4, seed=0)
+
+
+def steady_run(seed, hours=30, t_h=6):
+    """A desk-sized run at constant capacity: every stage whose window and
+    runs end before the last hour has the same constraint matrix."""
+    profile = sample_arrivals(STEADY_CLASSES, "small_var", hours, seed=seed)
+    return run(
+        DCConfig(200, 10.0, 3.0), profile, tuple(sorted(STEADY_CLASSES)),
+        constant_capacity(200, hours), synthetic_carbon(hours), hz(t_h),
+        ObjectiveWeights(lambda_ce=0.1),
+    )
+
+
+@pytest.fixture
+def relaxations(monkeypatch):
+    """Record each relaxation solved through `dcsched.milp._highs_lp` as
+    (given a basis, result, the same relaxation solved cold)."""
+    seen = []
+    highs_lp = dcsched.milp._highs_lp
+
+    def recorded(*args, **kwargs):
+        res = highs_lp(*args, **kwargs)
+        hot = args[7] is not None
+        seen.append((hot, res, highs_lp(*args[:7]) if hot else res))
+        return res
+
+    monkeypatch.setattr(dcsched.milp, "_highs_lp", recorded)
+    return seen
+
+
+def test_hot_started_relaxations_reach_the_cold_vertex(relaxations):
+    traj = steady_run(seed=3)
+    assert len(traj.records) == 30
+    # 30 - 6 - 4 + 2 = 22 stages share one matrix; all but the first reuse
+    # the basis of the stage before
+    hot = [(res, cold) for given, res, cold in relaxations if given]
+    assert len(hot) == 21
+    assert [given for given, _, _ in relaxations[:22]] == [False] + [True] * 21
+    for res, cold in hot:
+        assert res.status == cold.status == 0
+        np.testing.assert_allclose(res.x, cold.x, rtol=0, atol=1e-9)
+
+
+def test_basis_is_kept_per_run(monkeypatch):
+    records = []
+    solve_stage = dcsched.engine.solve_stage
+
+    def recorded(*args, warm, **kwargs):
+        records.append(warm)
+        return solve_stage(*args, warm=warm, **kwargs)
+
+    monkeypatch.setattr(dcsched.engine, "solve_stage", recorded)
+    first = steady_run(seed=3)
+    steady_run(seed=4)
+    again = steady_run(seed=3)
+    assert again == first
+    # one record carried through each run, and a fresh one for the next run
+    runs = [records[i * 30:(i + 1) * 30] for i in range(3)]
+    assert len(records) == 90
+    assert all(all(warm is run_records[0] for warm in run_records) for run_records in runs)
+    assert len({id(run_records[0]) for run_records in runs}) == 3

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import milp as scipy_milp
 
-from dcsched.milp import MilpModel, check_feasible, solve
+import dcsched.milp
+from dcsched.milp import MilpModel, WarmStart, check_feasible, solve
 from dcsched.stage import build_stage, solve_stage, validate_decision
 from test_stage import random_stage
 
@@ -145,3 +146,76 @@ def test_unknown_variable_reference_rejected():
     model.add_var("x")
     with pytest.raises(ValueError):
         model.add_constraint({3: 1.0}, "<=", 1)
+
+
+@pytest.fixture
+def lp_bases(monkeypatch):
+    """Record, for each relaxation solved through `dcsched.milp._highs_lp`,
+    whether it was given a starting basis."""
+    given = []
+    highs_lp = dcsched.milp._highs_lp
+
+    def recorded(*args, **kwargs):
+        given.append(args[7] is not None)
+        return highs_lp(*args, **kwargs)
+
+    monkeypatch.setattr(dcsched.milp, "_highs_lp", recorded)
+    return given
+
+
+def budget_model(cap, rhs=4.0, extra_row=False):
+    """max 2x + y s.t. x + y <= rhs, x <= cap: an integral relaxation whose
+    matrix depends only on `extra_row`."""
+    model = MilpModel()
+    x = model.add_var("x", "integer", 0, None)
+    y = model.add_var("y", "integer", 0, None)
+    model.add_constraint({x: 1.0, y: 1.0}, "<=", rhs, "budget")
+    model.add_constraint({x: 1.0}, "<=", cap, "x_cap")
+    if extra_row:
+        model.add_constraint({y: 1.0}, "<=", 10, "y_cap")
+    model.set_objective({x: 2.0, y: 1.0})
+    return model
+
+
+def test_same_matrix_starts_from_the_stored_basis(lp_bases):
+    warm = WarmStart()
+    first = solve(budget_model(3), warm=warm)
+    assert warm.basis is not None
+    # only a right-hand side moved: the relaxation starts from the basis
+    second = solve(budget_model(1), warm=warm)
+    assert lp_bases == [False, True]
+    assert (second.value(0), second.value(1)) == (1, 3)
+    assert (first.value(0), first.value(1)) == (3, 1)
+
+
+def test_changed_matrix_solves_cold(lp_bases):
+    # one coefficient moved to the other column (only the indices differ),
+    # one coefficient changed (only the data differ), one more column in
+    # no row (only the shape differs), and one more row
+    moved = budget_model(3)
+    moved.constraints[1].coeffs = {1: 1.0}
+    doubled = budget_model(3)
+    doubled.constraints[1].coeffs = {0: 2.0}
+    widened = budget_model(3)
+    widened.add_var("z", "integer", 0, 1)
+    grown = budget_model(3, extra_row=True)
+    changed = ((moved, 8.0), (doubled, 5.0), (widened, 7.0), (grown, 7.0))
+    for model, objective in changed:
+        warm = WarmStart()
+        solve(budget_model(3), warm=warm)
+        assert solve(model, warm=warm).objective == pytest.approx(objective)
+        # the changed model's basis is now the stored one
+        assert warm.matrix.shape == (len(model.constraints), len(model.variables))
+    assert lp_bases == [False] * 8
+
+
+def test_infeasible_relaxation_keeps_the_stored_basis(lp_bases):
+    warm = WarmStart()
+    solve(budget_model(3), warm=warm)
+    matrix, basis = warm.matrix, warm.basis
+    assert solve(budget_model(3, rhs=-1.0), warm=warm).status == "infeasible"
+    assert solve(budget_model(3, rhs=-1.0, extra_row=True), warm=warm).status == "infeasible"
+    assert warm.matrix is matrix and warm.basis is basis
+    assert lp_bases == [False, True, False]
+    assert solve(budget_model(2), warm=warm).objective == pytest.approx(6.0)
+    assert lp_bases[-1] is True
