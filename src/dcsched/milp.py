@@ -1,8 +1,12 @@
 """Thin mixed-integer linear programming layer over scipy's HiGHS backend.
 
-Models are built incrementally (variables, linear constraints, one linear
-objective) and handed to :func:`solve`. Keeping the model data separate from
-the backend lets tests substitute exhaustive oracles for the same model.
+A :class:`MilpModel` is the arrays HiGHS takes: the objective, column
+bounds and integrality, and a CSR constraint matrix with row bounds. The
+stage and offline builders fill them by index arithmetic, and
+:func:`solve` passes them to HiGHS as they are. Per-column and per-row
+records are read-only views derived on demand. Keeping the model data
+separate from the backend lets tests check a solution against the model
+and solve the same model by other means.
 
 :func:`solve` solves the LP relaxation first and runs branch-and-bound only
 when the relaxation's optimal vertex is fractional: an integral optimal
@@ -20,8 +24,8 @@ re-optimizes in a few iterations instead of solving from scratch.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -37,60 +41,58 @@ from scipy.optimize._highspy._core import (
 
 INT_TOL = 1e-4  # largest distance from an integer HiGHS may leave an integer variable
 
-SENSES = ("<=", "=", ">=")
 
-
-@dataclass
-class _Variable:
-    name: str
+class Variable(NamedTuple):
     kind: str  # "integer" | "continuous"
     lb: float
     ub: float
 
 
-@dataclass
-class _Constraint:
-    coeffs: dict[int, float]
-    sense: str
+class Constraint(NamedTuple):
+    coeffs: dict[int, float]  # column -> coefficient
+    sense: str  # "<=" | "=" | ">="
     rhs: float
-    name: str
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MilpModel:
-    """A linear model with integer/continuous variables and one linear
-    objective, always maximized."""
+    """Maximize c @ x + constant subject to lo <= a @ x <= hi and
+    lb <= x <= ub, with x[j] integer where integer[j]. HiGHS receives these
+    arrays as they are, c negated."""
 
-    variables: list[_Variable] = field(default_factory=list)
-    constraints: list[_Constraint] = field(default_factory=list)
-    objective: dict[int, float] = field(default_factory=dict)
-    objective_constant: float = 0.0
+    c: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    integer: np.ndarray  # bool per column
+    a: sparse.csr_matrix
+    lo: np.ndarray
+    hi: np.ndarray
+    constant: float = 0.0
 
-    def add_var(self, name: str, kind: str = "integer",
-                lb: float = 0.0, ub: float | None = None) -> int:
-        if kind not in ("integer", "continuous"):
-            raise ValueError(f"unknown variable kind {kind!r}")
-        hi = np.inf if ub is None else float(ub)
-        if lb > hi:
-            raise ValueError(f"variable {name}: lb {lb} > ub {hi}")
-        self.variables.append(_Variable(name, kind, float(lb), hi))
-        return len(self.variables) - 1
+    @property
+    def variables(self) -> tuple[Variable, ...]:
+        """A read-only record per column, derived from the arrays."""
+        return tuple(Variable("integer" if i else "continuous", lb, ub) for i, lb, ub
+                     in zip(self.integer.tolist(), self.lb.tolist(), self.ub.tolist()))
 
-    def add_constraint(self, coeffs: Mapping[int, float], sense: str,
-                       rhs: float, name: str = "") -> None:
-        if sense not in SENSES:
-            raise ValueError(f"unknown sense {sense!r}")
-        for vid in coeffs:
-            if not (0 <= vid < len(self.variables)):
-                raise ValueError(f"constraint {name!r} references unknown variable {vid}")
-        self.constraints.append(_Constraint(dict(coeffs), sense, float(rhs), name))
+    @property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """A read-only record per row, derived from the arrays."""
+        ptr, cols, vals = self.a.indptr.tolist(), self.a.indices.tolist(), self.a.data.tolist()
+        return tuple(
+            Constraint(dict(zip(cols[ptr[i]:ptr[i + 1]], vals[ptr[i]:ptr[i + 1]])),
+                       "=" if lo == hi else ">=" if hi == np.inf else "<=",
+                       hi if hi < np.inf else lo)
+            for i, (lo, hi) in enumerate(zip(self.lo.tolist(), self.hi.tolist()))
+        )
 
-    def set_objective(self, coeffs: Mapping[int, float], constant: float = 0.0) -> None:
-        for vid in coeffs:
-            if not (0 <= vid < len(self.variables)):
-                raise ValueError(f"objective references unknown variable {vid}")
-        self.objective = dict(coeffs)
-        self.objective_constant = float(constant)
+
+def csr(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+        shape: tuple[int, int]) -> sparse.csr_matrix:
+    """The matrix holding each block of (row, column, value) entries, in
+    canonical CSR form: each row's columns sorted, whatever the entry order."""
+    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+    return sparse.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
 @dataclass
@@ -178,41 +180,17 @@ def solve(model: MilpModel, gap_tol: float = 1e-4,
     integer; one further than INT_TOL from it is reported as an error.
     """
     deadline = time.perf_counter() + time_limit
-    n = len(model.variables)
-    c = np.zeros(n)
-    for vid, coef in model.objective.items():
-        c[vid] = coef
-
-    integer = np.array([v.kind == "integer" for v in model.variables], dtype=bool)
-    lb = np.array([v.lb for v in model.variables])
-    ub = np.array([v.ub for v in model.variables])
-
-    rows, cols, data = [], [], []
-    lo = np.empty(len(model.constraints))
-    hi = np.empty(len(model.constraints))
-    for i, con in enumerate(model.constraints):
-        for vid, coef in con.coeffs.items():
-            rows.append(i)
-            cols.append(vid)
-            data.append(coef)
-        if con.sense == "<=":
-            lo[i], hi[i] = -np.inf, con.rhs
-        elif con.sense == ">=":
-            lo[i], hi[i] = con.rhs, np.inf
-        else:
-            lo[i] = hi[i] = con.rhs
-    a = sparse.csr_matrix((data, (rows, cols)), shape=(len(model.constraints), n))
-
+    c, a, integer = model.c, model.a, model.integer
     try:
         basis = warm.basis_for(a) if warm is not None else None
-        res = _highs_lp(-c, a, lo, hi, lb, ub, time_limit, basis)
+        res = _highs_lp(-c, a, model.lo, model.hi, model.lb, model.ub, time_limit, basis)
         if warm is not None and res.status == 0:
             warm.matrix, warm.basis = a, res.basis
         settled = res.status == 2 or (res.status == 0 and not _fractional(res.x[integer]).any())
         if not settled:
-            res = _scipy_milp(c=-c, constraints=LinearConstraint(a, lo, hi),
+            res = _scipy_milp(c=-c, constraints=LinearConstraint(a, model.lo, model.hi),
                               integrality=integer.astype(int),
-                              bounds=Bounds(lb, ub), options={
+                              bounds=Bounds(model.lb, model.ub), options={
                                   "disp": False,
                                   "mip_rel_gap": gap_tol,
                                   "time_limit": max(deadline - time.perf_counter(), 0.0),
@@ -232,10 +210,10 @@ def solve(model: MilpModel, gap_tol: float = 1e-4,
         vid = int(np.flatnonzero(integer)[np.argmax(far)])
         return SolveResult(
             "error", None, None, np.inf,
-            f"integer variable {model.variables[vid].name} at {values[vid]} is not integral",
+            f"integer column {vid} at {values[vid]} is not integral",
         )
     values[integer] = np.round(values[integer]) + 0.0  # + 0.0 turns -0.0 into 0.0
-    objective = float(c @ values + model.objective_constant)
+    objective = float(c @ values + model.constant)
 
     if res.status == 0:
         return SolveResult("optimal", values, objective, gap, res.message)
@@ -248,18 +226,12 @@ def _fractional(x: np.ndarray) -> np.ndarray:
 
 
 def check_feasible(model: MilpModel, values: np.ndarray, tol: float = 1e-6) -> list[str]:
-    """Return descriptions of constraints/bounds violated by more than tol."""
-    bad = []
-    for vid, var in enumerate(model.variables):
-        x = values[vid]
-        if x < var.lb - tol or x > var.ub + tol:
-            bad.append(f"variable {var.name} = {x} outside [{var.lb}, {var.ub}]")
-    for con in model.constraints:
-        lhs = sum(coef * values[vid] for vid, coef in con.coeffs.items())
-        if con.sense == "<=" and lhs > con.rhs + tol:
-            bad.append(f"{con.name or '<='}: {lhs} > {con.rhs}")
-        elif con.sense == ">=" and lhs < con.rhs - tol:
-            bad.append(f"{con.name or '>='}: {lhs} < {con.rhs}")
-        elif con.sense == "=" and abs(lhs - con.rhs) > tol:
-            bad.append(f"{con.name or '='}: {lhs} != {con.rhs}")
+    """Return descriptions of the columns and rows that `values` violates
+    by more than tol."""
+    x = np.asarray(values, dtype=float)
+    ax = model.a @ x
+    bad = [f"column {j} = {x[j]} outside [{model.lb[j]}, {model.ub[j]}]"
+           for j in np.flatnonzero((x < model.lb - tol) | (x > model.ub + tol))]
+    bad += [f"row {i}: {ax[i]} outside [{model.lo[i]}, {model.hi[i]}]"
+            for i in np.flatnonzero((ax < model.lo - tol) | (ax > model.hi + tol))]
     return bad

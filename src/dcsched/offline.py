@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .core import ArrivalProfile, DomainError, JobClass, busy_servers
-from .milp import MilpModel, solve
-from .stage import add_allocation_rows, occupancy_row
+from .milp import MilpModel, csr, solve
+from .stage import start_block
 
 
 @dataclass
@@ -44,29 +45,30 @@ def build_offline(
         if c not in declared:
             raise DomainError(f"arrival class {c} outside declared class set")
 
-    model = MilpModel()
-    handles: dict[tuple[JobClass, int], int] = {}
-    totals = profile.totals()
-    for c in classes:
-        last_start = t_end - c.runtime + 1 if require_completion else t_end
-        for t in range(1, last_start + 1):
-            handles[(c, t)] = model.add_var(
-                f"n_{c.servers}_{c.runtime}_{t}", "integer", 0, totals.get(c, 0)
-            )
-
-    # hourly capacity on active servers
-    for t in range(1, t_end + 1):
-        model.add_constraint(
-            occupancy_row(handles, classes, t, 1, t_end), "<=", capacity[t - 1], f"cap_{t}"
-        )
-
-    # cumulative starts bounded by cumulative submissions
+    servers = np.array([c.servers for c in classes], dtype=int)
+    runtime = np.array([c.runtime for c in classes], dtype=int)
+    k = np.maximum(t_end - runtime + 1 if require_completion else np.full(len(classes), t_end), 0)
+    cls, _, occupancy, allocation = start_block(k, servers, runtime, t_end, t_end)
+    n = len(cls)
     hours = range(1, t_end + 1)
-    for c in classes:
-        submitted = accumulate(profile.counts.get((t, c), 0) for t in hours)
-        add_allocation_rows(model, handles, c, hours, submitted)
-
-    model.set_objective({vid: c.server_hours for (c, _), vid in handles.items()})
+    # hourly capacity on active servers, then cumulative starts bounded by
+    # cumulative submissions
+    submitted = np.array(
+        [[profile.counts.get((t, c), 0) for t in hours] for c, kk in zip(classes, k) if kk],
+        dtype=int,
+    ).reshape(-1, t_end).cumsum(axis=1)
+    rows = t_end + submitted.size
+    totals = profile.totals()
+    model = MilpModel(
+        c=(servers * runtime)[cls].astype(float),
+        lb=np.zeros(n),
+        ub=np.array([totals.get(c, 0) for c in classes], dtype=float)[cls],
+        integer=np.ones(n, dtype=bool),
+        a=csr([occupancy, allocation], (rows, n)),
+        lo=np.full(rows, -np.inf),
+        hi=np.concatenate([np.asarray(capacity[:t_end], dtype=float), submitted.ravel()]),
+    )
+    handles = dict(zip(((c, t) for c, kk in zip(classes, k) for t in range(1, kk + 1)), range(n)))
     return model, handles
 
 
@@ -89,9 +91,8 @@ def solve_offline(
     res = solve(model, gap_tol=gap_tol, time_limit=time_limit)
     if res.status not in ("optimal", "feasible-gap"):
         raise RuntimeError(f"offline solve failed: {res.status} {res.message}")
-    starts = {
-        key: int(res.value(vid)) for key, vid in handles.items() if res.value(vid)
-    }
+    x = res.values.tolist()
+    starts = {key: int(x[j]) for key, j in handles.items() if x[j]}
     goodput = sum(c.server_hours * num for (c, _), num in starts.items())
     return OfflineSchedule(starts, goodput, active_trajectory(starts, profile.horizon))
 

@@ -8,10 +8,12 @@ carbon emissions and the stage peak power.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Mapping
+from typing import Mapping
+
+import numpy as np
 
 from .core import (
     DCConfig,
@@ -25,7 +27,7 @@ from .core import (
     max_runtime_of,
     power_of,
 )
-from .milp import MilpModel, WarmStart, solve
+from .milp import MilpModel, WarmStart, csr, solve
 
 log = logging.getLogger(__name__)
 
@@ -91,13 +93,17 @@ class StageInputs:
         state = self.state
         r = state.stage
         ts = self.window()
-        declared = set(self.classes)
+        # forecast arrivals per class and window hour, in one pass
+        arrivals = {c: [0] * len(ts) for c in self.classes}
         for c in state.queued:
-            if c not in declared:
+            if c not in arrivals:
                 raise DomainError(f"queued class {c} outside declared class set")
-        for (c, _t) in self.job_forecast:
-            if c not in declared:
+        for (c, t), num in self.job_forecast.items():
+            hourly = arrivals.get(c)
+            if hourly is None:
                 raise DomainError(f"forecast class {c} outside declared class set")
+            if r <= t <= ts[-1]:
+                hourly[t - r] += num
 
         half = len(ts) // 2
         start_hours: dict[JobClass, list[int]] = {}
@@ -108,9 +114,7 @@ class StageInputs:
             # windows never strand jobs mid-execution
             hours = [t for t in ts if self.t_end is None or t + c.runtime - 1 <= self.t_end]
             start_hours[c] = hours
-            available = list(accumulate(
-                (self.job_forecast.get((c, t), 0) for t in ts), initial=state.queued.get(c, 0)
-            ))
+            available = list(accumulate(arrivals[c], initial=state.queued.get(c, 0)))
             allowance[c] = available[1:]
             # minimum clearance: the queue plus the first half-window's
             # arrivals at hours the class may still start; a class with no
@@ -137,37 +141,42 @@ def util_coeff(r: int, t_h: int, c: JobClass, t: int) -> int:
 
 @dataclass
 class _StageHandles:
-    starts: dict[tuple[JobClass, int], int] = field(default_factory=dict)
-    terms: dict[tuple[JobClass, int], int] = field(default_factory=dict)
-    active: dict[int, int] = field(default_factory=dict)
-    peak: int = -1
-    slack: dict[JobClass, int] = field(default_factory=dict)
+    """The model column of each decision quantity."""
+
+    starts: list[tuple[JobClass, int]]  # (class, hour) of start column j; they come first
+    terms: dict[tuple[JobClass, int], int]
+    active: dict[int, int]
+    peak: int
+    slack: dict[JobClass, int]
 
 
-def occupancy_row(starts: Mapping[tuple[JobClass, int], int], classes: Iterable[JobClass],
-                  t: int, first: int, last: int) -> dict[int, float]:
-    """Servers busy at hour t from start variables at hours first..last:
-    coefficient c.servers on each start of class c still running at t."""
-    coeffs: dict[int, float] = {}
-    for c in classes:
-        for t2 in range(max(first, t - c.runtime + 1), min(t, last) + 1):
-            vid = starts.get((c, t2))
-            if vid is not None:
-                coeffs[vid] = float(c.servers)
-    return coeffs
+def _spans(first: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, p) for p = first[i] .. first[i] + length[i] - 1, in
+    order of i, then p."""
+    length = np.maximum(length, 0)
+    owner = np.repeat(np.arange(len(length)), length)
+    return owner, np.arange(len(owner)) + np.repeat(first + length - np.cumsum(length), length)
 
 
-def add_allocation_rows(model: MilpModel, starts: Mapping[tuple[JobClass, int], int],
-                        c: JobClass, hours: Iterable[int], allowance: Iterable[int]) -> None:
-    """Starts of class c up to each hour limited to the jobs available by
-    then (`allowance`, cumulative over `hours`)."""
-    run: dict[int, float] = {}
-    for t, available in zip(hours, allowance):
-        vid = starts.get((c, t))
-        if vid is not None:
-            run[vid] = 1.0
-        if run:
-            model.add_constraint(run, "<=", available, f"alloc_{c.servers}_{c.runtime}_{t}")
+def start_block(k: np.ndarray, servers: np.ndarray, runtime: np.ndarray,
+                n_hours: int, n_occupied: int) -> tuple:
+    """Start columns and their rows, shared by the stage and offline models.
+
+    Class i may start at hour offsets 0..k[i]-1; the start columns come in
+    class order, then offset order. Returns the class and offset of each
+    start column and two blocks of (row, column, value) entries:
+    - occupancy, rows 0..n_occupied-1 by hour offset: a start at offset o
+      holds servers[i] over offsets o..o + runtime[i] - 1;
+    - allocation, after those: for each class with a start, one row per
+      hour offset 0..n_hours-1 holding its starts up to that hour.
+    """
+    cls, off = _spans(np.zeros_like(k), k)
+    col, row = _spans(off, np.minimum(runtime[cls], n_occupied - off))
+    occupancy = (row, col, servers[cls[col]].astype(float))
+    rank = np.cumsum(k > 0) - 1
+    col, hour = _spans(off, n_hours - off)
+    allocation = (n_occupied + n_hours * rank[cls[col]] + hour, col, np.ones(len(col)))
+    return cls, off, occupancy, allocation
 
 
 def build_stage(
@@ -176,86 +185,90 @@ def build_stage(
     state = inputs.state
     r = state.stage
     cfg = inputs.cfg
+    t_h = inputs.horizons.t_h
     ts = inputs.window()
     ext = inputs.extended_window()
     slope = cfg.slope_mw_per_server
     b = inputs.bounds
+    classes = inputs.classes
+    n_t, n_ext = len(ts), len(ext)
 
-    model = MilpModel()
-    h = _StageHandles()
-
-    for c in inputs.classes:
-        for t in b.start_hours[c]:
-            h.starts[(c, t)] = model.add_var(
-                f"n_{c.servers}_{c.runtime}_{t}", "integer", 0, b.allowance[c][-1]
-            )
+    # columns: starts by (class, window offset), terminations, m per
+    # extended-window hour, PD, then slack per class with a start
+    servers = np.array([c.servers for c in classes], dtype=int)
+    runtime = np.array([c.runtime for c in classes], dtype=int)
+    k = np.array([len(b.start_hours[c]) for c in classes], dtype=int)
+    cls, off, occupancy, allocation = start_block(k, servers, runtime, n_t, n_ext)
     # termination variables exist only when the realized hour-r capacity
     # cannot hold the prior commitments; a job is never cancelled for
     # economic gain or on an unrealized forecast dip
+    running = []
     if b.held[r] > b.capacity[r]:
-        for (c, t_b), num in sorted(
-            state.running.items(), key=lambda kv: (kv[0][1], kv[0][0])
-        ):
-            h.terms[(c, t_b)] = model.add_var(
-                f"v_{c.servers}_{c.runtime}_{t_b}", "integer", 0, num
-            )
-    for t in ext:
-        h.active[t] = model.add_var(f"m_{t}", "integer", 0, cfg.total_servers)
-    h.peak = model.add_var("PD", "continuous", 0.0)
-    max_coeff = max(
-        (util_coeff(r, inputs.horizons.t_h, c, r) for c in inputs.classes),
-        default=1,
-    )
+        running = sorted(state.running.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+    v_servers, v_runtime, v_start, v_num = np.array(
+        [(c.servers, c.runtime, t_b, num) for (c, t_b), num in running], dtype=int
+    ).reshape(-1, 4).T
+    cleared = list(b.required)
+    n_s, n_cl = len(cls), len(cleared)
+    m0 = n_s + len(running)
+    pd = m0 + n_ext
+    n = pd + 1 + (n_cl if with_slack else 0)
+
+    # rows: active-server accounting per extended-window hour, allocation,
+    # clearance, capacity, then the stage peak power epigraph
+    clr = n_ext + n_t * n_cl
+    cap = clr + n_cl
+    pk = cap + n_t
+    ext_i, ts_i, cl_i = np.arange(n_ext), np.arange(n_t), np.arange(n_cl)
+    # a terminated job frees its servers from r until it would have ended
+    v, e = _spans(np.zeros(len(running), dtype=int), np.minimum(v_start + v_runtime - r, n_ext))
+    entries = [
+        occupancy,
+        (e, n_s + v, -v_servers[v].astype(float)),
+        (ext_i, m0 + ext_i, np.full(n_ext, -1.0)),
+        allocation,
+        # the q-th class with a start clears all its starts in row clr + q
+        (clr + np.repeat(cl_i, k[k > 0]), np.arange(n_s), np.ones(n_s)),
+        (cap + ts_i, m0 + ts_i, np.ones(n_t)),
+        (pk + ts_i, m0 + ts_i, np.full(n_t, slope)),
+        (pk + ts_i, np.full(n_t, pd), np.full(n_t, -1.0)),
+    ]
     if with_slack:
-        for c in b.required:
-            h.slack[c] = model.add_var(
-                f"s_{c.servers}_{c.runtime}", "integer", 0
-            )
-
-    # active-server accounting: new starts + prior commitments - freed
-    for t in ext:
-        coeffs: dict[int, float] = {h.active[t]: -1.0}
-        coeffs.update(occupancy_row(h.starts, inputs.classes, t, r, ts[-1]))
-        if h.terms:
-            for (c, t_b) in state.running:
-                if t_b + c.runtime > t:
-                    coeffs[h.terms[(c, t_b)]] = -float(c.servers)
-        model.add_constraint(coeffs, "=", -b.held[t], f"active_{t}")
-
-    for c in inputs.classes:
-        add_allocation_rows(model, h.starts, c, ts, b.allowance[c])
-
-    for c, required in b.required.items():
-        coeffs = {h.starts[(c, t)]: 1.0 for t in b.start_hours[c]}
-        if with_slack:
-            coeffs[h.slack[c]] = 1.0
-        model.add_constraint(coeffs, ">=", required, f"clear_{c.servers}_{c.runtime}")
-
-    for t in ts:
-        model.add_constraint({h.active[t]: 1.0}, "<=", b.capacity[t], f"cap_{t}")
-
-    # stage peak power epigraph
-    for t in ts:
-        model.add_constraint(
-            {h.active[t]: slope, h.peak: -1.0}, "<=", -cfg.p_idle_mw, f"peak_{t}"
-        )
+        entries.append((clr + cl_i, pd + 1 + cl_i, np.ones(n_cl)))
+    neg_held = (-np.array([b.held[t] for t in ext], dtype=int)).astype(float)
+    allowance = np.array([b.allowance[c] for c in cleared], dtype=float).reshape(n_cl, n_t)
+    lo = np.concatenate([neg_held, np.full(n_t * n_cl, -np.inf), [b.required[c] for c in cleared],
+                         np.full(2 * n_t, -np.inf)])
+    hi = np.concatenate([neg_held, allowance.ravel(), np.full(n_cl, np.inf),
+                         [b.capacity[t] for t in ts], np.full(n_t, -cfg.p_idle_mw)])
+    ub = np.concatenate([np.repeat(allowance[:, -1], k[k > 0]), v_num,
+                         np.full(n_ext, cfg.total_servers), np.full(n - pd, np.inf)])
+    integer = np.ones(n, dtype=bool)
+    integer[pd] = False
 
     # objective: utilization minus weighted carbon and peak terms
-    obj: dict[int, float] = {}
-    for (c, t), vid in h.starts.items():
-        obj[vid] = float(util_coeff(r, inputs.horizons.t_h, c, t))
-    for (c, t_b), vid in h.terms.items():
-        obj[vid] = -float(util_coeff(r, inputs.horizons.t_h, c, t_b))
+    at_r = np.array([util_coeff(r, t_h, c, r) for c in classes], dtype=int)
+    obj = np.zeros(n)
+    obj[:n_s] = at_r[cls] - off  # util_coeff at hour r + off
+    obj[n_s:m0] = -np.array([util_coeff(r, t_h, c, t_b) for (c, t_b), _ in running], dtype=float)
     constant = 0.0
-    if inputs.weights.lambda_ce:
-        for t in ext:
-            cr = inputs.carbon_forecast[t]
-            obj[h.active[t]] = obj.get(h.active[t], 0.0) - inputs.weights.lambda_ce * cr * slope
-            constant -= inputs.weights.lambda_ce * cr * cfg.p_idle_mw
-    obj[h.peak] = -inputs.weights.lambda_pd
-    for vid in h.slack.values():
-        obj[vid] = -10.0 * max_coeff
-    model.set_objective(obj, constant=constant)
+    lambda_ce = inputs.weights.lambda_ce
+    if lambda_ce:
+        rates = [inputs.carbon_forecast[t] for t in ext]
+        obj[m0:pd] -= lambda_ce * np.array(rates, dtype=float) * slope
+        for cr in rates:
+            constant -= lambda_ce * cr * cfg.p_idle_mw
+    obj[pd] = -inputs.weights.lambda_pd
+    obj[pd + 1:] = -10.0 * max(at_r.tolist(), default=1)
+
+    model = MilpModel(obj, np.zeros(n), ub, integer, csr(entries, (pk + n_t, n)), lo, hi, constant)
+    h = _StageHandles(
+        starts=[(c, t) for c in classes for t in b.start_hours[c]],
+        terms={key: n_s + i for i, (key, _) in enumerate(running)},
+        active=dict(zip(ext, range(m0, pd))),
+        peak=pd,
+        slack=dict(zip(cleared, range(pd + 1, n))),
+    )
     return model, h
 
 
@@ -277,18 +290,19 @@ def solve_stage(
     if res.status in ("infeasible", "error"):
         raise StageError(r, f"{res.status}: {res.message}")
 
-    active = {t: int(res.value(vid)) for t, vid in h.active.items()}
+    x = res.values.tolist()
+    active = {t: int(x[j]) for t, j in h.active.items()}
     # report the realized stage peak, not the (possibly slack) epigraph value
     peak = max(power_of(active[t], inputs.cfg) for t in inputs.window())
     decision = StageDecision(
-        starts={key: int(res.value(vid)) for key, vid in h.starts.items() if res.value(vid)},
-        terminations={key: int(res.value(vid)) for key, vid in h.terms.items() if res.value(vid)},
+        starts={key: int(v) for key, v in zip(h.starts, x) if v},
+        terminations={key: int(x[j]) for key, j in h.terms.items() if x[j]},
         active=active,
         peak=peak,
         objective=res.objective if res.objective is not None else float("nan"),
         gap=res.gap,
         status=res.status,
-        slack={c: int(res.value(vid)) for c, vid in h.slack.items() if res.value(vid)},
+        slack={c: int(x[j]) for c, j in h.slack.items() if x[j]},
     )
     if decision.slack:
         log.warning(

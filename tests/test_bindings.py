@@ -9,8 +9,9 @@ import dcsched.milp
 import dcsched.offline
 import dcsched.stage
 import dcsched.traces
-from dcsched.core import SystemState
-from dcsched.milp import MilpModel
+from dcsched.core import DCConfig, JobClass, SystemState
+from test_milp import dense_model
+from test_stage import make_inputs
 
 WRAPPED = {
     dcsched.milp: ["_highs_lp", "_scipy_milp", "solve"],
@@ -33,13 +34,23 @@ def test_perfbench_bindings_exist_and_carry_every_solver_call(highs_calls):
     assert dcsched.offline.solve is dcsched.milp.solve
     assert callable(SystemState.running_by_class)
 
-    model = MilpModel()
-    x = model.add_var("x", "integer", 0, None)
-    model.add_constraint({x: 2.0}, "<=", 7, "odd")
-    model.set_objective({x: 1.0})
-    assert model.variables[x].kind == "integer"
-    assert model.constraints[0].coeffs == {x: 2.0}
+    model = dense_model([1.0], [([2.0], "<=", 7)])
+    assert model.variables[0].kind == "integer"
+    assert model.constraints[0].coeffs == {0: 2.0}
 
     # a fractional relaxation takes both solver calls, the LP and the MILP
-    assert dcsched.stage.solve(model).value(x) == 3
+    assert dcsched.stage.solve(model).value(0) == 3
     assert highs_calls == ["LP", "MILP"]
+
+
+def test_model_size_view_of_a_fleet_stage():
+    # perfbench counts model size through these views: a steady stage of
+    # 60 job classes with a 24-hour window
+    classes = [JobClass(k, l) for k in (1, 2, 4, 8, 16) for l in range(1, 13)]
+    inputs = make_inputs(SystemState(stage=1), classes, capacity=20000, t_h=24,
+                         cfg=DCConfig(20000, 100.0, 30.0))
+    model, _ = dcsched.stage.build_stage(inputs)
+    assert len(model.variables) == 1476
+    assert sum(v.kind == "integer" for v in model.variables) == 1475
+    assert len(model.constraints) == 1583
+    assert sum(len(c.coeffs) for c in model.constraints) == 28907

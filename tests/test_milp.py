@@ -1,113 +1,107 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import milp as scipy_milp
 
 import dcsched.milp
-from dcsched.milp import MilpModel, WarmStart, check_feasible, solve
+from dcsched.milp import MilpModel, WarmStart, check_feasible, csr, solve
 from dcsched.stage import build_stage, solve_stage, validate_decision
 from test_stage import random_stage
 
 
+def dense_model(objective, rows, lb=0.0, ub=np.inf, integer=True, constant=0.0):
+    """max objective @ x + constant subject to `rows` of (dense
+    coefficients, sense, rhs); lb, ub and integer hold for every column or
+    give one value per column."""
+    n = len(objective)
+    senses = [sense for _, sense, _ in rows]
+    rhs = np.array([rhs for _, _, rhs in rows], dtype=float)
+    return MilpModel(
+        c=np.array(objective, dtype=float),
+        lb=np.broadcast_to(np.asarray(lb, dtype=float), n).copy(),
+        ub=np.broadcast_to(np.asarray(ub, dtype=float), n).copy(),
+        integer=np.broadcast_to(np.asarray(integer, dtype=bool), n).copy(),
+        a=sparse.csr_matrix(np.array([coeffs for coeffs, _, _ in rows], dtype=float).reshape(-1, n)),
+        lo=np.where([sense != "<=" for sense in senses], rhs, -np.inf),
+        hi=np.where([sense != ">=" for sense in senses], rhs, np.inf),
+        constant=constant,
+    )
+
+
 def test_simple_bounded_maximum():
-    model = MilpModel()
-    x = model.add_var("x", "integer", 0, None)
-    model.add_constraint({x: 1.0}, "<=", 5, "ub")
-    model.set_objective({x: 1.0})
+    model = dense_model([1.0], [([1.0], "<=", 5)])
     res = solve(model)
     assert res.status == "optimal"
-    assert res.value(x) == 5
+    assert res.value(0) == 5
     assert res.objective == pytest.approx(5.0)
 
 
 def test_two_variable_budget():
-    model = MilpModel()
-    x = model.add_var("x", "integer", 0, 3)
-    y = model.add_var("y", "integer", 0, 3)
-    model.add_constraint({x: 1.0, y: 1.0}, "<=", 3, "budget")
-    model.set_objective({x: 1.0, y: 1.0})
+    model = dense_model([1.0, 1.0], [([1.0, 1.0], "<=", 3)], ub=3)
     res = solve(model)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(3.0)
 
 
 def test_empty_feasible_region(highs_calls):
-    model = MilpModel()
-    x = model.add_var("x", "continuous", lb=-100, ub=100)
-    model.add_constraint({x: 1.0}, "<=", 0, "lo")
-    model.add_constraint({x: 1.0}, ">=", 1, "hi")
-    model.set_objective({x: 1.0})
+    model = dense_model([1.0], [([1.0], "<=", 0), ([1.0], ">=", 1)],
+                        lb=-100, ub=100, integer=False)
     assert solve(model).status == "infeasible"
     # one HiGHS call: the infeasible relaxation proves the model infeasible
     assert highs_calls == ["LP"]
 
 
 def test_integral_relaxation_is_returned_without_branching(highs_calls):
-    model = MilpModel()
-    x = model.add_var("x", "integer", 0, None)
-    y = model.add_var("y", "integer", 0, None)
-    model.add_constraint({x: 1.0, y: 1.0}, "<=", 4, "budget")
-    model.add_constraint({x: 1.0}, "<=", 3, "x_cap")
-    model.set_objective({x: 2.0, y: 1.0})
+    model = dense_model([2.0, 1.0], [([1.0, 1.0], "<=", 4), ([1.0, 0.0], "<=", 3)])
     res = solve(model)
     assert res.status == "optimal"
     assert res.gap == 0
-    assert (res.value(x), res.value(y)) == (3, 1)
+    assert (res.value(0), res.value(1)) == (3, 1)
     assert highs_calls == ["LP"]
 
 
 def test_optimal_solution_satisfies_all_constraints():
     rng = np.random.default_rng(7)
     for _ in range(5):
-        model = MilpModel()
-        vids = [model.add_var(f"x{i}", "integer", 0, 10) for i in range(4)]
-        for j in range(5):
-            coeffs = {v: float(rng.integers(1, 4)) for v in vids}
-            model.add_constraint(coeffs, "<=", float(rng.integers(5, 30)), f"c{j}")
-        model.set_objective({v: float(rng.integers(1, 5)) for v in vids})
+        rows = [([float(rng.integers(1, 4)) for _ in range(4)], "<=", float(rng.integers(5, 30)))
+                for _ in range(5)]
+        model = dense_model([float(rng.integers(1, 5)) for _ in range(4)], rows, ub=10)
         res = solve(model)
         assert res.status == "optimal"
         assert check_feasible(model, res.values) == []
 
 
+def test_check_feasible_names_the_violated_column_and_row():
+    model = dense_model([1.0, 1.0], [([1.0, 1.0], "<=", 3), ([1.0, 0.0], "=", 1)], ub=2)
+    assert check_feasible(model, np.array([1.0, 2.0])) == []
+    assert check_feasible(model, np.array([0.0, 3.0])) == [
+        "column 1 = 3.0 outside [0.0, 2.0]", "row 1: 0.0 outside [1.0, 1.0]",
+    ]
+
+
 def test_integer_values_are_integral(highs_calls):
-    model = MilpModel()
-    x = model.add_var("x", "integer", 0, None)
-    model.add_constraint({x: 2.0}, "<=", 7, "odd")
-    model.set_objective({x: 1.0})
+    model = dense_model([1.0], [([2.0], "<=", 7)])
     res = solve(model)
-    assert res.value(x) == 3
+    assert res.value(0) == 3
     # the relaxation stops at x = 3.5, so branch-and-bound runs
     assert highs_calls == ["LP", "MILP"]
 
 
 def branch_and_bound(model, gap_tol):
-    """Objective of `model` from one HiGHS branch-and-bound call, or None
-    if it is infeasible: the reference for the LP-first path."""
-    n = len(model.variables)
-    c = np.zeros(n)
-    for vid, coef in model.objective.items():
-        c[vid] = coef
-    a = np.zeros((len(model.constraints), n))
-    lo = np.full(len(model.constraints), -np.inf)
-    hi = np.full(len(model.constraints), np.inf)
-    for i, con in enumerate(model.constraints):
-        for vid, coef in con.coeffs.items():
-            a[i, vid] = coef
-        if con.sense in ("<=", "="):
-            hi[i] = con.rhs
-        if con.sense in (">=", "="):
-            lo[i] = con.rhs
+    """Objective of `model` from one HiGHS branch-and-bound call on a dense
+    copy of its arrays, or None if it is infeasible: the reference for the
+    LP-first path."""
     res = scipy_milp(
-        c=-c,
-        constraints=(a, lo, hi),
-        integrality=[v.kind == "integer" for v in model.variables],
-        bounds=([v.lb for v in model.variables], [v.ub for v in model.variables]),
+        c=-model.c,
+        constraints=(model.a.toarray(), model.lo, model.hi),
+        integrality=model.integer,
+        bounds=(model.lb, model.ub),
         options={"mip_rel_gap": gap_tol},
     )
     if res.status == 2:
         return None
     assert res.status == 0, res.message
-    return float(-res.fun + model.objective_constant)
+    return float(-res.fun + model.constant)
 
 
 def test_lp_first_matches_branch_and_bound_on_random_stages(highs_calls):
@@ -134,18 +128,14 @@ def test_lp_first_matches_branch_and_bound_on_random_stages(highs_calls):
 
 
 def test_objective_constant_is_reported():
-    model = MilpModel()
-    x = model.add_var("x", "integer", 0, 2)
-    model.set_objective({x: 1.0}, constant=-10.0)
+    model = dense_model([1.0], [], ub=2, constant=-10.0)
     res = solve(model)
     assert res.objective == pytest.approx(-8.0)
 
 
 def test_unknown_variable_reference_rejected():
-    model = MilpModel()
-    model.add_var("x")
     with pytest.raises(ValueError):
-        model.add_constraint({3: 1.0}, "<=", 1)
+        csr([(np.array([0]), np.array([3]), np.array([1.0]))], (1, 1))
 
 
 @pytest.fixture
@@ -166,15 +156,10 @@ def lp_bases(monkeypatch):
 def budget_model(cap, rhs=4.0, extra_row=False):
     """max 2x + y s.t. x + y <= rhs, x <= cap: an integral relaxation whose
     matrix depends only on `extra_row`."""
-    model = MilpModel()
-    x = model.add_var("x", "integer", 0, None)
-    y = model.add_var("y", "integer", 0, None)
-    model.add_constraint({x: 1.0, y: 1.0}, "<=", rhs, "budget")
-    model.add_constraint({x: 1.0}, "<=", cap, "x_cap")
+    rows = [([1.0, 1.0], "<=", rhs), ([1.0, 0.0], "<=", cap)]
     if extra_row:
-        model.add_constraint({y: 1.0}, "<=", 10, "y_cap")
-    model.set_objective({x: 2.0, y: 1.0})
-    return model
+        rows.append(([0.0, 1.0], "<=", 10))
+    return dense_model([2.0, 1.0], rows)
 
 
 def test_same_matrix_starts_from_the_stored_basis(lp_bases):
@@ -192,12 +177,10 @@ def test_changed_matrix_solves_cold(lp_bases):
     # one coefficient moved to the other column (only the indices differ),
     # one coefficient changed (only the data differ), one more column in
     # no row (only the shape differs), and one more row
-    moved = budget_model(3)
-    moved.constraints[1].coeffs = {1: 1.0}
-    doubled = budget_model(3)
-    doubled.constraints[1].coeffs = {0: 2.0}
-    widened = budget_model(3)
-    widened.add_var("z", "integer", 0, 1)
+    moved = dense_model([2.0, 1.0], [([1.0, 1.0], "<=", 4), ([0.0, 1.0], "<=", 3)])
+    doubled = dense_model([2.0, 1.0], [([1.0, 1.0], "<=", 4), ([2.0, 0.0], "<=", 3)])
+    widened = dense_model([2.0, 1.0, 0.0], [([1.0, 1.0, 0.0], "<=", 4), ([1.0, 0.0, 0.0], "<=", 3)],
+                          ub=[np.inf, np.inf, 1])
     grown = budget_model(3, extra_row=True)
     changed = ((moved, 8.0), (doubled, 5.0), (widened, 7.0), (grown, 7.0))
     for model, objective in changed:

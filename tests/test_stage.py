@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 
 from dcsched.milp import check_feasible
 from dcsched.core import (
+    ArrivalProfile,
     DCConfig,
     DomainError,
     HorizonConfig,
@@ -15,6 +17,7 @@ from dcsched.core import (
     SystemState,
     power_of,
 )
+from dcsched.offline import build_offline
 from dcsched.stage import (
     StageInputs,
     build_stage,
@@ -294,7 +297,7 @@ def with_occupancy(inputs, decision):
 
 def model_values(model, handles, decision):
     x = np.zeros(len(model.variables))
-    for key, vid in handles.starts.items():
+    for vid, key in enumerate(handles.starts):
         x[vid] = decision.starts.get(key, 0)
     for key, vid in handles.terms.items():
         x[vid] = decision.terminations.get(key, 0)
@@ -340,3 +343,35 @@ def test_model_and_recheck_agree_on_perturbed_decisions():
                 assert ok_model == ok_check, (field_name, key, delta)
                 seen["accepted" if ok_check else "rejected"] += 1
     assert all(seen.values()), seen
+
+
+def model_digest(models):
+    """sha256 over what HiGHS receives of each model: objective, constant,
+    column bounds, row bounds, the CSR matrix and the integrality."""
+    h = hashlib.sha256()
+    for m in models:
+        for arr in (m.c, m.constant, m.lb, m.ub, m.lo, m.hi, m.a.data):
+            h.update(np.asarray(arr, dtype=np.float64).tobytes())
+        for arr in (m.integer, m.a.shape, m.a.indptr, m.a.indices):
+            h.update(np.asarray(arr, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def test_stage_model_is_unchanged():
+    # the formulation, float for float and in column and row order: every
+    # model of the random stages with and without slack (they cover
+    # terminations, truncated windows and classes with no admissible
+    # start), and the offline model of one profile with and without the
+    # completion rule
+    models = [build_stage(random_stage(seed), with_slack=with_slack)[0]
+              for seed in range(40) for with_slack in (False, True)]
+    profile = ArrivalProfile(
+        {(t, c): (3 * t + c.servers * c.runtime) % 4 for t in range(1, 13) for c in AGREE_CLASSES},
+        12,
+    )
+    capacity = [3 + t % 5 for t in range(12)]
+    models += [build_offline(profile, capacity, AGREE_CLASSES, require_completion)[0]
+               for require_completion in (False, True)]
+    assert model_digest(models) == (
+        "baf78a8866410181df7cbcc9c547bc00cc9db6f790c6ce75187e4172864ea0d9"
+    )
