@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, dump_experiment, load_config
+from .config import ConfigError, dump_experiment, load_config
 from .core import DCConfig, DomainError, HorizonConfig, JobClass, ObjectiveWeights
 from .engine import RunAborted, run, write_trajectory_csv
 from .metrics import summary_row, write_summary_csv
@@ -55,12 +55,12 @@ _SEED_CARBON_FC = 2003
 _SEED_CAPACITY_FC = 3001
 
 
-def _dc_config(cfg: ExperimentConfig) -> DCConfig:
+def _dc_config(cfg: dict) -> DCConfig:
     dc = cfg["dc"]
     return DCConfig(dc["total_servers"], dc["p_peak_mw"], dc["p_idle_mw"])
 
 
-def _class_totals(cfg: ExperimentConfig) -> dict[JobClass, int]:
+def _class_totals(cfg: dict) -> dict[JobClass, int]:
     prof = cfg["profiles"]
     rule = AggregationRule(tuple(prof["k_buckets"]), prof["max_runtime_hours"])
     if prof["source"] == "trace":
@@ -78,14 +78,14 @@ def _class_totals(cfg: ExperimentConfig) -> dict[JobClass, int]:
     )
 
 
-def _carbon_truth(cfg: ExperimentConfig) -> SignalSeries:
+def _carbon_truth(cfg: dict) -> SignalSeries:
     sig = cfg["signals"]
     if sig["carbon"]["source"] == "csv":
         return load_signal_csv(sig["carbon"]["csv"], CARBON)
     return synthetic_carbon(sig["hours"], sig["carbon"]["base"], sig["carbon"]["amplitude"])
 
 
-def _capacity_truth(cfg: ExperimentConfig, seed: int) -> SignalSeries:
+def _capacity_truth(cfg: dict, seed: int) -> SignalSeries:
     sig = cfg["signals"]
     servers = cfg["dc"]["total_servers"]
     mode = sig["capacity"]["mode"]
@@ -102,7 +102,7 @@ def _capacity_truth(cfg: ExperimentConfig, seed: int) -> SignalSeries:
 
 
 def _forecasts(
-    cfg: ExperimentConfig, mode: str, seed: int,
+    cfg: dict, mode: str, seed: int,
     carbon: SignalSeries, capacity: SignalSeries,
 ) -> tuple[SignalSeries | None, SignalSeries | None]:
     sig = cfg["signals"]
@@ -119,7 +119,7 @@ def _forecasts(
     return carbon_fc, capacity_fc
 
 
-def _cells(cfg: ExperimentConfig) -> list[tuple]:
+def _cells(cfg: dict) -> list[tuple]:
     sweep = cfg["sweep"]
     return list(itertools.product(
         cfg["profiles"]["shapes"],
@@ -136,13 +136,13 @@ def _cell_name(cell: tuple) -> str:
     return f"{shape}_ce{lce:g}_pd{lpd:g}_T{t}_{mode}_s{seed}"
 
 
-def _run_cell(config_data: dict, cell: tuple, out_dir: str) -> dict | str:
+def _run_cell(cfg: dict, cell: tuple, out_dir: str) -> dict | str:
     """Run one cell and return its summary row, or an error string if the
     run aborted (its partial trajectory is written) or its set-up broke a
     domain invariant. Only plain data goes back to the parent process."""
     name = _cell_name(cell)
     try:
-        return _run_cell_or_raise(ExperimentConfig(config_data), cell, out_dir)
+        return _run_cell_or_raise(cfg, cell, out_dir)
     except RunAborted as exc:
         write_trajectory_csv(
             exc.trajectory, os.path.join(out_dir, f"{name}_trajectory.partial.csv")
@@ -152,7 +152,7 @@ def _run_cell(config_data: dict, cell: tuple, out_dir: str) -> dict | str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _run_cell_or_raise(cfg: ExperimentConfig, cell: tuple, out_dir: str) -> dict:
+def _run_cell_or_raise(cfg: dict, cell: tuple, out_dir: str) -> dict:
     shape, lce, lpd, horizon_t, mode, seed = cell
     dc = _dc_config(cfg)
     totals = _class_totals(cfg)
@@ -177,7 +177,7 @@ def _run_cell_or_raise(cfg: ExperimentConfig, cell: tuple, out_dir: str) -> dict
     return summary_row(traj, carbon, capacity, dc, label)
 
 
-def _write_manifest(cfg: ExperimentConfig, cell: tuple, traj, path: str) -> None:
+def _write_manifest(cfg: dict, cell: tuple, traj, path: str) -> None:
     digest = hashlib.sha256(dump_experiment(cfg).encode()).hexdigest()
     max_gap = max((rec.gap for rec in traj.records), default=0.0)
     lines = [
@@ -192,7 +192,7 @@ def _write_manifest(cfg: ExperimentConfig, cell: tuple, traj, path: str) -> None
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def cmd_run(cfg: ExperimentConfig) -> int:
+def cmd_run(cfg: dict) -> int:
     cells = _cells(cfg)  # never empty: every sweep list is parsed non-empty
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -201,7 +201,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     failed = False
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {
-            pool.submit(_run_cell, cfg.data, cell, out_dir): cell for cell in cells
+            pool.submit(_run_cell, cfg, cell, out_dir): cell for cell in cells
         }
         for future, cell in futures.items():
             result = future.result()
@@ -216,7 +216,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     return 1 if failed else 0
 
 
-def cmd_offline(cfg: ExperimentConfig) -> int:
+def cmd_offline(cfg: dict) -> int:
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     totals = _class_totals(cfg)
@@ -235,7 +235,7 @@ def cmd_offline(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_gen_signals(cfg: ExperimentConfig) -> int:
+def cmd_gen_signals(cfg: dict) -> int:
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     carbon = _carbon_truth(cfg)
@@ -277,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config, desk_scale=args.desk_scale)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,15 +4,21 @@ The objective weights and the look-ahead horizon are sweep axes only."""
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+import math
 from typing import Any, Callable
 
 import yaml
 
 from .core import DomainError
-from .signals import capacity_walk, noisy_forecast, synthetic_carbon
-from .traces import AggregationRule, hour_weights, sample_arrivals
+from .signals import (
+    CAPACITY,
+    CARBON,
+    capacity_walk,
+    load_signal_csv,
+    noisy_forecast,
+    synthetic_carbon,
+)
+from .traces import AggregationRule, hour_weights, load_trace_csv, sample_arrivals
 
 
 class ConfigError(ValueError):
@@ -69,36 +75,21 @@ DESK_SCALE_OVERRIDES: dict[str, Any] = {
 FORECAST_MODES = ("accurate", "noisy_carbon", "noisy_capacity", "noisy_both")
 
 
-@dataclass
-class ExperimentConfig:
-    data: dict[str, Any] = field(default_factory=lambda: copy.deepcopy(DEFAULTS))
-
-    def __getitem__(self, key: str) -> Any:
-        return self.data[key]
-
-
-def _merge(base: dict, extra: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
-    for key, value in extra.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"unknown config key: {where}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{where}: expected a mapping")
-            out[key] = _merge(base[key], value, where)
-        else:
-            out[key] = value
-    return out
-
-
 def _parse(value: Any, default: Any, where: str) -> Any:
     """The value at `where` as the type of its default: a mapping field by
-    field, a non-empty list item by item, an int, a float, a string, or a
-    path where the default is None. An int refuses a bool and a fraction."""
+    field, with the defaults filling in missing fields and an unknown key
+    an error; a non-empty list item by item; an int, a float, a string, or
+    a path where the default is None. A number must be finite; an int
+    refuses a bool and a fraction."""
     if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where or 'top level of the config'}: expected a mapping")
+        prefix = f"{where}." if where else ""
+        for key in value:
+            if key not in default:
+                raise ConfigError(f"unknown config key: {prefix}{key}")
         return {
-            key: _parse(value[key], sub, f"{where}.{key}" if where else key)
+            key: _parse(value.get(key, sub), sub, f"{prefix}{key}")
             for key, sub in default.items()
         }
     if isinstance(default, list):
@@ -117,6 +108,8 @@ def _parse(value: Any, default: Any, where: str) -> Any:
             pass
     if isinstance(number, bool) or not isinstance(number, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if isinstance(number, float) and not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     if isinstance(default, float):
         return float(number)
     if isinstance(number, float) and not number.is_integer():
@@ -132,15 +125,18 @@ def _require(cond: bool, message: str) -> None:
 def _reach(where: str, build: Callable[[], object]) -> None:
     """Build a domain object for the rule it enforces and report a breach
     under the config field `where`. Each rule is reached with one field set
-    and the others at the domain defaults, so the breach names its field."""
+    and the others at the domain defaults, so the breach names its field.
+    A file the field names is read through its loader, and a file that
+    cannot be read is reported the same way."""
     try:
         build()
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
 def validate(data: dict[str, Any]) -> None:
-    """Check the rules between parsed values (see `_parse` for their types)."""
+    """Check the rules between parsed values (see `_parse` for their types)
+    and read the CSV files the config uses."""
     dc = data["dc"]
     _require(dc["total_servers"] >= 1, "dc.total_servers: must be >= 1")
     _require(
@@ -157,6 +153,7 @@ def validate(data: dict[str, Any]) -> None:
     )
     if carbon["source"] == "csv":
         _require(bool(carbon["csv"]), "signals.carbon.csv: path required")
+        _reach("signals.carbon.csv", lambda: load_signal_csv(carbon["csv"], CARBON))
     _reach("signals.carbon.base", lambda: synthetic_carbon(24, base=carbon["base"]))
     _reach(
         "signals.carbon.amplitude",
@@ -169,6 +166,7 @@ def validate(data: dict[str, Any]) -> None:
     )
     if capacity["mode"] == "csv":
         _require(bool(capacity["csv"]), "signals.capacity.csv: path required")
+        _reach("signals.capacity.csv", lambda: load_signal_csv(capacity["csv"], CAPACITY))
     _reach(
         "signals.capacity.step_stddev_frac",
         lambda: capacity_walk(1, 1, step_stddev=capacity["step_stddev_frac"]),
@@ -184,6 +182,7 @@ def validate(data: dict[str, Any]) -> None:
     _require(prof["source"] in ("synthetic", "trace"), "profiles.source: must be 'synthetic' or 'trace'")
     if prof["source"] == "trace":
         _require(bool(prof["trace_csv"]), "profiles.trace_csv: path required")
+        _reach("profiles.trace_csv", lambda: load_trace_csv(prof["trace_csv"]))
     else:
         _require(prof["jobs"] >= 0, "profiles.jobs: must be >= 0")
     _reach("profiles.k_buckets", lambda: AggregationRule(k_buckets=tuple(prof["k_buckets"])))
@@ -202,6 +201,19 @@ def validate(data: dict[str, Any]) -> None:
             _require(lam >= 0, f"sweep.{key}: weights must be >= 0")
     for t in sweep["horizon_t"]:
         _require(t >= 1, "sweep.horizon_t: horizons must be >= 1")
+    # each value names sweep cells (the weights as `:g`), so two equal names
+    # would write the same files
+    cell_names = {
+        "profiles.shapes": prof["shapes"],
+        "sweep.lambda_ce": [f"{lam:g}" for lam in sweep["lambda_ce"]],
+        "sweep.lambda_pd": [f"{lam:g}" for lam in sweep["lambda_pd"]],
+        "sweep.horizon_t": sweep["horizon_t"],
+        "sweep.forecast": sweep["forecast"],
+        "sweep.seeds": sweep["seeds"],
+    }
+    for where, names in cell_names.items():
+        repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+        _require(repeated is None, f"{where}: values must be distinct; {repeated!r} repeats")
 
     solver = data["solver"]
     _require(solver["gap"] >= 0, "solver.gap: must be >= 0")
@@ -209,31 +221,30 @@ def validate(data: dict[str, Any]) -> None:
     _require(solver["workers"] >= 1, "solver.workers: must be >= 1")
 
 
-def load_config(path: str | None, desk_scale: bool = False) -> ExperimentConfig:
+def load_config(path: str | None, desk_scale: bool = False) -> dict[str, Any]:
     """Load YAML on top of the defaults; `desk_scale` applies the small
     CI-speed preset before the user file. Each value is parsed once, to the
     type of its default, so callers read ints and floats as they are."""
-    data = copy.deepcopy(DEFAULTS)
-    if desk_scale:
-        data = _merge(data, DESK_SCALE_OVERRIDES)
+    base = _parse(DESK_SCALE_OVERRIDES, DEFAULTS, "") if desk_scale else DEFAULTS
+    user = {}
     if path is not None:
         with open(path) as fh:
-            user = yaml.safe_load(fh) or {}
-        if not isinstance(user, dict):
-            raise ConfigError("top level of the config must be a mapping")
-        data = _merge(data, user)
-    data = _parse(data, DEFAULTS, "")
+            try:
+                user = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"{path}: not YAML: {exc}") from None
+    data = _parse(user, base, "")
     validate(data)
-    return ExperimentConfig(data)
+    return data
 
 
-def dump_config(cfg: ExperimentConfig) -> str:
-    return yaml.safe_dump(cfg.data, sort_keys=True)
+def dump_config(data: dict[str, Any]) -> str:
+    return yaml.safe_dump(data, sort_keys=True)
 
 
-def dump_experiment(cfg: ExperimentConfig) -> str:
+def dump_experiment(data: dict[str, Any]) -> str:
     """The config without its deployment settings (output_dir and
     solver.workers), which do not change what a run computes."""
-    data = {key: value for key, value in cfg.data.items() if key != "output_dir"}
+    data = {key: value for key, value in data.items() if key != "output_dir"}
     data["solver"] = {key: value for key, value in data["solver"].items() if key != "workers"}
-    return dump_config(ExperimentConfig(data))
+    return dump_config(data)

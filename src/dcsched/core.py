@@ -2,17 +2,55 @@
 
 All job counts are exact integers; power and energy are floats with
 explicit units (MW, MWh). Types are immutable or treated as immutable so
-they can be shared freely across parallel experiment runs.
+they can be shared freely across parallel experiment runs. `read_csv` is
+the one way a CSV file from outside the program is read.
 """
 
 from __future__ import annotations
 
+import csv
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 class DomainError(ValueError):
     """Raised when a value violates a domain precondition."""
+
+
+def read_csv(path: str, header: Sequence[str], parse: Callable[[list[str]], T]) -> list[T]:
+    """The rows of a CSV file whose header starts with `header`, each as
+    `parse` makes it; blank rows are skipped. A row with too few columns,
+    a cell that reads as nan or inf, or a row `parse` rejects with a
+    ValueError (a DomainError included) fails as `path:line: bad row`."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or [h.strip().lower() for h in first[: len(header)]] != list(header):
+            raise DomainError(f"{path}: expected header {','.join(header)!r}")
+        rows: list[T] = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                if len(row) < len(header):
+                    raise ValueError(f"expected {len(header)} columns")
+                for cell in row:
+                    if _non_finite(cell):
+                        raise ValueError(f"non-finite number {cell!r}")
+                rows.append(parse(row))
+            except ValueError as exc:
+                raise DomainError(f"{path}:{lineno}: bad row {row!r}: {exc}") from exc
+    return rows
+
+
+def _non_finite(cell: str) -> bool:
+    try:
+        return not math.isfinite(float(cell))
+    except ValueError:
+        return False
 
 
 @dataclass(frozen=True, order=True)
@@ -219,9 +257,7 @@ def check_state(state: SystemState, max_runtime: int) -> None:
             if num < 0:
                 raise DomainError(f"negative {name} count for {c}")
     # conservation: queued + running + completed == observed arrivals
-    per_class: dict[JobClass, int] = {}
-    for (c, _), num in state.running.items():
-        per_class[c] = per_class.get(c, 0) + num
+    per_class = state.running_by_class()
     classes = set(per_class) | set(state.queued) | set(state.completed) | set(state.arrived)
     for c in classes:
         total = (

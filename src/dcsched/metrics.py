@@ -1,4 +1,4 @@
-"""Post-processing of trajectories: emissions, volatility, queue load,
+"""Post-processing of trajectories: emissions, volatility, peak power,
 goodput, and the CSV result tables."""
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DCConfig, DomainError, SystemState, power_of
+from .core import DCConfig, DomainError, power_of
 from .engine import Trajectory, goodput_components
 from .signals import SignalSeries
 
@@ -41,16 +41,6 @@ def volatility(m: Sequence[float], window: int = VOLATILITY_WINDOW) -> float:
 def peak_power(traj: Trajectory, cfg: DCConfig) -> float:
     """True horizon-wide peak power (MW), not the per-stage epigraph value."""
     return max(power_of(rec.active, cfg) for rec in traj.records)
-
-
-def queued_load(state: SystemState, cfg: DCConfig) -> tuple[float, float]:
-    """(energy MWh, power MW) needed to clear the queue, using only the
-    marginal per-server slope: the idle floor is a facility constant and is
-    not attributed to individual jobs."""
-    slope = cfg.slope_mw_per_server
-    energy = sum(num * c.server_hours * slope for c, num in state.queued.items())
-    power = sum(num * c.servers * slope for c, num in state.queued.items())
-    return energy, power
 
 
 @dataclass

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError
+from .core import DomainError, read_csv
 
 CARBON = "carbon"
 CAPACITY = "capacity"
@@ -17,11 +17,10 @@ CAPACITY = "capacity"
 
 @dataclass(frozen=True)
 class SignalSeries:
-    """Hourly values (hour 1 at index 0) plus provenance metadata."""
+    """Hourly values, hour 1 at index 0."""
 
     kind: str
     values: tuple[float, ...]
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in (CARBON, CAPACITY):
@@ -64,8 +63,7 @@ def noisy_forecast(
         out = np.clip(np.rint(out), 0, hi)
     else:
         out = np.maximum(out, 0.0)
-    meta = dict(series.meta, forecast_sigma=sigma, forecast_seed=seed)
-    return SignalSeries(series.kind, tuple(float(v) for v in out), meta)
+    return SignalSeries(series.kind, tuple(float(v) for v in out))
 
 
 def capacity_walk(
@@ -88,8 +86,7 @@ def capacity_walk(
     for _ in range(t_end - 1):
         step = round(rng.normal(0.0, step_stddev * total_servers))
         values.append(float(min(max(values[-1] + step, math.ceil(lo)), total_servers)))
-    meta = {"seed": seed, "step_stddev": step_stddev, "floor": floor}
-    return SignalSeries(CAPACITY, tuple(values), meta)
+    return SignalSeries(CAPACITY, tuple(values))
 
 
 def constant_capacity(total_servers: int, t_end: int) -> SignalSeries:
@@ -111,39 +108,22 @@ def synthetic_carbon(t_end: int, base: float = 500.0, amplitude: float = 1.0) ->
         base * (1.0 + amplitude * (_DAILY_CARBON_SHAPE[t % 24] - 1.0))
         for t in range(t_end)
     )
-    return SignalSeries(CARBON, values, {"base": base, "amplitude": amplitude})
+    return SignalSeries(CARBON, values)
 
 
 def load_signal_csv(path: str, kind: str) -> SignalSeries:
-    """Read an `hour,value` CSV (header required, hours 1-based, contiguous)."""
-    rows: dict[int, float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["hour", "value"]:
-            raise DomainError(f"{path}: expected header 'hour,value'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                hour, value = int(row[0]), float(row[1])
-            except (ValueError, IndexError) as exc:
-                raise DomainError(f"{path}:{lineno}: bad row {row!r}") from exc
-            if hour in rows:
-                raise DomainError(f"{path}:{lineno}: duplicate hour {hour}")
-            if value < 0:
-                raise DomainError(f"{path}:{lineno}: negative value {value}")
-            if kind == CAPACITY and value != int(value):
-                raise DomainError(f"{path}:{lineno}: non-integer capacity {value}")
-            rows[hour] = value
+    """Read an `hour,value` CSV whose hours run 1..n, each once, in any
+    order; the values obey the series kind's rules."""
+    rows = sorted(read_csv(path, ("hour", "value"), lambda row: (int(row[0]), float(row[1]))))
     if not rows:
         raise DomainError(f"{path}: empty signal file")
-    expected = set(range(1, max(rows) + 1))
-    missing = sorted(expected - set(rows))
-    if missing:
-        raise DomainError(f"{path}: missing hours {missing[:5]}")
-    values = tuple(rows[t] for t in sorted(rows))
-    return SignalSeries(kind, values, {"path": path})
+    for expected, (hour, _) in enumerate(rows, start=1):
+        if hour != expected:
+            raise DomainError(
+                f"{path}: hours must run 1..{len(rows)} once each; "
+                f"expected hour {expected}, found {hour}"
+            )
+    return SignalSeries(kind, tuple(value for _, value in rows))
 
 
 def save_signal_csv(series: SignalSeries, path: str) -> None:

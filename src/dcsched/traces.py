@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ArrivalProfile, DomainError, JobClass
+from .core import ArrivalProfile, DomainError, JobClass, read_csv
 
 SHAPES = ("uniform", "small_var", "large_var")
 _AMPLITUDE = {"uniform": 0.0, "small_var": 0.3, "large_var": 0.8}
@@ -49,10 +49,6 @@ class GroupReport:
     class_totals: dict[JobClass, int]
     dropped_long: int
     dropped_oversize: int
-
-    @property
-    def surviving(self) -> int:
-        return sum(self.class_totals.values())
 
 
 def group_jobs(jobs: Iterable[RawJob], rule: AggregationRule) -> GroupReport:
@@ -135,22 +131,10 @@ def synthetic_jobs(
 
 def load_trace_csv(path: str) -> list[RawJob]:
     """Read a `job_id,servers,runtime_hours` CSV with a header row."""
-    jobs: list[RawJob] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:3]] != [
-            "job_id", "servers", "runtime_hours",
-        ]:
-            raise DomainError(f"{path}: expected header 'job_id,servers,runtime_hours'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                jobs.append(RawJob(row[0], int(row[1]), float(row[2])))
-            except (ValueError, IndexError) as exc:
-                raise DomainError(f"{path}:{lineno}: bad row {row!r}") from exc
-    return jobs
+    return read_csv(
+        path, ("job_id", "servers", "runtime_hours"),
+        lambda row: RawJob(row[0], int(row[1]), float(row[2])),
+    )
 
 
 def write_profile_csv(profile: ArrivalProfile, path: str) -> None:
@@ -162,23 +146,12 @@ def write_profile_csv(profile: ArrivalProfile, path: str) -> None:
 
 
 def load_profile_csv(path: str) -> ArrivalProfile:
+    """Read an `hour,k,l,count` CSV; the horizon is its last hour."""
     counts: dict[tuple[int, JobClass], int] = {}
-    max_hour = 0
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:4]] != [
-            "hour", "k", "l", "count",
-        ]:
-            raise DomainError(f"{path}: expected header 'hour,k,l,count'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                t, k, l, num = int(row[0]), int(row[1]), int(row[2]), int(row[3])
-            except (ValueError, IndexError) as exc:
-                raise DomainError(f"{path}:{lineno}: bad row {row!r}") from exc
-            key = (t, JobClass(k, l))
-            counts[key] = counts.get(key, 0) + num
-            max_hour = max(max_hour, t)
-    return ArrivalProfile(counts, max_hour)
+    rows = read_csv(
+        path, ("hour", "k", "l", "count"),
+        lambda row: ((int(row[0]), JobClass(int(row[1]), int(row[2]))), int(row[3])),
+    )
+    for key, num in rows:
+        counts[key] = counts.get(key, 0) + num
+    return ArrivalProfile(counts, max((t for t, _ in counts), default=0))

@@ -288,7 +288,7 @@ def _cliff_capacity(total: int, hours: int, seed: int) -> SignalSeries:
     vals = [float(total)] * hours
     for t in range(t_star - 1, t_star - 1 + trough):
         vals[t] = float(int(depth * total))
-    return SignalSeries("capacity", tuple(vals), {"seed": seed})
+    return SignalSeries("capacity", tuple(vals))
 
 
 def _c7_profile(hours: int) -> ArrivalProfile:

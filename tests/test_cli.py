@@ -59,9 +59,39 @@ def test_validate_bad_config(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("config error: dc.total_servers: ")
 
 
-def test_validate_missing_file(capsys):
-    assert main(["validate", "/nonexistent/config.yaml"]) == 2
-    assert "config error" in capsys.readouterr().err
+def test_validate_missing_file(tmp_path, capsys):
+    malformed = tmp_path / "malformed.yaml"
+    malformed.write_text("dc: [\n")
+    for path in ("/nonexistent/config.yaml", str(tmp_path), str(malformed)):
+        assert main(["validate", path]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
+def test_validate_reads_the_files_a_config_names(tmp_path, capsys):
+    out = tmp_path / "results"
+    missing = tmp_path / "missing.csv"
+    nan_signal = tmp_path / "signal.csv"
+    nan_signal.write_text("hour,value\n1,5\n2,nan\n")
+    nan_trace = tmp_path / "trace.csv"
+    nan_trace.write_text("job_id,servers,runtime_hours\nj1,1,nan\n")
+    cases = [
+        (f"signals:\n  capacity:\n    mode: csv\n    csv: {missing}\n",
+         "signals.capacity.csv: ", "No such file"),
+        (f"signals:\n  capacity:\n    mode: csv\n    csv: {nan_signal}\n",
+         "signals.capacity.csv: ", "signal.csv:3: bad row"),
+        (f"signals:\n  carbon:\n    source: csv\n    csv: {nan_signal}\n",
+         "signals.carbon.csv: ", "signal.csv:3: bad row"),
+        (f"profiles:\n  source: trace\n  trace_csv: {nan_trace}\n",
+         "profiles.trace_csv: ", "trace.csv:2: bad row"),
+    ]
+    path = tmp_path / "files.yaml"
+    for text, prefix, needle in cases:
+        path.write_text(text + f"output_dir: {out}\n")
+        for command in ("validate", "run"):
+            assert main(["--desk-scale", command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: " + prefix) and needle in err
+    assert not out.exists()
 
 
 def test_run_tiny_sweep(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from dcsched.config import (
@@ -78,11 +81,17 @@ def test_field_errors_name_the_field(tmp_path):
         ("dc:\n  total_servers: 2.5\n", "dc.total_servers: expected an integer"),
         ("dc:\n  total_servers: true\n", "dc.total_servers: expected a number"),
         ("dc:\n  p_peak_mw: [100]\n", "dc.p_peak_mw: expected a number"),
+        ("signals:\n  carbon:\n    base: .nan\n", "signals.carbon.base: expected a finite number"),
+        ("solver:\n  time_limit_s: .inf\n", "solver.time_limit_s: expected a finite number"),
         ("sweep:\n  seeds: [1, 1.5]\n", "sweep.seeds: expected an integer"),
         ("sweep:\n  lambda_pd: 5\n", "sweep.lambda_pd: non-empty list required"),
         ("sweep:\n  horizon_t: []\n", "sweep.horizon_t: non-empty list required"),
         ("profiles:\n  shapes: [1]\n", "profiles.shapes: expected a string"),
         ("signals:\n  carbon:\n    csv: 3\n", "signals.carbon.csv: expected a string"),
+        # each value names sweep cells, so a repeat would write the same files
+        ("sweep:\n  seeds: [1, 1]\nsolver:\n  workers: 2\n", "sweep.seeds: values must be distinct"),
+        ("sweep:\n  lambda_ce: [0.1, 0.1000001]\n", "sweep.lambda_ce: values must be distinct"),
+        ("profiles:\n  shapes: [uniform, uniform]\n", "profiles.shapes: values must be distinct"),
     ]
     for text, needle in cases:
         with pytest.raises(ConfigError, match=needle):
@@ -120,3 +129,11 @@ def test_defaults_untouched_by_load():
     cfg = load_config(None, desk_scale=True)
     cfg["dc"]["total_servers"] = 1
     assert DEFAULTS["dc"]["total_servers"] == before
+
+
+def test_readme_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        load_config(write(tmp_path, block))

@@ -13,7 +13,6 @@ from dcsched.engine import HourRecord, Trajectory, run
 from dcsched.metrics import (
     goodput,
     peak_power,
-    queued_load,
     summary_row,
     total_emissions,
     volatility,
@@ -75,16 +74,6 @@ def test_volatility_uses_leading_window_only():
 def test_peak_power_is_max_over_hours():
     traj = Trajectory(records=[record(1, 0), record(2, 10000), record(3, 500)])
     assert peak_power(traj, CFG) == pytest.approx(65.0)
-
-
-def test_queued_load_marginal_attribution():
-    # one (2,3) job: slope is 70/20000 = 0.0035 MW per server, so it needs
-    # 0.007 MW while running and 0.021 MWh in total
-    state = SystemState(stage=1, queued={C23: 1}, arrived={C23: 1})
-    energy, power = queued_load(state, CFG)
-    assert power == pytest.approx(0.007)
-    assert energy == pytest.approx(0.021)
-    assert queued_load(SystemState(stage=1), CFG) == (0.0, 0.0)
 
 
 def test_goodput_counts_completed_and_wasted():

@@ -131,3 +131,16 @@ def test_signal_csv_rejects_bad_files(tmp_path):
         load_signal_csv(write("e.csv", "hour,value\n"), "carbon")
     with pytest.raises(DomainError):
         load_signal_csv(write("b.csv", "hour,value\n1,abc\n"), "carbon")
+
+
+def test_signal_csv_rejects_hours_below_one_and_non_finite_values(tmp_path):
+    path = tmp_path / "s.csv"
+    # an hour-0 row would otherwise shift every value by one hour
+    path.write_text("hour,value\n0,100\n1,200\n2,300\n")
+    with pytest.raises(DomainError, match="expected hour 1, found 0"):
+        load_signal_csv(str(path), "carbon")
+    for kind in ("carbon", "capacity"):
+        for cell in ("nan", "inf", "-inf"):
+            path.write_text(f"hour,value\n1,5\n2,{cell}\n")
+            with pytest.raises(DomainError, match=rf"s\.csv:3: bad row .*non-finite"):
+                load_signal_csv(str(path), kind)

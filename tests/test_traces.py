@@ -31,7 +31,7 @@ def test_overlong_and_oversize_jobs_are_dropped_with_counts():
     report = group_jobs(jobs, RULE)
     assert report.dropped_long == 1
     assert report.dropped_oversize == 1
-    assert report.surviving == 1
+    assert sum(report.class_totals.values()) == 1
     assert report.class_totals == {JobClass(2, 2): 1}
 
 
@@ -42,7 +42,7 @@ def test_grouping_conserves_job_count():
         for i in range(500)
     ]
     report = group_jobs(jobs, RULE)
-    assert report.surviving + report.dropped_long + report.dropped_oversize == 500
+    assert sum(report.class_totals.values()) + report.dropped_long + report.dropped_oversize == 500
 
 
 def test_rule_rejects_unsorted_buckets():
@@ -132,6 +132,22 @@ def test_trace_csv_round_trip(tmp_path):
     bad.write_text("job_id,servers,runtime_hours\nj1,three,1.2\n")
     with pytest.raises(DomainError):
         load_trace_csv(str(bad))
+
+
+def test_trace_csv_rejects_non_finite_runtimes(tmp_path):
+    path = tmp_path / "trace.csv"
+    for cell in ("nan", "inf"):
+        path.write_text(f"job_id,servers,runtime_hours\nj1,3,1.2\nj2,1,{cell}\n")
+        with pytest.raises(DomainError, match=r"trace\.csv:3: bad row .*non-finite"):
+            load_trace_csv(str(path))
+
+
+def test_profile_csv_rejects_non_finite_cells(tmp_path):
+    path = tmp_path / "profile.csv"
+    for cell in ("nan", "inf"):
+        path.write_text(f"hour,k,l,count\n1,1,1,{cell}\n")
+        with pytest.raises(DomainError, match=r"profile\.csv:2: bad row .*non-finite"):
+            load_profile_csv(str(path))
 
 
 def test_profile_csv_round_trip(tmp_path):
