@@ -153,7 +153,8 @@ def validate(data: dict[str, Any]) -> None:
     )
     if carbon["source"] == "csv":
         _require(bool(carbon["csv"]), "signals.carbon.csv: path required")
-        _reach("signals.carbon.csv", lambda: load_signal_csv(carbon["csv"], CARBON))
+        _reach("signals.carbon.csv",
+               lambda: load_signal_csv(carbon["csv"], CARBON).require_hours(sig["hours"]))
     _reach("signals.carbon.base", lambda: synthetic_carbon(24, base=carbon["base"]))
     _reach(
         "signals.carbon.amplitude",
@@ -166,7 +167,8 @@ def validate(data: dict[str, Any]) -> None:
     )
     if capacity["mode"] == "csv":
         _require(bool(capacity["csv"]), "signals.capacity.csv: path required")
-        _reach("signals.capacity.csv", lambda: load_signal_csv(capacity["csv"], CAPACITY))
+        _reach("signals.capacity.csv",
+               lambda: load_signal_csv(capacity["csv"], CAPACITY).require_hours(sig["hours"]))
     _reach(
         "signals.capacity.step_stddev_frac",
         lambda: capacity_walk(1, 1, step_stddev=capacity["step_stddev_frac"]),

@@ -243,8 +243,7 @@ def run(
         if c not in declared:
             raise DomainError(f"arrival class {c} outside declared class set")
     t_end = profile.horizon
-    if len(capacity_truth) < t_end:
-        raise DomainError("capacity series shorter than the run horizon")
+    capacity_truth.require_hours(t_end)
     max_runtime = max_runtime_of(classes)
 
     state = SystemState(stage=1)

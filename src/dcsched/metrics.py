@@ -18,10 +18,7 @@ VOLATILITY_WINDOW = 144  # hours used for the trajectory stddev
 def total_emissions(traj: Trajectory, carbon: SignalSeries, cfg: DCConfig) -> float:
     """Realized emissions in kg CO2: true carbon rate times facility power,
     hour by hour, regardless of the forecast that drove the decisions."""
-    if len(carbon) < len(traj.records):
-        raise DomainError(
-            f"carbon series covers {len(carbon)} of {len(traj.records)} hours"
-        )
+    carbon.require_hours(len(traj.records))
     return sum(
         carbon.at(rec.hour) * power_of(rec.active, cfg) for rec in traj.records
     )

@@ -12,13 +12,15 @@ and solve the same model by other means.
 when the relaxation's optimal vertex is fractional: an integral optimal
 vertex is already a MILP optimum, and an infeasible relaxation already
 proves the MILP infeasible. The relaxation goes through the module binding
-``_highs_lp``, branch-and-bound through ``_scipy_milp``.
+``_highs_lp``, branch-and-bound through ``_scipy_milp``, which receives the
+model :func:`compact` leaves: no fixed columns, no free or emptied rows.
 
-A receding-horizon run solves one relaxation an hour, and in steady hours
-only the right-hand sides, the bounds and the objective move: the matrix is
-the same. A :class:`WarmStart` carried through the run lets each relaxation
-start from the previous hour's optimal basis, so HiGHS's dual simplex
-re-optimizes in a few iterations instead of solving from scratch.
+A receding-horizon run solves one relaxation an hour, and from hour to
+hour only the right-hand sides, the bounds and the objective move: the
+stage builder keeps the matrix the same. A :class:`WarmStart` carried
+through the run lets each relaxation start from the previous hour's
+optimal basis, so HiGHS's dual simplex re-optimizes in a few iterations
+instead of solving from scratch.
 """
 
 from __future__ import annotations
@@ -169,8 +171,9 @@ def solve(model: MilpModel, gap_tol: float = 1e-4,
     If every integer variable sits within INT_TOL of an integer there, that
     vertex is optimal for the MILP too and is returned as `optimal` with gap
     0; an infeasible relaxation proves the MILP infeasible. Otherwise HiGHS
-    branch-and-bound solves the MILP to relative gap `gap_tol` in what is
-    left of `time_limit`, which bounds both calls together.
+    branch-and-bound solves the compacted MILP (:func:`compact`) to
+    relative gap `gap_tol` in what is left of `time_limit`, which bounds
+    both calls together; the fixed columns are put back in its solution.
 
     With `warm`, the relaxation starts from the stored basis when the
     constraint matrix is the one it was found on, and an optimal relaxation
@@ -188,13 +191,18 @@ def solve(model: MilpModel, gap_tol: float = 1e-4,
             warm.matrix, warm.basis = a, res.basis
         settled = res.status == 2 or (res.status == 0 and not _fractional(res.x[integer]).any())
         if not settled:
-            res = _scipy_milp(c=-c, constraints=LinearConstraint(a, model.lo, model.hi),
-                              integrality=integer.astype(int),
-                              bounds=Bounds(model.lb, model.ub), options={
+            sub, live = compact(model)
+            res = _scipy_milp(c=-sub.c, constraints=LinearConstraint(sub.a, sub.lo, sub.hi),
+                              integrality=sub.integer.astype(int),
+                              bounds=Bounds(sub.lb, sub.ub), options={
                                   "disp": False,
                                   "mip_rel_gap": gap_tol,
                                   "time_limit": max(deadline - time.perf_counter(), 0.0),
                               })
+            if res.x is not None:
+                x = model.lb.copy()  # every column left out is fixed at its lb
+                x[live] = res.x
+                res.x = x
     except Exception as exc:  # backend failure
         return SolveResult("error", None, None, np.inf, f"backend failure: {exc}")
 
@@ -218,6 +226,23 @@ def solve(model: MilpModel, gap_tol: float = 1e-4,
     if res.status == 0:
         return SolveResult("optimal", values, objective, gap, res.message)
     return SolveResult("feasible-gap", values, objective, gap, res.message)
+
+
+def compact(model: MilpModel) -> tuple[MilpModel, np.ndarray]:
+    """`model` without its fixed columns (lb == ub) and without the rows
+    that are free or that no other column enters and whose bounds the fixed
+    columns meet. The row bounds and the constant absorb the fixed columns.
+    Also returns the indices of the columns kept, in order."""
+    fixed = model.lb == model.ub
+    live = np.flatnonzero(~fixed)
+    x0 = np.where(fixed, model.lb, 0.0)
+    shift = model.a @ x0
+    lo, hi = model.lo - shift, model.hi - shift
+    a = model.a[:, live]
+    empty = np.diff(a.indptr) == 0
+    rows = np.flatnonzero(~((lo == -np.inf) & (hi == np.inf)) & ~(empty & (lo <= 0) & (hi >= 0)))
+    return MilpModel(model.c[live], model.lb[live], model.ub[live], model.integer[live],
+                     a[rows], lo[rows], hi[rows], model.constant + float(model.c @ x0)), live
 
 
 def _fractional(x: np.ndarray) -> np.ndarray:

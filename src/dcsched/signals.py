@@ -34,6 +34,11 @@ class SignalSeries:
     def __len__(self) -> int:
         return len(self.values)
 
+    def require_hours(self, hours: int) -> None:
+        """Raise unless the series covers hours 1..hours."""
+        if len(self.values) < hours:
+            raise DomainError(f"{self.kind} series covers {len(self.values)} of {hours} hours")
+
     def at(self, t: int) -> float:
         """Value at hour t, holding the last value past the series end."""
         if t < 1:

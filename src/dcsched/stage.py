@@ -182,23 +182,34 @@ def start_block(k: np.ndarray, servers: np.ndarray, runtime: np.ndarray,
 def build_stage(
     inputs: StageInputs, with_slack: bool = False
 ) -> tuple[MilpModel, _StageHandles]:
+    """The stage MILP and the column of each decision quantity.
+
+    The model always lays out the full window: t_h start hours per class
+    and t_h + l_max - 1 active-server hours. The end of the run and the
+    inadmissible starts are stated by bounds, not by leaving columns or
+    rows out: such starts and the active servers past the extended window
+    are fixed at 0, and the rows of window hours past t_end and the
+    clearance rows of classes with no admissible start are free. So every
+    stage of a run without terminations or slack has the same matrix, and
+    each relaxation can start from the basis of the hour before.
+    """
     state = inputs.state
     r = state.stage
     cfg = inputs.cfg
     t_h = inputs.horizons.t_h
-    ts = inputs.window()
     ext = inputs.extended_window()
     slope = cfg.slope_mw_per_server
     b = inputs.bounds
     classes = inputs.classes
-    n_t, n_ext = len(ts), len(ext)
+    n_t, n_ext = len(inputs.window()), len(ext)  # the hours before t_end
+    n_c, n_pad = len(classes), t_h + max_runtime_of(classes) - 1
 
     # columns: starts by (class, window offset), terminations, m per
-    # extended-window hour, PD, then slack per class with a start
+    # extended-window hour, PD, then slack per class
     servers = np.array([c.servers for c in classes], dtype=int)
     runtime = np.array([c.runtime for c in classes], dtype=int)
     k = np.array([len(b.start_hours[c]) for c in classes], dtype=int)
-    cls, off, occupancy, allocation = start_block(k, servers, runtime, n_t, n_ext)
+    cls, off, occupancy, allocation = start_block(np.full(n_c, t_h), servers, runtime, t_h, n_pad)
     # termination variables exist only when the realized hour-r capacity
     # cannot hold the prior commitments; a job is never cancelled for
     # economic gain or on an unrealized forecast dip
@@ -208,41 +219,43 @@ def build_stage(
     v_servers, v_runtime, v_start, v_num = np.array(
         [(c.servers, c.runtime, t_b, num) for (c, t_b), num in running], dtype=int
     ).reshape(-1, 4).T
-    cleared = list(b.required)
-    n_s, n_cl = len(cls), len(cleared)
+    n_s = len(cls)
     m0 = n_s + len(running)
-    pd = m0 + n_ext
-    n = pd + 1 + (n_cl if with_slack else 0)
+    pd = m0 + n_pad
+    n = pd + 1 + (n_c if with_slack else 0)
 
     # rows: active-server accounting per extended-window hour, allocation,
     # clearance, capacity, then the stage peak power epigraph
-    clr = n_ext + n_t * n_cl
-    cap = clr + n_cl
-    pk = cap + n_t
-    ext_i, ts_i, cl_i = np.arange(n_ext), np.arange(n_t), np.arange(n_cl)
+    clr = n_pad + t_h * n_c
+    cap = clr + n_c
+    pk = cap + t_h
+    ext_i, ts_i, cl_i = np.arange(n_pad), np.arange(t_h), np.arange(n_c)
     # a terminated job frees its servers from r until it would have ended
-    v, e = _spans(np.zeros(len(running), dtype=int), np.minimum(v_start + v_runtime - r, n_ext))
+    v, e = _spans(np.zeros(len(running), dtype=int), np.minimum(v_start + v_runtime - r, n_pad))
     entries = [
         occupancy,
         (e, n_s + v, -v_servers[v].astype(float)),
-        (ext_i, m0 + ext_i, np.full(n_ext, -1.0)),
+        (ext_i, m0 + ext_i, np.full(n_pad, -1.0)),
         allocation,
-        # the q-th class with a start clears all its starts in row clr + q
-        (clr + np.repeat(cl_i, k[k > 0]), np.arange(n_s), np.ones(n_s)),
-        (cap + ts_i, m0 + ts_i, np.ones(n_t)),
-        (pk + ts_i, m0 + ts_i, np.full(n_t, slope)),
-        (pk + ts_i, np.full(n_t, pd), np.full(n_t, -1.0)),
+        (clr + cls, np.arange(n_s), np.ones(n_s)),
+        (cap + ts_i, m0 + ts_i, np.ones(t_h)),
+        (pk + ts_i, m0 + ts_i, np.full(t_h, slope)),
+        (pk + ts_i, np.full(t_h, pd), np.full(t_h, -1.0)),
     ]
     if with_slack:
-        entries.append((clr + cl_i, pd + 1 + cl_i, np.ones(n_cl)))
-    neg_held = (-np.array([b.held[t] for t in ext], dtype=int)).astype(float)
-    allowance = np.array([b.allowance[c] for c in cleared], dtype=float).reshape(n_cl, n_t)
-    lo = np.concatenate([neg_held, np.full(n_t * n_cl, -np.inf), [b.required[c] for c in cleared],
-                         np.full(2 * n_t, -np.inf)])
-    hi = np.concatenate([neg_held, allowance.ravel(), np.full(n_cl, np.inf),
-                         [b.capacity[t] for t in ts], np.full(n_t, -cfg.p_idle_mw)])
-    ub = np.concatenate([np.repeat(allowance[:, -1], k[k > 0]), v_num,
-                         np.full(n_ext, cfg.total_servers), np.full(n - pd, np.inf)])
+        entries.append((clr + cl_i, pd + 1 + cl_i, np.ones(n_c)))
+    neg_held = _padded(-np.array([b.held[t] for t in ext], dtype=int), n_pad, 0.0)
+    allowance = np.full((n_c, t_h), np.inf)
+    allowance[:, :n_t] = np.array([b.allowance[c] for c in classes]).reshape(n_c, n_t)
+    required = np.array([b.required.get(c, -np.inf) for c in classes], dtype=float)
+    lo = np.concatenate([neg_held, np.full(t_h * n_c, -np.inf), required, np.full(2 * t_h, -np.inf)])
+    hi = np.concatenate([neg_held, allowance.ravel(), np.full(n_c, np.inf),
+                         _padded([b.capacity[t] for t in inputs.window()], t_h, np.inf),
+                         _padded(np.full(n_t, -cfg.p_idle_mw), t_h, np.inf)])
+    slack_ub = np.where(required > -np.inf, np.inf, 0.0) if with_slack else []
+    ub = np.concatenate([np.where(off < k[cls], allowance[cls, n_t - 1], 0.0), v_num,
+                         _padded(np.full(n_ext, cfg.total_servers), n_pad, 0.0), [np.inf],
+                         slack_ub])
     integer = np.ones(n, dtype=bool)
     integer[pd] = False
 
@@ -255,21 +268,28 @@ def build_stage(
     lambda_ce = inputs.weights.lambda_ce
     if lambda_ce:
         rates = [inputs.carbon_forecast[t] for t in ext]
-        obj[m0:pd] -= lambda_ce * np.array(rates, dtype=float) * slope
+        obj[m0:m0 + n_ext] -= lambda_ce * np.array(rates, dtype=float) * slope
         for cr in rates:
             constant -= lambda_ce * cr * cfg.p_idle_mw
     obj[pd] = -inputs.weights.lambda_pd
     obj[pd + 1:] = -10.0 * max(at_r.tolist(), default=1)
 
-    model = MilpModel(obj, np.zeros(n), ub, integer, csr(entries, (pk + n_t, n)), lo, hi, constant)
+    model = MilpModel(obj, np.zeros(n), ub, integer, csr(entries, (pk + t_h, n)), lo, hi, constant)
     h = _StageHandles(
-        starts=[(c, t) for c in classes for t in b.start_hours[c]],
+        starts=[(c, r + o) for c in classes for o in range(t_h)],
         terms={key: n_s + i for i, (key, _) in enumerate(running)},
-        active=dict(zip(ext, range(m0, pd))),
+        active=dict(zip(ext, range(m0, m0 + n_ext))),
         peak=pd,
-        slack=dict(zip(cleared, range(pd + 1, n))),
+        slack={c: pd + 1 + i for i, c in enumerate(classes) if with_slack and c in b.required},
     )
     return model, h
+
+
+def _padded(values, n: int, fill: float) -> np.ndarray:
+    """`values` followed by `fill` up to length n."""
+    out = np.full(n, fill)
+    out[:len(values)] = values
+    return out
 
 
 def solve_stage(

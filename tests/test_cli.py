@@ -94,6 +94,27 @@ def test_validate_reads_the_files_a_config_names(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_signal_csv_must_cover_the_run(tmp_path, capsys):
+    # a run reads the true capacity and carbon at every one of its hours
+    path, out = tiny_config(tmp_path)
+    config = (tmp_path / "tiny.yaml").read_text()
+    signal = tmp_path / "signal.csv"
+    for kind, section in (("capacity", "  capacity:\n    mode: csv\n"),
+                          ("carbon", "  carbon:\n    source: csv\n")):
+        text = config.replace("signals:\n", f"signals:\n{section}    csv: {signal}\n")
+        (tmp_path / "tiny.yaml").write_text(text)
+        signal.write_text("hour,value\n" + "".join(f"{t},50\n" for t in range(1, 13)))
+        for command in ("validate", "run"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: signals.{kind}.csv: {kind} series covers 12 of 24 hours\n"
+            )
+        assert not os.path.exists(out)
+        signal.write_text("hour,value\n" + "".join(f"{t},50\n" for t in range(1, 25)))
+        assert main(["validate", path]) == 0
+        assert "config ok" in capsys.readouterr().out
+
+
 def test_run_tiny_sweep(tmp_path, capsys):
     path, out = tiny_config(tmp_path)
     assert main(["run", path]) == 0

@@ -258,8 +258,8 @@ STEADY_CLASSES = synthetic_jobs(300, (1, 2, 4), 4, seed=0)
 
 
 def steady_run(seed, hours=30, t_h=6):
-    """A desk-sized run at constant capacity: every stage whose window and
-    runs end before the last hour has the same constraint matrix."""
+    """A desk-sized run at constant capacity that never terminates a job:
+    every stage has the same constraint matrix."""
     profile = sample_arrivals(STEADY_CLASSES, "small_var", hours, seed=seed)
     return run(
         DCConfig(200, 10.0, 3.0), profile, tuple(sorted(STEADY_CLASSES)),
@@ -288,11 +288,11 @@ def relaxations(monkeypatch):
 def test_hot_started_relaxations_reach_the_cold_vertex(relaxations):
     traj = steady_run(seed=3)
     assert len(traj.records) == 30
-    # 30 - 6 - 4 + 2 = 22 stages share one matrix; all but the first reuse
-    # the basis of the stage before
+    # every stage has the same matrix, the end-of-run stages too: all but
+    # the first reuse the basis of the stage before
     hot = [(res, cold) for given, res, cold in relaxations if given]
-    assert len(hot) == 21
-    assert [given for given, _, _ in relaxations[:22]] == [False] + [True] * 21
+    assert len(hot) == 29
+    assert [given for given, _, _ in relaxations] == [False] + [True] * 29
     for res, cold in hot:
         assert res.status == cold.status == 0
         np.testing.assert_allclose(res.x, cold.x, rtol=0, atol=1e-9)

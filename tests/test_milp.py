@@ -202,3 +202,46 @@ def test_infeasible_relaxation_keeps_the_stored_basis(lp_bases):
     assert lp_bases == [False, True, False]
     assert solve(budget_model(2), warm=warm).objective == pytest.approx(6.0)
     assert lp_bases[-1] is True
+
+
+def test_branch_and_bound_sees_the_compacted_model(monkeypatch, highs_calls):
+    received = []
+    scipy_milp = dcsched.milp._scipy_milp
+
+    def recorded(**kwargs):
+        received.append(kwargs)
+        return scipy_milp(**kwargs)
+
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", recorded)
+
+    def model(cap=9.0, floor=1.0):
+        # x2 is fixed at 2; row 2 holds only x2 and row 3 is free
+        return dense_model(
+            [1.0, 1.0, 3.0],
+            [([2.0, 0.0, 1.0], "<=", cap), ([0.0, 1.0, 1.0], "<=", 4),
+             ([0.0, 0.0, 1.0], ">=", floor), ([1.0, 1.0, 0.0], "<=", np.inf)],
+            lb=[0, 0, 2], ub=[10, 10, 2], constant=-1.0,
+        )
+
+    res = solve(model())
+    assert highs_calls == ["LP", "MILP"]
+    (call,) = received
+    cons, bounds = call["constraints"], call["bounds"]
+    # only x0 and x1 and the two rows they enter, each shifted by 2 * x2
+    np.testing.assert_array_equal(call["c"], [-1.0, -1.0])
+    np.testing.assert_array_equal(cons.A.toarray(), [[2.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(cons.ub, [7.0, 2.0])
+    np.testing.assert_array_equal(bounds.ub, [10.0, 10.0])
+    assert res.status == "optimal"
+    np.testing.assert_array_equal(res.values, [3.0, 2.0, 2.0])
+    assert res.objective == pytest.approx(3 + 2 + 6 - 1)
+    sub, live = dcsched.milp.compact(model())
+    assert sub.constant == 5.0
+    np.testing.assert_array_equal(live, [0, 1])
+
+    # an integral relaxation and an infeasible one settle without branching
+    highs_calls.clear()
+    assert solve(model(cap=8.0)).objective == pytest.approx(3 + 2 + 6 - 1)
+    assert solve(model(floor=3.0)).status == "infeasible"
+    assert highs_calls == ["LP", "LP"]
+    assert len(received) == 1

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from dcsched.milp import check_feasible
+from dcsched.milp import check_feasible, compact
 from dcsched.core import (
     ArrivalProfile,
     DCConfig,
@@ -179,8 +179,32 @@ def test_completable_start_filter_near_t_end():
     state = SystemState(stage=1, queued={C23: 1}, arrived={C23: 1})
     inputs = make_inputs(state, [C23], t_end=4)
     model, handles = build_stage(inputs)
-    start_hours = sorted(t for (c, t) in handles.starts if c == C23)
-    assert start_hours == [1, 2]
+    ub = {t: model.ub[j] for j, (c, t) in enumerate(handles.starts) if c == C23}
+    assert ub[1] == ub[2] == 1
+    assert ub[3] == ub[4] == 0
+
+
+def test_stages_of_a_run_share_one_matrix():
+    # a run that ends at hour 7 with a 4-hour window: stages 5-7 see a
+    # truncated window, and all of them build the matrix of stage 1
+    rng = random.Random(3)
+    matrices = []
+    for r in range(1, 8):
+        running = {(c, t_b): 1 for c in AGREE_CLASSES for t_b in range(max(r - c.runtime + 1, 1), r)
+                   if t_b + c.runtime - 1 <= 7 and rng.random() < 0.3}
+        state = SystemState(stage=r, running=running,
+                            queued={c: rng.randint(0, 2) for c in AGREE_CLASSES})
+        forecast = {(c, t): rng.randint(0, 1) for c in AGREE_CLASSES for t in range(r, r + 4)}
+        inputs = make_inputs(state, AGREE_CLASSES, job_forecast=forecast, capacity=12, t_end=7,
+                             weights=ObjectiveWeights(0.01, 1.0), cfg=AGREE_CFG)
+        model, h = build_stage(inputs)
+        assert not h.terms
+        matrices.append(model.a)
+    assert len(inputs.window()) == 1
+    for a in matrices[1:]:
+        assert a.shape == matrices[0].shape
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(a, part), getattr(matrices[0], part))
 
 
 def test_peak_weight_flattens_profile():
@@ -358,11 +382,11 @@ def model_digest(models):
 
 
 def test_stage_model_is_unchanged():
-    # the formulation, float for float and in column and row order: every
-    # model of the random stages with and without slack (they cover
-    # terminations, truncated windows and classes with no admissible
-    # start), and the offline model of one profile with and without the
-    # completion rule
+    # the formulation, float for float and in column and row order, as
+    # branch-and-bound receives it (compacted): every model of the random
+    # stages with and without slack (they cover terminations, truncated
+    # windows and classes with no admissible start), and the offline model
+    # of one profile with and without the completion rule
     models = [build_stage(random_stage(seed), with_slack=with_slack)[0]
               for seed in range(40) for with_slack in (False, True)]
     profile = ArrivalProfile(
@@ -372,6 +396,6 @@ def test_stage_model_is_unchanged():
     capacity = [3 + t % 5 for t in range(12)]
     models += [build_offline(profile, capacity, AGREE_CLASSES, require_completion)[0]
                for require_completion in (False, True)]
-    assert model_digest(models) == (
-        "baf78a8866410181df7cbcc9c547bc00cc9db6f790c6ce75187e4172864ea0d9"
+    assert model_digest(compact(m)[0] for m in models) == (
+        "91b644817fcb5b3572cf2be3171d14fc39a0c69e1f759b653735ef45f20483ef"
     )
