@@ -1,4 +1,5 @@
-"""Thin mixed-integer linear programming layer over scipy's HiGHS backend.
+"""Thin mixed-integer linear programming layer over the HiGHS solver that
+scipy bundles (``scipy.optimize._highspy._core._Highs``).
 
 A :class:`MilpModel` is the arrays HiGHS takes: the objective, column
 bounds and integrality, and a CSR constraint matrix with row bounds. The
@@ -11,9 +12,11 @@ and solve the same model by other means.
 :func:`solve` solves the LP relaxation first and runs branch-and-bound only
 when the relaxation's optimal vertex is fractional: an integral optimal
 vertex is already a MILP optimum, and an infeasible relaxation already
-proves the MILP infeasible. The relaxation goes through the module binding
-``_highs_lp``, branch-and-bound through ``_scipy_milp``, which receives the
-model :func:`compact` leaves: no fixed columns, no free or emptied rows.
+proves the MILP infeasible. Both runs go through the one module binding
+``_scipy_milp``: the relaxation as the model with no integer column,
+branch-and-bound on the model :func:`compact` leaves (no fixed columns, no
+free or emptied rows). :func:`solve` reads HiGHS's model status, solution,
+basis and gap from the finished run.
 
 A receding-horizon run solves one relaxation an hour, and from hour to
 hour only the right-hand sides, the bounds and the objective move: the
@@ -26,22 +29,24 @@ instead of solving from scratch.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, OptimizeResult
-from scipy.optimize import milp as _scipy_milp
 from scipy.optimize._highspy._core import (
     HighsBasis,
     HighsModelStatus,
     MatrixFormat,
     ObjSense,
     _Highs,
+    kSolutionStatusFeasible,
 )
 
 INT_TOL = 1e-4  # largest distance from an integer HiGHS may leave an integer variable
+# the limits at which a branch-and-bound run may stop holding a feasible incumbent
+_LIMITS = (HighsModelStatus.kTimeLimit, HighsModelStatus.kIterationLimit,
+           HighsModelStatus.kSolutionLimit)
 
 
 class Variable(NamedTuple):
@@ -130,36 +135,28 @@ class WarmStart:
         return None
 
 
-def _highs_lp(c: np.ndarray, a: sparse.csr_matrix, lo: np.ndarray, hi: np.ndarray,
-              lb: np.ndarray, ub: np.ndarray, time_limit: float,
-              basis: HighsBasis | None = None) -> OptimizeResult:
-    """Minimize c @ x subject to lo <= a @ x <= hi and lb <= x <= ub with
-    HiGHS, from `basis` when one is given.
+def _scipy_milp(model: MilpModel, time_limit: float, gap_tol: float,
+                basis: HighsBasis | None = None) -> _Highs:
+    """Run scipy's bundled HiGHS on `model`, minimizing -c @ x, to relative
+    gap `gap_tol` within `time_limit` seconds and from `basis` when one is
+    given; return the finished run to read status, solution and info from.
 
-    Returns a scipy-style `status` (0 optimal, 2 infeasible, 4 anything
-    else, such as a limit) and `message`; when optimal, also `x` and the
-    optimal `basis`.
+    Every HiGHS call dcsched makes goes through here: the relaxation (a
+    model with no integer column) as well as branch-and-bound. perfbench
+    traces the solver by wrapping this name.
     """
-    n = len(c)
-    csc = a.tocsc()
+    csc = model.a.tocsc()
     highs = _Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("time_limit", float(time_limit))
-    highs.passModel(n, a.shape[0], csc.nnz, MatrixFormat.kColwise, ObjSense.kMinimize,
-                    0.0, c, lb, ub, lo, hi, csc.indptr, csc.indices, csc.data,
-                    np.zeros(n, dtype=np.int32))
+    highs.setOptionValue("mip_rel_gap", float(gap_tol))
+    highs.passModel(len(model.c), model.a.shape[0], csc.nnz, MatrixFormat.kColwise,
+                    ObjSense.kMinimize, 0.0, -model.c, model.lb, model.ub, model.lo, model.hi,
+                    csc.indptr, csc.indices, csc.data, model.integer.astype(np.int32))
     if basis is not None:
         highs.setBasis(basis)
     highs.run()
-    model_status = highs.getModelStatus()
-    status = {HighsModelStatus.kOptimal: 0, HighsModelStatus.kInfeasible: 2}.get(model_status, 4)
-    res = OptimizeResult(status=status,
-                         message=highs.modelStatusToString(model_status),
-                         x=None, basis=None)
-    if res.status == 0:
-        res.x = np.array(highs.getSolution().col_value)
-        res.basis = highs.getBasis()
-    return res
+    return highs
 
 
 def solve(model: MilpModel, gap_tol: float = 1e-4,
@@ -174,6 +171,8 @@ def solve(model: MilpModel, gap_tol: float = 1e-4,
     branch-and-bound solves the compacted MILP (:func:`compact`) to
     relative gap `gap_tol` in what is left of `time_limit`, which bounds
     both calls together; the fixed columns are put back in its solution.
+    A branch-and-bound run that stops at a limit with an incumbent returns
+    it as `feasible-gap`, with the gap HiGHS reports.
 
     With `warm`, the relaxation starts from the stored basis when the
     constraint matrix is the one it was found on, and an optimal relaxation
@@ -186,46 +185,45 @@ def solve(model: MilpModel, gap_tol: float = 1e-4,
     c, a, integer = model.c, model.a, model.integer
     try:
         basis = warm.basis_for(a) if warm is not None else None
-        res = _highs_lp(-c, a, model.lo, model.hi, model.lb, model.ub, time_limit, basis)
-        if warm is not None and res.status == 0:
-            warm.matrix, warm.basis = a, res.basis
-        settled = res.status == 2 or (res.status == 0 and not _fractional(res.x[integer]).any())
-        if not settled:
+        highs = _scipy_milp(replace(model, integer=np.zeros_like(integer)), time_limit, gap_tol,
+                            basis)
+        status, gap, x = highs.getModelStatus(), 0.0, None
+        if status == HighsModelStatus.kOptimal:
+            x = np.array(highs.getSolution().col_value)
+            if warm is not None:
+                warm.matrix, warm.basis = a, highs.getBasis()
+        if status != HighsModelStatus.kInfeasible and (x is None or _fractional(x[integer]).any()):
+            del highs  # free the relaxation's solver first: it holds megabytes at fleet scale
             sub, live = compact(model)
-            res = _scipy_milp(c=-sub.c, constraints=LinearConstraint(sub.a, sub.lo, sub.hi),
-                              integrality=sub.integer.astype(int),
-                              bounds=Bounds(sub.lb, sub.ub), options={
-                                  "disp": False,
-                                  "mip_rel_gap": gap_tol,
-                                  "time_limit": max(deadline - time.perf_counter(), 0.0),
-                              })
-            if res.x is not None:
+            highs = _scipy_milp(sub, max(deadline - time.perf_counter(), 0.0), gap_tol)
+            status, info, x = highs.getModelStatus(), highs.getInfo(), None
+            if status == HighsModelStatus.kOptimal or (
+                    status in _LIMITS and info.primal_solution_status == kSolutionStatusFeasible):
+                gap = info.mip_gap
                 x = model.lb.copy()  # every column left out is fixed at its lb
-                x[live] = res.x
-                res.x = x
+                x[live] = highs.getSolution().col_value
+        message = highs.modelStatusToString(status)
     except Exception as exc:  # backend failure
         return SolveResult("error", None, None, np.inf, f"backend failure: {exc}")
 
-    gap = float(getattr(res, "mip_gap", 0.0) or 0.0)
-    if res.status == 2:
-        return SolveResult("infeasible", None, None, np.inf, res.message)
-    if res.x is None:
-        return SolveResult("error", None, None, np.inf, res.message)
+    if status == HighsModelStatus.kInfeasible:
+        return SolveResult("infeasible", None, None, np.inf, message)
+    if x is None:
+        return SolveResult("error", None, None, np.inf, message)
 
-    values = np.asarray(res.x, dtype=float).copy()
-    far = _fractional(values[integer])
+    far = _fractional(x[integer])
     if far.any():
         vid = int(np.flatnonzero(integer)[np.argmax(far)])
         return SolveResult(
             "error", None, None, np.inf,
-            f"integer column {vid} at {values[vid]} is not integral",
+            f"integer column {vid} at {x[vid]} is not integral",
         )
-    values[integer] = np.round(values[integer]) + 0.0  # + 0.0 turns -0.0 into 0.0
-    objective = float(c @ values + model.constant)
+    x[integer] = np.round(x[integer]) + 0.0  # + 0.0 turns -0.0 into 0.0
+    objective = float(c @ x + model.constant)
 
-    if res.status == 0:
-        return SolveResult("optimal", values, objective, gap, res.message)
-    return SolveResult("feasible-gap", values, objective, gap, res.message)
+    if status == HighsModelStatus.kOptimal:
+        return SolveResult("optimal", x, objective, gap, message)
+    return SolveResult("feasible-gap", x, objective, gap, message)
 
 
 def compact(model: MilpModel) -> tuple[MilpModel, np.ndarray]:

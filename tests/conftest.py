@@ -5,16 +5,32 @@ import dcsched.milp
 
 @pytest.fixture
 def highs_calls(monkeypatch):
-    """Record "LP" for each HiGHS call made through the binding
-    `dcsched.milp._highs_lp` and "MILP" for each made through
-    `dcsched.milp._scipy_milp`, in order."""
+    """Record each HiGHS run made through the binding
+    `dcsched.milp._scipy_milp`, in order: "MILP" when the model it is given
+    has an integer column, "LP" otherwise."""
     calls = []
-    for name, kind in (("_highs_lp", "LP"), ("_scipy_milp", "MILP")):
-        highs = getattr(dcsched.milp, name)
+    highs = dcsched.milp._scipy_milp
 
-        def counted(*args, highs=highs, kind=kind, **kwargs):
-            calls.append(kind)
-            return highs(*args, **kwargs)
+    def counted(model, *args, **kwargs):
+        calls.append("MILP" if model.integer.any() else "LP")
+        return highs(model, *args, **kwargs)
 
-        monkeypatch.setattr(dcsched.milp, name, counted)
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", counted)
     return calls
+
+
+@pytest.fixture
+def first_incumbent(monkeypatch):
+    """Make every HiGHS run stop branch-and-bound at its first improving
+    solution, as a limit stops it holding an incumbent; return the runs
+    made, in order."""
+    runs = []
+
+    class FirstIncumbent(dcsched.milp._Highs):
+        def run(self):
+            runs.append(self)
+            self.setOptionValue("mip_max_improving_sols", 1)
+            return super().run()
+
+    monkeypatch.setattr(dcsched.milp, "_Highs", FirstIncumbent)
+    return runs

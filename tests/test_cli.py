@@ -245,13 +245,14 @@ def test_overload_cell_takes_the_rare_paths(tmp_path, monkeypatch):
     log = tmp_path / "log.txt"
     engine_run = dcsched.cli.run
 
-    def logged(kind, highs):
-        def logged_highs(*args, **kwargs):
-            res = highs(*args, **kwargs)
-            with open(log, "a") as fh:
-                fh.write(f"{kind} {res.status}\n")
-            return res
-        return logged_highs
+    highs = dcsched.milp._scipy_milp
+
+    def logged(model, *args, **kwargs):
+        run = highs(model, *args, **kwargs)
+        with open(log, "a") as fh:
+            kind = "MILP" if model.integer.any() else "LP"
+            fh.write(f"{kind} {run.getModelStatus().name}\n")
+        return run
 
     def conserving_run(dc, profile, classes, *args, **kwargs):
         traj = engine_run(dc, profile, classes, *args, **kwargs)
@@ -265,8 +266,7 @@ def test_overload_cell_takes_the_rare_paths(tmp_path, monkeypatch):
         return traj
 
     # fork-started pool workers inherit the patches
-    monkeypatch.setattr(dcsched.milp, "_highs_lp", logged("LP", dcsched.milp._highs_lp))
-    monkeypatch.setattr(dcsched.milp, "_scipy_milp", logged("MILP", dcsched.milp._scipy_milp))
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", logged)
     monkeypatch.setattr(dcsched.cli, "run", conserving_run)
     out = tmp_path / "results"
     path = tmp_path / "overload.yaml"
@@ -289,9 +289,9 @@ def test_overload_cell_takes_the_rare_paths(tmp_path, monkeypatch):
     assert lines[-1] == "conserved"
     calls = [line.split() for line in lines[:-1]]
     # an infeasible model is caught by its relaxation, never by a MILP call
-    assert ["LP", "2"] in calls
-    assert not [kind for kind, status in calls if kind == "MILP" and status == "2"]
+    assert ["LP", "kInfeasible"] in calls
+    assert not [kind for kind, status in calls if kind == "MILP" and status == "kInfeasible"]
     # some relaxations are integral and accepted, the rest are branched on
     fallbacks = sum(1 for kind, _ in calls if kind == "MILP")
     assert fallbacks > 0
-    assert calls.count(["LP", "0"]) > fallbacks
+    assert calls.count(["LP", "kOptimal"]) > fallbacks

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize._highspy._core import HighsModelStatus
 
 from oracle_offline import TinyInstance, brute_force_goodput, random_instance
 
@@ -270,18 +271,20 @@ def steady_run(seed, hours=30, t_h=6):
 
 @pytest.fixture
 def relaxations(monkeypatch):
-    """Record each relaxation solved through `dcsched.milp._highs_lp` as
-    (given a basis, result, the same relaxation solved cold)."""
+    """Record each relaxation (a model with no integer column) run through
+    `dcsched.milp._scipy_milp` as (given a basis, the finished run, the same
+    relaxation run cold)."""
     seen = []
-    highs_lp = dcsched.milp._highs_lp
+    highs = dcsched.milp._scipy_milp
 
-    def recorded(*args, **kwargs):
-        res = highs_lp(*args, **kwargs)
-        hot = args[7] is not None
-        seen.append((hot, res, highs_lp(*args[:7]) if hot else res))
-        return res
+    def recorded(model, time_limit, gap_tol, basis=None):
+        run = highs(model, time_limit, gap_tol, basis)
+        if not model.integer.any():
+            hot = basis is not None
+            seen.append((hot, run, highs(model, time_limit, gap_tol) if hot else run))
+        return run
 
-    monkeypatch.setattr(dcsched.milp, "_highs_lp", recorded)
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", recorded)
     return seen
 
 
@@ -294,8 +297,9 @@ def test_hot_started_relaxations_reach_the_cold_vertex(relaxations):
     assert len(hot) == 29
     assert [given for given, _, _ in relaxations] == [False] + [True] * 29
     for res, cold in hot:
-        assert res.status == cold.status == 0
-        np.testing.assert_allclose(res.x, cold.x, rtol=0, atol=1e-9)
+        assert res.getModelStatus() == cold.getModelStatus() == HighsModelStatus.kOptimal
+        np.testing.assert_allclose(res.getSolution().col_value, cold.getSolution().col_value,
+                                   rtol=0, atol=1e-9)
 
 
 def test_basis_is_kept_per_run(monkeypatch):

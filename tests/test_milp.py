@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as scipy_milp
 
 import dcsched.milp
-from dcsched.milp import MilpModel, WarmStart, check_feasible, csr, solve
+from dcsched.milp import INT_TOL, MilpModel, WarmStart, check_feasible, compact, csr, solve
 from dcsched.stage import build_stage, solve_stage, validate_decision
 from test_stage import random_stage
 
@@ -104,6 +105,22 @@ def branch_and_bound(model, gap_tol):
     return float(-res.fun + model.constant)
 
 
+def scipy_fallback(model, gap_tol):
+    """Values of `model` from scipy's `milp` on its compacted model, the
+    fixed columns put back and the integer columns rounded: what
+    :func:`solve` returns when it branches."""
+    sub, live = compact(model)
+    res = scipy_milp(c=-sub.c, constraints=LinearConstraint(sub.a, sub.lo, sub.hi),
+                     integrality=sub.integer, bounds=Bounds(sub.lb, sub.ub),
+                     options={"mip_rel_gap": gap_tol})
+    assert res.status == 0, res.message
+    x = model.lb.copy()
+    x[live] = res.x
+    assert np.all(np.abs(x[model.integer] - np.round(x[model.integer])) <= INT_TOL)
+    x[model.integer] = np.round(x[model.integer]) + 0.0
+    return x
+
+
 def test_lp_first_matches_branch_and_bound_on_random_stages(highs_calls):
     gap_tol = 1e-4
     paths = {"LP": 0, "MILP": 0}
@@ -121,6 +138,9 @@ def test_lp_first_matches_branch_and_bound_on_random_stages(highs_calls):
             assert res.status == "optimal"
             assert check_feasible(model, res.values) == []
             assert res.objective == pytest.approx(reference, rel=gap_tol, abs=1e-6)
+            if highs_calls[-1] == "MILP":
+                # the same HiGHS run as scipy's milp on the compacted model
+                np.testing.assert_array_equal(res.values, scipy_fallback(model, gap_tol))
         decision = solve_stage(inputs, gap_tol=gap_tol)
         assert validate_decision(inputs, decision) == []
     # feasible models take both paths: accepted relaxations and fallbacks
@@ -140,16 +160,18 @@ def test_unknown_variable_reference_rejected():
 
 @pytest.fixture
 def lp_bases(monkeypatch):
-    """Record, for each relaxation solved through `dcsched.milp._highs_lp`,
-    whether it was given a starting basis."""
+    """Record, for each relaxation (a model with no integer column) run
+    through `dcsched.milp._scipy_milp`, whether it was given a starting
+    basis."""
     given = []
-    highs_lp = dcsched.milp._highs_lp
+    highs = dcsched.milp._scipy_milp
 
-    def recorded(*args, **kwargs):
-        given.append(args[7] is not None)
-        return highs_lp(*args, **kwargs)
+    def recorded(model, time_limit, gap_tol, basis=None):
+        if not model.integer.any():
+            given.append(basis is not None)
+        return highs(model, time_limit, gap_tol, basis)
 
-    monkeypatch.setattr(dcsched.milp, "_highs_lp", recorded)
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", recorded)
     return given
 
 
@@ -206,11 +228,12 @@ def test_infeasible_relaxation_keeps_the_stored_basis(lp_bases):
 
 def test_branch_and_bound_sees_the_compacted_model(monkeypatch, highs_calls):
     received = []
-    scipy_milp = dcsched.milp._scipy_milp
+    highs = dcsched.milp._scipy_milp
 
-    def recorded(**kwargs):
-        received.append(kwargs)
-        return scipy_milp(**kwargs)
+    def recorded(model, *args, **kwargs):
+        if model.integer.any():
+            received.append(model)
+        return highs(model, *args, **kwargs)
 
     monkeypatch.setattr(dcsched.milp, "_scipy_milp", recorded)
 
@@ -225,17 +248,16 @@ def test_branch_and_bound_sees_the_compacted_model(monkeypatch, highs_calls):
 
     res = solve(model())
     assert highs_calls == ["LP", "MILP"]
-    (call,) = received
-    cons, bounds = call["constraints"], call["bounds"]
+    (sub,) = received
     # only x0 and x1 and the two rows they enter, each shifted by 2 * x2
-    np.testing.assert_array_equal(call["c"], [-1.0, -1.0])
-    np.testing.assert_array_equal(cons.A.toarray(), [[2.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_array_equal(cons.ub, [7.0, 2.0])
-    np.testing.assert_array_equal(bounds.ub, [10.0, 10.0])
+    np.testing.assert_array_equal(sub.c, [1.0, 1.0])
+    np.testing.assert_array_equal(sub.a.toarray(), [[2.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(sub.hi, [7.0, 2.0])
+    np.testing.assert_array_equal(sub.ub, [10.0, 10.0])
     assert res.status == "optimal"
     np.testing.assert_array_equal(res.values, [3.0, 2.0, 2.0])
     assert res.objective == pytest.approx(3 + 2 + 6 - 1)
-    sub, live = dcsched.milp.compact(model())
+    sub, live = compact(model())
     assert sub.constant == 5.0
     np.testing.assert_array_equal(live, [0, 1])
 
@@ -245,3 +267,22 @@ def test_branch_and_bound_sees_the_compacted_model(monkeypatch, highs_calls):
     assert solve(model(floor=3.0)).status == "infeasible"
     assert highs_calls == ["LP", "LP"]
     assert len(received) == 1
+
+
+def test_time_limit_hit_without_a_solution_is_an_error():
+    for seed in range(40):
+        model, _ = build_stage(random_stage(seed))
+        res = solve(model, time_limit=0)
+        assert (res.status, res.message, res.values) == ("error", "Time limit reached", None)
+
+
+def test_branch_and_bound_stopped_at_a_limit_returns_its_incumbent(first_incumbent, highs_calls):
+    # the relaxation of this stage is fractional; branch-and-bound stops at
+    # its first incumbent, short of gap_tol
+    model, _ = build_stage(random_stage(1))
+    res = solve(model)
+    assert highs_calls == ["LP", "MILP"]
+    assert (res.status, res.message) == ("feasible-gap", "Solution limit reached")
+    assert check_feasible(model, res.values) == []
+    assert res.gap == first_incumbent[-1].getInfo().mip_gap > 1e-4
+    assert res.objective == pytest.approx(model.c @ res.values + model.constant)

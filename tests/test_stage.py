@@ -19,6 +19,7 @@ from dcsched.core import (
 )
 from dcsched.offline import build_offline
 from dcsched.stage import (
+    StageError,
     StageInputs,
     build_stage,
     solve_stage,
@@ -300,6 +301,21 @@ def random_stage(seed):
         horizons=hz,
         t_end=t_end,
     )
+
+
+def test_time_limit_hit_without_a_solution_fails_the_stage():
+    with pytest.raises(StageError, match="error: Time limit reached"):
+        solve_stage(random_stage(1), time_limit=0)
+
+
+def test_incumbent_at_a_limit_is_a_feasible_gap_decision(first_incumbent):
+    # branch-and-bound stops at its first incumbent, short of gap_tol: the
+    # decision says so and still passes the independent re-check
+    inputs = random_stage(1)
+    decision = solve_stage(inputs)
+    assert decision.status == "feasible-gap"
+    assert decision.gap == first_incumbent[-1].getInfo().mip_gap > 1e-4
+    assert validate_decision(inputs, decision) == []
 
 
 def with_occupancy(inputs, decision):
