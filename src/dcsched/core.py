@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
+import numpy as np
+
 T = TypeVar("T")
 
 
@@ -110,8 +112,8 @@ class ObjectiveWeights:
     lambda_pd: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.lambda_ce < 0 or self.lambda_pd < 0:
-            raise DomainError("objective weights must be non-negative")
+        if not (0 <= self.lambda_ce < math.inf and 0 <= self.lambda_pd < math.inf):
+            raise DomainError("objective weights must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -203,18 +205,32 @@ def power_of(m: int, cfg: DCConfig) -> float:
     return cfg.slope_mw_per_server * m + cfg.p_idle_mw
 
 
-def busy_servers(
-    entries: Mapping[tuple[JobClass, int], int], hours: Iterable[int]
-) -> dict[int, int]:
+def server_entries(entries: Mapping[tuple[JobClass, int], int]) -> np.ndarray:
+    """(class, start hour) -> count entries as a 4 x n int64 array, one
+    column per entry; its rows are servers, runtime, start hour and count."""
+    classes, hours = zip(*entries) if entries else ((), ())
+    return np.array([[c.servers for c in classes], [c.runtime for c in classes], hours,
+                     list(entries.values())], dtype=np.int64).reshape(4, -1)
+
+
+def held_servers(rows: np.ndarray, first: int, n: int) -> np.ndarray:
+    """Servers held at hours first..first + n - 1 by `rows` as
+    `server_entries` lays them out: a job of class c started at t_b holds
+    c.servers machines over hours t_b..t_b + c.runtime - 1."""
+    servers, runtime, t_b, num = rows
+    start, end = (np.minimum(np.maximum(t - first, 0), n) for t in (t_b, t_b + runtime))
+    change = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(change, np.concatenate([start, end]), np.concatenate([servers * num, -servers * num]))
+    return np.cumsum(change[:n])
+
+
+def busy_servers(entries: Mapping[tuple[JobClass, int], int], hours: Iterable[int]) -> dict[int, int]:
     """Servers held at each of `hours` by (class, start hour) -> count
-    entries: a job of class c started at t_b holds c.servers machines over
-    hours t_b..t_b + c.runtime - 1."""
-    busy = dict.fromkeys(hours, 0)
-    for (c, t_b), num in entries.items():
-        for t in range(t_b, t_b + c.runtime):
-            if t in busy:
-                busy[t] += c.servers * num
-    return busy
+    entries (see `held_servers`)."""
+    hours = list(hours)
+    first = min(hours, default=0)
+    held = held_servers(server_entries(entries), first, max(hours, default=-1) - first + 1).tolist()
+    return {t: held[t - first] for t in hours}
 
 
 def committed_servers(state: SystemState, t: int) -> int:
@@ -243,9 +259,10 @@ def server_commitments(state: SystemState, max_runtime: int) -> list[int]:
     return u
 
 
-def check_state(state: SystemState, max_runtime: int) -> None:
+def check_state(state: SystemState, max_runtime: int) -> list[int]:
     """Assert structural invariants: non-negative counts and no running
-    entry that should already have finished."""
+    entry that should already have finished. Returns the derived
+    commitment vector (see `server_commitments`)."""
     r = state.stage
     for (c, t_b), num in state.running.items():
         if num < 0:
@@ -271,7 +288,7 @@ def check_state(state: SystemState, max_runtime: int) -> None:
                 f"but observed arrivals={state.arrived.get(c, 0)}"
             )
     # derived commitment vector must be computable (raises on stale entries)
-    server_commitments(state, max_runtime)
+    return server_commitments(state, max_runtime)
 
 
 def max_runtime_of(classes: Iterable[JobClass]) -> int:

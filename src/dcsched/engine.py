@@ -22,7 +22,6 @@ from .core import (
     StageDecision,
     SystemState,
     check_state,
-    committed_servers,
     max_runtime_of,
     server_commitments,
 )
@@ -105,32 +104,16 @@ def assemble_inputs(
     cap_fc = capacity_forecast if capacity_forecast is not None else capacity_truth
     car_fc = carbon_forecast if carbon_forecast is not None else carbon_truth
 
-    inputs = StageInputs(
-        cfg=cfg,
-        state=state,
-        classes=classes,
-        job_forecast={},
-        capacity_forecast={},
-        carbon_forecast={},
-        weights=weights,
-        horizons=horizons,
-        t_end=t_end,
-    )
+    inputs = StageInputs(cfg, state, classes, {}, {}, {}, weights, horizons, t_end)
     jobs = {
         (c, t): num
         for t in inputs.window() if t < r + horizons.t_j
         for c, num in profile.at(t).items()
     }
-    caps: dict[int, int] = {}
     edge = r + horizons.t_c - 1
-    for t in inputs.window():
-        if t == r:
-            caps[t] = int(capacity_truth.at(r))
-        else:
-            caps[t] = int(cap_fc.at(min(t, edge)))
-    carbon = {}
-    for t in inputs.extended_window():
-        carbon[t] = carbon_truth.at(r) if t == r else car_fc.at(t)
+    caps = {t: int(capacity_truth.at(r) if t == r else cap_fc.at(min(t, edge)))
+            for t in inputs.window()}
+    carbon = {t: carbon_truth.at(r) if t == r else car_fc.at(t) for t in inputs.extended_window()}
     return dataclasses.replace(
         inputs, job_forecast=jobs, capacity_forecast=caps, carbon_forecast=carbon
     )
@@ -147,79 +130,50 @@ def advance_state(
     and job conservation."""
     r = state.stage
     starts_r = decision.starts_at(r)
-    new = SystemState(
-        stage=r + 1,
-        queued=dict(state.queued),
-        completed=dict(state.completed),
-        arrived=dict(state.arrived),
-    )
-
-    for (c, t_b), num in state.running.items():
-        cancelled = decision.terminations.get((c, t_b), 0)
-        if cancelled > num:
-            raise DomainError(f"terminating {cancelled} of {num} running {(c, t_b)}")
-        kept = num - cancelled
+    terminations = decision.terminations
+    # the tables are copied, not rebuilt: kept running entries stay in
+    # order, and the jobs that end at r and the emptied entries leave
+    running = dict(state.running)
+    queued, completed, arrived = dict(state.queued), dict(state.completed), dict(state.arrived)
+    for key, cancelled in terminations.items():
+        if key not in running or cancelled > running[key]:
+            raise DomainError(f"terminating {cancelled} of {running.get(key, 0)} running {key}")
+        running[key] -= cancelled
+        queued[key[0]] = queued.get(key[0], 0) + cancelled
+    for c, t_b in state.running:
         if t_b == r - c.runtime + 1:
-            new.completed[c] = new.completed.get(c, 0) + kept
-        elif kept:
-            new.running[(c, t_b)] = kept
-    for (c, t_b) in decision.terminations:
-        if (c, t_b) not in state.running:
-            raise DomainError(f"termination of unknown running entry {(c, t_b)}")
-
-    for c, num in starts_r.items():
-        if c.runtime == 1:
-            new.completed[c] = new.completed.get(c, 0) + num
-        else:
-            new.running[(c, r)] = new.running.get((c, r), 0) + num
-
-    terminated_by_class: dict[JobClass, int] = {}
-    for (c, _), num in decision.terminations.items():
-        terminated_by_class[c] = terminated_by_class.get(c, 0) + num
-    touched = set(arrivals_at_r) | set(starts_r) | set(terminated_by_class)
-    for c in touched:
-        q = (
-            state.queued.get(c, 0)
-            + arrivals_at_r.get(c, 0)
-            - starts_r.get(c, 0)
-            + terminated_by_class.get(c, 0)
-        )
-        if q < 0:
-            raise DomainError(f"queue for {c} would go negative ({q}) at stage {r}")
-        new.queued[c] = q
+            completed[c] = completed.get(c, 0) + running.pop((c, t_b))
+    for key in [key for key, num in running.items() if not num]:
+        del running[key]
     for c, num in arrivals_at_r.items():
-        new.arrived[c] = new.arrived.get(c, 0) + num
+        queued[c] = queued.get(c, 0) + num
+        arrived[c] = arrived.get(c, 0) + num
+    for c, num in starts_r.items():
+        queued[c] = queued.get(c, 0) - num
+        if queued[c] < 0:
+            raise DomainError(f"queue for {c} would go negative ({queued[c]}) at stage {r}")
+        if c.runtime == 1:
+            completed[c] = completed.get(c, 0) + num
+        else:
+            running[(c, r)] = running.get((c, r), 0) + num
 
-    _check_commitment_recursion(state, new, decision, max_runtime)
-    check_state(new, max_runtime)
+    new = SystemState(r + 1, running, queued, completed, arrived)
+    # the commitment vector derived from the new running table must match
+    # the old one shifted by an hour, plus the hour-r starts, less the
+    # terminated jobs (index l - 1: servers committed for l more hours)
+    derived = check_state(new, max_runtime)
+    expected = server_commitments(state, max_runtime)[1:] + [0]
+    for c, num in starts_r.items():
+        if c.runtime > 1:
+            expected[c.runtime - 2] += c.servers * num
+    for (c, t_b), num in terminations.items():
+        left = c.runtime - (r - t_b)  # hours left at r, r included
+        if left > 1:
+            expected[left - 2] -= c.servers * num
+    if derived != expected[:len(derived)]:
+        raise DomainError(f"commitment recursion mismatch at stage {r}: "
+                          f"derived {derived} vs incremental {expected}")
     return new
-
-
-def _check_commitment_recursion(
-    old: SystemState,
-    new: SystemState,
-    decision: StageDecision,
-    max_runtime: int,
-) -> None:
-    """The commitment vector derived from the running table must match the
-    incremental shift/add/remove recursion applied to the old vector."""
-    r = old.stage
-    u_old = server_commitments(old, max_runtime)
-    u_new = server_commitments(new, max_runtime)
-    starts_r = decision.starts_at(r)
-    for l in range(1, max_runtime):
-        expected = u_old[l] if l < max_runtime - 1 else 0  # shift: was l+1
-        expected += sum(
-            c.servers * num for c, num in starts_r.items() if c.runtime == l + 1
-        )
-        for (c, t_b), num in decision.terminations.items():
-            if c.runtime == l + r - t_b + 1:
-                expected -= c.servers * num
-        if u_new[l - 1] != expected:
-            raise DomainError(
-                f"commitment recursion mismatch at stage {r}, horizon {l}: "
-                f"derived {u_new[l - 1]} vs incremental {expected}"
-            )
 
 
 def run(
@@ -280,7 +234,7 @@ def run(
                 starts=decision.starts_at(r),
                 terminations=dict(decision.terminations),
                 queued_after=sum(new_state.queued.values()),
-                committed_before=committed_servers(state, r),
+                committed_before=int(inputs.bounds.held[0]),
                 objective=decision.objective,
                 gap=decision.gap,
                 status=decision.status,

@@ -127,7 +127,7 @@ class WarmStart:
     def basis_for(self, a: sparse.csr_matrix) -> HighsBasis | None:
         """The stored basis if `a` is the matrix it was found on, else None."""
         m = self.matrix
-        if (m is not None and m.shape == a.shape
+        if m is a or (m is not None and m.shape == a.shape
                 and np.array_equal(m.indptr, a.indptr)
                 and np.array_equal(m.indices, a.indices)
                 and np.array_equal(m.data, a.data)):

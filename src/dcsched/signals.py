@@ -26,8 +26,8 @@ class SignalSeries:
         if self.kind not in (CARBON, CAPACITY):
             raise DomainError(f"unknown signal kind {self.kind!r}")
         for i, v in enumerate(self.values):
-            if v < 0:
-                raise DomainError(f"{self.kind} value {v} at hour {i + 1} is negative")
+            if not 0 <= v < math.inf:
+                raise DomainError(f"{self.kind} value {v} at hour {i + 1} is negative or not finite")
             if self.kind == CAPACITY and v != int(v):
                 raise DomainError(f"capacity value {v} at hour {i + 1} is not an integer")
 

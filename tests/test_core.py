@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from dcsched.core import (
@@ -5,6 +8,7 @@ from dcsched.core import (
     DCConfig,
     DomainError,
     JobClass,
+    ObjectiveWeights,
     SystemState,
     busy_servers,
     check_state,
@@ -40,6 +44,14 @@ def test_power_is_affine():
         assert power_of(a, FLEET_DC) + power_of(b, FLEET_DC) == pytest.approx(
             2 * power_of((a + b) // 2, FLEET_DC)
         )
+
+
+@pytest.mark.parametrize("weights", [(math.nan, 0.0), (0.0, math.inf), (math.nan, math.inf),
+                                     (-1.0, 0.0)])
+def test_objective_weights_must_be_finite_and_non_negative(weights):
+    # a nan or infinite weight would reach HiGHS as a nan objective
+    with pytest.raises(DomainError, match="non-negative and finite"):
+        ObjectiveWeights(*weights)
 
 
 def test_job_class_invariants():
@@ -84,6 +96,19 @@ def test_busy_servers_counts_each_hour_a_job_runs():
     assert busy_servers(entries, range(3, 9)) == {3: 0, 4: 2, 5: 2, 6: 4, 7: 0, 8: 0}
     assert busy_servers(entries, [6]) == {6: 4}
     assert busy_servers({}, range(1, 3)) == {1: 0, 2: 0}
+
+
+def test_busy_servers_matches_an_hour_by_hour_count():
+    # against the loop it replaced, on entries that start before, inside
+    # and after the hours asked for, with zero and negative counts
+    rng = random.Random(4)
+    for _ in range(200):
+        entries = {(JobClass(rng.randint(1, 3), rng.randint(1, 5)), rng.randint(-3, 12)):
+                   rng.randint(-2, 3) for _ in range(rng.randint(0, 8))}
+        hours = sorted(rng.sample(range(-2, 14), rng.randint(0, 6)))
+        expected = {t: sum(c.servers * num for (c, t_b), num in entries.items()
+                           if t_b <= t < t_b + c.runtime) for t in hours}
+        assert busy_servers(entries, hours) == expected
 
 
 def test_committed_servers_rejects_past_hours():

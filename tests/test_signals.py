@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,14 @@ def test_series_rejects_negative_and_fractional_capacity():
         SignalSeries("capacity", (1.5,))
     with pytest.raises(DomainError):
         SignalSeries("price", (1.0,))
+
+
+@pytest.mark.parametrize("kind", ["carbon", "capacity"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_series_rejects_non_finite_values(kind, value):
+    # a nan or infinite value would reach HiGHS as a nan objective or bound
+    with pytest.raises(DomainError, match="at hour 2 is negative or not finite"):
+        SignalSeries(kind, (1.0, value))
 
 
 def test_zero_sigma_forecast_is_identity():

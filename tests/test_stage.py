@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from dcsched.milp import check_feasible, compact
+from dcsched.milp import WarmStart, check_feasible, compact
 from dcsched.core import (
     ArrivalProfile,
     DCConfig,
@@ -185,27 +185,77 @@ def test_completable_start_filter_near_t_end():
     assert ub[3] == ub[4] == 0
 
 
+def matrix_digest(a):
+    return hashlib.sha256(a.indptr.tobytes() + a.indices.tobytes() + a.data.tobytes()).hexdigest()
+
+
 def test_stages_of_a_run_share_one_matrix():
     # a run that ends at hour 7 with a 4-hour window: stages 5-7 see a
-    # truncated window, and all of them build the matrix of stage 1
+    # truncated window, and all of them receive the matrix of stage 1
     rng = random.Random(3)
-    matrices = []
+    stages = []
     for r in range(1, 8):
         running = {(c, t_b): 1 for c in AGREE_CLASSES for t_b in range(max(r - c.runtime + 1, 1), r)
                    if t_b + c.runtime - 1 <= 7 and rng.random() < 0.3}
         state = SystemState(stage=r, running=running,
                             queued={c: rng.randint(0, 2) for c in AGREE_CLASSES})
         forecast = {(c, t): rng.randint(0, 1) for c in AGREE_CLASSES for t in range(r, r + 4)}
-        inputs = make_inputs(state, AGREE_CLASSES, job_forecast=forecast, capacity=12, t_end=7,
-                             weights=ObjectiveWeights(0.01, 1.0), cfg=AGREE_CFG)
+        stages.append(make_inputs(state, AGREE_CLASSES, job_forecast=forecast, capacity=12,
+                                  t_end=7, weights=ObjectiveWeights(0.01, 1.0), cfg=AGREE_CFG))
+    assert len(stages[-1].window()) == 1
+    a = build_stage(stages[0])[0].a
+    digest = matrix_digest(a)
+
+    # each steady stage gets the same object, and its relaxation starts
+    # from the basis the stage before left
+    warm = WarmStart()
+    for inputs in stages:
         model, h = build_stage(inputs)
-        assert not h.terms
-        matrices.append(model.a)
-    assert len(inputs.window()) == 1
-    for a in matrices[1:]:
-        assert a.shape == matrices[0].shape
-        for part in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(a, part), getattr(matrices[0], part))
+        assert not h.terms and model.a is a
+        basis = warm.basis_for(model.a)
+        assert (basis is None) == (inputs is stages[0])
+        assert basis is warm.basis
+        solve_stage(inputs, warm=warm)
+        assert warm.matrix is a
+
+    # terminations and slack columns change the matrix, and no basis fits it
+    state = SystemState(stage=3, running={(C22, 2): 1, (C23, 1): 1}, queued={C11: 1})
+    cut = make_inputs(state, AGREE_CLASSES, capacity=1, t_end=7, cfg=AGREE_CFG)
+    model, h = build_stage(cut)
+    assert h.terms and model.a is not a and warm.basis_for(model.a) is None
+    solve_stage(cut, warm=warm)
+    slack, h = build_stage(stages[0], with_slack=True)
+    assert h.slack and slack.a is not a and slack.a is not model.a
+    # the shared matrix was never written to
+    assert matrix_digest(a) == digest
+
+
+def test_validate_decision_reports_what_the_model_has_no_column_for():
+    # the run ends at hour 4: at stage 2 the window is hours 2..4, a (1,4)
+    # job may not start at all and nothing of (1,1) is there to start; each
+    # key below has no model column, and the re-check reports it instead of
+    # raising or reading a wrapped or clipped array index
+    c14, c13 = JobClass(1, 4), JobClass(1, 3)  # c13 is not a declared class
+    state = SystemState(stage=2, running={(C23, 1): 1}, queued={C23: 1}, arrived={C23: 2})
+    inputs = make_inputs(state, [C11, C23, c14], capacity=12, t_end=4, cfg=AGREE_CFG)
+    decision = solve_stage(inputs)
+    assert validate_decision(inputs, decision) == []
+
+    def recheck(field_name, key, num=1):
+        table = {**getattr(decision, field_name), key: num}
+        return validate_decision(
+            inputs, with_occupancy(inputs, dataclasses.replace(decision, **{field_name: table})))
+
+    for t in (2, 1, 5):  # undeclared; at r - 1; past the window
+        c = c13 if t == 2 else C11
+        for num in (1, 2):
+            assert recheck("starts", (c, t), num) == [f"class {c} started at inadmissible hour {t}"]
+    assert recheck("terminations", (C11, 1)) == [
+        "terminations without a shortfall: 2 <= 12",
+        f"terminating 1 of {(C11, 1)}, only 0 running",
+    ]
+    for c in (c14, c13):
+        assert recheck("slack", c) == [f"slack for class {c}, which has no clearance rule"]
 
 
 def test_peak_weight_flattens_profile():
