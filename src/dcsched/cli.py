@@ -192,6 +192,12 @@ def _write_manifest(cfg: dict, cell: tuple, traj, path: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _stdout_to_stderr() -> None:
+    """Point a pool worker's fd 1 at stderr, so that whatever a cell prints
+    there (HiGHS's stray lines among it) stays out of the sweep's stdout."""
+    os.dup2(2, 1)
+
+
 def cmd_run(cfg: dict) -> int:
     cells = _cells(cfg)  # never empty: every sweep list is parsed non-empty
     out_dir = cfg["output_dir"]
@@ -199,7 +205,7 @@ def cmd_run(cfg: dict) -> int:
     workers = cfg["solver"]["workers"]
     rows: dict[tuple, dict] = {}
     failed = False
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_stdout_to_stderr) as pool:
         futures = {
             pool.submit(_run_cell, cfg, cell, out_dir): cell for cell in cells
         }

@@ -23,12 +23,17 @@ hour only the right-hand sides, the bounds and the objective move: the
 stage builder keeps the matrix the same. A :class:`WarmStart` carried
 through the run lets each relaxation start from the previous hour's
 optimal basis, so HiGHS's dual simplex re-optimizes in a few iterations
-instead of solving from scratch.
+instead of solving from scratch. So few (about a dozen at fleet scale)
+that such a hot relaxation's cost is HiGHS's set-up, not its pivots: the
+hot run therefore uses Devex pricing and leaves the LP unscaled, where a
+cold relaxation and branch-and-bound keep HiGHS's defaults, and the shared
+read-only matrix is turned column-wise once, not once per hour.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
@@ -37,6 +42,7 @@ from scipy import sparse
 from scipy.optimize._highspy._core import (
     HighsBasis,
     HighsModelStatus,
+    HighsStatus,
     MatrixFormat,
     ObjSense,
     _Highs,
@@ -47,6 +53,8 @@ INT_TOL = 1e-4  # largest distance from an integer HiGHS may leave an integer va
 # the limits at which a branch-and-bound run may stop holding a feasible incumbent
 _LIMITS = (HighsModelStatus.kTimeLimit, HighsModelStatus.kIterationLimit,
            HighsModelStatus.kSolutionLimit)
+# the options of a relaxation started from a basis: Devex pricing, no scaling
+_HOT = [("simplex_dual_edge_weight_strategy", 1), ("simplex_scale_strategy", 0)]
 
 
 class Variable(NamedTuple):
@@ -144,19 +152,57 @@ def _scipy_milp(model: MilpModel, time_limit: float, gap_tol: float,
     Every HiGHS call dcsched makes goes through here: the relaxation (a
     model with no integer column) as well as branch-and-bound. perfbench
     traces the solver by wrapping this name.
+
+    A hot relaxation (one given a basis) re-optimizes in a dozen or so dual
+    simplex iterations, so its cost is set-up, not pivoting: with HiGHS's
+    defaults it re-scales the LP and computes exact dual steepest-edge
+    weights for the basis before the first pivot. The hot run skips both
+    (`_HOT`: Devex pricing, no scaling); a cold relaxation, which pivots
+    for far longer, and branch-and-bound keep the defaults. Any option,
+    model or basis HiGHS refuses raises, so no run silently falls back to a
+    default.
     """
-    csc = model.a.tocsc()
     highs = _Highs()
-    highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("time_limit", float(time_limit))
-    highs.setOptionValue("mip_rel_gap", float(gap_tol))
-    highs.passModel(len(model.c), model.a.shape[0], csc.nnz, MatrixFormat.kColwise,
-                    ObjSense.kMinimize, 0.0, -model.c, model.lb, model.ub, model.lo, model.hi,
-                    csc.indptr, csc.indices, csc.data, model.integer.astype(np.int32))
+    options = [("output_flag", False), ("time_limit", float(time_limit)),
+               ("mip_rel_gap", float(gap_tol))]
+    for name, value in options + (_HOT if basis is not None else []):
+        _check(highs.setOptionValue(name, value), f"option {name} = {value!r}")
+    indptr, indices, data = _colwise(model.a)
+    _check(highs.passModel(len(model.c), model.a.shape[0], len(data), MatrixFormat.kColwise,
+                           ObjSense.kMinimize, 0.0, -model.c, model.lb, model.ub, model.lo,
+                           model.hi, indptr, indices, data, model.integer.astype(np.int32)),
+           "the model")
     if basis is not None:
-        highs.setBasis(basis)
+        _check(highs.setBasis(basis), "the starting basis")
     highs.run()
     return highs
+
+
+def _check(status: HighsStatus, what: str) -> None:
+    """Raise if HiGHS refused `what`."""
+    if status == HighsStatus.kError:
+        raise ValueError(f"HiGHS refused {what}")
+
+
+# column-wise arrays of the read-only matrices still alive, by id
+_COLWISE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _colwise(a: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`a` in column-wise form: (indptr, indices, data). A read-only matrix,
+    which the stages of a run share, is converted once and its arrays kept
+    for as long as it lives; a writable one, which could change in place,
+    is converted on every call."""
+    hit = _COLWISE.get(id(a))
+    if hit is None:
+        csc = a.tocsc()
+        hit = csc.indptr, csc.indices, csc.data
+        if not any(part.flags.writeable for part in (a.indptr, a.indices, a.data)):
+            for part in hit:
+                part.flags.writeable = False
+            _COLWISE[id(a)] = hit
+            weakref.finalize(a, _COLWISE.pop, id(a))
+    return hit
 
 
 def solve(model: MilpModel, gap_tol: float = 1e-4,
@@ -180,6 +226,8 @@ def solve(model: MilpModel, gap_tol: float = 1e-4,
 
     Integer variables in the returned values are rounded to the nearest
     integer; one further than INT_TOL from it is reported as an error.
+    So is an option value (such as a negative `time_limit` or `gap_tol`),
+    a model or a basis that HiGHS refuses; the message names it.
     """
     deadline = time.perf_counter() + time_limit
     c, a, integer = model.c, model.a, model.integer

@@ -139,6 +139,25 @@ def test_run_is_deterministic(tmp_path):
     assert open(os.path.join(out, "summary.csv")).read() == first
 
 
+def test_worker_output_on_fd_1_goes_to_stderr(tmp_path, monkeypatch, capfd):
+    # HiGHS writes stray lines straight to fd 1 from inside the pool
+    # workers; the sweep's stdout must carry only the CLI's own lines
+    engine_run = dcsched.cli.run
+
+    def noisy_run(*args, **kwargs):
+        os.write(1, f"stray line from {os.getpid()}\n".encode())
+        return engine_run(*args, **kwargs)
+
+    # fork-started pool workers inherit the patch
+    monkeypatch.setattr(dcsched.cli, "run", noisy_run)
+    path, out = tiny_config(tmp_path)
+    assert main(["run", path]) == 0
+    captured = capfd.readouterr()
+    assert captured.out.splitlines() == [f"wrote 1 of 1 cells to {out}/summary.csv"]
+    (line,) = [line for line in captured.err.splitlines() if line.startswith("stray line")]
+    assert line != f"stray line from {os.getpid()}"
+
+
 def test_offline_subcommand(tmp_path, capsys):
     path, out = tiny_config(tmp_path)
     assert main(["offline", path]) == 0

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize._highspy._core import HighsModelStatus
 
 from oracle_offline import TinyInstance, brute_force_goodput, random_instance
 
 import dcsched.engine
 import dcsched.milp
+import dcsched.stage
 from dcsched.core import (
     ArrivalProfile,
     DCConfig,
@@ -300,6 +302,60 @@ def test_hot_started_relaxations_reach_the_cold_vertex(relaxations):
         assert res.getModelStatus() == cold.getModelStatus() == HighsModelStatus.kOptimal
         np.testing.assert_allclose(res.getSolution().col_value, cold.getSolution().col_value,
                                    rtol=0, atol=1e-9)
+
+
+FLEET_CLASSES = synthetic_jobs(48000, (1, 2, 4, 8, 16), 12, seed=0)
+
+
+class FirstHoursDone(Exception):
+    pass
+
+
+def test_hot_started_fleet_relaxations_reach_the_cold_vertex(relaxations, monkeypatch):
+    # the first 8 hours of a 56-hour run at fleet scale: 20,000 servers, 60
+    # classes, a 24-hour window that the end of the run does not cut yet
+    solve_stage = dcsched.engine.solve_stage
+
+    def first_hours(inputs, **kwargs):
+        if inputs.state.stage > 8:
+            raise FirstHoursDone
+        return solve_stage(inputs, **kwargs)
+
+    monkeypatch.setattr(dcsched.engine, "solve_stage", first_hours)
+    hours = 56
+    assert len(FLEET_CLASSES) == 60
+    with pytest.raises(FirstHoursDone):
+        run(DCConfig(20000, 100.0, 30.0), sample_arrivals(FLEET_CLASSES, "small_var", hours, seed=5),
+            tuple(sorted(FLEET_CLASSES)), constant_capacity(20000, hours), synthetic_carbon(hours),
+            hz(24), ObjectiveWeights(lambda_ce=0.1, lambda_pd=5.0))
+    assert [given for given, _, _ in relaxations] == [False] + [True] * 7
+    for _, res, cold in relaxations[1:]:
+        assert res.getModelStatus() == cold.getModelStatus() == HighsModelStatus.kOptimal
+        np.testing.assert_allclose(res.getSolution().col_value, cold.getSolution().col_value,
+                                   rtol=0, atol=1e-9)
+
+
+def test_the_shared_matrix_is_turned_column_wise_once(monkeypatch):
+    converted, built = [], []
+    tocsc, build_stage = sparse.csr_matrix.tocsc, dcsched.stage.build_stage
+
+    def counted(self, *args, **kwargs):
+        converted.append(self)
+        return tocsc(self, *args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        model, h = build_stage(*args, **kwargs)
+        built.append(model.a)
+        return model, h
+
+    monkeypatch.setattr(sparse.csr_matrix, "tocsc", counted)
+    monkeypatch.setattr(dcsched.stage, "build_stage", recorded)
+    dcsched.stage._stage_matrix.cache_clear()  # no matrix of an earlier run is reused
+    steady_run(seed=3)
+    # one matrix for all 30 stages, converted for the first relaxation only
+    (a,) = {id(a): a for a in built}.values()
+    assert len(built) == 30
+    assert sum(m is a for m in converted) == 1
 
 
 def test_basis_is_kept_per_run(monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as scipy_milp
+from scipy.optimize._highspy._core import HighsBasis, _Highs
 
 import dcsched.milp
 from dcsched.milp import INT_TOL, MilpModel, WarmStart, check_feasible, compact, csr, solve
@@ -224,6 +225,42 @@ def test_infeasible_relaxation_keeps_the_stored_basis(lp_bases):
     assert lp_bases == [False, True, False]
     assert solve(budget_model(2), warm=warm).objective == pytest.approx(6.0)
     assert lp_bases[-1] is True
+
+
+def test_refused_option_or_basis_fails_the_solve():
+    # HiGHS refuses these and would otherwise run on with its default: no
+    # time limit, the default gap, or a cold start
+    model = budget_model(3)
+    for kwargs, named in (({"time_limit": -1.0}, "option time_limit = -1.0"),
+                          ({"gap_tol": -1.0}, "option mip_rel_gap = -1.0"),
+                          ({"warm": WarmStart(model.a, HighsBasis())}, "the starting basis")):
+        res = solve(model, **kwargs)
+        assert (res.status, res.values) == ("error", None), kwargs
+        assert res.message == f"backend failure: HiGHS refused {named}"
+
+
+HOT_OPTIONS = ("simplex_dual_edge_weight_strategy", "simplex_scale_strategy")
+
+
+def test_only_hot_relaxations_leave_the_highs_defaults(monkeypatch):
+    runs = []
+    highs = dcsched.milp._scipy_milp
+
+    def recorded(model, time_limit, gap_tol, basis=None):
+        run = highs(model, time_limit, gap_tol, basis)
+        kind = "MILP" if model.integer.any() else "hot" if basis is not None else "cold"
+        runs.append((kind, [run.getOptionValue(name)[1] for name in HOT_OPTIONS]))
+        return run
+
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", recorded)
+    defaults = [_Highs().getOptionValue(name)[1] for name in HOT_OPTIONS]
+    assert defaults != [1, 0]
+    # a fractional relaxation, solved twice with one warm start: cold, then hot
+    warm = WarmStart()
+    for _ in range(2):
+        assert solve(dense_model([1.0], [([2.0], "<=", 7)]), warm=warm).value(0) == 3
+    # Devex pricing and no scaling on the hot relaxation only
+    assert runs == [("cold", defaults), ("MILP", defaults), ("hot", [1, 0]), ("MILP", defaults)]
 
 
 def test_branch_and_bound_sees_the_compacted_model(monkeypatch, highs_calls):
