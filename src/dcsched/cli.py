@@ -21,6 +21,7 @@ import itertools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -198,6 +199,20 @@ def _stdout_to_stderr() -> None:
     os.dup2(2, 1)
 
 
+@contextmanager
+def _stdout_on_stderr():
+    """As `_stdout_to_stderr`, in this process and for the block only."""
+    sys.stdout.flush()
+    saved = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        yield
+    finally:
+        sys.stdout.flush()
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
 def cmd_run(cfg: dict) -> int:
     cells = _cells(cfg)  # never empty: every sweep list is parsed non-empty
     out_dir = cfg["output_dir"]
@@ -231,10 +246,13 @@ def cmd_offline(cfg: dict) -> int:
         for seed in cfg["sweep"]["seeds"]:
             profile = sample_arrivals(totals, shape, cfg["signals"]["hours"], seed)
             capacity = _capacity_truth(cfg, seed)
-            schedule = solve_offline(
-                profile, [int(v) for v in capacity.values], classes,
-                gap_tol=cfg["solver"]["gap"], time_limit=cfg["solver"]["time_limit_s"],
-            )
+            # the solve runs here, not in a worker: keep HiGHS's stray
+            # lines out of the command's stdout
+            with _stdout_on_stderr():
+                schedule = solve_offline(
+                    profile, [int(v) for v in capacity.values], classes,
+                    gap_tol=cfg["solver"]["gap"], time_limit=cfg["solver"]["time_limit_s"],
+                )
             path = os.path.join(out_dir, f"offline_{shape}_s{seed}.csv")
             write_schedule_csv(schedule, path)
             print(f"{shape} seed {seed}: goodput {schedule.goodput} server-hours -> {path}")

@@ -57,14 +57,22 @@ def _non_finite(cell: str) -> bool:
 
 @dataclass(frozen=True, order=True)
 class JobClass:
-    """An aggregated job group: `servers` machines for `runtime` whole hours."""
+    """An aggregated job group: `servers` machines for `runtime` whole hours.
+
+    Job classes key most of the run's tables, so the hash is computed once:
+    the value a plain dataclass would give, hash((servers, runtime))."""
 
     servers: int
     runtime: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.servers < 1 or self.runtime < 1:
             raise DomainError(f"job class needs servers >= 1 and runtime >= 1, got {self!r}")
+        object.__setattr__(self, "_hash", hash((self.servers, self.runtime)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def server_hours(self) -> int:

@@ -12,11 +12,18 @@ and solve the same model by other means.
 :func:`solve` solves the LP relaxation first and runs branch-and-bound only
 when the relaxation's optimal vertex is fractional: an integral optimal
 vertex is already a MILP optimum, and an infeasible relaxation already
-proves the MILP infeasible. Both runs go through the one module binding
+proves the MILP infeasible. Before full branch-and-bound, a caller may have
+it search the relaxation's neighbourhood (RENS; Berthold, "RENS — the
+optimal rounding", Math. Prog. Comp. 6, 2014): the small MILP in which each
+column it names may only take the floor or the ceiling of its LP value.
+A neighbourhood optimum within the gap tolerance of the LP bound is a MILP
+optimum to that tolerance. Every run goes through the one module binding
 ``_scipy_milp``: the relaxation as the model with no integer column,
 branch-and-bound on the model :func:`compact` leaves (no fixed columns, no
 free or emptied rows). :func:`solve` reads HiGHS's model status, solution,
-basis and gap from the finished run.
+basis and gap from the finished run. Branch-and-bound runs without HiGHS's
+Feasibility Jump heuristic, which took about a quarter of its time on the
+desk grid's stage models.
 
 A receding-horizon run solves one relaxation an hour, and from hour to
 hour only the right-hand sides, the bounds and the objective move: the
@@ -55,6 +62,8 @@ _LIMITS = (HighsModelStatus.kTimeLimit, HighsModelStatus.kIterationLimit,
            HighsModelStatus.kSolutionLimit)
 # the options of a relaxation started from a basis: Devex pricing, no scaling
 _HOT = [("simplex_dual_edge_weight_strategy", 1), ("simplex_scale_strategy", 0)]
+# the option of every branch-and-bound run: no Feasibility Jump heuristic
+_BNB = [("mip_heuristic_run_feasibility_jump", False)]
 
 
 class Variable(NamedTuple):
@@ -150,22 +159,24 @@ def _scipy_milp(model: MilpModel, time_limit: float, gap_tol: float,
     given; return the finished run to read status, solution and info from.
 
     Every HiGHS call dcsched makes goes through here: the relaxation (a
-    model with no integer column) as well as branch-and-bound. perfbench
-    traces the solver by wrapping this name.
+    model with no integer column) as well as branch-and-bound, the
+    neighbourhood search included. perfbench traces the solver by wrapping
+    this name.
 
     A hot relaxation (one given a basis) re-optimizes in a dozen or so dual
     simplex iterations, so its cost is set-up, not pivoting: with HiGHS's
     defaults it re-scales the LP and computes exact dual steepest-edge
     weights for the basis before the first pivot. The hot run skips both
     (`_HOT`: Devex pricing, no scaling); a cold relaxation, which pivots
-    for far longer, and branch-and-bound keep the defaults. Any option,
-    model or basis HiGHS refuses raises, so no run silently falls back to a
-    default.
+    for far longer, keeps the defaults. Branch-and-bound keeps them too,
+    but for Feasibility Jump (`_BNB`). Any option, model or basis HiGHS
+    refuses raises, so no run silently falls back to a default.
     """
     highs = _Highs()
     options = [("output_flag", False), ("time_limit", float(time_limit)),
                ("mip_rel_gap", float(gap_tol))]
-    for name, value in options + (_HOT if basis is not None else []):
+    options += _HOT if basis is not None else _BNB if model.integer.any() else []
+    for name, value in options:
         _check(highs.setOptionValue(name, value), f"option {name} = {value!r}")
     indptr, indices, data = _colwise(model.a)
     _check(highs.passModel(len(model.c), model.a.shape[0], len(data), MatrixFormat.kColwise,
@@ -205,20 +216,24 @@ def _colwise(a: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return hit
 
 
-def solve(model: MilpModel, gap_tol: float = 1e-4,
-          time_limit: float = 60.0, warm: WarmStart | None = None) -> SolveResult:
+def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
+          warm: WarmStart | None = None, rounded: np.ndarray | None = None) -> SolveResult:
     """Maximize `model`: the LP relaxation first, branch-and-bound only when
     it is fractional.
 
     HiGHS solves the relaxation with simplex, so its solution is a vertex.
     If every integer variable sits within INT_TOL of an integer there, that
     vertex is optimal for the MILP too and is returned as `optimal` with gap
-    0; an infeasible relaxation proves the MILP infeasible. Otherwise HiGHS
-    branch-and-bound solves the compacted MILP (:func:`compact`) to
-    relative gap `gap_tol` in what is left of `time_limit`, which bounds
-    both calls together; the fixed columns are put back in its solution.
-    A branch-and-bound run that stops at a limit with an incumbent returns
-    it as `feasible-gap`, with the gap HiGHS reports.
+    0; an infeasible relaxation proves the MILP infeasible.
+
+    Otherwise, when `rounded` masks the columns to round, the relaxation's
+    neighbourhood is searched first (:func:`_neighbourhood`); an optimum
+    there within `gap_tol` of the LP bound is returned as `optimal`, with
+    that gap. Failing that, HiGHS branch-and-bound solves the compacted
+    MILP (:func:`compact`) to relative gap `gap_tol`; the fixed columns are
+    put back in its solution. `time_limit` bounds all the runs of one call
+    together. A branch-and-bound run that stops at a limit with an
+    incumbent returns it as `feasible-gap`, with the gap HiGHS reports.
 
     With `warm`, the relaxation starts from the stored basis when the
     constraint matrix is the one it was found on, and an optimal relaxation
@@ -236,21 +251,28 @@ def solve(model: MilpModel, gap_tol: float = 1e-4,
         highs = _scipy_milp(replace(model, integer=np.zeros_like(integer)), time_limit, gap_tol,
                             basis)
         status, gap, x = highs.getModelStatus(), 0.0, None
+        message = highs.modelStatusToString(status)
         if status == HighsModelStatus.kOptimal:
             x = np.array(highs.getSolution().col_value)
             if warm is not None:
                 warm.matrix, warm.basis = a, highs.getBasis()
         if status != HighsModelStatus.kInfeasible and (x is None or _fractional(x[integer]).any()):
             del highs  # free the relaxation's solver first: it holds megabytes at fleet scale
-            sub, live = compact(model)
-            highs = _scipy_milp(sub, max(deadline - time.perf_counter(), 0.0), gap_tol)
-            status, info, x = highs.getModelStatus(), highs.getInfo(), None
-            if status == HighsModelStatus.kOptimal or (
-                    status in _LIMITS and info.primal_solution_status == kSolutionStatusFeasible):
-                gap = info.mip_gap
-                x = model.lb.copy()  # every column left out is fixed at its lb
-                x[live] = highs.getSolution().col_value
-        message = highs.modelStatusToString(status)
+            found = None
+            if x is not None and rounded is not None:
+                found = _neighbourhood(model, x, rounded, deadline, gap_tol)
+            if found is not None:
+                x, gap = found
+            else:
+                sub, live = compact(model)
+                highs = _scipy_milp(sub, max(deadline - time.perf_counter(), 0.0), gap_tol)
+                status, info, x = highs.getModelStatus(), highs.getInfo(), None
+                message = highs.modelStatusToString(status)
+                if status == HighsModelStatus.kOptimal or (
+                        status in _LIMITS and info.primal_solution_status == kSolutionStatusFeasible):
+                    gap = info.mip_gap
+                    x = model.lb.copy()  # every column left out is fixed at its lb
+                    x[live] = highs.getSolution().col_value
     except Exception as exc:  # backend failure
         return SolveResult("error", None, None, np.inf, f"backend failure: {exc}")
 
@@ -272,6 +294,32 @@ def solve(model: MilpModel, gap_tol: float = 1e-4,
     if status == HighsModelStatus.kOptimal:
         return SolveResult("optimal", x, objective, gap, message)
     return SolveResult("feasible-gap", x, objective, gap, message)
+
+
+def _neighbourhood(model: MilpModel, x_lp: np.ndarray, rounded: np.ndarray, deadline: float,
+                   gap_tol: float) -> tuple[np.ndarray, float] | None:
+    """Solve the neighbourhood of the fractional relaxation optimum `x_lp`:
+    `model` with each column in the mask `rounded` bounded to the floor and
+    ceiling of its LP value, so one the LP left integral is fixed. Return
+    the solution and its gap if that gap is within `gap_tol`, else None.
+
+    The gap is the one HiGHS reports as `mip_gap`, |primal - bound| /
+    |primal|, with the neighbourhood optimum as the primal value and the LP
+    optimum as the bound, both on the objective that full branch-and-bound
+    would see: c @ x over the columns of :func:`compact`, no constant.
+    """
+    lb = np.where(rounded, np.maximum(model.lb, np.floor(x_lp + INT_TOL)), model.lb)
+    ub = np.where(rounded, np.minimum(model.ub, np.ceil(x_lp - INT_TOL)), model.ub)
+    sub, live = compact(replace(model, lb=lb, ub=ub))
+    highs = _scipy_milp(sub, max(deadline - time.perf_counter(), 0.0), gap_tol)
+    if highs.getModelStatus() != HighsModelStatus.kOptimal:
+        return None
+    x = lb.copy()
+    x[live] = highs.getSolution().col_value
+    free = model.lb != model.ub
+    primal, bound = float(model.c[free] @ x[free]), float(model.c[free] @ x_lp[free])
+    gap = 0.0 if primal == bound else abs(primal - bound) / abs(primal) if primal else np.inf
+    return (x, gap) if gap <= gap_tol else None
 
 
 def compact(model: MilpModel) -> tuple[MilpModel, np.ndarray]:

@@ -158,6 +158,9 @@ class _StageHandles:
     active: dict[int, int]
     peak: int
     slack: dict[JobClass, int]
+    # the columns a fractional relaxation's neighbourhood rounds: starts,
+    # terminations and slack; the occupancy rows tie m and PD to the starts
+    rounded: np.ndarray
 
     @property
     def starts(self) -> list[tuple[JobClass, int]]:
@@ -296,9 +299,12 @@ def build_stage(
     obj[pd] = -inputs.weights.lambda_pd
     obj[pd + 1:] = -10.0 * max(at_r.tolist(), default=1)
 
+    rounded = np.ones(n, dtype=bool)
+    rounded[m0:pd + 1] = False
     h = _StageHandles(classes, r, t_h, {key: n_s + i for i, (key, _) in enumerate(running)},
                       dict(zip(range(r, r + n_ext), range(m0, m0 + n_ext))), pd,
-                      {c: pd + 1 + i for i, c in enumerate(classes) if with_slack and b.k[i] > 0})
+                      {c: pd + 1 + i for i, c in enumerate(classes) if with_slack and b.k[i] > 0},
+                      rounded)
     return MilpModel(obj, np.zeros(n), ub, integer, a, lo, hi, constant), h
 
 
@@ -317,13 +323,15 @@ def solve_stage(
 ) -> StageDecision:
     """Solve the stage problem; on infeasible minimum clearance, re-solve
     with penalized slack and return the relaxed optimum. `warm` carries the
-    run's last optimal relaxation basis into both solves."""
+    run's last optimal relaxation basis into both solves; a fractional
+    relaxation has its starts, terminations and slack rounded in its
+    neighbourhood before full branch-and-bound."""
     r = inputs.state.stage
     model, h = build_stage(inputs, with_slack=False)
-    res = solve(model, gap_tol=gap_tol, time_limit=time_limit, warm=warm)
+    res = solve(model, gap_tol=gap_tol, time_limit=time_limit, warm=warm, rounded=h.rounded)
     if res.status == "infeasible":
         model, h = build_stage(inputs, with_slack=True)
-        res = solve(model, gap_tol=gap_tol, time_limit=time_limit, warm=warm)
+        res = solve(model, gap_tol=gap_tol, time_limit=time_limit, warm=warm, rounded=h.rounded)
     if res.status in ("infeasible", "error"):
         raise StageError(r, f"{res.status}: {res.message}")
 

@@ -165,6 +165,25 @@ def test_offline_subcommand(tmp_path, capsys):
     assert "goodput" in capsys.readouterr().out
 
 
+def test_offline_output_on_fd_1_goes_to_stderr(tmp_path, monkeypatch, capfd):
+    # the offline bound solves in the CLI's own process, where HiGHS's stray
+    # lines would reach fd 1; stdout must carry only the CLI's own lines
+    solve_offline = dcsched.cli.solve_offline
+
+    def noisy_solve(*args, **kwargs):
+        os.write(1, b"stray line\n")
+        return solve_offline(*args, **kwargs)
+
+    monkeypatch.setattr(dcsched.cli, "solve_offline", noisy_solve)
+    path, out = tiny_config(tmp_path)
+    assert main(["offline", path]) == 0
+    captured = capfd.readouterr()
+    (line,) = captured.out.splitlines()
+    assert line.startswith("uniform seed 1: goodput ")
+    assert line.endswith(f" server-hours -> {out}/offline_uniform_s1.csv")
+    assert captured.err.splitlines() == ["stray line"]
+
+
 def test_gen_signals(tmp_path, capsys):
     out = str(tmp_path / "results")
     cfg = tmp_path / "gen.yaml"

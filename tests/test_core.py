@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -59,6 +61,18 @@ def test_job_class_invariants():
         JobClass(0, 1)
     with pytest.raises(DomainError):
         JobClass(1, 0)
+
+
+def test_job_class_hash_is_the_tuple_hash_and_survives_pickling():
+    # the cached hash keeps every dict and set of classes in the order a
+    # plain (servers, runtime) hash gives
+    for c in (JobClass(1, 1), JobClass(4, 12), JobClass(16, 3)):
+        assert hash(c) == hash((c.servers, c.runtime))
+        copy = pickle.loads(pickle.dumps(c))
+        assert copy == c and hash(copy) == hash(c)
+        assert repr(c) == f"JobClass(servers={c.servers}, runtime={c.runtime})"
+        moved = dataclasses.replace(c, servers=c.servers + 1)
+        assert hash(moved) == hash((c.servers + 1, c.runtime)) and moved > c
 
 
 def test_committed_servers_empty_state():

@@ -1,3 +1,6 @@
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -6,8 +9,13 @@ from scipy.optimize import milp as scipy_milp
 from scipy.optimize._highspy._core import HighsBasis, _Highs
 
 import dcsched.milp
+import dcsched.stage
+from dcsched.core import HorizonConfig, ObjectiveWeights
+from dcsched.engine import run
 from dcsched.milp import INT_TOL, MilpModel, WarmStart, check_feasible, compact, csr, solve
+from dcsched.signals import noisy_forecast, synthetic_carbon
 from dcsched.stage import build_stage, solve_stage, validate_decision
+from test_acceptance import DESK, _c7_profile, _cliff_capacity
 from test_stage import random_stage
 
 
@@ -240,6 +248,7 @@ def test_refused_option_or_basis_fails_the_solve():
 
 
 HOT_OPTIONS = ("simplex_dual_edge_weight_strategy", "simplex_scale_strategy")
+JUMP = "mip_heuristic_run_feasibility_jump"
 
 
 def test_only_hot_relaxations_leave_the_highs_defaults(monkeypatch):
@@ -249,18 +258,86 @@ def test_only_hot_relaxations_leave_the_highs_defaults(monkeypatch):
     def recorded(model, time_limit, gap_tol, basis=None):
         run = highs(model, time_limit, gap_tol, basis)
         kind = "MILP" if model.integer.any() else "hot" if basis is not None else "cold"
-        runs.append((kind, [run.getOptionValue(name)[1] for name in HOT_OPTIONS]))
+        runs.append((kind, [run.getOptionValue(name)[1] for name in HOT_OPTIONS + (JUMP,)]))
         return run
 
     monkeypatch.setattr(dcsched.milp, "_scipy_milp", recorded)
     defaults = [_Highs().getOptionValue(name)[1] for name in HOT_OPTIONS]
-    assert defaults != [1, 0]
-    # a fractional relaxation, solved twice with one warm start: cold, then hot
+    assert defaults != [1, 0] and _Highs().getOptionValue(JUMP)[1] is True
+    # a fractional relaxation, solved twice with one warm start: cold, then
+    # hot; with a rounding mask, its neighbourhood (x = 3, not within the
+    # gap of 3.5) runs before full branch-and-bound
     warm = WarmStart()
-    for _ in range(2):
-        assert solve(dense_model([1.0], [([2.0], "<=", 7)]), warm=warm).value(0) == 3
-    # Devex pricing and no scaling on the hot relaxation only
-    assert runs == [("cold", defaults), ("MILP", defaults), ("hot", [1, 0]), ("MILP", defaults)]
+    for rounded in (None, None, np.ones(1, dtype=bool)):
+        assert solve(dense_model([1.0], [([2.0], "<=", 7)]), warm=warm, rounded=rounded).value(0) == 3
+    # Devex pricing and no scaling on the hot relaxation only; Feasibility
+    # Jump off on every branch-and-bound run, the neighbourhood included
+    lp, bnb = defaults + [True], defaults + [False]
+    assert runs == [("cold", lp), ("MILP", bnb), ("hot", [1, 0, True]), ("MILP", bnb),
+                    ("hot", [1, 0, True]), ("MILP", bnb), ("MILP", bnb)]
+
+
+def test_infeasible_neighbourhood_falls_through_to_branch_and_bound(highs_calls):
+    # on 2x + 3y = 6, y <= 1.5 the LP stops at (0.75, 1.5); no integer point
+    # has x in [0, 1] and y in [1, 2], but (3, 0) is the MILP optimum
+    model = dense_model([1.0, 1.6], [([2.0, 3.0], "=", 6), ([0.0, 1.0], "<=", 1.5)])
+    res = solve(model, rounded=np.ones(2, dtype=bool))
+    assert highs_calls == ["LP", "MILP", "MILP"]
+    assert (res.status, res.gap) == ("optimal", 0.0)
+    np.testing.assert_array_equal(res.values, [3.0, 0.0])
+
+
+def test_uncertified_neighbourhood_falls_through_to_branch_and_bound(highs_calls):
+    # the LP bound 3.5 and the neighbourhood's x = 3 are 1/6 apart
+    res = solve(dense_model([1.0], [([2.0], "<=", 7)]), rounded=np.ones(1, dtype=bool))
+    assert highs_calls == ["LP", "MILP", "MILP"]
+    assert (res.status, res.value(0), res.gap) == ("optimal", 3.0, 0.0)
+
+
+def test_certified_neighbourhood_is_returned_with_its_gap(highs_calls):
+    # the LP stops at x0 = 10000.5; the neighbourhood's x0 = 10000 is within
+    # gap_tol of that bound. x1 is fixed and, with the constant, left out of
+    # the gap, as compact() leaves them out of branch-and-bound's objective;
+    # x2 is not rounded and follows x0
+    model = dense_model([1.0, 5.0, -0.5],
+                        [([2.0, 0.0, 0.0], "<=", 20001), ([1.0, 0.0, -1.0], "=", 0)],
+                        ub=[np.inf, 1, np.inf], lb=[0, 1, 0], constant=-1e6)
+    res = solve(model, gap_tol=1e-4, rounded=np.array([True, True, False]))
+    assert highs_calls == ["LP", "MILP"]
+    assert res.status == "optimal"
+    np.testing.assert_array_equal(res.values, [10000.0, 1.0, 10000.0])
+    assert res.objective == pytest.approx(5000 + 5 - 1e6)
+    # HiGHS's mip_gap, |primal - bound| / |primal|, on compact(model)'s c @ x
+    sub, live = compact(model)
+    primal, bound = sub.c @ res.values[live], sub.c @ [10000.5, 10000.5]
+    assert res.gap == pytest.approx(abs(primal - bound) / abs(primal), rel=1e-12)
+    assert res.gap == pytest.approx(0.25 / 5000) and res.gap <= 1e-4
+    # a tighter tolerance leaves it uncertified
+    highs_calls.clear()
+    res = solve(model, gap_tol=1e-5, rounded=np.array([True, True, False]))
+    assert highs_calls == ["LP", "MILP", "MILP"]
+    assert (res.status, res.gap) == ("optimal", 0.0)
+
+
+def test_time_limit_used_up_by_the_relaxation(monkeypatch):
+    # the clock passes the deadline while the LP of a fractional stage runs:
+    # the neighbourhood and branch-and-bound get no time left, and the
+    # solve fails
+    limits = []
+    highs = dcsched.milp._scipy_milp
+
+    def recorded(model, time_limit, *args, **kwargs):
+        limits.append(time_limit)
+        clock.append(clock[-1] + 10.0)
+        return highs(model, time_limit, *args, **kwargs)
+
+    clock = [0.0]
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", recorded)
+    monkeypatch.setattr(dcsched.milp, "time", SimpleNamespace(perf_counter=lambda: clock[-1]))
+    model, h = build_stage(random_stage(13))
+    res = solve(model, time_limit=5.0, rounded=h.rounded)
+    assert limits == [5.0, 0.0, 0.0]
+    assert (res.status, res.message, res.values) == ("error", "Time limit reached", None)
 
 
 def test_branch_and_bound_sees_the_compacted_model(monkeypatch, highs_calls):
@@ -323,3 +400,27 @@ def test_branch_and_bound_stopped_at_a_limit_returns_its_incumbent(first_incumbe
     assert check_feasible(model, res.values) == []
     assert res.gap == first_incumbent[-1].getInfo().mip_gap > 1e-4
     assert res.objective == pytest.approx(model.c @ res.values + model.constant)
+
+
+def test_neighbourhood_counts_on_an_overload_loop(monkeypatch, highs_calls):
+    # one T=9 closed loop of the c7 overload scenario (capacity seed 1, gap
+    # 1e-3): per solve of a stage model, the HiGHS runs it made
+    per_solve = []
+    stage_solve = dcsched.stage.solve
+
+    def counted(*args, **kwargs):
+        first = len(highs_calls)
+        res = stage_solve(*args, **kwargs)
+        per_solve.append(tuple(highs_calls[first:]))
+        return res
+
+    monkeypatch.setattr(dcsched.stage, "solve", counted)
+    profile = _c7_profile(32)
+    truth = _cliff_capacity(200, 32, 1)
+    run(DESK, profile, tuple(sorted({c for _, c in profile.counts})), truth, synthetic_carbon(44),
+        HorizonConfig(9, 9, 9), ObjectiveWeights(),
+        capacity_forecast=noisy_forecast(truth, 0.07, seed=1001, total_servers=200), gap_tol=1e-3)
+    # 32 stages, 5 of them re-solved with slack; 19 fractional relaxations,
+    # 15 settled by their neighbourhood, 4 by full branch-and-bound
+    assert len(per_solve) == 37
+    assert Counter(per_solve) == {("LP",): 18, ("LP", "MILP"): 15, ("LP", "MILP", "MILP"): 4}

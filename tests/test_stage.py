@@ -151,9 +151,11 @@ def test_infeasible_clearance_relaxes_with_slack(highs_calls):
     assert decision.slack == {C22: 1}
     assert decision.starts == {}
     assert not validate_decision(inputs, decision)
-    # half the job fits, so both relaxations are fractional: the LP and the
-    # infeasible MILP of the model, then the LP and the MILP with slack
-    assert highs_calls == ["LP", "MILP", "LP", "MILP"]
+    # half the job fits, so both relaxations are fractional: the LP, its
+    # neighbourhood and the infeasible MILP of the model, then the LP, its
+    # neighbourhood and the MILP with slack. Neither neighbourhood is
+    # feasible: the LP leaves the slack at 0 and half the job at two hours
+    assert highs_calls == ["LP", "MILP", "MILP"] * 2
 
 
 def test_slack_is_last_resort():
@@ -414,6 +416,8 @@ def test_model_and_recheck_agree_on_perturbed_decisions():
         seen["terms"] += bool(h.terms)
         seen["truncated"] += len(inputs.window()) < inputs.horizons.t_h
         seen["slack"] += bool(h.slack)
+        # a fractional relaxation's neighbourhood rounds all but m and PD
+        assert np.flatnonzero(~h.rounded).tolist() == list(range(min(h.active.values()), h.peak + 1))
         assert validate_decision(inputs, decision) == []
         assert check_feasible(model, model_values(model, h, decision)) == []
         columns = (
