@@ -9,7 +9,7 @@ from typing import Any, Callable
 
 import yaml
 
-from .core import DomainError
+from .core import DCConfig, DomainError, HorizonConfig, ObjectiveWeights
 from .signals import (
     CAPACITY,
     CARBON,
@@ -124,8 +124,8 @@ def _require(cond: bool, message: str) -> None:
 
 def _reach(where: str, build: Callable[[], object]) -> None:
     """Build a domain object for the rule it enforces and report a breach
-    under the config field `where`. Each rule is reached with one field set
-    and the others at the domain defaults, so the breach names its field.
+    under the config field `where`. Each rule is reached with the fields it
+    reads set and the others at valid values, so the breach names its field.
     A file the field names is read through its loader, and a file that
     cannot be read is reported the same way."""
     try:
@@ -138,11 +138,8 @@ def validate(data: dict[str, Any]) -> None:
     """Check the rules between parsed values (see `_parse` for their types)
     and read the CSV files the config uses."""
     dc = data["dc"]
-    _require(dc["total_servers"] >= 1, "dc.total_servers: must be >= 1")
-    _require(
-        0 <= dc["p_idle_mw"] <= dc["p_peak_mw"],
-        "dc.p_idle_mw: need 0 <= p_idle_mw <= p_peak_mw",
-    )
+    _reach("dc.total_servers", lambda: DCConfig(dc["total_servers"], 1.0, 0.0))
+    _reach("dc.p_idle_mw", lambda: DCConfig(1, dc["p_peak_mw"], dc["p_idle_mw"]))
 
     sig = data["signals"]
     _reach("signals.hours", lambda: sample_arrivals({}, "uniform", sig["hours"], seed=0))
@@ -200,9 +197,9 @@ def validate(data: dict[str, Any]) -> None:
         _require(mode in FORECAST_MODES, f"sweep.forecast: unknown mode {mode!r}")
     for key in ("lambda_ce", "lambda_pd"):
         for lam in sweep[key]:
-            _require(lam >= 0, f"sweep.{key}: weights must be >= 0")
+            _reach(f"sweep.{key}", lambda: ObjectiveWeights(**{key: lam}))
     for t in sweep["horizon_t"]:
-        _require(t >= 1, "sweep.horizon_t: horizons must be >= 1")
+        _reach("sweep.horizon_t", lambda: HorizonConfig(t, t, t))
     # each value names sweep cells (the weights as `:g`), so two equal names
     # would write the same files
     cell_names = {

@@ -2,12 +2,12 @@
 scipy bundles (``scipy.optimize._highspy._core._Highs``).
 
 A :class:`MilpModel` is the arrays HiGHS takes: the objective, column
-bounds and integrality, and a CSR constraint matrix with row bounds. The
-stage and offline builders fill them by index arithmetic, and
-:func:`solve` passes them to HiGHS as they are. Per-column and per-row
-records are read-only views derived on demand. Keeping the model data
-separate from the backend lets tests check a solution against the model
-and solve the same model by other means.
+bounds and integrality, and a column-wise (CSC) constraint matrix with row
+bounds. The stage and offline builders fill them by index arithmetic, and
+:func:`solve` passes them to HiGHS as they are, the matrix's own arrays
+included. Per-column and per-row records are read-only views derived on
+demand. Keeping the model data separate from the backend lets tests check
+a solution against the model and solve the same model by other means.
 
 :func:`solve` solves the LP relaxation first and runs branch-and-bound only
 when the relaxation's optimal vertex is fractional: an integral optimal
@@ -33,14 +33,12 @@ optimal basis, so HiGHS's dual simplex re-optimizes in a few iterations
 instead of solving from scratch. So few (about a dozen at fleet scale)
 that such a hot relaxation's cost is HiGHS's set-up, not its pivots: the
 hot run therefore uses Devex pricing and leaves the LP unscaled, where a
-cold relaxation and branch-and-bound keep HiGHS's defaults, and the shared
-read-only matrix is turned column-wise once, not once per hour.
+cold relaxation and branch-and-bound keep HiGHS's defaults.
 """
 
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
@@ -82,16 +80,22 @@ class Constraint(NamedTuple):
 class MilpModel:
     """Maximize c @ x + constant subject to lo <= a @ x <= hi and
     lb <= x <= ub, with x[j] integer where integer[j]. HiGHS receives these
-    arrays as they are, c negated."""
+    arrays as they are, c negated, and `a` as its column-wise arrays."""
 
     c: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
     integer: np.ndarray  # bool per column
-    a: sparse.csr_matrix
+    a: sparse.csc_matrix
     lo: np.ndarray
     hi: np.ndarray
     constant: float = 0.0
+
+    def __post_init__(self) -> None:
+        # HiGHS is told the arrays are column-wise; row-wise ones would pose
+        # another model without any error
+        if getattr(self.a, "format", None) != "csc":
+            raise TypeError(f"the constraint matrix must be CSC, got {type(self.a).__name__}")
 
     @property
     def variables(self) -> tuple[Variable, ...]:
@@ -102,7 +106,8 @@ class MilpModel:
     @property
     def constraints(self) -> tuple[Constraint, ...]:
         """A read-only record per row, derived from the arrays."""
-        ptr, cols, vals = self.a.indptr.tolist(), self.a.indices.tolist(), self.a.data.tolist()
+        rows = self.a.tocsr()
+        ptr, cols, vals = rows.indptr.tolist(), rows.indices.tolist(), rows.data.tolist()
         return tuple(
             Constraint(dict(zip(cols[ptr[i]:ptr[i + 1]], vals[ptr[i]:ptr[i + 1]])),
                        "=" if lo == hi else ">=" if hi == np.inf else "<=",
@@ -111,12 +116,12 @@ class MilpModel:
         )
 
 
-def csr(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
-        shape: tuple[int, int]) -> sparse.csr_matrix:
+def csc(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+        shape: tuple[int, int]) -> sparse.csc_matrix:
     """The matrix holding each block of (row, column, value) entries, in
-    canonical CSR form: each row's columns sorted, whatever the entry order."""
+    canonical CSC form: each column's rows sorted, whatever the entry order."""
     rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
-    return sparse.csr_matrix((vals, (rows, cols)), shape=shape)
+    return sparse.csc_matrix((vals, (rows, cols)), shape=shape)
 
 
 @dataclass
@@ -138,10 +143,10 @@ class WarmStart:
     constraint matrix it belongs to. Kept per run, never shared, so a
     decision depends only on the run's own history."""
 
-    matrix: sparse.csr_matrix | None = None
+    matrix: sparse.csc_matrix | None = None
     basis: HighsBasis | None = None
 
-    def basis_for(self, a: sparse.csr_matrix) -> HighsBasis | None:
+    def basis_for(self, a: sparse.csc_matrix) -> HighsBasis | None:
         """The stored basis if `a` is the matrix it was found on, else None."""
         m = self.matrix
         if m is a or (m is not None and m.shape == a.shape
@@ -178,10 +183,10 @@ def _scipy_milp(model: MilpModel, time_limit: float, gap_tol: float,
     options += _HOT if basis is not None else _BNB if model.integer.any() else []
     for name, value in options:
         _check(highs.setOptionValue(name, value), f"option {name} = {value!r}")
-    indptr, indices, data = _colwise(model.a)
-    _check(highs.passModel(len(model.c), model.a.shape[0], len(data), MatrixFormat.kColwise,
+    a = model.a
+    _check(highs.passModel(len(model.c), a.shape[0], len(a.data), MatrixFormat.kColwise,
                            ObjSense.kMinimize, 0.0, -model.c, model.lb, model.ub, model.lo,
-                           model.hi, indptr, indices, data, model.integer.astype(np.int32)),
+                           model.hi, a.indptr, a.indices, a.data, model.integer.astype(np.int32)),
            "the model")
     if basis is not None:
         _check(highs.setBasis(basis), "the starting basis")
@@ -193,27 +198,6 @@ def _check(status: HighsStatus, what: str) -> None:
     """Raise if HiGHS refused `what`."""
     if status == HighsStatus.kError:
         raise ValueError(f"HiGHS refused {what}")
-
-
-# column-wise arrays of the read-only matrices still alive, by id
-_COLWISE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _colwise(a: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`a` in column-wise form: (indptr, indices, data). A read-only matrix,
-    which the stages of a run share, is converted once and its arrays kept
-    for as long as it lives; a writable one, which could change in place,
-    is converted on every call."""
-    hit = _COLWISE.get(id(a))
-    if hit is None:
-        csc = a.tocsc()
-        hit = csc.indptr, csc.indices, csc.data
-        if not any(part.flags.writeable for part in (a.indptr, a.indices, a.data)):
-            for part in hit:
-                part.flags.writeable = False
-            _COLWISE[id(a)] = hit
-            weakref.finalize(a, _COLWISE.pop, id(a))
-    return hit
 
 
 def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
@@ -264,15 +248,11 @@ def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
             if found is not None:
                 x, gap = found
             else:
-                sub, live = compact(model)
-                highs = _scipy_milp(sub, max(deadline - time.perf_counter(), 0.0), gap_tol)
-                status, info, x = highs.getModelStatus(), highs.getInfo(), None
+                highs, x = _branch_and_bound(model, deadline, gap_tol, at_limit=True)
+                status = highs.getModelStatus()
                 message = highs.modelStatusToString(status)
-                if status == HighsModelStatus.kOptimal or (
-                        status in _LIMITS and info.primal_solution_status == kSolutionStatusFeasible):
-                    gap = info.mip_gap
-                    x = model.lb.copy()  # every column left out is fixed at its lb
-                    x[live] = highs.getSolution().col_value
+                if x is not None:
+                    gap = highs.getInfo().mip_gap
     except Exception as exc:  # backend failure
         return SolveResult("error", None, None, np.inf, f"backend failure: {exc}")
 
@@ -310,16 +290,32 @@ def _neighbourhood(model: MilpModel, x_lp: np.ndarray, rounded: np.ndarray, dead
     """
     lb = np.where(rounded, np.maximum(model.lb, np.floor(x_lp + INT_TOL)), model.lb)
     ub = np.where(rounded, np.minimum(model.ub, np.ceil(x_lp - INT_TOL)), model.ub)
-    sub, live = compact(replace(model, lb=lb, ub=ub))
-    highs = _scipy_milp(sub, max(deadline - time.perf_counter(), 0.0), gap_tol)
-    if highs.getModelStatus() != HighsModelStatus.kOptimal:
+    _, x = _branch_and_bound(replace(model, lb=lb, ub=ub), deadline, gap_tol, at_limit=False)
+    if x is None:
         return None
-    x = lb.copy()
-    x[live] = highs.getSolution().col_value
     free = model.lb != model.ub
     primal, bound = float(model.c[free] @ x[free]), float(model.c[free] @ x_lp[free])
     gap = 0.0 if primal == bound else abs(primal - bound) / abs(primal) if primal else np.inf
     return (x, gap) if gap <= gap_tol else None
+
+
+def _branch_and_bound(model: MilpModel, deadline: float, gap_tol: float,
+                      at_limit: bool) -> tuple[_Highs, np.ndarray | None]:
+    """Run branch-and-bound on `model` compacted (:func:`compact`), within
+    what is left until `deadline`. Return the finished run and its solution
+    with every column left out put back at its lb; the solution is None
+    unless the run is optimal or, with `at_limit`, stopped at a limit
+    holding a feasible incumbent."""
+    sub, live = compact(model)
+    highs = _scipy_milp(sub, max(deadline - time.perf_counter(), 0.0), gap_tol)
+    status = highs.getModelStatus()
+    if status != HighsModelStatus.kOptimal and not (
+            at_limit and status in _LIMITS
+            and highs.getInfo().primal_solution_status == kSolutionStatusFeasible):
+        return highs, None
+    x = model.lb.copy()
+    x[live] = highs.getSolution().col_value
+    return highs, x
 
 
 def compact(model: MilpModel) -> tuple[MilpModel, np.ndarray]:
@@ -333,7 +329,7 @@ def compact(model: MilpModel) -> tuple[MilpModel, np.ndarray]:
     shift = model.a @ x0
     lo, hi = model.lo - shift, model.hi - shift
     a = model.a[:, live]
-    empty = np.diff(a.indptr) == 0
+    empty = np.bincount(a.indices, minlength=a.shape[0]) == 0
     rows = np.flatnonzero(~((lo == -np.inf) & (hi == np.inf)) & ~(empty & (lo <= 0) & (hi >= 0)))
     return MilpModel(model.c[live], model.lb[live], model.ub[live], model.integer[live],
                      a[rows], lo[rows], hi[rows], model.constant + float(model.c @ x0)), live

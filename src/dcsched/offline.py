@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import ArrivalProfile, DomainError, JobClass, busy_servers
-from .milp import MilpModel, csr, solve
+from .milp import MilpModel, csc, solve
 from .stage import start_block
 
 
@@ -64,7 +64,7 @@ def build_offline(
         lb=np.zeros(n),
         ub=np.array([totals.get(c, 0) for c in classes], dtype=float)[cls],
         integer=np.ones(n, dtype=bool),
-        a=csr([occupancy, allocation], (rows, n)),
+        a=csc([occupancy, allocation], (rows, n)),
         lo=np.full(rows, -np.inf),
         hi=np.concatenate([np.asarray(capacity[:t_end], dtype=float), submitted.ravel()]),
     )

@@ -28,7 +28,7 @@ from .core import (
     power_of,
     server_entries,
 )
-from .milp import MilpModel, WarmStart, csr, solve
+from .milp import MilpModel, WarmStart, csc, solve
 
 log = logging.getLogger(__name__)
 
@@ -199,7 +199,7 @@ def start_block(k: np.ndarray, servers: np.ndarray, runtime: np.ndarray,
 
 @lru_cache(maxsize=8)
 def _stage_matrix(classes: tuple[JobClass, ...], t_h: int, slope: float, with_slack: bool,
-                  terms: tuple[tuple[int, int], ...]) -> sparse.csr_matrix:
+                  terms: tuple[tuple[int, int], ...]) -> sparse.csc_matrix:
     """The stage's constraint matrix, which depends on nothing but these:
     the classes, the window length, the power slope, the slack columns and
     each termination column's (servers, hours left from r). Built once per
@@ -229,7 +229,7 @@ def _stage_matrix(classes: tuple[JobClass, ...], t_h: int, slope: float, with_sl
     ]
     if with_slack:
         entries.append((clr + cl_i, pd + 1 + cl_i, np.ones(n_c)))
-    a = csr(entries, (pk + t_h, pd + 1 + (n_c if with_slack else 0)))
+    a = csc(entries, (pk + t_h, pd + 1 + (n_c if with_slack else 0)))
     for part in (a.data, a.indices, a.indptr):
         part.flags.writeable = False
     return a

@@ -62,6 +62,19 @@ def test_model_size_view_of_a_fleet_stage():
     assert sum(len(c.coeffs) for c in model.constraints) == 28907
 
 
+def test_model_size_view_of_a_fleet_offline_model():
+    # perfbench's offline bound: the same 60 classes over a 56-hour episode,
+    # every start finishing by its end
+    classes = [JobClass(k, l) for k in (1, 2, 4, 8, 16) for l in range(1, 13)]
+    profile = ArrivalProfile({(t, c): 1 for t in range(1, 57) for c in classes}, 56)
+    model, _ = dcsched.offline.build_offline(profile, [20000] * 56, classes,
+                                             require_completion=True)
+    assert len(model.variables) == 3030
+    assert sum(v.kind == "integer" for v in model.variables) == 3030
+    assert len(model.constraints) == 3416
+    assert sum(len(c.coeffs) for c in model.constraints) == 113310
+
+
 def test_every_stage_goes_through_the_wrapped_bindings(monkeypatch):
     # perfbench's per-layer spans see a layer only if the loop calls it
     # through these module attributes; count every call a small run makes

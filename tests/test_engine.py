@@ -335,27 +335,39 @@ def test_hot_started_fleet_relaxations_reach_the_cold_vertex(relaxations, monkey
                                    rtol=0, atol=1e-9)
 
 
-def test_the_shared_matrix_is_turned_column_wise_once(monkeypatch):
-    converted, built = [], []
-    tocsc, build_stage = sparse.csr_matrix.tocsc, dcsched.stage.build_stage
+def test_highs_receives_the_models_own_column_wise_arrays(monkeypatch):
+    # every HiGHS run gets the arrays of the model it solves as they are:
+    # no matrix of a run is turned column-wise, and the steady stages
+    # share one matrix
+    models, passed, converted = [], [], []
+    highs, tocsc = dcsched.milp._scipy_milp, sparse.csr_matrix.tocsc
+
+    def recorded(model, *args, **kwargs):
+        models.append(model)
+        return highs(model, *args, **kwargs)
+
+    class Recorded(dcsched.milp._Highs):
+        def passModel(self, *args):
+            passed.append(args)
+            return super().passModel(*args)
 
     def counted(self, *args, **kwargs):
         converted.append(self)
         return tocsc(self, *args, **kwargs)
 
-    def recorded(*args, **kwargs):
-        model, h = build_stage(*args, **kwargs)
-        built.append(model.a)
-        return model, h
-
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", recorded)
+    monkeypatch.setattr(dcsched.milp, "_Highs", Recorded)
     monkeypatch.setattr(sparse.csr_matrix, "tocsc", counted)
-    monkeypatch.setattr(dcsched.stage, "build_stage", recorded)
     dcsched.stage._stage_matrix.cache_clear()  # no matrix of an earlier run is reused
-    steady_run(seed=3)
-    # one matrix for all 30 stages, converted for the first relaxation only
-    (a,) = {id(a): a for a in built}.values()
-    assert len(built) == 30
-    assert sum(m is a for m in converted) == 1
+    traj = steady_run(seed=3)
+    assert len(traj.records) == 30
+    assert len(passed) == len(models) >= 30
+    for model, args in zip(models, passed):
+        indptr, indices, data = args[11:14]
+        assert indptr is model.a.indptr and indices is model.a.indices and data is model.a.data
+    relaxations = [model.a for model in models if not model.integer.any()]
+    assert len(relaxations) == 30 and all(a is relaxations[0] for a in relaxations)
+    assert converted == []
 
 
 def test_basis_is_kept_per_run(monkeypatch):

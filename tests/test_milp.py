@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ import dcsched.milp
 import dcsched.stage
 from dcsched.core import HorizonConfig, ObjectiveWeights
 from dcsched.engine import run
-from dcsched.milp import INT_TOL, MilpModel, WarmStart, check_feasible, compact, csr, solve
+from dcsched.milp import INT_TOL, MilpModel, WarmStart, check_feasible, compact, csc, solve
 from dcsched.signals import noisy_forecast, synthetic_carbon
 from dcsched.stage import build_stage, solve_stage, validate_decision
 from test_acceptance import DESK, _c7_profile, _cliff_capacity
@@ -31,7 +32,7 @@ def dense_model(objective, rows, lb=0.0, ub=np.inf, integer=True, constant=0.0):
         lb=np.broadcast_to(np.asarray(lb, dtype=float), n).copy(),
         ub=np.broadcast_to(np.asarray(ub, dtype=float), n).copy(),
         integer=np.broadcast_to(np.asarray(integer, dtype=bool), n).copy(),
-        a=sparse.csr_matrix(np.array([coeffs for coeffs, _, _ in rows], dtype=float).reshape(-1, n)),
+        a=sparse.csc_matrix(np.array([coeffs for coeffs, _, _ in rows], dtype=float).reshape(-1, n)),
         lo=np.where([sense != "<=" for sense in senses], rhs, -np.inf),
         hi=np.where([sense != ">=" for sense in senses], rhs, np.inf),
         constant=constant,
@@ -164,7 +165,17 @@ def test_objective_constant_is_reported():
 
 def test_unknown_variable_reference_rejected():
     with pytest.raises(ValueError):
-        csr([(np.array([0]), np.array([3]), np.array([1.0]))], (1, 1))
+        csc([(np.array([0]), np.array([3]), np.array([1.0]))], (1, 1))
+
+
+def test_a_row_wise_matrix_is_rejected():
+    # HiGHS is told the arrays are column-wise: row-wise ones would pose
+    # another model without any error
+    model = dense_model([1.0, 1.0], [([1.0, 2.0], "<=", 3)])
+    with pytest.raises(TypeError, match="CSC"):
+        dataclasses.replace(model, a=model.a.tocsr())
+    with pytest.raises(TypeError, match="CSC"):
+        dataclasses.replace(model, a=model.a.toarray())
 
 
 @pytest.fixture

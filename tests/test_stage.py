@@ -441,12 +441,14 @@ def test_model_and_recheck_agree_on_perturbed_decisions():
 
 def model_digest(models):
     """sha256 over what HiGHS receives of each model: objective, constant,
-    column bounds, row bounds, the CSR matrix and the integrality."""
+    column bounds, row bounds, the matrix (read row-wise) and the
+    integrality."""
     h = hashlib.sha256()
     for m in models:
-        for arr in (m.c, m.constant, m.lb, m.ub, m.lo, m.hi, m.a.data):
+        a = m.a.tocsr()
+        for arr in (m.c, m.constant, m.lb, m.ub, m.lo, m.hi, a.data):
             h.update(np.asarray(arr, dtype=np.float64).tobytes())
-        for arr in (m.integer, m.a.shape, m.a.indptr, m.a.indices):
+        for arr in (m.integer, a.shape, a.indptr, a.indices):
             h.update(np.asarray(arr, dtype=np.int64).tobytes())
     return h.hexdigest()
 
@@ -459,13 +461,28 @@ def test_stage_model_is_unchanged():
     # of one profile with and without the completion rule
     models = [build_stage(random_stage(seed), with_slack=with_slack)[0]
               for seed in range(40) for with_slack in (False, True)]
+    assert model_digest(compact(m)[0] for m in models + offline_models()) == (
+        "91b644817fcb5b3572cf2be3171d14fc39a0c69e1f759b653735ef45f20483ef"
+    )
+
+
+def offline_models():
+    """The offline model of one profile, with and without the completion
+    rule."""
     profile = ArrivalProfile(
         {(t, c): (3 * t + c.servers * c.runtime) % 4 for t in range(1, 13) for c in AGREE_CLASSES},
         12,
     )
     capacity = [3 + t % 5 for t in range(12)]
-    models += [build_offline(profile, capacity, AGREE_CLASSES, require_completion)[0]
-               for require_completion in (False, True)]
-    assert model_digest(compact(m)[0] for m in models) == (
-        "91b644817fcb5b3572cf2be3171d14fc39a0c69e1f759b653735ef45f20483ef"
-    )
+    return [build_offline(profile, capacity, AGREE_CLASSES, require_completion)[0]
+            for require_completion in (False, True)]
+
+
+def test_builders_return_canonical_column_wise_matrices():
+    # HiGHS is handed the matrix's own arrays as column-wise ones: the
+    # stage and offline builders and compact must all return canonical CSC
+    models = [build_stage(random_stage(seed), with_slack=with_slack)[0]
+              for seed in range(8) for with_slack in (False, True)] + offline_models()
+    for m in models + [compact(m)[0] for m in models]:
+        assert m.a.format == "csc"
+        assert m.a.has_canonical_format
