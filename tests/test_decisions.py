@@ -1,0 +1,159 @@
+"""Pins the decisions of three short closed loops, not only their models.
+
+Each loop's digest covers every stage decision: the starts over the whole
+window, the terminations, the active servers over the extended window, the
+clearance slack, the realized peak, the status and the rounded gap. The
+encoding is independent of how a decision stores them: sorted
+(servers, runtime, hour, count) tuples, whichever layout the tables have.
+The HiGHS runs of each loop are pinned by kind: a relaxation given the
+previous hour's basis ("LP hot"), one started cold ("LP cold"), and
+branch-and-bound, the neighbourhood included ("MILP").
+
+The pins are tied to HiGHS 1.12.0 as scipy 1.17.1 bundles it: a change of
+scipy re-pins them and says so. A change that moves a decision re-pins them
+and lists every moved stage with its reason.
+"""
+
+import hashlib
+from collections import Counter
+from collections.abc import Mapping
+
+import numpy as np
+import pytest
+
+import dcsched.cli
+import dcsched.engine
+import dcsched.milp
+from dcsched.config import load_config
+from dcsched.core import DCConfig, HorizonConfig, ObjectiveWeights
+from dcsched.engine import run
+from dcsched.signals import constant_capacity, synthetic_carbon
+from dcsched.traces import sample_arrivals, synthetic_jobs
+
+
+def entries(table, classes, r):
+    """The nonzero entries of a class x hour table as sorted
+    (servers, runtime, hour, count) tuples: a mapping keyed (class, hour),
+    or an array whose rows follow `classes` and whose column o is hour
+    r + o."""
+    if isinstance(table, Mapping):
+        items = table.items()
+    else:
+        items = (((classes[i], r + o), n) for (i, o), n in np.ndenumerate(table))
+    return sorted((c.servers, c.runtime, t, int(n)) for (c, t), n in items if n)
+
+
+def encode(inputs, decision):
+    """One stage decision in a form that does not depend on its layout."""
+    classes, r = inputs.classes, inputs.state.stage
+    active = decision.active
+    active = [m for _, m in sorted(active.items())] if isinstance(active, Mapping) else active
+    slack = decision.slack
+    slack = slack.items() if isinstance(slack, Mapping) else zip(classes, slack)
+    return (
+        r,
+        entries(decision.starts, classes, r),
+        entries(decision.terminations, classes, r),
+        [int(m) for m in active],
+        sorted((c.servers, c.runtime, int(n)) for c, n in slack if n),
+        f"{decision.peak:.12g}",
+        decision.status,
+        f"{decision.gap:.3g}",
+    )
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Each stage decision of the loops run in the test, encoded, and each
+    HiGHS run by kind."""
+    decisions, runs = [], Counter()
+    solve_stage, highs = dcsched.engine.solve_stage, dcsched.milp._scipy_milp
+
+    def decided(inputs, **kwargs):
+        decision = solve_stage(inputs, **kwargs)
+        decisions.append(encode(inputs, decision))
+        return decision
+
+    def counted(model, time_limit, gap_tol, basis=None):
+        runs["MILP" if model.integer.any() else "LP cold" if basis is None else "LP hot"] += 1
+        return highs(model, time_limit, gap_tol, basis)
+
+    monkeypatch.setattr(dcsched.engine, "solve_stage", decided)
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", counted)
+    return decisions, runs
+
+
+def digest(decisions):
+    return hashlib.sha256(repr(decisions).encode()).hexdigest()
+
+
+def run_cell(tmp_path, text):
+    """Run the one cell of a sweep config in this process, as a pool worker
+    of `dcsched run` runs it."""
+    path = tmp_path / "cell.yaml"
+    path.write_text(text.format(out=tmp_path / "out"))
+    cfg = load_config(str(path))
+    (cell,) = dcsched.cli._cells(cfg)
+    (tmp_path / "out").mkdir()
+    dcsched.cli._run_cell_or_raise(cfg, cell, cfg["output_dir"])
+
+
+# the desk grid's size and a peak charge: fractional relaxations, their
+# neighbourhoods and full branch-and-bound
+DESK_CELL = """\
+dc: {{total_servers: 200}}
+signals: {{hours: 24, capacity: {{mode: walk}}}}
+profiles: {{jobs: 100, k_buckets: [1, 2, 4], max_runtime_hours: 8}}
+sweep: {{lambda_ce: [0.1], lambda_pd: [5.0], horizon_t: [9], forecast: [noisy_both], seeds: [1]}}
+output_dir: {out}
+"""
+
+# test_cli.py's overload cell: terminations, clearance slack and infeasible
+# models
+OVERLOAD_CELL = """\
+dc: {{total_servers: 200}}
+signals: {{hours: 48, capacity: {{mode: walk, step_stddev_frac: 0.15, floor_frac: 0.3}}}}
+profiles: {{jobs: 1000, k_buckets: [1, 2, 4], max_runtime_hours: 8, shapes: [large_var]}}
+sweep: {{horizon_t: [3], seeds: [2]}}
+output_dir: {out}
+"""
+
+
+def test_desk_cell_decisions_are_pinned(recorded, tmp_path):
+    decisions, runs = recorded
+    run_cell(tmp_path, DESK_CELL)
+    assert len(decisions) == 24
+    assert dict(runs) == {"LP cold": 1, "LP hot": 23, "MILP": 15}
+    assert digest(decisions) == (
+        "7d7daf4cda2fce2aa459e996e064c430843a42fa13c454d0fd0d80aebede5197"
+    )
+
+
+def test_overload_cell_decisions_are_pinned(recorded, tmp_path):
+    decisions, runs = recorded
+    run_cell(tmp_path, OVERLOAD_CELL)
+    assert len(decisions) == 48
+    # stages with terminations and stages with slack are among them
+    assert any(terms for _, _, terms, *_ in decisions)
+    assert any(slack for *_, slack, _, _, _ in decisions)
+    assert dict(runs) == {"LP cold": 15, "LP hot": 44, "MILP": 40}
+    assert digest(decisions) == (
+        "b0e5a9edf00e52679a1c7a640fc49aa65ecea9ba03e3e4a97fa34fed438650bf"
+    )
+
+
+def test_fleet_shaped_decisions_are_pinned(recorded):
+    # 60 classes on 20,000 servers: every relaxation after the first starts
+    # from the basis of the hour before
+    decisions, runs = recorded
+    hours = 36
+    totals = synthetic_jobs(30000, (1, 2, 4, 8, 16), 12, seed=0)
+    assert len(totals) == 60
+    run(DCConfig(20000, 100.0, 30.0), sample_arrivals(totals, "small_var", hours, seed=5),
+        tuple(sorted(totals)), constant_capacity(20000, hours), synthetic_carbon(hours),
+        HorizonConfig(24, 24, 24), ObjectiveWeights(lambda_ce=0.1, lambda_pd=5.0))
+    assert len(decisions) == hours
+    assert dict(runs) == {"LP cold": 1, "LP hot": 35}
+    assert digest(decisions) == (
+        "770d95efd1e48ebd82f5889f2bab5d9439c867c8c7e5d27f6884e3d23de75350"
+    )
