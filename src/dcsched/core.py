@@ -159,6 +159,18 @@ class ArrivalProfile:
     def totals(self) -> dict[JobClass, int]:
         return dict(self._totals)
 
+    def table(self, classes: Sequence[JobClass]) -> np.ndarray:
+        """The counts as a classes x hours int array: row i holds class
+        classes[i] and column t - 1 hour t. A class outside `classes` is an
+        error."""
+        row = {c: i for i, c in enumerate(classes)}
+        out = np.zeros((len(classes), self.horizon), dtype=np.int64)
+        for (t, c), num in self.counts.items():
+            if c not in row:
+                raise DomainError(f"arrival class {c} outside declared class set")
+            out[row[c], t - 1] = num
+        return out
+
 
 @dataclass
 class SystemState:
@@ -183,27 +195,28 @@ class SystemState:
         return out
 
 
-@dataclass
+@dataclass(eq=False)
 class StageDecision:
-    """Control actions chosen at one stage.
+    """Control actions chosen at stage r, in the stage model's own layout:
+    rows follow the stage's classes, and column (or entry) o is hour r + o.
 
-    starts maps (class, start hour) -> count over the decision window;
-    terminations maps (class, original start hour) -> count of running
-    jobs cancelled at the current hour; active maps hour -> server count
-    over the extended window; peak is the stage peak power in MW.
+    starts is a classes x t_h int array of job starts over the decision
+    window (0 past the end of the run); terminations maps (class, original
+    start hour) -> count of running jobs cancelled at r; active is an int
+    array of active servers over the extended window; slack holds the
+    clearance slack of each class; peak is the stage peak power in MW.
+    A decision built for `advance_state`, which reads only the starts at r
+    and the terminations, may leave active and slack empty.
     """
 
-    starts: dict[tuple[JobClass, int], int] = field(default_factory=dict)
+    starts: np.ndarray
     terminations: dict[tuple[JobClass, int], int] = field(default_factory=dict)
-    active: dict[int, int] = field(default_factory=dict)
+    active: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     peak: float = 0.0
     objective: float = 0.0
     gap: float = 0.0
     status: str = "optimal"
-    slack: dict[JobClass, int] = field(default_factory=dict)
-
-    def starts_at(self, t: int) -> dict[JobClass, int]:
-        return {c: num for (c, h), num in self.starts.items() if h == t and num}
+    slack: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
 
 def power_of(m: int, cfg: DCConfig) -> float:

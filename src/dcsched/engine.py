@@ -12,6 +12,8 @@ import dataclasses
 import logging
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import (
     ArrivalProfile,
     DCConfig,
@@ -84,7 +86,7 @@ def assemble_inputs(
     state: SystemState,
     cfg: DCConfig,
     classes: tuple[JobClass, ...],
-    profile: ArrivalProfile,
+    arrivals: np.ndarray,
     capacity_truth: SignalSeries,
     carbon_truth: SignalSeries,
     horizons: HorizonConfig,
@@ -98,24 +100,24 @@ def assemble_inputs(
     forecast series (truth when no forecast is given), with the capacity
     forecast held at its value at the forecast-horizon edge beyond t_c and
     the carbon forecast persisting past the series end. Job arrivals are
-    read from the profile at hours before r + t_j.
+    read from `arrivals`, the run's classes x hours table (see
+    `ArrivalProfile.table`), at hours before r + t_j.
     """
-    t_end = profile.horizon
+    t_end = arrivals.shape[1]
     cap_fc = capacity_forecast if capacity_forecast is not None else capacity_truth
     car_fc = carbon_forecast if carbon_forecast is not None else carbon_truth
 
-    inputs = StageInputs(cfg, state, classes, {}, {}, {}, weights, horizons, t_end)
-    jobs = {
-        (c, t): num
-        for t in inputs.window() if t < r + horizons.t_j
-        for c, num in profile.at(t).items()
-    }
+    inputs = StageInputs(cfg, state, classes, None, None, None, weights, horizons, t_end)
+    window, extended = inputs.window(), inputs.extended_window()
+    jobs = np.zeros((len(classes), len(window)), dtype=np.int64)
+    seen = min(len(window), horizons.t_j)
+    jobs[:, :seen] = arrivals[:, r - 1:r - 1 + seen]
     edge = r + horizons.t_c - 1
-    caps = {t: int(capacity_truth.at(r) if t == r else cap_fc.at(min(t, edge)))
-            for t in inputs.window()}
-    carbon = {t: carbon_truth.at(r) if t == r else car_fc.at(t) for t in inputs.extended_window()}
+    caps = [capacity_truth.at(r)] + [cap_fc.at(min(t, edge)) for t in window[1:]]
+    carbon = [carbon_truth.at(r)] + [car_fc.at(t) for t in extended[1:]]
     return dataclasses.replace(
-        inputs, job_forecast=jobs, capacity_forecast=caps, carbon_forecast=carbon
+        inputs, job_forecast=jobs, capacity_forecast=np.array(caps, dtype=np.int64),
+        carbon_forecast=np.array(carbon, dtype=float),
     )
 
 
@@ -123,14 +125,17 @@ def advance_state(
     state: SystemState,
     decision: StageDecision,
     arrivals_at_r: dict[JobClass, int],
-    max_runtime: int,
+    classes: tuple[JobClass, ...],
 ) -> SystemState:
     """Apply the hour-r starts and terminations, observe arrivals, and
-    return the stage-(r+1) state. Verifies the commitment-vector identity
-    and job conservation."""
+    return the stage-(r+1) state. The decision's starts are in the stage's
+    layout: row i holds class classes[i], column 0 hour r. Verifies the
+    commitment-vector identity and job conservation."""
     r = state.stage
-    starts_r = decision.starts_at(r)
+    starts_r = [(c, num) for c, num in zip(classes, decision.starts[:, 0].tolist(), strict=True)
+                if num]
     terminations = decision.terminations
+    max_runtime = max_runtime_of(classes)
     # the tables are copied, not rebuilt: kept running entries stay in
     # order, and the jobs that end at r and the emptied entries leave
     running = dict(state.running)
@@ -148,7 +153,7 @@ def advance_state(
     for c, num in arrivals_at_r.items():
         queued[c] = queued.get(c, 0) + num
         arrived[c] = arrived.get(c, 0) + num
-    for c, num in starts_r.items():
+    for c, num in starts_r:
         queued[c] = queued.get(c, 0) - num
         if queued[c] < 0:
             raise DomainError(f"queue for {c} would go negative ({queued[c]}) at stage {r}")
@@ -163,7 +168,7 @@ def advance_state(
     # terminated jobs (index l - 1: servers committed for l more hours)
     derived = check_state(new, max_runtime)
     expected = server_commitments(state, max_runtime)[1:] + [0]
-    for c, num in starts_r.items():
+    for c, num in starts_r:
         if c.runtime > 1:
             expected[c.runtime - 2] += c.servers * num
     for (c, t_b), num in terminations.items():
@@ -192,13 +197,9 @@ def run(
     """Run the receding-horizon loop over hours 1..profile.horizon. Each
     hour's LP relaxation starts from the previous hour's optimal basis,
     kept for this run only."""
-    declared = set(classes)
-    for c in profile.totals():
-        if c not in declared:
-            raise DomainError(f"arrival class {c} outside declared class set")
+    table = profile.table(classes)
     t_end = profile.horizon
     capacity_truth.require_hours(t_end)
-    max_runtime = max_runtime_of(classes)
 
     state = SystemState(stage=1)
     traj = Trajectory()
@@ -207,17 +208,17 @@ def run(
         arrivals = profile.at(r)
         try:
             inputs = assemble_inputs(
-                r, state, cfg, classes, profile, capacity_truth, carbon_truth,
+                r, state, cfg, classes, table, capacity_truth, carbon_truth,
                 horizons, weights, capacity_forecast, carbon_forecast,
             )
             decision = solve_stage(inputs, gap_tol=gap_tol, time_limit=time_limit, warm=warm)
-            realized_m = decision.active[r]
+            realized_m = int(decision.active[0])
             if realized_m > capacity_truth.at(r):
                 raise DomainError(
                     f"stage {r}: realized active servers {realized_m} exceed "
                     f"capacity {capacity_truth.at(r)}"
                 )
-            new_state = advance_state(state, decision, arrivals, max_runtime)
+            new_state = advance_state(state, decision, arrivals, classes)
         except (StageError, DomainError) as exc:
             traj.final_state = state
             raise RunAborted(r, traj, exc) from exc
@@ -231,14 +232,14 @@ def run(
                 active=realized_m,
                 capacity=int(capacity_truth.at(r)),
                 carbon=carbon_truth.at(r),
-                starts=decision.starts_at(r),
+                starts={c: num for c, num in zip(classes, decision.starts[:, 0].tolist()) if num},
                 terminations=dict(decision.terminations),
                 queued_after=sum(new_state.queued.values()),
                 committed_before=int(inputs.bounds.held[0]),
                 objective=decision.objective,
                 gap=decision.gap,
                 status=decision.status,
-                slack=dict(decision.slack),
+                slack={c: num for c, num in zip(classes, decision.slack.tolist()) if num},
                 wasted_server_hours=wasted,
             )
         )

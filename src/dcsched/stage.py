@@ -10,7 +10,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping
 
 import numpy as np
 from scipy import sparse
@@ -48,7 +47,8 @@ class StageBounds:
     read by both the model and the exact re-check: integer arrays by class
     (in the order of `StageInputs.classes`) and by hour from r."""
 
-    codes: np.ndarray  # per class: servers * 2**32 + runtime, see `_rows`
+    servers: np.ndarray  # per class: servers per job
+    runtime: np.ndarray  # per class: hours per job
     k: np.ndarray  # per class: the admissible starts are at hours r..r + k - 1
     allowance: np.ndarray  # class x window hour: queue + forecast arrivals up to that hour
     required: np.ndarray  # per class: minimum clearance, a rule only where k > 0
@@ -56,33 +56,25 @@ class StageBounds:
     held: np.ndarray  # servers held by earlier starts per extended-window hour
 
 
-def _rows(codes: np.ndarray, servers: np.ndarray, runtime: np.ndarray) -> np.ndarray:
-    """The row in `codes` of each class (servers, runtime); len(codes) for a
-    class outside them."""
-    order = np.append(np.argsort(codes), len(codes))
-    code = servers * 2**32 + runtime
-    row = order[np.searchsorted(codes[order[:-1]], code)]
-    return np.where(np.append(codes, -1)[row] == code, row, len(codes))
-
-
 @dataclass(frozen=True)
 class StageInputs:
-    """Everything the stage problem sees at hour `state.stage`.
+    """Everything the stage problem sees at hour r = `state.stage`.
 
-    job_forecast maps (class, t) -> expected arrivals over the decision
-    window (exact at t = r); capacity_forecast maps t -> available servers
-    over the decision window (exact at t = r); carbon_forecast maps
-    t -> kg CO2 / MWh over the extended window. t_end, when set, is the
-    last hour of the overall run: the window is truncated there and no
-    start may run past it.
+    The forecasts are arrays in the stage model's own layout: rows follow
+    `classes`, and column (or entry) o is hour r + o. job_forecast is a
+    classes x window int array of expected arrivals (exact at r);
+    capacity_forecast an int array of available servers over the window
+    (exact at r); carbon_forecast a float array of kg CO2 / MWh over the
+    extended window. t_end, when set, is the last hour of the overall run:
+    the window is truncated there and no start may run past it.
     """
 
     cfg: DCConfig
     state: SystemState
     classes: tuple[JobClass, ...]
-    job_forecast: Mapping[tuple[JobClass, int], int]
-    capacity_forecast: Mapping[int, int]
-    carbon_forecast: Mapping[int, float]
+    job_forecast: np.ndarray
+    capacity_forecast: np.ndarray
+    carbon_forecast: np.ndarray
     weights: ObjectiveWeights
     horizons: HorizonConfig
     t_end: int | None = None
@@ -103,23 +95,22 @@ class StageInputs:
     def bounds(self) -> StageBounds:
         """The stage bounds, derived once per stage."""
         state, classes = self.state, self.classes
-        r, n_c, n_t = state.stage, len(classes), len(self.window())
+        r, n_c = state.stage, len(classes)
+        n_t, n_ext = len(self.window()), len(self.extended_window())
         declared = set(classes)
         for c in state.queued:
             if c not in declared:
                 raise DomainError(f"queued class {c} outside declared class set")
-        runtime = np.array([c.runtime for c in classes], dtype=np.int64)
-        codes = np.array([c.servers for c in classes], dtype=np.int64) * 2**32 + runtime
-        servers_f, runtime_f, hour, num = server_entries(self.job_forecast)
-        row = _rows(codes, servers_f, runtime_f)
-        if (row == n_c).any():
-            c, _ = list(self.job_forecast)[np.argmax(row == n_c)]
-            raise DomainError(f"forecast class {c} outside declared class set")
+        shapes = tuple(np.shape(f) for f in (self.job_forecast, self.capacity_forecast,
+                                              self.carbon_forecast))
+        if shapes != ((n_c, n_t), (n_t,), (n_ext,)):
+            raise DomainError(f"forecast shapes {shapes}, expected {((n_c, n_t), (n_t,), (n_ext,))}")
+        servers, runtime = np.array([(c.servers, c.runtime) for c in classes],
+                                    dtype=np.int64).reshape(-1, 2).T
         # per class: the queue, then the forecast arrivals at each window hour
         counts = np.zeros((n_c, n_t + 1), dtype=np.int64)
         counts[:, 0] = [state.queued.get(c, 0) for c in classes]
-        seen = (hour >= r) & (hour < r + n_t)
-        np.add.at(counts, (row[seen], hour[seen] - r + 1), num[seen])
+        counts[:, 1:] = self.job_forecast
         available = np.cumsum(counts, axis=1)
 
         # starts that cannot finish by t_end are excluded so end-of-run
@@ -132,13 +123,13 @@ class StageInputs:
         # admissible start simply waits
         required = available[np.arange(n_c), np.minimum(n_t // 2, k)]
 
-        held = held_servers(server_entries(state.running), r, len(self.extended_window()))
+        held = held_servers(server_entries(state.running), r, n_ext)
         # at future hours the bound never forces termination of committed
         # work (pre-emptive termination on an unrealized forecast dip is
         # not modelled)
-        capacity = np.array([self.capacity_forecast[t] for t in range(r, r + n_t)], dtype=np.int64)
+        capacity = np.array(self.capacity_forecast, dtype=np.int64)
         capacity[1:] = np.maximum(capacity[1:], held[1:n_t])
-        return StageBounds(codes, k, available[:, 1:], required, capacity, held)
+        return StageBounds(servers, runtime, k, available[:, 1:], required, capacity, held)
 
 
 def util_coeff(r: int, t_h: int, c: JobClass, t: int) -> int:
@@ -149,23 +140,19 @@ def util_coeff(r: int, t_h: int, c: JobClass, t: int) -> int:
 
 @dataclass
 class _StageHandles:
-    """The model column of each decision quantity."""
+    """Where the decision quantities sit among the model's columns. Column
+    i * t_h + o starts class i at hour r + o; the termination columns of
+    the running entries `terms` follow, in order; the active servers at
+    hours r, r + 1, ... start at column `m0` and end before the stage peak,
+    column `peak`. A model with slack has one slack column per class after
+    it."""
 
-    classes: tuple[JobClass, ...]
-    r: int
-    t_h: int  # start column j starts class j // t_h at hour r + j % t_h; they come first
-    terms: dict[tuple[JobClass, int], int]
-    active: dict[int, int]
+    terms: list[tuple[JobClass, int]]
+    m0: int
     peak: int
-    slack: dict[JobClass, int]
     # the columns a fractional relaxation's neighbourhood rounds: starts,
     # terminations and slack; the occupancy rows tie m and PD to the starts
     rounded: np.ndarray
-
-    @property
-    def starts(self) -> list[tuple[JobClass, int]]:
-        """(class, hour) of each start column, in column order."""
-        return [(c, self.r + o) for c in self.classes for o in range(self.t_h)]
 
 
 def _spans(first: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +279,7 @@ def build_stage(
     constant = 0.0
     lambda_ce = inputs.weights.lambda_ce
     if lambda_ce:
-        rates = [inputs.carbon_forecast[t] for t in range(r, r + n_ext)]
+        rates = inputs.carbon_forecast.tolist()
         obj[m0:m0 + n_ext] -= lambda_ce * np.array(rates, dtype=float) * cfg.slope_mw_per_server
         for cr in rates:
             constant -= lambda_ce * cr * cfg.p_idle_mw
@@ -301,10 +288,7 @@ def build_stage(
 
     rounded = np.ones(n, dtype=bool)
     rounded[m0:pd + 1] = False
-    h = _StageHandles(classes, r, t_h, {key: n_s + i for i, (key, _) in enumerate(running)},
-                      dict(zip(range(r, r + n_ext), range(m0, m0 + n_ext))), pd,
-                      {c: pd + 1 + i for i, c in enumerate(classes) if with_slack and b.k[i] > 0},
-                      rounded)
+    h = _StageHandles([key for key, _ in running], m0, pd, rounded)
     return MilpModel(obj, np.zeros(n), ub, integer, a, lo, hi, constant), h
 
 
@@ -335,27 +319,26 @@ def solve_stage(
     if res.status in ("infeasible", "error"):
         raise StageError(r, f"{res.status}: {res.message}")
 
-    x = res.values.tolist()
-    active = {t: int(x[j]) for t, j in h.active.items()}
-    # report the realized stage peak, not the (possibly slack) epigraph value
-    peak = max(power_of(active[t], inputs.cfg) for t in inputs.window())
-    t_h, classes = h.t_h, h.classes
+    # every column but PD is integral, and PD is not read
+    classes, t_h, x = inputs.classes, inputs.horizons.t_h, res.values.astype(np.int64)
+    n_s, slack = len(classes) * t_h, x[h.peak + 1:]
+    active = x[h.m0:h.m0 + len(inputs.bounds.held)]
     decision = StageDecision(
-        starts={(classes[j // t_h], r + j % t_h): int(x[j])
-                for j in np.flatnonzero(res.values[:len(classes) * t_h]).tolist()},
-        terminations={key: int(x[j]) for key, j in h.terms.items() if x[j]},
+        starts=x[:n_s].reshape(-1, t_h),
+        terminations={key: num for key, num in zip(h.terms, x[n_s:h.m0].tolist()) if num},
         active=active,
-        peak=peak,
+        # the realized stage peak, not the (possibly slack) epigraph value
+        peak=max(power_of(m, inputs.cfg) for m in active[:len(inputs.window())].tolist()),
         objective=res.objective if res.objective is not None else float("nan"),
         gap=res.gap,
         status=res.status,
-        slack={c: int(x[j]) for c, j in h.slack.items() if x[j]},
+        slack=slack if len(slack) else np.zeros(len(classes), dtype=np.int64),
     )
-    if decision.slack:
+    if slack.any():
         log.warning(
             "stage %d: minimum clearance relaxed, slack=%s",
             r,
-            {f"({c.servers},{c.runtime})": s for c, s in decision.slack.items()},
+            {f"({c.servers},{c.runtime})": s for c, s in zip(classes, slack.tolist()) if s},
         )
     violations = validate_decision(inputs, decision)
     if violations:
@@ -363,63 +346,52 @@ def solve_stage(
     return decision
 
 
-def stage_emissions(inputs: StageInputs, decision: StageDecision) -> float:
-    """Carbon term of the stage objective: forecast rate times power over
-    the extended window, in kg CO2."""
-    return sum(
-        inputs.carbon_forecast[t] * power_of(decision.active[t], inputs.cfg)
-        for t in inputs.extended_window()
-    )
-
-
 def validate_decision(inputs: StageInputs, decision: StageDecision) -> list[str]:
     """Re-check the scheduling rules on the decision's own integer counts,
-    exactly, against the stage bounds; never reads the model. A start,
-    termination or slack that the model has no column for is reported."""
-    state = inputs.state
+    exactly, against the stage bounds; never reads the model. An array of
+    another shape than the stage's, and a start, termination or slack that
+    the model has no column for, are reported."""
+    state, classes, b = inputs.state, inputs.classes, inputs.bounds
     r = state.stage
-    b = inputs.bounds
     (n_c, n_t), n_ext = b.allowance.shape, len(b.held)
-    starts, keys = server_entries(decision.starts), list(decision.starts)
-    bad = [f"negative count {starts[3, i]} for {keys[i]}" for i in np.flatnonzero(starts[3] < 0)]
-    for table in (decision.terminations, decision.slack):
-        for key, num in table.items():
-            if num < 0:
-                bad.append(f"negative count {num} for {key}")
-    row = _rows(b.codes, starts[0], starts[1])  # n_c: undeclared, no admissible hour
-    off = starts[2] - r
-    for i in np.flatnonzero((starts[3] != 0) & ((off < 0) | (off >= np.append(b.k, 0)[row]))):
-        bad.append(f"class {keys[i][0]} started at inadmissible hour {keys[i][1]}")
-    slack = np.zeros(n_c, dtype=np.int64)
-    for c, num in decision.slack.items():
-        if c in inputs.classes and b.k[inputs.classes.index(c)]:
-            slack[inputs.classes.index(c)] += num
-        elif num:
-            bad.append(f"slack for class {c}, which has no clearance rule")
+    shapes = {"starts": (n_c, inputs.horizons.t_h), "active": (n_ext,), "slack": (n_c,)}
+    bad = [f"{name} has shape {np.shape(getattr(decision, name))}, expected {shape}"
+           for name, shape in shapes.items() if np.shape(getattr(decision, name)) != shape]
+    if bad:
+        return bad
+    starts, active, slack = decision.starts, decision.active, decision.slack
+    bad = [f"negative count {starts[i, o]} for {(classes[i], r + o)}"
+           for i, o in np.argwhere(starts < 0).tolist()]
+    bad += [f"negative count {num} for {key}" for key, num in decision.terminations.items() if num < 0]
+    bad += [f"negative count {slack[i]} for {classes[i]}" for i in np.flatnonzero(slack < 0).tolist()]
+    late = (starts != 0) & (np.arange(starts.shape[1]) >= b.k[:, None])
+    bad += [f"class {classes[i]} started at inadmissible hour {r + o}"
+            for i, o in np.argwhere(late).tolist()]
+    bad += [f"slack for class {classes[i]}, which has no clearance rule"
+            for i in np.flatnonzero((slack != 0) & (b.k == 0)).tolist()]
     if any(decision.terminations.values()) and b.held[0] <= b.capacity[0]:
         bad.append(f"terminations without a shortfall: {b.held[0]} <= {b.capacity[0]}")
     for (c, t_b), num in decision.terminations.items():
         if num > state.running.get((c, t_b), 0):
             bad.append(f"terminating {num} of {(c, t_b)}, only {state.running.get((c, t_b), 0)} running")
 
-    freed = server_entries(decision.terminations) * [[1], [1], [1], [-1]]
-    occupied = b.held + held_servers(np.hstack([starts, freed]), r, n_ext)
-    active = np.array([decision.active.get(t, 0) for t in range(r, r + n_ext)])
+    i, o = np.nonzero(starts)
+    occupied = b.held + held_servers(np.array([b.servers[i], b.runtime[i], r + o, starts[i, o]]),
+                                     r, n_ext)
+    for (c, t_b), num in decision.terminations.items():
+        occupied[max(t_b - r, 0):max(t_b + c.runtime - r, 0)] -= c.servers * num
     for o in np.flatnonzero(occupied != active).tolist():
-        bad.append(f"active-server mismatch at t={r + o}: {occupied[o]} != {decision.active.get(r + o)}")
+        bad.append(f"active-server mismatch at t={r + o}: {occupied[o]} != {active[o]}")
 
-    started = np.zeros((n_c + 1, n_t), dtype=np.int64)
-    inside = (off >= 0) & (off < n_t)
-    np.add.at(started, (row[inside], off[inside]), starts[3, inside])
-    started = np.cumsum(started[:n_c], axis=1)
+    started = np.cumsum(starts[:, :n_t], axis=1)
     over = started > b.allowance
     short = (b.k > 0) & (started[:, -1] + slack < b.required)
     for i in np.flatnonzero(over.any(axis=1) | short).tolist():
-        c = inputs.classes[i]
+        c = classes[i]
         bad += [f"class {c} over-allocated by hour {r + o}" for o in np.flatnonzero(over[i]).tolist()]
         if short[i]:
             bad.append(f"class {c} clears {started[i, -1]} of {b.required[i]} required")
 
     for o in np.flatnonzero(active[:n_t] > b.capacity).tolist():
-        bad.append(f"capacity exceeded at t={r + o}: {decision.active.get(r + o)} > {b.capacity[o]}")
+        bad.append(f"capacity exceeded at t={r + o}: {active[o]} > {b.capacity[o]}")
     return bad

@@ -32,10 +32,11 @@ from dcsched.signals import (
     noisy_forecast,
     synthetic_carbon,
 )
-from dcsched.stage import StageInputs, solve_stage, stage_emissions
+from dcsched.stage import StageInputs, solve_stage
 from dcsched.traces import sample_arrivals, synthetic_jobs
 
 from oracle_offline import brute_force_goodput, random_instance
+from test_stage import stage_emissions
 
 DESK = DCConfig(total_servers=200, p_peak_mw=100.0, p_idle_mw=30.0)
 DESK_HOURS = 72
@@ -156,18 +157,18 @@ def test_c3_conservation_under_fuzzing():
                 if rng.random() < 0.25:
                     arrivals[c] = int(rng.integers(1, 4))
             # random feasible starts from queue + fresh arrivals
-            starts = {}
-            for c in classes:
+            starts = np.zeros((len(classes), 1), dtype=np.int64)
+            for i, c in enumerate(classes):
                 avail = state.queued.get(c, 0) + arrivals.get(c, 0)
                 if avail and rng.random() < 0.7:
-                    starts[(c, r)] = int(rng.integers(0, avail + 1))
+                    starts[i, 0] = int(rng.integers(0, avail + 1))
             # random terminations of currently running jobs
             terms = {}
             for (c, t_b), num in state.running.items():
                 if rng.random() < 0.2:
                     terms[(c, t_b)] = int(rng.integers(0, num + 1))
             decision = StageDecision(starts=starts, terminations=terms)
-            state = advance_state(state, decision, arrivals, max_runtime)
+            state = advance_state(state, decision, arrivals, classes)
             check_state(state, max_runtime)
             transitions += 1
     print(f"\ncriterion 3: PASS - {transitions} fuzzed transitions over "
@@ -228,19 +229,20 @@ def _random_stage_inputs(rng: np.random.Generator, weights: ObjectiveWeights) ->
     state.queued.update({c: n for c, n in queued.items() if n})
     state.arrived.update({c: n for c, n in queued.items() if n})
     cap = int(rng.integers(4, 10))
-    job_fc = {}
-    for c in classes:
-        for t in range(r, r + t_h):
+    job_fc = np.zeros((len(classes), t_h), dtype=np.int64)
+    for i in range(len(classes)):
+        for o in range(t_h):
             if rng.random() < 0.3:
-                job_fc[(c, t)] = int(rng.integers(1, 3))
-    carbon = {t: float(rng.uniform(100, 900)) for t in range(r, t_end + 5)}
+                job_fc[i, o] = int(rng.integers(1, 3))
+    carbon = [float(rng.uniform(100, 900)) for _ in range(r, t_end + 5)]
+    n_ext = t_h + max(c.runtime for c in classes) - 1
     return StageInputs(
         cfg=DCConfig(total_servers=10, p_peak_mw=10.0, p_idle_mw=2.0),
         state=state,
         classes=classes,
         job_forecast=job_fc,
-        capacity_forecast={t: cap for t in range(r, r + t_h)},
-        carbon_forecast=carbon,
+        capacity_forecast=np.full(t_h, cap),
+        carbon_forecast=np.array(carbon[:n_ext]),
         weights=weights,
         horizons=HorizonConfig(t_h=t_h, t_j=t_h, t_c=t_h),
         t_end=t_end,
@@ -378,7 +380,7 @@ def test_c9_stage_solve_performance():
     assert len(classes) >= 110
     carbon = synthetic_carbon(168 + 24)
     inputs = assemble_inputs(
-        1, SystemState(stage=1), fleet, classes, profile,
+        1, SystemState(stage=1), fleet, classes, profile.table(classes),
         constant_capacity(20_000, 168), carbon,
         HorizonConfig(24, 24, 24), ObjectiveWeights(lambda_ce=0.1),
     )
@@ -392,7 +394,7 @@ def test_c9_stage_solve_performance():
     profile = sample_arrivals(totals, "uniform", DESK_HOURS, seed=1)
     classes = tuple(sorted(totals))
     inputs = assemble_inputs(
-        1, SystemState(stage=1), DESK, classes, profile,
+        1, SystemState(stage=1), DESK, classes, profile.table(classes),
         constant_capacity(200, DESK_HOURS), synthetic_carbon(DESK_HOURS + 8),
         HorizonConfig(24, 24, 24), ObjectiveWeights(lambda_ce=0.1),
     )

@@ -2,7 +2,9 @@
 module bindings from outside. A refactor that renames or bypasses one of
 them would silently blind that per-layer view; this test fails instead."""
 
+import importlib.util
 from collections import Counter
+from pathlib import Path
 
 import dcsched.cli
 import dcsched.engine
@@ -104,3 +106,40 @@ def test_every_stage_goes_through_the_wrapped_bindings(monkeypatch):
                 ("dcsched.milp", "_scipy_milp")):
         assert calls[key] >= hours, key
     assert calls["dcsched.engine", "run"] == 1
+
+
+def perfbench_checks():
+    """perfbench/checks.py, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_reads_decisions_records_and_the_final_state(monkeypatch):
+    # perfbench reads each decision's terminations as a mapping (its
+    # stage.terminations count), and checks.check_trajectory reads each
+    # record's terminations, active and committed_before and the final
+    # state's tables as mappings; a run with a termination
+    terminated = []
+    solve_stage = dcsched.engine.solve_stage
+
+    def observed(*args, **kwargs):
+        decision = solve_stage(*args, **kwargs)
+        terminated.append(sum(decision.terminations.values()))
+        return decision
+
+    monkeypatch.setattr(dcsched.engine, "solve_stage", observed)
+    c11, c23 = JobClass(1, 1), JobClass(2, 3)
+    profile = ArrivalProfile({(1, c11): 2, (1, c23): 1, (3, c11): 1}, 4)
+    capacity = SignalSeries("capacity", (4.0, 1.0, 1.0, 1.0))
+    traj = dcsched.engine.run(DCConfig(4, 10.0, 2.0), profile, (c11, c23), capacity,
+                              SignalSeries("carbon", (100.0,) * 4), HorizonConfig(2, 2, 2),
+                              ObjectiveWeights(), capacity_forecast=constant_capacity(4, 4))
+    assert terminated == [0, 1, 0, 0]
+    assert perfbench_checks().check_trajectory(traj, profile, capacity) == []
+    cut = traj.records[1]
+    assert (cut.terminations, cut.active, cut.committed_before) == ({(c23, 1): 1}, 0, 2)
+    state = traj.final_state
+    assert (state.queued.get(c23), state.completed.get(c11), state.running_by_class()) == (1, 3, {})

@@ -54,20 +54,26 @@ def carbon_series(t_end):
 def test_assemble_truth_at_current_hour_only_with_tj_1():
     state = SystemState(stage=1)
     inputs = assemble_inputs(
-        1, state, CFG4, (C11, C22), INSTANCE_A, constant_capacity(4, 4),
+        1, state, CFG4, (C11, C22), INSTANCE_A.table((C11, C22)), constant_capacity(4, 4),
         carbon_series(4), hz(4, t_j=1), ObjectiveWeights(),
     )
     # arrivals beyond the job-forecast horizon are invisible
-    assert inputs.job_forecast == {(C11, 1): 2, (C22, 1): 1}
+    assert inputs.job_forecast.tolist() == [[2, 0, 0, 0], [1, 0, 0, 0]]
 
 
 def test_assemble_full_job_visibility():
     state = SystemState(stage=1)
     inputs = assemble_inputs(
-        1, state, CFG4, (C11, C22), INSTANCE_A, constant_capacity(4, 4),
+        1, state, CFG4, (C11, C22), INSTANCE_A.table((C11, C22)), constant_capacity(4, 4),
         carbon_series(4), hz(4), ObjectiveWeights(),
     )
-    assert inputs.job_forecast == {(C11, 1): 2, (C22, 1): 1, (C11, 3): 1}
+    assert inputs.job_forecast.tolist() == [[2, 0, 1, 0], [1, 0, 0, 0]]
+
+
+def test_arrival_table_rows_follow_the_classes():
+    assert INSTANCE_A.table((C22, C11)).tolist() == [[1, 0, 0, 0], [2, 0, 1, 0]]
+    with pytest.raises(DomainError, match="outside declared class set"):
+        INSTANCE_A.table((C11,))
 
 
 def test_assemble_capacity_held_at_forecast_edge():
@@ -75,12 +81,12 @@ def test_assemble_capacity_held_at_forecast_edge():
     truth = SignalSeries("capacity", (4.0, 3.0, 2.0, 1.0))
     forecast = SignalSeries("capacity", (4.0, 4.0, 3.0, 1.0))
     inputs = assemble_inputs(
-        1, state, CFG4, (C11,), ArrivalProfile({}, 4), truth,
+        1, state, CFG4, (C11,), np.zeros((1, 4), dtype=int), truth,
         carbon_series(4), hz(4, t_c=2), ObjectiveWeights(),
         capacity_forecast=forecast,
     )
     # hour 1 is the realized truth; hours past t_c hold the edge forecast
-    assert inputs.capacity_forecast == {1: 4, 2: 4, 3: 4, 4: 4}
+    assert inputs.capacity_forecast.tolist() == [4, 4, 4, 4]
 
 
 def test_assemble_carbon_truth_now_forecast_later():
@@ -88,24 +94,24 @@ def test_assemble_carbon_truth_now_forecast_later():
     truth = SignalSeries("carbon", (100.0, 100.0, 100.0, 100.0))
     forecast = SignalSeries("carbon", (55.0, 66.0, 77.0, 88.0))
     inputs = assemble_inputs(
-        1, state, CFG4, (C12,), ArrivalProfile({}, 4), constant_capacity(4, 4),
+        1, state, CFG4, (C12,), np.zeros((1, 4), dtype=int), constant_capacity(4, 4),
         truth, hz(4), ObjectiveWeights(), carbon_forecast=forecast,
     )
     ext = inputs.extended_window()
     assert ext == [1, 2, 3, 4, 5]
-    assert inputs.carbon_forecast[1] == 100.0
-    assert inputs.carbon_forecast[2] == 66.0
-    # past the series end the forecast persists at its last value
-    assert inputs.carbon_forecast[5] == 88.0
+    # hour 1 is the truth; past the series end the forecast persists at
+    # its last value
+    assert inputs.carbon_forecast.tolist() == [100.0, 66.0, 77.0, 88.0, 88.0]
 
 
 def test_assemble_window_truncated_at_t_end():
     state = SystemState(stage=3)
     inputs = assemble_inputs(
-        3, state, CFG4, (C11,), ArrivalProfile({}, 4), constant_capacity(4, 4),
+        3, state, CFG4, (C11,), np.zeros((1, 4), dtype=int), constant_capacity(4, 4),
         carbon_series(4), hz(4), ObjectiveWeights(),
     )
     assert inputs.window() == [3, 4]
+    assert inputs.job_forecast.shape == (1, 2)
 
 
 # ---------------------------------------------------------------- advance
@@ -113,8 +119,8 @@ def test_assemble_window_truncated_at_t_end():
 
 def test_advance_start_becomes_running():
     state = SystemState(stage=1)
-    decision = StageDecision(starts={(C22, 1): 1}, active={1: 2, 2: 2, 3: 0, 4: 0})
-    new = advance_state(state, decision, {C22: 1}, max_runtime=2)
+    decision = StageDecision(starts=np.array([[1, 0]]))  # one start at hour 1
+    new = advance_state(state, decision, {C22: 1}, (C22,))
     assert new.stage == 2
     assert new.running == {(C22, 1): 1}
     assert new.queued.get(C22, 0) == 0
@@ -123,8 +129,8 @@ def test_advance_start_becomes_running():
 
 def test_advance_one_hour_job_completes_directly():
     state = SystemState(stage=1)
-    decision = StageDecision(starts={(C11, 1): 2}, active={1: 2})
-    new = advance_state(state, decision, {C11: 2}, max_runtime=1)
+    decision = StageDecision(starts=np.array([[2]]))
+    new = advance_state(state, decision, {C11: 2}, (C11,))
     assert new.running == {}
     assert new.completed == {C11: 2}
 
@@ -132,15 +138,15 @@ def test_advance_one_hour_job_completes_directly():
 def test_advance_running_job_completes_at_deadline():
     # a (2,2) job started at hour 1 finishes during hour 2
     state = SystemState(stage=2, running={(C22, 1): 1}, arrived={C22: 1})
-    new = advance_state(state, StageDecision(), {}, max_runtime=2)
+    new = advance_state(state, StageDecision(starts=np.zeros((1, 1), dtype=int)), {}, (C22,))
     assert new.running == {}
     assert new.completed == {C22: 1}
 
 
 def test_advance_termination_requeues_job():
     state = SystemState(stage=2, running={(C23, 1): 1}, arrived={C23: 1})
-    decision = StageDecision(terminations={(C23, 1): 1})
-    new = advance_state(state, decision, {}, max_runtime=3)
+    decision = StageDecision(starts=np.zeros((1, 1), dtype=int), terminations={(C23, 1): 1})
+    new = advance_state(state, decision, {}, (C23,))
     assert new.running == {}
     assert new.queued == {C23: 1}
     assert new.completed == {}
@@ -148,23 +154,29 @@ def test_advance_termination_requeues_job():
 
 def test_advance_rejects_overtermination():
     state = SystemState(stage=2, running={(C23, 1): 1}, arrived={C23: 1})
-    decision = StageDecision(terminations={(C23, 1): 2})
+    decision = StageDecision(starts=np.zeros((1, 1), dtype=int), terminations={(C23, 1): 2})
     with pytest.raises(DomainError):
-        advance_state(state, decision, {}, max_runtime=3)
+        advance_state(state, decision, {}, (C23,))
 
 
 def test_advance_rejects_unknown_termination():
     state = SystemState(stage=2, running={(C23, 1): 1}, arrived={C23: 1})
-    decision = StageDecision(terminations={(C22, 1): 1})
+    decision = StageDecision(starts=np.zeros((2, 1), dtype=int), terminations={(C22, 1): 1})
     with pytest.raises(DomainError):
-        advance_state(state, decision, {}, max_runtime=3)
+        advance_state(state, decision, {}, (C22, C23))
 
 
 def test_advance_rejects_start_of_unqueued_job():
     state = SystemState(stage=1)
-    decision = StageDecision(starts={(C11, 1): 1})
+    decision = StageDecision(starts=np.array([[1]]))
     with pytest.raises(DomainError):
-        advance_state(state, decision, {}, max_runtime=1)
+        advance_state(state, decision, {}, (C11,))
+
+
+def test_advance_rejects_starts_of_another_class_count():
+    decision = StageDecision(starts=np.array([[1]]))
+    with pytest.raises(ValueError):
+        advance_state(SystemState(stage=1), decision, {C11: 1}, (C11, C22))
 
 
 # ---------------------------------------------------------------- full runs

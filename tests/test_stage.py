@@ -23,7 +23,6 @@ from dcsched.stage import (
     StageInputs,
     build_stage,
     solve_stage,
-    stage_emissions,
     util_coeff,
     validate_decision,
 )
@@ -47,20 +46,22 @@ def make_inputs(
     t_end=None,
     cfg=CFG,
 ):
+    """Stage inputs with a constant capacity forecast; `job_forecast` is a
+    classes x window array (none by default), `carbon` maps each
+    extended-window hour to its rate (0 by default)."""
     hz = HorizonConfig(t_h=t_h, t_j=t_h, t_c=t_h)
     r = state.stage
     l_max = max(c.runtime for c in classes)
     last = r + t_h - 1 if t_end is None else min(r + t_h - 1, t_end)
-    cap = {t: capacity for t in range(r, last + 1)}
-    ext_last = last + l_max - 1
-    car = carbon or {t: 0.0 for t in range(r, ext_last + 1)}
+    if job_forecast is None:
+        job_forecast = np.zeros((len(classes), last - r + 1), dtype=np.int64)
     return StageInputs(
         cfg=cfg,
         state=state,
         classes=tuple(classes),
-        job_forecast=job_forecast or {},
-        capacity_forecast=cap,
-        carbon_forecast=car,
+        job_forecast=job_forecast,
+        capacity_forecast=np.full(last - r + 1, capacity),
+        carbon_forecast=np.array([carbon[t] if carbon else 0.0 for t in range(r, last + l_max)]),
         weights=weights or ObjectiveWeights(),
         horizons=hz,
         t_end=t_end,
@@ -85,7 +86,7 @@ def test_empty_state_objective_is_idle_cost():
         weights.lambda_ce * carbon[t] * CFG.p_idle_mw for t in inputs.extended_window()
     ) - weights.lambda_pd * CFG.p_idle_mw
     assert decision.objective == pytest.approx(expected)
-    assert decision.starts == {}
+    assert not decision.starts.any()
     assert decision.peak == pytest.approx(CFG.p_idle_mw)
 
 
@@ -93,8 +94,8 @@ def test_queued_job_starts_immediately_without_weights():
     state = SystemState(stage=1, queued={C11: 1}, arrived={C11: 1})
     inputs = make_inputs(state, [C11])
     decision = solve_stage(inputs)
-    assert decision.starts == {(C11, 1): 1}
-    assert decision.active[1] == 1
+    assert decision.starts.tolist() == [[1, 0, 0, 0]]
+    assert decision.active[0] == 1
 
 
 def test_forecast_dip_does_not_force_termination():
@@ -102,22 +103,9 @@ def test_forecast_dip_does_not_force_termination():
     # forecast says capacity collapses later, but the hour-2 truth is fine
     state = SystemState(stage=2, running={(C23, 1): 1}, arrived={C23: 1})
     inputs = make_inputs(state, [C23], capacity=0)
-    cap = dict(inputs.capacity_forecast)
-    cap[2] = 2
-    inputs = StageInputs(
-        cfg=inputs.cfg,
-        state=state,
-        classes=inputs.classes,
-        job_forecast={},
-        capacity_forecast=cap,
-        carbon_forecast=inputs.carbon_forecast,
-        weights=inputs.weights,
-        horizons=inputs.horizons,
-    )
-    decision = solve_stage(inputs)
+    decision = solve_stage(dataclasses.replace(inputs, capacity_forecast=np.array([2, 0, 0, 0])))
     assert decision.terminations == {}
-    assert decision.active[2] == 2
-    assert decision.active[3] == 2
+    assert decision.active[:2].tolist() == [2, 2]  # hours 2 and 3
 
 
 def test_realized_shortfall_forces_termination():
@@ -126,7 +114,7 @@ def test_realized_shortfall_forces_termination():
     inputs = make_inputs(state, [C23], capacity=1)
     decision = solve_stage(inputs)
     assert decision.terminations == {(C23, 1): 1}
-    assert decision.active[2] == 0
+    assert decision.active[0] == 0
 
 
 def test_carbon_weight_shifts_start_to_cleaner_hour():
@@ -136,11 +124,11 @@ def test_carbon_weight_shifts_start_to_cleaner_hour():
     state = SystemState(stage=1, queued={C11: 1}, arrived={C11: 1})
 
     greedy = solve_stage(make_inputs(state, [C11], carbon=carbon_by_hour))
-    assert greedy.starts == {(C11, 1): 1}
+    assert greedy.starts.tolist() == [[1, 0, 0, 0]]
 
     aware = solve_stage(make_inputs(state, [C11], carbon=carbon_by_hour,
                                     weights=ObjectiveWeights(lambda_ce=10.0)))
-    assert aware.starts == {(C11, 4): 1}
+    assert aware.starts.tolist() == [[0, 0, 0, 1]]
 
 
 def test_infeasible_clearance_relaxes_with_slack(highs_calls):
@@ -148,8 +136,8 @@ def test_infeasible_clearance_relaxes_with_slack(highs_calls):
     state = SystemState(stage=1, queued={C22: 1}, arrived={C22: 1})
     inputs = make_inputs(state, [C22], capacity=1)
     decision = solve_stage(inputs)
-    assert decision.slack == {C22: 1}
-    assert decision.starts == {}
+    assert decision.slack.tolist() == [1]
+    assert not decision.starts.any()
     assert not validate_decision(inputs, decision)
     # half the job fits, so both relaxations are fractional: the LP, its
     # neighbourhood and the infeasible MILP of the model, then the LP, its
@@ -163,8 +151,8 @@ def test_slack_is_last_resort():
     state = SystemState(stage=1, queued={C11: 1, C22: 1}, arrived={C11: 1, C22: 1})
     inputs = make_inputs(state, [C11, C22], capacity=1)
     decision = solve_stage(inputs)
-    assert decision.slack == {C22: 1}
-    assert sum(num for (c, _), num in decision.starts.items() if c == C11) == 1
+    assert decision.slack.tolist() == [0, 1]
+    assert decision.starts[0].sum() == 1
 
 
 def test_class_that_cannot_finish_gets_no_clearance_slack():
@@ -173,18 +161,16 @@ def test_class_that_cannot_finish_gets_no_clearance_slack():
     state = SystemState(stage=3, queued={C22: 1, C23: 1}, arrived={C22: 1, C23: 1})
     inputs = make_inputs(state, [C22, C23], capacity=1, t_end=4)
     decision = solve_stage(inputs)
-    assert decision.slack == {C22: 1}
-    assert decision.starts == {}
+    assert decision.slack.tolist() == [1, 0]
+    assert not decision.starts.any()
 
 
 def test_completable_start_filter_near_t_end():
     # with t_end=4 a 3-hour job may start no later than hour 2
     state = SystemState(stage=1, queued={C23: 1}, arrived={C23: 1})
     inputs = make_inputs(state, [C23], t_end=4)
-    model, handles = build_stage(inputs)
-    ub = {t: model.ub[j] for j, (c, t) in enumerate(handles.starts) if c == C23}
-    assert ub[1] == ub[2] == 1
-    assert ub[3] == ub[4] == 0
+    model, _ = build_stage(inputs)
+    assert model.ub[:4].tolist() == [1, 1, 0, 0]  # the start columns, hours 1..4
 
 
 def matrix_digest(a):
@@ -201,8 +187,8 @@ def test_stages_of_a_run_share_one_matrix():
                    if t_b + c.runtime - 1 <= 7 and rng.random() < 0.3}
         state = SystemState(stage=r, running=running,
                             queued={c: rng.randint(0, 2) for c in AGREE_CLASSES})
-        forecast = {(c, t): rng.randint(0, 1) for c in AGREE_CLASSES for t in range(r, r + 4)}
-        stages.append(make_inputs(state, AGREE_CLASSES, job_forecast=forecast, capacity=12,
+        forecast = np.array([[rng.randint(0, 1) for t in range(r, r + 4)] for c in AGREE_CLASSES])
+        stages.append(make_inputs(state, AGREE_CLASSES, job_forecast=forecast[:, :8 - r], capacity=12,
                                   t_end=7, weights=ObjectiveWeights(0.01, 1.0), cfg=AGREE_CFG))
     assert len(stages[-1].window()) == 1
     a = build_stage(stages[0])[0].a
@@ -227,37 +213,49 @@ def test_stages_of_a_run_share_one_matrix():
     assert h.terms and model.a is not a and warm.basis_for(model.a) is None
     solve_stage(cut, warm=warm)
     slack, h = build_stage(stages[0], with_slack=True)
-    assert h.slack and slack.a is not a and slack.a is not model.a
+    assert slack.a.shape[1] == h.peak + 1 + len(AGREE_CLASSES)
+    assert slack.a is not a and slack.a is not model.a
     # the shared matrix was never written to
     assert matrix_digest(a) == digest
 
 
 def test_validate_decision_reports_what_the_model_has_no_column_for():
-    # the run ends at hour 4: at stage 2 the window is hours 2..4, a (1,4)
-    # job may not start at all and nothing of (1,1) is there to start; each
-    # key below has no model column, and the re-check reports it instead of
-    # raising or reading a wrapped or clipped array index
-    c14, c13 = JobClass(1, 4), JobClass(1, 3)  # c13 is not a declared class
+    # the run ends at hour 4: at stage 2 the window is hours 2..4 of the
+    # 4-hour layout, a (1,4) job may not start at all and nothing of (1,1)
+    # is there to start; each change below has no model column, and the
+    # re-check reports it instead of raising or reading a wrapped or
+    # clipped array index
+    c14 = JobClass(1, 4)
     state = SystemState(stage=2, running={(C23, 1): 1}, queued={C23: 1}, arrived={C23: 2})
     inputs = make_inputs(state, [C11, C23, c14], capacity=12, t_end=4, cfg=AGREE_CFG)
     decision = solve_stage(inputs)
     assert validate_decision(inputs, decision) == []
 
-    def recheck(field_name, key, num=1):
-        table = {**getattr(decision, field_name), key: num}
+    def recheck(**changes):
         return validate_decision(
-            inputs, with_occupancy(inputs, dataclasses.replace(decision, **{field_name: table})))
+            inputs, with_occupancy(inputs, dataclasses.replace(decision, **changes)))
 
-    for t in (2, 1, 5):  # undeclared; at r - 1; past the window
-        c = c13 if t == 2 else C11
-        for num in (1, 2):
-            assert recheck("starts", (c, t), num) == [f"class {c} started at inadmissible hour {t}"]
-    assert recheck("terminations", (C11, 1)) == [
+    for num in (1, 2):  # C11 at hour 5, past the window; C23 at hour 4, past its last start
+        starts = decision.starts.copy()
+        starts[0, 3] = num
+        assert recheck(starts=starts) == [f"class {C11} started at inadmissible hour 5"]
+        starts = decision.starts.copy()
+        starts[1, 2] = num
+        assert recheck(starts=starts) == [f"class {C23} started at inadmissible hour 4",
+                                          f"class {C23} over-allocated by hour 4"]
+    assert recheck(terminations={(C11, 1): 1}) == [
         "terminations without a shortfall: 2 <= 12",
         f"terminating 1 of {(C11, 1)}, only 0 running",
     ]
-    for c in (c14, c13):
-        assert recheck("slack", c) == [f"slack for class {c}, which has no clearance rule"]
+    assert recheck(slack=np.array([0, 0, 1])) == [
+        f"slack for class {c14}, which has no clearance rule"]
+    # an array of another shape is reported, not indexed
+    def reshaped(**changes):
+        return validate_decision(inputs, dataclasses.replace(decision, **changes))
+
+    assert reshaped(starts=decision.starts[:, :3]) == ["starts has shape (3, 3), expected (3, 4)"]
+    assert reshaped(active=decision.active[1:], slack=np.zeros(4, dtype=int)) == [
+        "active has shape (5,), expected (6,)", "slack has shape (4,), expected (3,)"]
 
 
 def test_peak_weight_flattens_profile():
@@ -265,12 +263,19 @@ def test_peak_weight_flattens_profile():
     # with a moderate weight they are staggered across two hours
     state = SystemState(stage=1, queued={C11: 2}, arrived={C11: 2})
     flat_free = solve_stage(make_inputs(state, [C11]))
-    assert max(flat_free.active.values()) == 2
+    assert flat_free.active.max() == 2
 
     flat = solve_stage(make_inputs(state, [C11],
                                    weights=ObjectiveWeights(lambda_pd=1.0)))
-    assert max(flat.active.values()) == 1
+    assert flat.active.max() == 1
     assert flat.peak == pytest.approx(power_of(1, CFG))
+
+
+def stage_emissions(inputs, decision):
+    """Carbon term of the stage objective: forecast rate times power over
+    the extended window, in kg CO2."""
+    return sum(rate * power_of(m, inputs.cfg)
+               for rate, m in zip(inputs.carbon_forecast.tolist(), decision.active.tolist()))
 
 
 def test_stage_emissions_matches_hand_computation():
@@ -287,7 +292,7 @@ def test_validate_decision_catches_tampering():
     state = SystemState(stage=1, queued={C11: 1}, arrived={C11: 1})
     inputs = make_inputs(state, [C11])
     decision = solve_stage(inputs)
-    decision.active[1] += 1
+    decision.active[0] += 1
     assert any("mismatch" in v for v in validate_decision(inputs, decision))
 
     # a start or termination the model has no column for: a (2,3) job
@@ -296,7 +301,7 @@ def test_validate_decision_catches_tampering():
     state = SystemState(stage=2, running={(C23, 1): 1}, queued={C23: 1}, arrived={C23: 2})
     inputs = make_inputs(state, [C23], t_end=4)
     decision = solve_stage(inputs)
-    late = dataclasses.replace(decision, starts={**decision.starts, (C23, 3): 1})
+    late = dataclasses.replace(decision, starts=decision.starts + [[0, 1, 0, 0]])  # at hour 3
     assert any("inadmissible" in v for v in validate_decision(inputs, late))
     cancelled = dataclasses.replace(decision, terminations={(C23, 1): 1})
     assert any("shortfall" in v for v in validate_decision(inputs, cancelled))
@@ -346,9 +351,9 @@ def random_stage(seed):
         cfg=AGREE_CFG,
         state=state,
         classes=AGREE_CLASSES,
-        job_forecast={(c, t): rng.randint(0, 1) for c in AGREE_CLASSES for t in ts},
-        capacity_forecast={t: rng.randint(0, 8) for t in ts},
-        carbon_forecast={t: float(rng.randint(0, 100)) for t in range(r, last + 3)},
+        job_forecast=np.array([[rng.randint(0, 1) for t in ts] for c in AGREE_CLASSES]),
+        capacity_forecast=np.array([rng.randint(0, 8) for t in ts]),
+        carbon_forecast=np.array([float(rng.randint(0, 100)) for t in range(r, last + 3)]),
         weights=ObjectiveWeights(rng.choice([0.0, 0.01]), rng.choice([0.0, 1.0])),
         horizons=hz,
         t_end=t_end,
@@ -373,31 +378,26 @@ def test_incumbent_at_a_limit_is_a_feasible_gap_decision(first_incumbent):
 def with_occupancy(inputs, decision):
     """The decision with `active` recomputed from its starts, the running
     jobs and its terminations, and the realized peak."""
-    active = {}
-    for t in inputs.extended_window():
-        m = sum(c.servers * n for (c, t2), n in decision.starts.items() if t2 <= t < t2 + c.runtime)
-        m += sum(
-            c.servers * (n - decision.terminations.get((c, t_b), 0))
-            for (c, t_b), n in inputs.state.running.items()
-            if t < t_b + c.runtime
-        )
-        active[t] = m
+    r, classes = inputs.state.stage, inputs.classes
+    active = np.zeros(len(inputs.extended_window()), dtype=np.int64)
+    for (i, o), n in np.ndenumerate(decision.starts):
+        active[o:o + classes[i].runtime] += classes[i].servers * n
+    for (c, t_b), n in inputs.state.running.items():
+        active[:t_b + c.runtime - r] += c.servers * (n - decision.terminations.get((c, t_b), 0))
     cfg = inputs.cfg
-    peak = max(cfg.slope_mw_per_server * active[t] + cfg.p_idle_mw for t in inputs.window())
+    peak = max(cfg.slope_mw_per_server * m + cfg.p_idle_mw for m in active[:len(inputs.window())])
     return dataclasses.replace(decision, active=active, peak=peak)
 
 
 def model_values(model, handles, decision):
-    x = np.zeros(len(model.variables))
-    for vid, key in enumerate(handles.starts):
-        x[vid] = decision.starts.get(key, 0)
-    for key, vid in handles.terms.items():
-        x[vid] = decision.terminations.get(key, 0)
-    for c, vid in handles.slack.items():
-        x[vid] = decision.slack.get(c, 0)
-    for t, vid in handles.active.items():
-        x[vid] = decision.active[t]
+    x = np.zeros(model.a.shape[1])
+    n_s = decision.starts.size
+    x[:n_s] = decision.starts.ravel()
+    x[n_s:handles.m0] = [decision.terminations.get(key, 0) for key in handles.terms]
+    x[handles.m0:handles.m0 + len(decision.active)] = decision.active
     x[handles.peak] = decision.peak
+    if len(x) > handles.peak + 1:  # a model with slack
+        x[handles.peak + 1:] = decision.slack
     return x
 
 
@@ -412,23 +412,27 @@ def test_model_and_recheck_agree_on_perturbed_decisions():
     ))
     for inputs in cases:
         decision = solve_stage(inputs)
-        model, h = build_stage(inputs, with_slack=bool(decision.slack))
+        model, h = build_stage(inputs, with_slack=bool(decision.slack.any()))
+        with_slack = model.a.shape[1] > h.peak + 1
         seen["terms"] += bool(h.terms)
         seen["truncated"] += len(inputs.window()) < inputs.horizons.t_h
-        seen["slack"] += bool(h.slack)
+        seen["slack"] += with_slack
         # a fractional relaxation's neighbourhood rounds all but m and PD
-        assert np.flatnonzero(~h.rounded).tolist() == list(range(min(h.active.values()), h.peak + 1))
+        assert np.flatnonzero(~h.rounded).tolist() == list(range(h.m0, h.peak + 1))
         assert validate_decision(inputs, decision) == []
         assert check_feasible(model, model_values(model, h, decision)) == []
-        columns = (
-            [("starts", key) for key in h.starts]
+        changes = (
+            [("starts", index) for index in np.ndindex(decision.starts.shape)]
             + [("terminations", key) for key in h.terms]
-            + [("slack", c) for c in h.slack]
+            + [("slack", (i,)) for i in range(len(inputs.classes)) if with_slack]
         )
-        for field_name, key in columns:
+        for field_name, key in changes:
             for delta in (1, -1):
-                table = dict(getattr(decision, field_name))
-                table[key] = table.get(key, 0) + delta
+                table = getattr(decision, field_name).copy()
+                if field_name == "terminations":
+                    table[key] = table.get(key, 0) + delta
+                else:
+                    table[key] += delta
                 changed = with_occupancy(
                     inputs, dataclasses.replace(decision, **{field_name: table})
                 )
