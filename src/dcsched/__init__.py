@@ -11,7 +11,6 @@ from .core import (
     ObjectiveWeights,
     StageDecision,
     SystemState,
-    committed_servers,
     power_of,
 )
 from .engine import Trajectory, advance_state, assemble_inputs, run
@@ -37,7 +36,6 @@ __all__ = [
     "build_offline",
     "build_stage",
     "capacity_walk",
-    "committed_servers",
     "noisy_forecast",
     "power_of",
     "run",

@@ -128,30 +128,24 @@ class ObjectiveWeights:
 class ArrivalProfile:
     """Job arrival counts per (hour, class), hours 1..horizon.
 
-    The counts are indexed by hour once, at construction, so reading one
-    hour costs the classes arriving then, not the whole profile."""
+    `counts` is the edge form, as a trace or a CSV gives it. Inside the
+    program the arrivals are read only as a classes x hours table
+    (`table`): a run's stage forecasts and state step share one, and the
+    offline bound builds its own."""
 
     counts: Mapping[tuple[int, JobClass], int]
     horizon: int
-    _by_hour: tuple[dict[JobClass, int], ...] = field(init=False, repr=False, compare=False)
     _totals: dict[JobClass, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        by_hour: tuple[dict[JobClass, int], ...] = tuple({} for _ in range(self.horizon + 1))
         totals: dict[JobClass, int] = {}
         for (t, c), num in self.counts.items():
             if num < 0:
                 raise DomainError(f"negative arrival count for {(t, c)}")
             if not (1 <= t <= self.horizon):
                 raise DomainError(f"arrival hour {t} outside 1..{self.horizon}")
-            if num:
-                by_hour[t][c] = num
             totals[c] = totals.get(c, 0) + num
-        object.__setattr__(self, "_by_hour", by_hour)
         object.__setattr__(self, "_totals", totals)
-
-    def at(self, t: int) -> dict[JobClass, int]:
-        return dict(self._by_hour[t]) if 1 <= t <= self.horizon else {}
 
     def classes(self) -> frozenset[JobClass]:
         return frozenset(c for c, num in self._totals.items() if num)
@@ -243,25 +237,6 @@ def held_servers(rows: np.ndarray, first: int, n: int) -> np.ndarray:
     change = np.zeros(n + 1, dtype=np.int64)
     np.add.at(change, np.concatenate([start, end]), np.concatenate([servers * num, -servers * num]))
     return np.cumsum(change[:n])
-
-
-def busy_servers(entries: Mapping[tuple[JobClass, int], int], hours: Iterable[int]) -> dict[int, int]:
-    """Servers held at each of `hours` by (class, start hour) -> count
-    entries (see `held_servers`)."""
-    hours = list(hours)
-    first = min(hours, default=0)
-    held = held_servers(server_entries(entries), first, max(hours, default=-1) - first + 1).tolist()
-    return {t: held[t - first] for t in hours}
-
-
-def committed_servers(state: SystemState, t: int) -> int:
-    """Servers held at hour t by jobs started before `state.stage`.
-
-    Ignores any termination decided at the current stage; t >= stage.
-    """
-    if t < state.stage:
-        raise DomainError(f"hour {t} precedes stage {state.stage}")
-    return busy_servers(state.running, (t,))[t]
 
 
 def server_commitments(state: SystemState, max_runtime: int) -> list[int]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +29,6 @@ from .core import (
 from .milp import WarmStart
 from .signals import SignalSeries
 from .stage import StageError, StageInputs, solve_stage
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -124,16 +121,20 @@ def assemble_inputs(
 def advance_state(
     state: SystemState,
     decision: StageDecision,
-    arrivals_at_r: dict[JobClass, int],
+    arrivals: np.ndarray,
     classes: tuple[JobClass, ...],
 ) -> SystemState:
-    """Apply the hour-r starts and terminations, observe arrivals, and
-    return the stage-(r+1) state. The decision's starts are in the stage's
-    layout: row i holds class classes[i], column 0 hour r. Verifies the
-    commitment-vector identity and job conservation."""
+    """Apply the hour-r starts and terminations, observe the hour-r
+    arrivals, and return the stage-(r+1) state. `arrivals` is the hour's
+    column of the run's arrival table (see `ArrivalProfile.table`), and the
+    decision's starts are in the stage's layout: both have row i for class
+    classes[i], and the starts' column 0 is hour r. A zero count leaves the
+    state's tables as they are. Verifies the commitment-vector identity and
+    job conservation."""
     r = state.stage
     starts_r = [(c, num) for c, num in zip(classes, decision.starts[:, 0].tolist(), strict=True)
                 if num]
+    arrivals_r = [(c, num) for c, num in zip(classes, arrivals.tolist(), strict=True) if num]
     terminations = decision.terminations
     max_runtime = max_runtime_of(classes)
     # the tables are copied, not rebuilt: kept running entries stay in
@@ -150,7 +151,7 @@ def advance_state(
             completed[c] = completed.get(c, 0) + running.pop((c, t_b))
     for key in [key for key, num in running.items() if not num]:
         del running[key]
-    for c, num in arrivals_at_r.items():
+    for c, num in arrivals_r:
         queued[c] = queued.get(c, 0) + num
         arrived[c] = arrived.get(c, 0) + num
     for c, num in starts_r:
@@ -205,7 +206,6 @@ def run(
     traj = Trajectory()
     warm = WarmStart()
     for r in range(1, t_end + 1):
-        arrivals = profile.at(r)
         try:
             inputs = assemble_inputs(
                 r, state, cfg, classes, table, capacity_truth, carbon_truth,
@@ -218,7 +218,7 @@ def run(
                     f"stage {r}: realized active servers {realized_m} exceed "
                     f"capacity {capacity_truth.at(r)}"
                 )
-            new_state = advance_state(state, decision, arrivals, classes)
+            new_state = advance_state(state, decision, table[:, r - 1], classes)
         except (StageError, DomainError) as exc:
             traj.final_state = state
             raise RunAborted(r, traj, exc) from exc

@@ -339,14 +339,3 @@ def _fractional(x: np.ndarray) -> np.ndarray:
     """Mask of the entries of `x` further than INT_TOL from an integer."""
     return np.abs(x - np.round(x)) > INT_TOL
 
-
-def check_feasible(model: MilpModel, values: np.ndarray, tol: float = 1e-6) -> list[str]:
-    """Return descriptions of the columns and rows that `values` violates
-    by more than tol."""
-    x = np.asarray(values, dtype=float)
-    ax = model.a @ x
-    bad = [f"column {j} = {x[j]} outside [{model.lb[j]}, {model.ub[j]}]"
-           for j in np.flatnonzero((x < model.lb - tol) | (x > model.ub + tol))]
-    bad += [f"row {i}: {ax[i]} outside [{model.lo[i]}, {model.hi[i]}]"
-            for i in np.flatnonzero((ax < model.lo - tol) | (ax > model.hi + tol))]
-    return bad

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ArrivalProfile, DomainError, JobClass, busy_servers
+from .core import ArrivalProfile, DomainError, JobClass
 from .milp import MilpModel, csc, solve
 from .stage import start_block
 
@@ -40,29 +40,20 @@ def build_offline(
     if len(capacity) < t_end:
         raise DomainError(f"capacity series covers {len(capacity)} of {t_end} hours")
     classes = sorted(set(classes))
-    declared = set(classes)
-    for c in profile.totals():
-        if c not in declared:
-            raise DomainError(f"arrival class {c} outside declared class set")
-
+    arrivals = profile.table(classes)
     servers = np.array([c.servers for c in classes], dtype=int)
     runtime = np.array([c.runtime for c in classes], dtype=int)
     k = np.maximum(t_end - runtime + 1 if require_completion else np.full(len(classes), t_end), 0)
     cls, _, occupancy, allocation = start_block(k, servers, runtime, t_end, t_end)
     n = len(cls)
-    hours = range(1, t_end + 1)
     # hourly capacity on active servers, then cumulative starts bounded by
     # cumulative submissions
-    submitted = np.array(
-        [[profile.counts.get((t, c), 0) for t in hours] for c, kk in zip(classes, k) if kk],
-        dtype=int,
-    ).reshape(-1, t_end).cumsum(axis=1)
+    submitted = arrivals[k > 0].cumsum(axis=1)
     rows = t_end + submitted.size
-    totals = profile.totals()
     model = MilpModel(
         c=(servers * runtime)[cls].astype(float),
         lb=np.zeros(n),
-        ub=np.array([totals.get(c, 0) for c in classes], dtype=float)[cls],
+        ub=arrivals.sum(axis=1).astype(float)[cls],
         integer=np.ones(n, dtype=bool),
         a=csc([occupancy, allocation], (rows, n)),
         lo=np.full(rows, -np.inf),
@@ -70,13 +61,6 @@ def build_offline(
     )
     handles = dict(zip(((c, t) for c, kk in zip(classes, k) for t in range(1, kk + 1)), range(n)))
     return model, handles
-
-
-def active_trajectory(
-    starts: dict[tuple[JobClass, int], int], t_end: int
-) -> list[int]:
-    """Occupied servers at each hour 1..t_end implied by the starts."""
-    return list(busy_servers(starts, range(1, t_end + 1)).values())
 
 
 def solve_offline(
@@ -87,6 +71,9 @@ def solve_offline(
     gap_tol: float = 1e-6,
     time_limit: float = 60.0,
 ) -> OfflineSchedule:
+    """Solve the offline MILP (see `build_offline`). The schedule's starts
+    are keyed (class, start hour); its active servers at hours 1..T are the
+    model's own occupancy rows, the first T, evaluated at the solution."""
     model, handles = build_offline(profile, capacity, classes, require_completion)
     res = solve(model, gap_tol=gap_tol, time_limit=time_limit)
     if res.status not in ("optimal", "feasible-gap"):
@@ -94,7 +81,8 @@ def solve_offline(
     x = res.values.tolist()
     starts = {key: int(x[j]) for key, j in handles.items() if x[j]}
     goodput = sum(c.server_hours * num for (c, _), num in starts.items())
-    return OfflineSchedule(starts, goodput, active_trajectory(starts, profile.horizon))
+    active = (model.a @ res.values)[:profile.horizon].astype(np.int64).tolist()
+    return OfflineSchedule(starts, goodput, active)
 
 
 def write_schedule_csv(schedule: OfflineSchedule, path: str) -> None:

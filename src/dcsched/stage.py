@@ -7,7 +7,6 @@ carbon emissions and the stage peak power.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -28,8 +27,6 @@ from .core import (
     server_entries,
 )
 from .milp import MilpModel, WarmStart, csc, solve
-
-log = logging.getLogger(__name__)
 
 
 class StageError(RuntimeError):
@@ -65,8 +62,8 @@ class StageInputs:
     classes x window int array of expected arrivals (exact at r);
     capacity_forecast an int array of available servers over the window
     (exact at r); carbon_forecast a float array of kg CO2 / MWh over the
-    extended window. t_end, when set, is the last hour of the overall run:
-    the window is truncated there and no start may run past it.
+    extended window. t_end is the last hour of the overall run: the window
+    is truncated there and no start may run past it.
     """
 
     cfg: DCConfig
@@ -77,14 +74,11 @@ class StageInputs:
     carbon_forecast: np.ndarray
     weights: ObjectiveWeights
     horizons: HorizonConfig
-    t_end: int | None = None
+    t_end: int
 
     def window(self) -> list[int]:
         r = self.state.stage
-        last = r + self.horizons.t_h - 1
-        if self.t_end is not None:
-            last = min(last, self.t_end)
-        return list(range(r, last + 1))
+        return list(range(r, min(r + self.horizons.t_h - 1, self.t_end) + 1))
 
     def extended_window(self) -> list[int]:
         ts = self.window()
@@ -115,9 +109,7 @@ class StageInputs:
 
         # starts that cannot finish by t_end are excluded so end-of-run
         # windows never strand jobs mid-execution; what is left is a prefix
-        k = np.full(n_c, n_t, dtype=np.int64)
-        if self.t_end is not None:
-            k = np.clip(self.t_end - r + 2 - runtime, 0, n_t)
+        k = np.clip(self.t_end - r + 2 - runtime, 0, n_t)
         # minimum clearance: the queue plus the first half-window's
         # arrivals at hours the class may still start; a class with no
         # admissible start simply waits
@@ -334,12 +326,6 @@ def solve_stage(
         status=res.status,
         slack=slack if len(slack) else np.zeros(len(classes), dtype=np.int64),
     )
-    if slack.any():
-        log.warning(
-            "stage %d: minimum clearance relaxed, slack=%s",
-            r,
-            {f"({c.servers},{c.runtime})": s for c, s in zip(classes, slack.tolist()) if s},
-        )
     violations = validate_decision(inputs, decision)
     if violations:
         raise StageError(r, "decision fails feasibility recheck: " + "; ".join(violations))

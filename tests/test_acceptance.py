@@ -21,7 +21,6 @@ from dcsched.core import (
     StageDecision,
     SystemState,
     check_state,
-    committed_servers,
 )
 from dcsched.engine import advance_state, goodput_components, run
 from dcsched.metrics import peak_power, total_emissions, volatility
@@ -152,14 +151,14 @@ def test_c3_conservation_under_fuzzing():
         state = SystemState(stage=1)
         for _ in range(int(rng.integers(5, 30))):
             r = state.stage
-            arrivals = {}
-            for c in classes:
+            arrivals = np.zeros(len(classes), dtype=np.int64)
+            for i in range(len(classes)):
                 if rng.random() < 0.25:
-                    arrivals[c] = int(rng.integers(1, 4))
+                    arrivals[i] = int(rng.integers(1, 4))
             # random feasible starts from queue + fresh arrivals
             starts = np.zeros((len(classes), 1), dtype=np.int64)
             for i, c in enumerate(classes):
-                avail = state.queued.get(c, 0) + arrivals.get(c, 0)
+                avail = state.queued.get(c, 0) + int(arrivals[i])
                 if avail and rng.random() < 0.7:
                     starts[i, 0] = int(rng.integers(0, avail + 1))
             # random terminations of currently running jobs

@@ -77,6 +77,38 @@ def test_model_size_view_of_a_fleet_offline_model():
     assert sum(len(c.coeffs) for c in model.constraints) == 113310
 
 
+def test_perfbench_reads_a_written_profile_and_its_offline_bound(tmp_path, monkeypatch):
+    # the desk workload re-reads each scenario's profile from the CSV
+    # `gen-signals` writes, over the sweep's hours, and solves its offline
+    # bound keeping the gap HiGHS reports (workloads.solve_offline_bound);
+    # no job arrives in the last hour, so the file alone gives 5 hours
+    c11, c23 = JobClass(1, 1), JobClass(2, 3)
+    path = tmp_path / "profile.csv"
+    dcsched.traces.write_profile_csv(
+        ArrivalProfile({(1, c11): 2, (1, c23): 1, (2, c23): 2, (5, c11): 1}, 6),
+        str(path))
+    profile = ArrivalProfile(dcsched.traces.load_profile_csv(str(path)).counts, 6)
+    assert profile.horizon == 6
+    assert profile.totals() == {c11: 3, c23: 3}
+    assert profile.classes() == {c11, c23}
+
+    gaps = []
+    solve = dcsched.offline.solve
+
+    def keep_gap(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        gaps.append(res.gap)
+        return res
+
+    monkeypatch.setattr(dcsched.offline, "solve", keep_gap)
+    schedule = dcsched.offline.solve_offline(profile, [4] * 6, tuple(sorted(profile.classes())),
+                                             require_completion=True, gap_tol=1e-4)
+    # every job fits on the 4 servers by hour 6: three (2, 3) jobs of 6
+    # server-hours and three 1-hour jobs
+    assert schedule.goodput == 3 * 6 + 3
+    assert len(gaps) == 1 and 0 <= gaps[0] <= 1e-4
+
+
 def test_every_stage_goes_through_the_wrapped_bindings(monkeypatch):
     # perfbench's per-layer spans see a layer only if the loop calls it
     # through these module attributes; count every call a small run makes

@@ -1,4 +1,5 @@
 import csv
+import logging
 import os
 
 import pytest
@@ -277,7 +278,7 @@ output_dir: {out}
 """
 
 
-def test_overload_cell_takes_the_rare_paths(tmp_path, monkeypatch):
+def test_overload_cell_takes_the_rare_paths(tmp_path, monkeypatch, capfd):
     # a capacity walk that drops under the running jobs: the cell must
     # terminate jobs, relax clearance with slack and meet infeasible models
     log = tmp_path / "log.txt"
@@ -303,8 +304,18 @@ def test_overload_cell_takes_the_rare_paths(tmp_path, monkeypatch):
             fh.write("conserved\n")
         return traj
 
+    initializer = dcsched.cli._stdout_to_stderr
+
+    def bare_logging_worker():
+        # a worker logs as in a bare `dcsched run`: with no handler, so
+        # logging's last resort writes to stderr; pytest's capture handler,
+        # inherited by the fork, would otherwise keep any record from it
+        initializer()
+        logging.getLogger().handlers.clear()
+
     # fork-started pool workers inherit the patches
     monkeypatch.setattr(dcsched.milp, "_scipy_milp", logged)
+    monkeypatch.setattr(dcsched.cli, "_stdout_to_stderr", bare_logging_worker)
     monkeypatch.setattr(dcsched.cli, "run", conserving_run)
     out = tmp_path / "results"
     path = tmp_path / "overload.yaml"
@@ -322,6 +333,8 @@ def test_overload_cell_takes_the_rare_paths(tmp_path, monkeypatch):
     slack_events = sum(1 for row in rows if int(row["slack_jobs"]))
     assert slack_events > 0
     assert f"slack_events {slack_events}" in (out / f"{cell}_manifest.txt").read_text()
+    # the slack is in the trajectory and the manifest; stderr is for errors
+    assert "minimum clearance relaxed" not in capfd.readouterr().err
 
     lines = log.read_text().splitlines()
     assert lines[-1] == "conserved"

@@ -12,11 +12,11 @@ from dcsched.core import (
     JobClass,
     ObjectiveWeights,
     SystemState,
-    busy_servers,
     check_state,
-    committed_servers,
+    held_servers,
     power_of,
     server_commitments,
+    server_entries,
 )
 
 FLEET_DC = DCConfig(total_servers=20000, p_peak_mw=100.0, p_idle_mw=30.0)
@@ -75,6 +75,11 @@ def test_job_class_hash_is_the_tuple_hash_and_survives_pickling():
         assert hash(moved) == hash((c.servers + 1, c.runtime)) and moved > c
 
 
+def committed_servers(state, t):
+    """Servers held at hour t by the jobs running at `state.stage`."""
+    return int(held_servers(server_entries(state.running), t, 1)[0])
+
+
 def test_committed_servers_empty_state():
     state = SystemState(stage=5)
     for t in range(5, 10):
@@ -106,28 +111,24 @@ def test_committed_servers_mixed_jobs():
 def test_busy_servers_counts_each_hour_a_job_runs():
     # a (2, 3) job started at 4 holds 2 servers at hours 4-6; two (1, 1)
     # jobs started at 6 hold 2 servers at hour 6 only
-    entries = {(JobClass(2, 3), 4): 1, (JobClass(1, 1), 6): 2}
-    assert busy_servers(entries, range(3, 9)) == {3: 0, 4: 2, 5: 2, 6: 4, 7: 0, 8: 0}
-    assert busy_servers(entries, [6]) == {6: 4}
-    assert busy_servers({}, range(1, 3)) == {1: 0, 2: 0}
+    rows = server_entries({(JobClass(2, 3), 4): 1, (JobClass(1, 1), 6): 2})
+    assert held_servers(rows, 3, 6).tolist() == [0, 2, 2, 4, 0, 0]
+    assert held_servers(rows, 6, 1).tolist() == [4]
+    assert held_servers(server_entries({}), 1, 2).tolist() == [0, 0]
 
 
 def test_busy_servers_matches_an_hour_by_hour_count():
-    # against the loop it replaced, on entries that start before, inside
-    # and after the hours asked for, with zero and negative counts
+    # held_servers against an hour-by-hour loop, on entries that start
+    # before, inside and after the hours asked for, with zero and negative
+    # counts
     rng = random.Random(4)
     for _ in range(200):
         entries = {(JobClass(rng.randint(1, 3), rng.randint(1, 5)), rng.randint(-3, 12)):
                    rng.randint(-2, 3) for _ in range(rng.randint(0, 8))}
-        hours = sorted(rng.sample(range(-2, 14), rng.randint(0, 6)))
-        expected = {t: sum(c.servers * num for (c, t_b), num in entries.items()
-                           if t_b <= t < t_b + c.runtime) for t in hours}
-        assert busy_servers(entries, hours) == expected
-
-
-def test_committed_servers_rejects_past_hours():
-    with pytest.raises(DomainError):
-        committed_servers(SystemState(stage=5), 4)
+        first, n = rng.randint(-2, 13), rng.randint(0, 6)
+        expected = [sum(c.servers * num for (c, t_b), num in entries.items()
+                        if t_b <= t < t_b + c.runtime) for t in range(first, first + n)]
+        assert held_servers(server_entries(entries), first, n).tolist() == expected
 
 
 def test_commitment_vector_matches_direct_sum():
@@ -165,6 +166,14 @@ def test_arrival_profile_validation():
     with pytest.raises(DomainError):
         ArrivalProfile({(1, c): -1}, 4)
     profile = ArrivalProfile({(1, c): 2, (3, c): 1}, 4)
-    assert profile.at(1) == {c: 2}
-    assert profile.at(2) == {}
+    assert profile.table([c]).tolist() == [[2, 0, 1, 0]]
     assert profile.totals() == {c: 3}
+    with pytest.raises(DomainError, match="outside declared class set"):
+        profile.table([JobClass(2, 1)])
+
+
+def test_every_exported_name_resolves():
+    import dcsched
+
+    for name in dcsched.__all__:
+        assert hasattr(dcsched, name), name

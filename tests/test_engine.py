@@ -120,7 +120,7 @@ def test_assemble_window_truncated_at_t_end():
 def test_advance_start_becomes_running():
     state = SystemState(stage=1)
     decision = StageDecision(starts=np.array([[1, 0]]))  # one start at hour 1
-    new = advance_state(state, decision, {C22: 1}, (C22,))
+    new = advance_state(state, decision, np.array([1]), (C22,))
     assert new.stage == 2
     assert new.running == {(C22, 1): 1}
     assert new.queued.get(C22, 0) == 0
@@ -130,7 +130,7 @@ def test_advance_start_becomes_running():
 def test_advance_one_hour_job_completes_directly():
     state = SystemState(stage=1)
     decision = StageDecision(starts=np.array([[2]]))
-    new = advance_state(state, decision, {C11: 2}, (C11,))
+    new = advance_state(state, decision, np.array([2]), (C11,))
     assert new.running == {}
     assert new.completed == {C11: 2}
 
@@ -138,7 +138,8 @@ def test_advance_one_hour_job_completes_directly():
 def test_advance_running_job_completes_at_deadline():
     # a (2,2) job started at hour 1 finishes during hour 2
     state = SystemState(stage=2, running={(C22, 1): 1}, arrived={C22: 1})
-    new = advance_state(state, StageDecision(starts=np.zeros((1, 1), dtype=int)), {}, (C22,))
+    decision = StageDecision(starts=np.zeros((1, 1), dtype=int))
+    new = advance_state(state, decision, np.zeros(1, dtype=int), (C22,))
     assert new.running == {}
     assert new.completed == {C22: 1}
 
@@ -146,7 +147,7 @@ def test_advance_running_job_completes_at_deadline():
 def test_advance_termination_requeues_job():
     state = SystemState(stage=2, running={(C23, 1): 1}, arrived={C23: 1})
     decision = StageDecision(starts=np.zeros((1, 1), dtype=int), terminations={(C23, 1): 1})
-    new = advance_state(state, decision, {}, (C23,))
+    new = advance_state(state, decision, np.zeros(1, dtype=int), (C23,))
     assert new.running == {}
     assert new.queued == {C23: 1}
     assert new.completed == {}
@@ -156,27 +157,42 @@ def test_advance_rejects_overtermination():
     state = SystemState(stage=2, running={(C23, 1): 1}, arrived={C23: 1})
     decision = StageDecision(starts=np.zeros((1, 1), dtype=int), terminations={(C23, 1): 2})
     with pytest.raises(DomainError):
-        advance_state(state, decision, {}, (C23,))
+        advance_state(state, decision, np.zeros(1, dtype=int), (C23,))
 
 
 def test_advance_rejects_unknown_termination():
     state = SystemState(stage=2, running={(C23, 1): 1}, arrived={C23: 1})
     decision = StageDecision(starts=np.zeros((2, 1), dtype=int), terminations={(C22, 1): 1})
     with pytest.raises(DomainError):
-        advance_state(state, decision, {}, (C22, C23))
+        advance_state(state, decision, np.zeros(2, dtype=int), (C22, C23))
 
 
 def test_advance_rejects_start_of_unqueued_job():
     state = SystemState(stage=1)
     decision = StageDecision(starts=np.array([[1]]))
     with pytest.raises(DomainError):
-        advance_state(state, decision, {}, (C11,))
+        advance_state(state, decision, np.zeros(1, dtype=int), (C11,))
 
 
 def test_advance_rejects_starts_of_another_class_count():
     decision = StageDecision(starts=np.array([[1]]))
     with pytest.raises(ValueError):
-        advance_state(SystemState(stage=1), decision, {C11: 1}, (C11, C22))
+        advance_state(SystemState(stage=1), decision, np.array([1, 0]), (C11, C22))
+
+
+def test_advance_rejects_arrivals_of_another_class_count():
+    decision = StageDecision(starts=np.array([[1], [0]]))
+    with pytest.raises(ValueError):
+        advance_state(SystemState(stage=1), decision, np.array([1]), (C11, C22))
+
+
+def test_advance_keeps_zero_arrivals_out_of_the_state():
+    # the arrival column holds every class; only those arriving enter the
+    # queued and arrived tables
+    decision = StageDecision(starts=np.zeros((2, 1), dtype=int))
+    new = advance_state(SystemState(stage=1), decision, np.array([0, 3]), (C11, C22))
+    assert new.queued == {C22: 3}
+    assert new.arrived == {C22: 3}
 
 
 # ---------------------------------------------------------------- full runs

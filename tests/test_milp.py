@@ -13,11 +13,11 @@ import dcsched.milp
 import dcsched.stage
 from dcsched.core import HorizonConfig, ObjectiveWeights
 from dcsched.engine import run
-from dcsched.milp import INT_TOL, MilpModel, WarmStart, check_feasible, compact, csc, solve
+from dcsched.milp import INT_TOL, MilpModel, WarmStart, compact, csc, solve
 from dcsched.signals import noisy_forecast, synthetic_carbon
 from dcsched.stage import build_stage, solve_stage, validate_decision
 from test_acceptance import DESK, _c7_profile, _cliff_capacity
-from test_stage import random_stage
+from test_stage import check_feasible, random_stage
 
 
 def dense_model(objective, rows, lb=0.0, ub=np.inf, integer=True, constant=0.0):

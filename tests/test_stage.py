@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from dcsched.milp import WarmStart, check_feasible, compact
+from dcsched.milp import MilpModel, WarmStart, compact
 from dcsched.core import (
     ArrivalProfile,
     DCConfig,
@@ -48,11 +48,15 @@ def make_inputs(
 ):
     """Stage inputs with a constant capacity forecast; `job_forecast` is a
     classes x window array (none by default), `carbon` maps each
-    extended-window hour to its rate (0 by default)."""
+    extended-window hour to its rate (0 by default). The run ends at
+    `t_end`, by default at the last extended-window hour, so that every
+    start in the window can finish."""
     hz = HorizonConfig(t_h=t_h, t_j=t_h, t_c=t_h)
     r = state.stage
     l_max = max(c.runtime for c in classes)
-    last = r + t_h - 1 if t_end is None else min(r + t_h - 1, t_end)
+    if t_end is None:
+        t_end = r + t_h + l_max - 2
+    last = min(r + t_h - 1, t_end)
     if job_forecast is None:
         job_forecast = np.zeros((len(classes), last - r + 1), dtype=np.int64)
     return StageInputs(
@@ -331,8 +335,8 @@ AGREE_CLASSES = (C11, C12, C22, C23)
 
 def random_stage(seed):
     """A small stage with running jobs, a queue, forecast arrivals, a
-    capacity that may fall under the running jobs at r, and sometimes an
-    end of run inside the window."""
+    capacity that may fall under the running jobs at r, and an end of run
+    inside the window or late enough for every start in it to finish."""
     rng = random.Random(seed)
     r = rng.randint(2, 5)
     running = {
@@ -344,8 +348,9 @@ def random_stage(seed):
     queued = {c: rng.randint(0, 2) for c in AGREE_CLASSES}
     state = SystemState(stage=r, running=running, queued=queued)
     hz = HorizonConfig(t_h=4, t_j=4, t_c=4)
-    t_end = rng.choice([None, r + 1, r + 2])
-    last = r + 3 if t_end is None else t_end
+    # r + 5: a 3-hour job started at the window's last hour, r + 3, ends then
+    t_end = rng.choice([r + 5, r + 1, r + 2])
+    last = min(r + 3, t_end)
     ts = range(r, last + 1)
     return StageInputs(
         cfg=AGREE_CFG,
@@ -399,6 +404,18 @@ def model_values(model, handles, decision):
     if len(x) > handles.peak + 1:  # a model with slack
         x[handles.peak + 1:] = decision.slack
     return x
+
+
+def check_feasible(model: MilpModel, values: np.ndarray, tol: float = 1e-6) -> list[str]:
+    """Return descriptions of the columns and rows of `model` that `values`
+    violates by more than tol."""
+    x = np.asarray(values, dtype=float)
+    ax = model.a @ x
+    bad = [f"column {j} = {x[j]} outside [{model.lb[j]}, {model.ub[j]}]"
+           for j in np.flatnonzero((x < model.lb - tol) | (x > model.ub + tol))]
+    bad += [f"row {i}: {ax[i]} outside [{model.lo[i]}, {model.hi[i]}]"
+            for i in np.flatnonzero((ax < model.lo - tol) | (ax > model.hi + tol))]
+    return bad
 
 
 def test_model_and_recheck_agree_on_perturbed_decisions():

@@ -91,8 +91,9 @@ def test_sample_arrivals_matches_density():
     totals = {JobClass(1, 1): 120_000}
     profile = sample_arrivals(totals, "large_var", 24, seed=1)
     w = hour_weights("large_var", 24)
+    hourly = profile.table([JobClass(1, 1)])[0]
     for t in range(1, 25):
-        n = profile.at(t).get(JobClass(1, 1), 0)
+        n = hourly[t - 1]
         expected = 120_000 * w[t - 1]
         sigma = np.sqrt(120_000 * w[t - 1] * (1 - w[t - 1]))
         assert abs(n - expected) < 4 * sigma + 1
