@@ -16,6 +16,7 @@ lists every other cell; 2 invalid config.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import itertools
 import os
@@ -29,6 +30,7 @@ from .config import ConfigError, dump_experiment, load_config
 from .core import DCConfig, DomainError, HorizonConfig, JobClass, ObjectiveWeights
 from .engine import RunAborted, run, write_trajectory_csv
 from .metrics import summary_row, write_summary_csv
+from .milp import solver_version
 from .offline import solve_offline, write_schedule_csv
 from .signals import (
     CAPACITY,
@@ -178,17 +180,29 @@ def _run_cell_or_raise(cfg: dict, cell: tuple, out_dir: str) -> dict:
     return summary_row(traj, carbon, capacity, dc, label)
 
 
+def _experiment_sha256(cfg: dict) -> str:
+    """sha256 of what a run computes from: the experiment settings, with
+    each input CSV the run reads named by the sha256 of its bytes instead of
+    its path, and the path of a CSV it does not read left out."""
+    data = copy.deepcopy(cfg)
+    sig, prof = data["signals"], data["profiles"]
+    for section, key, read in ((sig["carbon"], "csv", sig["carbon"]["source"] == "csv"),
+                               (sig["capacity"], "csv", sig["capacity"]["mode"] == "csv"),
+                               (prof, "trace_csv", prof["source"] == "trace")):
+        section[key] = hashlib.sha256(Path(section[key]).read_bytes()).hexdigest() if read else None
+    return hashlib.sha256(dump_experiment(data).encode()).hexdigest()
+
+
 def _write_manifest(cfg: dict, cell: tuple, traj, path: str) -> None:
-    digest = hashlib.sha256(dump_experiment(cfg).encode()).hexdigest()
     max_gap = max((rec.gap for rec in traj.records), default=0.0)
     lines = [
         f"dcsched {__version__}",
-        f"config_sha256 {digest}",
+        f"config_sha256 {_experiment_sha256(cfg)}",
         f"cell {_cell_name(cell)}",
         f"stages {len(traj.records)}",
         f"max_mip_gap {max_gap:.3g}",
         f"slack_events {traj.slack_events()}",
-        "solver highs-via-scipy",
+        f"solver {solver_version()}",
     ]
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -1,13 +1,15 @@
 """Thin mixed-integer linear programming layer over the HiGHS solver that
-scipy bundles (``scipy.optimize._highspy._core._Highs``).
+scipy bundles (``scipy.optimize._highspy._core._Highs``), loaded from its
+file: neither ``scipy.optimize`` nor ``scipy.sparse`` is imported.
 
 A :class:`MilpModel` is the arrays HiGHS takes: the objective, column
-bounds and integrality, and a column-wise (CSC) constraint matrix with row
-bounds. The stage and offline builders fill them by index arithmetic, and
-:func:`solve` passes them to HiGHS as they are, the matrix's own arrays
-included. Per-column and per-row records are read-only views derived on
-demand. Keeping the model data separate from the backend lets tests check
-a solution against the model and solve the same model by other means.
+bounds and integrality, and a column-wise constraint matrix
+(:class:`CscMatrix`) with row bounds. The stage and offline builders fill
+them by index arithmetic, and :func:`solve` passes them to HiGHS as they
+are, the matrix's own arrays included. Per-column and per-row records are
+read-only views derived on demand. Keeping the model data separate from the
+backend lets tests check a solution against the model and solve the same
+model by other means.
 
 :func:`solve` solves the LP relaxation first and runs branch-and-bound only
 when the relaxation's optimal vertex is fractional: an integral optimal
@@ -38,21 +40,49 @@ cold relaxation and branch-and-bound keep HiGHS's defaults.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import time
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize._highspy._core import (
-    HighsBasis,
-    HighsModelStatus,
-    HighsStatus,
-    MatrixFormat,
-    ObjSense,
-    _Highs,
-    kSolutionStatusFeasible,
-)
+
+
+def _load_highs():
+    """scipy's HiGHS binding, loaded from its file without importing
+    `scipy.optimize` (and with it `scipy.sparse`), which would take most of
+    dcsched's import time. The module is the one `scipy.optimize` would load,
+    under the same name: whichever comes first registers it in `sys.modules`
+    and the other reuses it, so both see the very same types."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("dcsched needs scipy for its HiGHS binding", name=name)
+    path = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy",
+                        "_core" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"scipy's HiGHS binding is not at {path}", name=name, path=path)
+    spec = importlib.util.spec_from_file_location(
+        name, path, loader=importlib.machinery.ExtensionFileLoader(name, path))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_core = _load_highs()
+HighsBasis = _core.HighsBasis
+HighsModelStatus = _core.HighsModelStatus
+HighsStatus = _core.HighsStatus
+MatrixFormat = _core.MatrixFormat
+ObjSense = _core.ObjSense
+_Highs = _core._Highs
+kSolutionStatusFeasible = _core.kSolutionStatusFeasible
 
 INT_TOL = 1e-4  # largest distance from an integer HiGHS may leave an integer variable
 # the limits at which a branch-and-bound run may stop holding a feasible incumbent
@@ -77,6 +107,47 @@ class Constraint(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
+class CscMatrix:
+    """A sparse matrix as the column-wise (CSC) arrays HiGHS takes: the
+    entries of column j are data[indptr[j]:indptr[j + 1]], in rows
+    indices[indptr[j]:indptr[j + 1]]. :func:`csc` builds one canonical:
+    each column's rows sorted, no row twice. The index arrays are int32,
+    HiGHS's index type."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    def entry_columns(self) -> np.ndarray:
+        """The column of each entry, in entry order."""
+        return np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+
+    def columns(self, keep: np.ndarray) -> CscMatrix:
+        """The matrix of the columns `keep`, in that order."""
+        start, count = self.indptr[keep], np.diff(self.indptr)[keep]
+        end = np.cumsum(count)
+        take = np.arange(end[-1] if len(end) else 0) + np.repeat(start - end + count, count)
+        return CscMatrix(np.concatenate([[0], end]).astype(np.int32), self.indices[take],
+                         self.data[take], (self.shape[0], len(keep)))
+
+    def rows(self, keep: np.ndarray) -> CscMatrix:
+        """The matrix of the rows `keep`, an increasing array of row indices."""
+        new = np.full(self.shape[0], -1, dtype=np.int32)
+        new[keep] = np.arange(len(keep))
+        row = new[self.indices]
+        kept = row >= 0
+        indptr = np.concatenate([[0], np.cumsum(kept)])[self.indptr].astype(np.int32)
+        return CscMatrix(indptr, row[kept], self.data[kept], (len(keep), self.shape[1]))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        # entry by entry, column by column: the order of scipy's product, so
+        # the sums are the same to the bit
+        return np.bincount(self.indices, weights=self.data * x[self.entry_columns()],
+                           minlength=self.shape[0])
+
+
+@dataclass(frozen=True, eq=False)
 class MilpModel:
     """Maximize c @ x + constant subject to lo <= a @ x <= hi and
     lb <= x <= ub, with x[j] integer where integer[j]. HiGHS receives these
@@ -86,16 +157,17 @@ class MilpModel:
     lb: np.ndarray
     ub: np.ndarray
     integer: np.ndarray  # bool per column
-    a: sparse.csc_matrix
+    a: CscMatrix
     lo: np.ndarray
     hi: np.ndarray
     constant: float = 0.0
 
     def __post_init__(self) -> None:
-        # HiGHS is told the arrays are column-wise; row-wise ones would pose
-        # another model without any error
-        if getattr(self.a, "format", None) != "csc":
-            raise TypeError(f"the constraint matrix must be CSC, got {type(self.a).__name__}")
+        # HiGHS is told the arrays are column-wise; any other matrix would
+        # pose another model, or none, without an error
+        if not isinstance(self.a, CscMatrix):
+            raise TypeError("the constraint matrix must be a CSC record (CscMatrix), "
+                            f"got {type(self.a).__name__}")
 
     @property
     def variables(self) -> tuple[Variable, ...]:
@@ -106,8 +178,10 @@ class MilpModel:
     @property
     def constraints(self) -> tuple[Constraint, ...]:
         """A read-only record per row, derived from the arrays."""
-        rows = self.a.tocsr()
-        ptr, cols, vals = rows.indptr.tolist(), rows.indices.tolist(), rows.data.tolist()
+        a = self.a
+        order = np.argsort(a.indices, kind="stable")  # by row, each row's columns in order
+        cols, vals = a.entry_columns()[order].tolist(), a.data[order].tolist()
+        ptr = [0, *np.cumsum(np.bincount(a.indices, minlength=a.shape[0])).tolist()]
         return tuple(
             Constraint(dict(zip(cols[ptr[i]:ptr[i + 1]], vals[ptr[i]:ptr[i + 1]])),
                        "=" if lo == hi else ">=" if hi == np.inf else "<=",
@@ -117,11 +191,25 @@ class MilpModel:
 
 
 def csc(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
-        shape: tuple[int, int]) -> sparse.csc_matrix:
+        shape: tuple[int, int]) -> CscMatrix:
     """The matrix holding each block of (row, column, value) entries, in
-    canonical CSC form: each column's rows sorted, whatever the entry order."""
+    canonical CSC form: each column's rows sorted, whatever the entry order,
+    and the values of entries at the same place summed. An entry with the
+    value 0 is kept."""
     rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
-    return sparse.csc_matrix((vals, (rows, cols)), shape=shape)
+    n_rows, n_cols = int(shape[0]), int(shape[1])
+    if len(rows) and not (0 <= rows.min() and rows.max() < n_rows
+                          and 0 <= cols.min() and cols.max() < n_cols):
+        raise ValueError(f"an entry lies outside the {n_rows} x {n_cols} matrix")
+    # by column, then row; a stable sort keeps duplicates in entry order
+    place = np.asarray(cols, dtype=np.int64) * n_rows + rows
+    order = np.argsort(place, kind="stable")
+    place, rows, vals = place[order], rows[order], np.asarray(vals[order], dtype=np.float64)
+    first = np.flatnonzero(np.diff(place, prepend=-1))  # the first entry at each place
+    if len(first) < len(place):
+        place, rows, vals = place[first], rows[first], np.add.reduceat(vals, first)
+    indptr = np.searchsorted(place, np.arange(n_cols + 1) * n_rows)
+    return CscMatrix(indptr.astype(np.int32), rows.astype(np.int32), vals, (n_rows, n_cols))
 
 
 @dataclass
@@ -132,10 +220,6 @@ class SolveResult:
     gap: float
     message: str = ""
 
-    def value(self, vid: int) -> float:
-        assert self.values is not None
-        return float(self.values[vid])
-
 
 @dataclass
 class WarmStart:
@@ -143,10 +227,10 @@ class WarmStart:
     constraint matrix it belongs to. Kept per run, never shared, so a
     decision depends only on the run's own history."""
 
-    matrix: sparse.csc_matrix | None = None
+    matrix: CscMatrix | None = None
     basis: HighsBasis | None = None
 
-    def basis_for(self, a: sparse.csc_matrix) -> HighsBasis | None:
+    def basis_for(self, a: CscMatrix) -> HighsBasis | None:
         """The stored basis if `a` is the matrix it was found on, else None."""
         m = self.matrix
         if m is a or (m is not None and m.shape == a.shape
@@ -192,6 +276,14 @@ def _scipy_milp(model: MilpModel, time_limit: float, gap_tol: float,
         _check(highs.setBasis(basis), "the starting basis")
     highs.run()
     return highs
+
+
+def solver_version() -> str:
+    """The solver every run uses: HiGHS's version and the scipy that
+    bundles it."""
+    from importlib import metadata  # ~25 ms to import: kept off dcsched's import
+
+    return f"HiGHS {_Highs().version()} from scipy {metadata.version('scipy')}"
 
 
 def _check(status: HighsStatus, what: str) -> None:
@@ -328,11 +420,11 @@ def compact(model: MilpModel) -> tuple[MilpModel, np.ndarray]:
     x0 = np.where(fixed, model.lb, 0.0)
     shift = model.a @ x0
     lo, hi = model.lo - shift, model.hi - shift
-    a = model.a[:, live]
+    a = model.a.columns(live)
     empty = np.bincount(a.indices, minlength=a.shape[0]) == 0
     rows = np.flatnonzero(~((lo == -np.inf) & (hi == np.inf)) & ~(empty & (lo <= 0) & (hi >= 0)))
     return MilpModel(model.c[live], model.lb[live], model.ub[live], model.integer[live],
-                     a[rows], lo[rows], hi[rows], model.constant + float(model.c @ x0)), live
+                     a.rows(rows), lo[rows], hi[rows], model.constant + float(model.c @ x0)), live
 
 
 def _fractional(x: np.ndarray) -> np.ndarray:

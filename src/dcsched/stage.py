@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import sparse
 
 from .core import (
     DCConfig,
@@ -26,7 +25,7 @@ from .core import (
     power_of,
     server_entries,
 )
-from .milp import MilpModel, WarmStart, csc, solve
+from .milp import CscMatrix, MilpModel, WarmStart, csc, solve
 
 
 class StageError(RuntimeError):
@@ -178,7 +177,7 @@ def start_block(k: np.ndarray, servers: np.ndarray, runtime: np.ndarray,
 
 @lru_cache(maxsize=8)
 def _stage_matrix(classes: tuple[JobClass, ...], t_h: int, slope: float, with_slack: bool,
-                  terms: tuple[tuple[int, int], ...]) -> sparse.csc_matrix:
+                  terms: tuple[tuple[int, int], ...]) -> CscMatrix:
     """The stage's constraint matrix, which depends on nothing but these:
     the classes, the window length, the power slope, the slack columns and
     each termination column's (servers, hours left from r). Built once per

@@ -47,7 +47,7 @@ def test_perfbench_bindings_exist_and_carry_every_solver_call(highs_calls):
 
     # a fractional relaxation takes two runs of the one binding, the LP and
     # the MILP
-    assert dcsched.stage.solve(model).value(0) == 3
+    assert dcsched.stage.solve(model).values[0] == 3
     assert highs_calls == ["LP", "MILP"]
 
 

@@ -8,6 +8,7 @@ import dcsched.cli
 import dcsched.engine
 import dcsched.milp
 from dcsched.cli import main
+from dcsched.config import load_config
 from dcsched.core import DomainError
 from dcsched.stage import StageError
 
@@ -130,6 +131,52 @@ def test_run_tiny_sweep(tmp_path, capsys):
     text = open(os.path.join(out, manifest)).read()
     assert "config_sha256" in text
     assert "stages 24" in text
+    # the solver by its own version, and the scipy that bundles it
+    version = dcsched.milp._Highs().version()
+    assert version.count(".") == 2
+    assert f"\nsolver HiGHS {version} from scipy " in text
+
+
+def csv_config(tmp_path, folder, carbon=50, capacity=40):
+    """The tiny config, reading its true carbon and capacity from CSVs of
+    constant values in `folder`, and writing to `folder`/results."""
+    where = tmp_path / folder
+    where.mkdir(exist_ok=True)
+    for name, value in (("carbon", carbon), ("capacity", capacity)):
+        (where / f"{name}.csv").write_text(
+            "hour,value\n" + "".join(f"{t},{value}\n" for t in range(1, 25)))
+    text = TINY.format(out=where / "results").replace("signals:\n", (
+        f"signals:\n  carbon:\n    source: csv\n    csv: {where / 'carbon.csv'}\n"
+        f"  capacity:\n    mode: csv\n    csv: {where / 'capacity.csv'}\n"))
+    path = where / "tiny.yaml"
+    path.write_text(text)
+    return str(path), where
+
+
+def test_config_hash_names_the_csv_bytes_not_their_paths(tmp_path):
+    # byte-identical CSVs in two directories: byte-identical manifests
+    manifests = []
+    for folder in ("a", "b"):
+        path, where = csv_config(tmp_path, folder)
+        assert main(["run", path]) == 0
+        (manifest,) = (where / "results").glob("*_manifest.txt")
+        manifests.append(manifest.read_text())
+    assert manifests[0] == manifests[1]
+    assert str(tmp_path) not in manifests[0]
+
+
+def test_config_hash_follows_a_csv_edited_in_place(tmp_path):
+    path, where = csv_config(tmp_path, "a")
+    first = dcsched.cli._experiment_sha256(load_config(path))
+    for name, kwargs in (("carbon", {"carbon": 51}), ("capacity", {"capacity": 41})):
+        csv_config(tmp_path, "a", **kwargs)
+        assert dcsched.cli._experiment_sha256(load_config(path)) != first, name
+        csv_config(tmp_path, "a")
+        assert dcsched.cli._experiment_sha256(load_config(path)) == first
+    # a CSV the run does not read is not part of the hash
+    cfg = load_config(path)
+    cfg["profiles"]["trace_csv"] = str(where / "carbon.csv")
+    assert dcsched.cli._experiment_sha256(cfg) == first
 
 
 def test_run_is_deterministic(tmp_path):

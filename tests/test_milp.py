@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +21,7 @@ from dcsched.milp import INT_TOL, MilpModel, WarmStart, compact, csc, solve
 from dcsched.signals import noisy_forecast, synthetic_carbon
 from dcsched.stage import build_stage, solve_stage, validate_decision
 from test_acceptance import DESK, _c7_profile, _cliff_capacity
-from test_stage import check_feasible, random_stage
+from test_stage import assert_same_matrix, check_feasible, random_stage, scipy_csc
 
 
 def dense_model(objective, rows, lb=0.0, ub=np.inf, integer=True, constant=0.0):
@@ -27,12 +31,14 @@ def dense_model(objective, rows, lb=0.0, ub=np.inf, integer=True, constant=0.0):
     n = len(objective)
     senses = [sense for _, sense, _ in rows]
     rhs = np.array([rhs for _, _, rhs in rows], dtype=float)
+    dense = np.array([coeffs for coeffs, _, _ in rows], dtype=float).reshape(-1, n)
+    i, j = np.nonzero(dense)
     return MilpModel(
         c=np.array(objective, dtype=float),
         lb=np.broadcast_to(np.asarray(lb, dtype=float), n).copy(),
         ub=np.broadcast_to(np.asarray(ub, dtype=float), n).copy(),
         integer=np.broadcast_to(np.asarray(integer, dtype=bool), n).copy(),
-        a=sparse.csc_matrix(np.array([coeffs for coeffs, _, _ in rows], dtype=float).reshape(-1, n)),
+        a=csc([(i, j, dense[i, j])], dense.shape),
         lo=np.where([sense != "<=" for sense in senses], rhs, -np.inf),
         hi=np.where([sense != ">=" for sense in senses], rhs, np.inf),
         constant=constant,
@@ -43,7 +49,7 @@ def test_simple_bounded_maximum():
     model = dense_model([1.0], [([1.0], "<=", 5)])
     res = solve(model)
     assert res.status == "optimal"
-    assert res.value(0) == 5
+    assert res.values[0] == 5
     assert res.objective == pytest.approx(5.0)
 
 
@@ -67,7 +73,7 @@ def test_integral_relaxation_is_returned_without_branching(highs_calls):
     res = solve(model)
     assert res.status == "optimal"
     assert res.gap == 0
-    assert (res.value(0), res.value(1)) == (3, 1)
+    assert (res.values[0], res.values[1]) == (3, 1)
     assert highs_calls == ["LP"]
 
 
@@ -93,7 +99,7 @@ def test_check_feasible_names_the_violated_column_and_row():
 def test_integer_values_are_integral(highs_calls):
     model = dense_model([1.0], [([2.0], "<=", 7)])
     res = solve(model)
-    assert res.value(0) == 3
+    assert res.values[0] == 3
     # the relaxation stops at x = 3.5, so branch-and-bound runs
     assert highs_calls == ["LP", "MILP"]
 
@@ -104,7 +110,7 @@ def branch_and_bound(model, gap_tol):
     LP-first path."""
     res = scipy_milp(
         c=-model.c,
-        constraints=(model.a.toarray(), model.lo, model.hi),
+        constraints=(scipy_csc(model.a).toarray(), model.lo, model.hi),
         integrality=model.integer,
         bounds=(model.lb, model.ub),
         options={"mip_rel_gap": gap_tol},
@@ -120,7 +126,7 @@ def scipy_fallback(model, gap_tol):
     fixed columns put back and the integer columns rounded: what
     :func:`solve` returns when it branches."""
     sub, live = compact(model)
-    res = scipy_milp(c=-sub.c, constraints=LinearConstraint(sub.a, sub.lo, sub.hi),
+    res = scipy_milp(c=-sub.c, constraints=LinearConstraint(scipy_csc(sub.a), sub.lo, sub.hi),
                      integrality=sub.integer, bounds=Bounds(sub.lb, sub.ub),
                      options={"mip_rel_gap": gap_tol})
     assert res.status == 0, res.message
@@ -164,18 +170,107 @@ def test_objective_constant_is_reported():
 
 
 def test_unknown_variable_reference_rejected():
-    with pytest.raises(ValueError):
-        csc([(np.array([0]), np.array([3]), np.array([1.0]))], (1, 1))
+    for rows, cols in (([0], [3]), ([2], [0]), ([-1], [0]), ([0], [1]), ([0], [-1])):
+        with pytest.raises(ValueError, match="outside the 2 x 1 matrix"):
+            csc([(np.array(rows), np.array(cols), np.array([1.0]))], (2, 1))
+
+
+def random_blocks(rng):
+    """Two blocks of random (row, column, value) entries of a matrix of
+    random shape, and that shape. The entries are unsorted, with duplicates
+    (each place at most twice, so that any summation order gives the same
+    bits) and explicit zeros."""
+    shape = tuple(int(v) for v in rng.integers(1, 30, size=2))
+    n = int(rng.integers(0, shape[0] * shape[1] // 2 + 1))
+    places = rng.choice(shape[0] * shape[1], size=n, replace=False)
+    twice = rng.choice(places, size=n // 3, replace=False)
+    rows, cols = np.divmod(rng.permutation(np.concatenate([places, twice])), shape[1])
+    vals = rng.normal(size=len(rows))
+    vals[rng.random(len(rows)) < 0.1] = 0.0
+    half = len(rows) // 2
+    return [(rows[:half], cols[:half], vals[:half]), (rows[half:], cols[half:], vals[half:])], shape
+
+
+def test_csc_equals_scipys_matrix_of_the_same_blocks():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        blocks, shape = random_blocks(rng)
+        rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+        oracle = sparse.csc_matrix((vals, (rows, cols)), shape=shape)
+        assert_same_matrix(csc(blocks, shape), oracle)
+    # explicit zeros are kept, and so is a sum of duplicates that is 0
+    a = csc([(np.array([1, 0, 1]), np.array([0, 0, 0]), np.array([2.0, 0.0, -2.0]))], (2, 1))
+    assert (a.indptr.tolist(), a.indices.tolist(), a.data.tolist()) == ([0, 2], [0, 1], [0.0, 0.0])
+
+
+def test_slice_subset_and_product_match_scipy_on_random_matrices():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        blocks, shape = random_blocks(rng)
+        a = csc(blocks, shape)
+        oracle = scipy_csc(a)
+        columns = np.flatnonzero(rng.random(shape[1]) < 0.6)
+        rows = np.flatnonzero(rng.random(shape[0]) < 0.6)
+        assert_same_matrix(a.columns(columns), oracle[:, columns])
+        assert_same_matrix(a.rows(rows), oracle[rows])
+        assert_same_matrix(a.columns(columns).rows(rows), oracle[:, columns][rows])
+        x = rng.normal(size=shape[1]) * 1e3
+        x[rng.random(shape[1]) < 0.3] = 0.0
+        assert (a @ x).tobytes() == (oracle @ x).tobytes()
 
 
 def test_a_row_wise_matrix_is_rejected():
-    # HiGHS is told the arrays are column-wise: row-wise ones would pose
-    # another model without any error
+    # HiGHS is told the arrays are column-wise: any matrix but the record,
+    # scipy's CSC included, is refused
     model = dense_model([1.0, 1.0], [([1.0, 2.0], "<=", 3)])
-    with pytest.raises(TypeError, match="CSC"):
-        dataclasses.replace(model, a=model.a.tocsr())
-    with pytest.raises(TypeError, match="CSC"):
-        dataclasses.replace(model, a=model.a.toarray())
+    oracle = scipy_csc(model.a)
+    for other in (oracle.tocsr(), oracle, oracle.toarray()):
+        with pytest.raises(TypeError, match="CSC"):
+            dataclasses.replace(model, a=other)
+
+
+def test_the_row_view_reads_the_column_wise_arrays():
+    model = dense_model([1.0, 1.0, 1.0], [([0.0, 2.0, 1.0], "<=", 3), ([4.0, 0.0, 5.0], ">=", 1),
+                                           ([0.0, 0.0, 0.0], "=", 0)])
+    assert [(c.coeffs, c.sense, c.rhs) for c in model.constraints] == [
+        ({1: 2.0, 2: 1.0}, "<=", 3.0), ({0: 4.0, 2: 5.0}, ">=", 1.0), ({}, "=", 0.0)]
+    assert list(model.constraints[0].coeffs) == [1, 2]
+
+
+SRC = str(Path(dcsched.milp.__file__).parents[1])
+
+
+def run_python(code: str, *path: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that finds `path` and then dcsched."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join([*path, SRC])))
+
+
+def test_importing_dcsched_leaves_scipy_optimize_and_sparse_out():
+    proc = run_python("import sys, dcsched.cli\n"
+                      "print(sorted({'scipy.optimize', 'scipy.sparse'} & set(sys.modules)))")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+@pytest.mark.parametrize("first, second", [("dcsched.milp", "scipy.optimize"),
+                                           ("scipy.optimize", "dcsched.milp")])
+def test_dcsched_and_scipy_share_one_highs_binding(first, second):
+    # in either import order, one extension module and one _Highs type
+    proc = run_python(f"import {first}\nimport {second}\nimport dcsched.milp, scipy.optimize\n"
+                      "from scipy.optimize._highspy._core import _Highs\n"
+                      "assert dcsched.milp._Highs is _Highs\n"
+                      "print(scipy.optimize.milp(c=[-1.0], bounds=(0, 3.5), integrality=[1]).x)")
+    assert (proc.returncode, proc.stdout) == (0, "[3.]\n"), proc.stderr
+
+
+def test_a_missing_highs_binding_fails_the_import_and_names_its_path(tmp_path):
+    # a scipy without the extension file: no fallback, an ImportError
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    proc = run_python("import dcsched.milp", str(tmp_path))
+    assert proc.returncode == 1
+    assert "ImportError: scipy's HiGHS binding is not at " + str(
+        tmp_path / "scipy" / "optimize" / "_highspy" / "_core") in proc.stderr
 
 
 @pytest.fixture
@@ -211,8 +306,8 @@ def test_same_matrix_starts_from_the_stored_basis(lp_bases):
     # only a right-hand side moved: the relaxation starts from the basis
     second = solve(budget_model(1), warm=warm)
     assert lp_bases == [False, True]
-    assert (second.value(0), second.value(1)) == (1, 3)
-    assert (first.value(0), first.value(1)) == (3, 1)
+    assert (second.values[0], second.values[1]) == (1, 3)
+    assert (first.values[0], first.values[1]) == (3, 1)
 
 
 def test_changed_matrix_solves_cold(lp_bases):
@@ -280,7 +375,7 @@ def test_only_hot_relaxations_leave_the_highs_defaults(monkeypatch):
     # gap of 3.5) runs before full branch-and-bound
     warm = WarmStart()
     for rounded in (None, None, np.ones(1, dtype=bool)):
-        assert solve(dense_model([1.0], [([2.0], "<=", 7)]), warm=warm, rounded=rounded).value(0) == 3
+        assert solve(dense_model([1.0], [([2.0], "<=", 7)]), warm=warm, rounded=rounded).values[0] == 3
     # Devex pricing and no scaling on the hot relaxation only; Feasibility
     # Jump off on every branch-and-bound run, the neighbourhood included
     lp, bnb = defaults + [True], defaults + [False]
@@ -302,7 +397,7 @@ def test_uncertified_neighbourhood_falls_through_to_branch_and_bound(highs_calls
     # the LP bound 3.5 and the neighbourhood's x = 3 are 1/6 apart
     res = solve(dense_model([1.0], [([2.0], "<=", 7)]), rounded=np.ones(1, dtype=bool))
     assert highs_calls == ["LP", "MILP", "MILP"]
-    assert (res.status, res.value(0), res.gap) == ("optimal", 3.0, 0.0)
+    assert (res.status, res.values[0], res.gap) == ("optimal", 3.0, 0.0)
 
 
 def test_certified_neighbourhood_is_returned_with_its_gap(highs_calls):
@@ -376,7 +471,7 @@ def test_branch_and_bound_sees_the_compacted_model(monkeypatch, highs_calls):
     (sub,) = received
     # only x0 and x1 and the two rows they enter, each shifted by 2 * x2
     np.testing.assert_array_equal(sub.c, [1.0, 1.0])
-    np.testing.assert_array_equal(sub.a.toarray(), [[2.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(scipy_csc(sub.a).toarray(), [[2.0, 0.0], [0.0, 1.0]])
     np.testing.assert_array_equal(sub.hi, [7.0, 2.0])
     np.testing.assert_array_equal(sub.ub, [10.0, 10.0])
     assert res.status == "optimal"

@@ -105,7 +105,7 @@ def test_solution_satisfies_model_constraints():
     res = solve(model)
     assert res.status == "optimal"
     # capacity never exceeded by the implied trajectory
-    starts = {key: int(res.value(v)) for key, v in handles.items() if res.value(v)}
+    starts = {key: int(res.values[v]) for key, v in handles.items() if res.values[v]}
     assert all(m <= 4 for m in recount(starts, 4))
 
 

@@ -5,8 +5,9 @@ import random
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from dcsched.milp import MilpModel, WarmStart, compact
+from dcsched.milp import CscMatrix, MilpModel, WarmStart, compact
 from dcsched.core import (
     ArrivalProfile,
     DCConfig,
@@ -406,11 +407,17 @@ def model_values(model, handles, decision):
     return x
 
 
+def scipy_csc(a: CscMatrix) -> sparse.csc_matrix:
+    """scipy's matrix of the record's arrays: an oracle independent of the
+    record's own methods."""
+    return sparse.csc_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+
+
 def check_feasible(model: MilpModel, values: np.ndarray, tol: float = 1e-6) -> list[str]:
     """Return descriptions of the columns and rows of `model` that `values`
     violates by more than tol."""
     x = np.asarray(values, dtype=float)
-    ax = model.a @ x
+    ax = scipy_csc(model.a) @ x
     bad = [f"column {j} = {x[j]} outside [{model.lb[j]}, {model.ub[j]}]"
            for j in np.flatnonzero((x < model.lb - tol) | (x > model.ub + tol))]
     bad += [f"row {i}: {ax[i]} outside [{model.lo[i]}, {model.hi[i]}]"
@@ -466,7 +473,7 @@ def model_digest(models):
     integrality."""
     h = hashlib.sha256()
     for m in models:
-        a = m.a.tocsr()
+        a = scipy_csc(m.a).tocsr()
         for arr in (m.c, m.constant, m.lb, m.ub, m.lo, m.hi, a.data):
             h.update(np.asarray(arr, dtype=np.float64).tobytes())
         for arr in (m.integer, a.shape, a.indptr, a.indices):
@@ -499,11 +506,52 @@ def offline_models():
             for require_completion in (False, True)]
 
 
+def assert_same_matrix(a: CscMatrix, oracle: sparse.csc_matrix) -> None:
+    """`a` holds scipy's arrays, dtype and bytes, and its shape."""
+    assert a.shape == oracle.shape
+    for mine, theirs in ((a.indptr, oracle.indptr), (a.indices, oracle.indices),
+                         (a.data, oracle.data)):
+        assert mine.dtype == theirs.dtype
+        assert mine.tobytes() == theirs.tobytes()
+
+
 def test_builders_return_canonical_column_wise_matrices():
     # HiGHS is handed the matrix's own arrays as column-wise ones: the
     # stage and offline builders and compact must all return canonical CSC
+    # with HiGHS's int32 indices
     models = [build_stage(random_stage(seed), with_slack=with_slack)[0]
               for seed in range(8) for with_slack in (False, True)] + offline_models()
     for m in models + [compact(m)[0] for m in models]:
-        assert m.a.format == "csc"
-        assert m.a.has_canonical_format
+        a = m.a
+        assert isinstance(a, CscMatrix)
+        assert a.indptr.dtype == a.indices.dtype == np.int32 and a.data.dtype == np.float64
+        assert len(a.indptr) == a.shape[1] + 1 and a.indptr[0] == 0 and a.indptr[-1] == len(a.data)
+        assert scipy_csc(a).has_canonical_format  # each column's rows sorted, none twice
+
+
+def scipy_compact(m: MilpModel) -> tuple[sparse.csc_matrix, np.ndarray, np.ndarray]:
+    """compact's matrix and row bounds, computed with scipy: the column
+    slice, the product of the fixed columns and the row subset."""
+    oracle = scipy_csc(m.a)
+    fixed = m.lb == m.ub
+    shift = oracle @ np.where(fixed, m.lb, 0.0)
+    lo, hi = m.lo - shift, m.hi - shift
+    a = oracle[:, np.flatnonzero(~fixed)]
+    empty = a.getnnz(axis=1) == 0
+    rows = np.flatnonzero(~((lo == -np.inf) & (hi == np.inf)) & ~(empty & (lo <= 0) & (hi >= 0)))
+    return a[rows], lo[rows], hi[rows]
+
+
+def test_compact_matches_scipy_on_the_random_stages():
+    # bit for bit, on every model of the random stages with and without
+    # slack: compact's matrix and row bounds, and the product a @ x
+    rng = np.random.default_rng(3)
+    for seed in range(40):
+        for with_slack in (False, True):
+            m = build_stage(random_stage(seed), with_slack=with_slack)[0]
+            sub, _ = compact(m)
+            a, lo, hi = scipy_compact(m)
+            assert_same_matrix(sub.a, a)
+            assert sub.lo.tobytes() == lo.tobytes() and sub.hi.tobytes() == hi.tobytes()
+            x = rng.normal(size=m.a.shape[1]) * 1e3
+            assert (m.a @ x).tobytes() == (scipy_csc(m.a) @ x).tobytes()
