@@ -19,7 +19,9 @@ it search the relaxation's neighbourhood (RENS; Berthold, "RENS — the
 optimal rounding", Math. Prog. Comp. 6, 2014): the small MILP in which each
 column it names may only take the floor or the ceiling of its LP value.
 A neighbourhood optimum within the gap tolerance of the LP bound is a MILP
-optimum to that tolerance. Every run goes through the one module binding
+optimum to that tolerance; one that is not hands itself to full
+branch-and-bound as the starting incumbent, so HiGHS's root heuristics need
+not find it again. Every run goes through the one module binding
 ``_scipy_milp``: the relaxation as the model with no integer column,
 branch-and-bound on the model :func:`compact` leaves (no fixed columns, no
 free or emptied rows). :func:`solve` reads HiGHS's model status, solution,
@@ -242,10 +244,12 @@ class WarmStart:
 
 
 def _scipy_milp(model: MilpModel, time_limit: float, gap_tol: float,
-                basis: HighsBasis | None = None) -> _Highs:
+                basis: HighsBasis | None = None, start: np.ndarray | None = None) -> _Highs:
     """Run scipy's bundled HiGHS on `model`, minimizing -c @ x, to relative
-    gap `gap_tol` within `time_limit` seconds and from `basis` when one is
-    given; return the finished run to read status, solution and info from.
+    gap `gap_tol` within `time_limit` seconds, from `basis` when one is
+    given and with the column values `start` as the starting incumbent of
+    branch-and-bound when they are; return the finished run to read status,
+    solution and info from.
 
     Every HiGHS call dcsched makes goes through here: the relaxation (a
     model with no integer column) as well as branch-and-bound, the
@@ -258,8 +262,9 @@ def _scipy_milp(model: MilpModel, time_limit: float, gap_tol: float,
     weights for the basis before the first pivot. The hot run skips both
     (`_HOT`: Devex pricing, no scaling); a cold relaxation, which pivots
     for far longer, keeps the defaults. Branch-and-bound keeps them too,
-    but for Feasibility Jump (`_BNB`). Any option, model or basis HiGHS
-    refuses raises, so no run silently falls back to a default.
+    but for Feasibility Jump (`_BNB`). Any option, model, basis or start
+    HiGHS refuses (a start of the wrong length, say) raises, so no run
+    silently falls back to a default.
     """
     highs = _Highs()
     options = [("output_flag", False), ("time_limit", float(time_limit)),
@@ -274,6 +279,10 @@ def _scipy_milp(model: MilpModel, time_limit: float, gap_tol: float,
            "the model")
     if basis is not None:
         _check(highs.setBasis(basis), "the starting basis")
+    if start is not None:
+        solution = _core.HighsSolution()
+        solution.col_value, solution.value_valid = start, True
+        _check(highs.setSolution(solution), "the starting solution")
     highs.run()
     return highs
 
@@ -306,10 +315,11 @@ def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
     neighbourhood is searched first (:func:`_neighbourhood`); an optimum
     there within `gap_tol` of the LP bound is returned as `optimal`, with
     that gap. Failing that, HiGHS branch-and-bound solves the compacted
-    MILP (:func:`compact`) to relative gap `gap_tol`; the fixed columns are
-    put back in its solution. `time_limit` bounds all the runs of one call
-    together. A branch-and-bound run that stops at a limit with an
-    incumbent returns it as `feasible-gap`, with the gap HiGHS reports.
+    MILP (:func:`compact`) to relative gap `gap_tol`, starting from the
+    neighbourhood's solution as its incumbent when there is one; the fixed
+    columns are put back in its solution. `time_limit` bounds all the runs
+    of one call together. A branch-and-bound run that stops at a limit with
+    an incumbent returns it as `feasible-gap`, with the gap HiGHS reports.
 
     With `warm`, the relaxation starts from the stored basis when the
     constraint matrix is the one it was found on, and an optimal relaxation
@@ -318,7 +328,8 @@ def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
     Integer variables in the returned values are rounded to the nearest
     integer; one further than INT_TOL from it is reported as an error.
     So is an option value (such as a negative `time_limit` or `gap_tol`),
-    a model or a basis that HiGHS refuses; the message names it.
+    a model, a basis or a starting solution that HiGHS refuses; the message
+    names it.
     """
     deadline = time.perf_counter() + time_limit
     c, a, integer = model.c, model.a, model.integer
@@ -337,10 +348,11 @@ def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
             found = None
             if x is not None and rounded is not None:
                 found = _neighbourhood(model, x, rounded, deadline, gap_tol)
-            if found is not None:
+            if found is not None and found[1] <= gap_tol:
                 x, gap = found
             else:
-                highs, x = _branch_and_bound(model, deadline, gap_tol, at_limit=True)
+                start = None if found is None else found[0]
+                highs, x = _branch_and_bound(model, deadline, gap_tol, at_limit=True, start=start)
                 status = highs.getModelStatus()
                 message = highs.modelStatusToString(status)
                 if x is not None:
@@ -373,7 +385,7 @@ def _neighbourhood(model: MilpModel, x_lp: np.ndarray, rounded: np.ndarray, dead
     """Solve the neighbourhood of the fractional relaxation optimum `x_lp`:
     `model` with each column in the mask `rounded` bounded to the floor and
     ceiling of its LP value, so one the LP left integral is fixed. Return
-    the solution and its gap if that gap is within `gap_tol`, else None.
+    the solution and its gap, or None if HiGHS finds no solution there.
 
     The gap is the one HiGHS reports as `mip_gap`, |primal - bound| /
     |primal|, with the neighbourhood optimum as the primal value and the LP
@@ -388,18 +400,20 @@ def _neighbourhood(model: MilpModel, x_lp: np.ndarray, rounded: np.ndarray, dead
     free = model.lb != model.ub
     primal, bound = float(model.c[free] @ x[free]), float(model.c[free] @ x_lp[free])
     gap = 0.0 if primal == bound else abs(primal - bound) / abs(primal) if primal else np.inf
-    return (x, gap) if gap <= gap_tol else None
+    return x, gap
 
 
-def _branch_and_bound(model: MilpModel, deadline: float, gap_tol: float,
-                      at_limit: bool) -> tuple[_Highs, np.ndarray | None]:
+def _branch_and_bound(model: MilpModel, deadline: float, gap_tol: float, at_limit: bool,
+                      start: np.ndarray | None = None) -> tuple[_Highs, np.ndarray | None]:
     """Run branch-and-bound on `model` compacted (:func:`compact`), within
-    what is left until `deadline`. Return the finished run and its solution
-    with every column left out put back at its lb; the solution is None
-    unless the run is optimal or, with `at_limit`, stopped at a limit
+    what is left until `deadline`, from the starting incumbent `start` (a
+    solution of `model`) when one is given. Return the finished run and its
+    solution with every column left out put back at its lb; the solution is
+    None unless the run is optimal or, with `at_limit`, stopped at a limit
     holding a feasible incumbent."""
     sub, live = compact(model)
-    highs = _scipy_milp(sub, max(deadline - time.perf_counter(), 0.0), gap_tol)
+    highs = _scipy_milp(sub, max(deadline - time.perf_counter(), 0.0), gap_tol,
+                        start=None if start is None else start[live])
     status = highs.getModelStatus()
     if status != HighsModelStatus.kOptimal and not (
             at_limit and status in _LIMITS

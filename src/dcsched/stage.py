@@ -141,8 +141,9 @@ class _StageHandles:
     terms: list[tuple[JobClass, int]]
     m0: int
     peak: int
-    # the columns a fractional relaxation's neighbourhood rounds: starts,
-    # terminations and slack; the occupancy rows tie m and PD to the starts
+    # the columns a fractional relaxation's neighbourhood rounds: starts and
+    # terminations; the occupancy rows tie m and PD to them. Slack keeps its
+    # bounds: where the LP left it at 0, the neighbourhood may still need it
     rounded: np.ndarray
 
 
@@ -278,7 +279,7 @@ def build_stage(
     obj[pd + 1:] = -10.0 * max(at_r.tolist(), default=1)
 
     rounded = np.ones(n, dtype=bool)
-    rounded[m0:pd + 1] = False
+    rounded[m0:] = False
     h = _StageHandles([key for key, _ in running], m0, pd, rounded)
     return MilpModel(obj, np.zeros(n), ub, integer, a, lo, hi, constant), h
 
@@ -299,8 +300,8 @@ def solve_stage(
     """Solve the stage problem; on infeasible minimum clearance, re-solve
     with penalized slack and return the relaxed optimum. `warm` carries the
     run's last optimal relaxation basis into both solves; a fractional
-    relaxation has its starts, terminations and slack rounded in its
-    neighbourhood before full branch-and-bound."""
+    relaxation has its starts and terminations rounded in its neighbourhood
+    before full branch-and-bound."""
     r = inputs.state.stage
     model, h = build_stage(inputs, with_slack=False)
     res = solve(model, gap_tol=gap_tol, time_limit=time_limit, warm=warm, rounded=h.rounded)

@@ -20,6 +20,21 @@ def highs_calls(monkeypatch):
 
 
 @pytest.fixture
+def given_starts(monkeypatch):
+    """Record the starting solution each HiGHS run made through
+    `dcsched.milp._scipy_milp` was given (None for none), in order."""
+    given = []
+    highs = dcsched.milp._scipy_milp
+
+    def recorded(model, *args, start=None, **kwargs):
+        given.append(None if start is None else start.copy())
+        return highs(model, *args, start=start, **kwargs)
+
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", recorded)
+    return given
+
+
+@pytest.fixture
 def first_incumbent(monkeypatch):
     """Make every HiGHS run stop branch-and-bound at its first improving
     solution, as a limit stops it holding an incumbent; return the runs

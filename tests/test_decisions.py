@@ -6,7 +6,9 @@ clearance slack, the realized peak, the status and the rounded gap. The
 encoding is independent of how a decision stores them: sorted
 (servers, runtime, hour, count) tuples, whichever layout the tables have.
 The HiGHS runs of each loop are pinned by kind: a relaxation given the
-previous hour's basis ("LP hot"), one started cold ("LP cold"), and
+previous hour's basis ("LP hot"), one started cold ("LP cold"),
+branch-and-bound given a starting incumbent, which is full branch-and-bound
+after an uncertified neighbourhood ("MILP seeded"), and any other
 branch-and-bound, the neighbourhood included ("MILP").
 
 The pins are tied to HiGHS 1.12.0 as scipy 1.17.1 bundles it: a change of
@@ -74,9 +76,10 @@ def recorded(monkeypatch):
         decisions.append(encode(inputs, decision))
         return decision
 
-    def counted(model, time_limit, gap_tol, basis=None):
-        runs["MILP" if model.integer.any() else "LP cold" if basis is None else "LP hot"] += 1
-        return highs(model, time_limit, gap_tol, basis)
+    def counted(model, time_limit, gap_tol, basis=None, start=None):
+        runs["MILP seeded" if start is not None else "MILP" if model.integer.any()
+             else "LP cold" if basis is None else "LP hot"] += 1
+        return highs(model, time_limit, gap_tol, basis, start=start)
 
     monkeypatch.setattr(dcsched.engine, "solve_stage", decided)
     monkeypatch.setattr(dcsched.milp, "_scipy_milp", counted)
@@ -123,9 +126,9 @@ def test_desk_cell_decisions_are_pinned(recorded, tmp_path):
     decisions, runs = recorded
     run_cell(tmp_path, DESK_CELL)
     assert len(decisions) == 24
-    assert dict(runs) == {"LP cold": 1, "LP hot": 23, "MILP": 15}
+    assert dict(runs) == {"LP cold": 1, "LP hot": 23, "MILP": 8, "MILP seeded": 7}
     assert digest(decisions) == (
-        "7d7daf4cda2fce2aa459e996e064c430843a42fa13c454d0fd0d80aebede5197"
+        "655461e58c67c5fa28ef69f7d8c7559cab03502ae71339702c50b3689aace1c6"
     )
 
 
@@ -136,9 +139,9 @@ def test_overload_cell_decisions_are_pinned(recorded, tmp_path):
     # stages with terminations and stages with slack are among them
     assert any(terms for _, _, terms, *_ in decisions)
     assert any(slack for *_, slack, _, _, _ in decisions)
-    assert dict(runs) == {"LP cold": 15, "LP hot": 44, "MILP": 40}
+    assert dict(runs) == {"LP cold": 15, "LP hot": 44, "MILP": 25, "MILP seeded": 18}
     assert digest(decisions) == (
-        "b0e5a9edf00e52679a1c7a640fc49aa65ecea9ba03e3e4a97fa34fed438650bf"
+        "25ee1c77f5a4694a69993c66dbe0d8de53c625aa6e4bbb5f61f3eb81ddc7ed42"
     )
 
 

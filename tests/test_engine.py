@@ -306,8 +306,8 @@ def relaxations(monkeypatch):
     seen = []
     highs = dcsched.milp._scipy_milp
 
-    def recorded(model, time_limit, gap_tol, basis=None):
-        run = highs(model, time_limit, gap_tol, basis)
+    def recorded(model, time_limit, gap_tol, basis=None, start=None):
+        run = highs(model, time_limit, gap_tol, basis, start=start)
         if not model.integer.any():
             hot = basis is not None
             seen.append((hot, run, highs(model, time_limit, gap_tol) if hot else run))

@@ -281,10 +281,10 @@ def lp_bases(monkeypatch):
     given = []
     highs = dcsched.milp._scipy_milp
 
-    def recorded(model, time_limit, gap_tol, basis=None):
+    def recorded(model, time_limit, gap_tol, basis=None, start=None):
         if not model.integer.any():
             given.append(basis is not None)
-        return highs(model, time_limit, gap_tol, basis)
+        return highs(model, time_limit, gap_tol, basis, start=start)
 
     monkeypatch.setattr(dcsched.milp, "_scipy_milp", recorded)
     return given
@@ -361,8 +361,8 @@ def test_only_hot_relaxations_leave_the_highs_defaults(monkeypatch):
     runs = []
     highs = dcsched.milp._scipy_milp
 
-    def recorded(model, time_limit, gap_tol, basis=None):
-        run = highs(model, time_limit, gap_tol, basis)
+    def recorded(model, time_limit, gap_tol, basis=None, start=None):
+        run = highs(model, time_limit, gap_tol, basis, start=start)
         kind = "MILP" if model.integer.any() else "hot" if basis is not None else "cold"
         runs.append((kind, [run.getOptionValue(name)[1] for name in HOT_OPTIONS + (JUMP,)]))
         return run
@@ -383,12 +383,14 @@ def test_only_hot_relaxations_leave_the_highs_defaults(monkeypatch):
                     ("hot", [1, 0, True]), ("MILP", bnb), ("MILP", bnb)]
 
 
-def test_infeasible_neighbourhood_falls_through_to_branch_and_bound(highs_calls):
+def test_infeasible_neighbourhood_falls_through_to_branch_and_bound(highs_calls, given_starts):
     # on 2x + 3y = 6, y <= 1.5 the LP stops at (0.75, 1.5); no integer point
     # has x in [0, 1] and y in [1, 2], but (3, 0) is the MILP optimum
     model = dense_model([1.0, 1.6], [([2.0, 3.0], "=", 6), ([0.0, 1.0], "<=", 1.5)])
     res = solve(model, rounded=np.ones(2, dtype=bool))
     assert highs_calls == ["LP", "MILP", "MILP"]
+    # with no solution in the neighbourhood, branch-and-bound starts bare
+    assert given_starts == [None, None, None]
     assert (res.status, res.gap) == ("optimal", 0.0)
     np.testing.assert_array_equal(res.values, [3.0, 0.0])
 
@@ -423,6 +425,51 @@ def test_certified_neighbourhood_is_returned_with_its_gap(highs_calls):
     res = solve(model, gap_tol=1e-5, rounded=np.array([True, True, False]))
     assert highs_calls == ["LP", "MILP", "MILP"]
     assert (res.status, res.gap) == ("optimal", 0.0)
+
+
+def test_uncertified_neighbourhood_seeds_branch_and_bound(given_starts):
+    # max x + 3y s.t. x + 2y <= 7: the LP stops at (0, 3.5) with bound 10.5;
+    # its neighbourhood fixes x = 0 and finds (0, 3), worth 9, 1/6 short of
+    # the bound. Full branch-and-bound starts from (0, 3) and finds (1, 3)
+    model = dense_model([1.0, 3.0], [([1.0, 2.0], "<=", 7)])
+    found = dcsched.milp._neighbourhood(model, np.array([0.0, 3.5]), np.ones(2, dtype=bool),
+                                        np.inf, 1e-4)
+    assert found is not None and found[1] == pytest.approx(1.5 / 9)
+    given_starts.clear()
+    res = solve(model, gap_tol=1e-4, rounded=np.ones(2, dtype=bool))
+    assert [start is None for start in given_starts] == [True, True, False]
+    np.testing.assert_array_equal(given_starts[-1], found[0])
+    assert res.status == "optimal" and res.gap <= 1e-4
+    assert res.objective >= model.c @ found[0]
+    np.testing.assert_array_equal(res.values, [1.0, 3.0])
+    assert res.objective == pytest.approx(10.0)
+
+
+def test_the_start_is_given_on_the_compacted_columns(given_starts):
+    # x1 is fixed at 1 and left out of branch-and-bound; the start holds
+    # the other two columns of the neighbourhood's solution
+    model = dense_model([1.0, 0.0, 3.0], [([1.0, 0.0, 2.0], "<=", 7), ([0.0, 1.0, 1.0], "<=", 9)],
+                        lb=[0, 1, 0], ub=[np.inf, 1, np.inf])
+    res = solve(model, rounded=np.ones(3, dtype=bool))
+    assert [start is None for start in given_starts] == [True, True, False]
+    np.testing.assert_array_equal(given_starts[-1], [0.0, 3.0])
+    np.testing.assert_array_equal(res.values, [1.0, 1.0, 3.0])
+
+
+def test_a_refused_start_fails_the_solve(monkeypatch):
+    # a start one column too long: HiGHS refuses it, and the solve reports
+    # the error instead of running on without it
+    highs = dcsched.milp._scipy_milp
+
+    def lengthened(model, *args, start=None, **kwargs):
+        if start is not None:
+            start = np.append(start, 0.0)
+        return highs(model, *args, start=start, **kwargs)
+
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", lengthened)
+    res = solve(dense_model([1.0, 3.0], [([1.0, 2.0], "<=", 7)]), rounded=np.ones(2, dtype=bool))
+    assert (res.status, res.values) == ("error", None)
+    assert res.message == "backend failure: HiGHS refused the starting solution"
 
 
 def test_time_limit_used_up_by_the_relaxation(monkeypatch):

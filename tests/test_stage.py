@@ -136,7 +136,7 @@ def test_carbon_weight_shifts_start_to_cleaner_hour():
     assert aware.starts.tolist() == [[0, 0, 0, 1]]
 
 
-def test_infeasible_clearance_relaxes_with_slack(highs_calls):
+def test_infeasible_clearance_relaxes_with_slack(highs_calls, given_starts):
     # a 2-server job can never fit on a 1-server facility
     state = SystemState(stage=1, queued={C22: 1}, arrived={C22: 1})
     inputs = make_inputs(state, [C22], capacity=1)
@@ -146,9 +146,13 @@ def test_infeasible_clearance_relaxes_with_slack(highs_calls):
     assert not validate_decision(inputs, decision)
     # half the job fits, so both relaxations are fractional: the LP, its
     # neighbourhood and the infeasible MILP of the model, then the LP, its
-    # neighbourhood and the MILP with slack. Neither neighbourhood is
-    # feasible: the LP leaves the slack at 0 and half the job at two hours
+    # neighbourhood and the MILP with slack. The first neighbourhood is
+    # infeasible. In the second the LP left the slack at 0 and half the job
+    # at two hours; the slack keeps its bounds there, so the neighbourhood
+    # clears the job with slack. That does not certify against the LP bound,
+    # and full branch-and-bound starts from it
     assert highs_calls == ["LP", "MILP", "MILP"] * 2
+    assert [start is not None for start in given_starts] == [False] * 5 + [True]
 
 
 def test_slack_is_last_resort():
@@ -441,8 +445,9 @@ def test_model_and_recheck_agree_on_perturbed_decisions():
         seen["terms"] += bool(h.terms)
         seen["truncated"] += len(inputs.window()) < inputs.horizons.t_h
         seen["slack"] += with_slack
-        # a fractional relaxation's neighbourhood rounds all but m and PD
-        assert np.flatnonzero(~h.rounded).tolist() == list(range(h.m0, h.peak + 1))
+        # a fractional relaxation's neighbourhood rounds the starts and the
+        # terminations: m, PD and slack keep their bounds
+        assert np.flatnonzero(~h.rounded).tolist() == list(range(h.m0, model.a.shape[1]))
         assert validate_decision(inputs, decision) == []
         assert check_feasible(model, model_values(model, h, decision)) == []
         changes = (
