@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -166,27 +167,71 @@ class ArrivalProfile:
         return out
 
 
-@dataclass
-class SystemState:
-    """Job/server inventories at the start of hour `stage`.
+@lru_cache(maxsize=32)
+def class_table(classes: tuple[JobClass, ...]) -> np.ndarray:
+    """The classes' servers (row 0) and runtimes (row 1) as a read-only
+    2 x n int64 array, built once per class tuple."""
+    table = np.array([[c.servers for c in classes], [c.runtime for c in classes]],
+                     dtype=np.int64).reshape(2, -1)
+    table.flags.writeable = False
+    return table
 
-    running maps (class, start hour) -> count of jobs still executing;
-    queued and completed map class -> count; arrived maps class -> total
-    arrivals observed so far (hours < stage), used for the conservation
-    invariant.
+
+@dataclass(eq=False)
+class SystemState:
+    """Job inventories at the start of hour `stage`, as int arrays whose
+    row (or entry) i is class classes[i]. running is classes x (l_max - 1):
+    running[i, a - 1] counts the jobs of class i started at stage - a and
+    still executing, 1 <= a < runtime. n_queued, n_completed and n_arrived
+    count the jobs waiting, done and observed by hour stage - 1. `queued`,
+    `completed` and `running_by_class()` give the nonzero counts as dicts.
     """
 
     stage: int
-    running: dict[tuple[JobClass, int], int] = field(default_factory=dict)
-    queued: dict[JobClass, int] = field(default_factory=dict)
-    completed: dict[JobClass, int] = field(default_factory=dict)
-    arrived: dict[JobClass, int] = field(default_factory=dict)
+    classes: tuple[JobClass, ...]
+    running: np.ndarray
+    n_queued: np.ndarray
+    n_completed: np.ndarray
+    n_arrived: np.ndarray
+
+    @classmethod
+    def empty(cls, stage: int, classes: tuple[JobClass, ...]) -> SystemState:
+        """No job arrived, waiting, running or done before hour `stage`."""
+        zeros = np.zeros(len(classes), dtype=np.int64)
+        running = np.zeros((len(classes), max_runtime_of(classes) - 1), dtype=np.int64)
+        return cls(stage, classes, running, zeros, zeros.copy(), zeros.copy())
+
+    def __eq__(self, other: object) -> bool:
+        # field by field: a generated __eq__ compares tuples of arrays
+        return isinstance(other, SystemState) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    @property
+    def queued(self) -> dict[JobClass, int]:
+        return _nonzero(self.classes, self.n_queued)
+
+    @property
+    def completed(self) -> dict[JobClass, int]:
+        return _nonzero(self.classes, self.n_completed)
 
     def running_by_class(self) -> dict[JobClass, int]:
-        out: dict[JobClass, int] = {}
-        for (c, _), num in self.running.items():
-            out[c] = out.get(c, 0) + num
-        return out
+        return _nonzero(self.classes, self.running.sum(axis=1))
+
+    def cell(self, c: JobClass, t_b: int) -> tuple[int, int] | None:
+        """Where `running` counts class c started at t_b; None if nowhere."""
+        age = self.stage - t_b
+        return (self.classes.index(c), age - 1) if c in self.classes and 0 < age < c.runtime else None
+
+    def held(self, n: int) -> np.ndarray:
+        """Servers held by the running jobs at hours stage..stage + n - 1."""
+        servers, runtime = class_table(self.classes)
+        i, a = np.nonzero(self.running)
+        rows = np.array([servers[i], runtime[i], self.stage - 1 - a, self.running[i, a]])
+        return held_servers(rows, self.stage, n)
+
+
+def _nonzero(classes: tuple[JobClass, ...], counts: np.ndarray) -> dict[JobClass, int]:
+    return {c: num for c, num in zip(classes, counts.tolist()) if num}
 
 
 @dataclass(eq=False)
@@ -220,18 +265,11 @@ def power_of(m: int, cfg: DCConfig) -> float:
     return cfg.slope_mw_per_server * m + cfg.p_idle_mw
 
 
-def server_entries(entries: Mapping[tuple[JobClass, int], int]) -> np.ndarray:
-    """(class, start hour) -> count entries as a 4 x n int64 array, one
-    column per entry; its rows are servers, runtime, start hour and count."""
-    classes, hours = zip(*entries) if entries else ((), ())
-    return np.array([[c.servers for c in classes], [c.runtime for c in classes], hours,
-                     list(entries.values())], dtype=np.int64).reshape(4, -1)
-
-
 def held_servers(rows: np.ndarray, first: int, n: int) -> np.ndarray:
-    """Servers held at hours first..first + n - 1 by `rows` as
-    `server_entries` lays them out: a job of class c started at t_b holds
-    c.servers machines over hours t_b..t_b + c.runtime - 1."""
+    """Servers held at hours first..first + n - 1 by `rows`, a 4 x k int
+    array of servers, runtime, start hour and count, one column per group
+    of jobs: a job of `servers` machines started at t_b holds them over
+    hours t_b..t_b + runtime - 1."""
     servers, runtime, t_b, num = rows
     start, end = (np.minimum(np.maximum(t - first, 0), n) for t in (t_b, t_b + runtime))
     change = np.zeros(n + 1, dtype=np.int64)
@@ -239,52 +277,21 @@ def held_servers(rows: np.ndarray, first: int, n: int) -> np.ndarray:
     return np.cumsum(change[:n])
 
 
-def server_commitments(state: SystemState, max_runtime: int) -> list[int]:
-    """Derived commitment vector: index l-1 holds servers committed for
-    exactly l more hours (l = 1..max_runtime-1)."""
-    u = [0] * max(max_runtime - 1, 0)
-    r = state.stage
-    for (c, t_b), num in state.running.items():
-        remaining = c.runtime - (r - t_b)
-        if not (1 <= remaining <= max_runtime - 1):
-            raise DomainError(
-                f"running entry {(c, t_b)} has remaining time {remaining} "
-                f"outside 1..{max_runtime - 1} at stage {r}"
-            )
-        u[remaining - 1] += c.servers * num
-    return u
-
-
-def check_state(state: SystemState, max_runtime: int) -> list[int]:
-    """Assert structural invariants: non-negative counts and no running
-    entry that should already have finished. Returns the derived
-    commitment vector (see `server_commitments`)."""
-    r = state.stage
-    for (c, t_b), num in state.running.items():
-        if num < 0:
-            raise DomainError(f"negative running count for {(c, t_b)}")
-        if c.runtime == 1 or t_b <= r - c.runtime:
-            raise DomainError(f"running entry {(c, t_b)} is stale at stage {r}")
-    for name, table in (("queued", state.queued), ("completed", state.completed)):
-        for c, num in table.items():
-            if num < 0:
-                raise DomainError(f"negative {name} count for {c}")
-    # conservation: queued + running + completed == observed arrivals
-    per_class = state.running_by_class()
-    classes = set(per_class) | set(state.queued) | set(state.completed) | set(state.arrived)
-    for c in classes:
-        total = (
-            state.queued.get(c, 0)
-            + per_class.get(c, 0)
-            + state.completed.get(c, 0)
-        )
-        if total != state.arrived.get(c, 0):
-            raise DomainError(
-                f"conservation violated for {c}: queued+running+completed={total} "
-                f"but observed arrivals={state.arrived.get(c, 0)}"
-            )
-    # derived commitment vector must be computable (raises on stale entries)
-    return server_commitments(state, max_runtime)
+def check_state(state: SystemState) -> None:
+    """Assert the state's invariants: no negative count, no running cell
+    at an age the class has already finished by, and per class, queued +
+    running + completed == the arrivals observed."""
+    r, classes, running = state.stage, state.classes, state.running
+    for name in ("running", "n_queued", "n_completed", "n_arrived"):
+        if (getattr(state, name) < 0).any():
+            raise DomainError(f"negative {name} count at stage {r}: {getattr(state, name).tolist()}")
+    ages = np.arange(1, running.shape[1] + 1)
+    for i, a in np.argwhere(running.astype(bool) & (ages >= class_table(classes)[1][:, None])):
+        raise DomainError(f"running entry {(classes[i], r - int(a) - 1)} is stale at stage {r}")
+    held = state.n_queued + running.sum(axis=1) + state.n_completed
+    for i in np.flatnonzero(held != state.n_arrived):
+        raise DomainError(f"conservation violated for {classes[i]}: queued+running+completed="
+                          f"{held[i]} but observed arrivals={state.n_arrived[i]}")
 
 
 def max_runtime_of(classes: Iterable[JobClass]) -> int:

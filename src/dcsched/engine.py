@@ -23,8 +23,8 @@ from .core import (
     StageDecision,
     SystemState,
     check_state,
-    max_runtime_of,
-    server_commitments,
+    class_table,
+    held_servers,
 )
 from .milp import WarmStart
 from .signals import SignalSeries
@@ -82,7 +82,6 @@ def assemble_inputs(
     r: int,
     state: SystemState,
     cfg: DCConfig,
-    classes: tuple[JobClass, ...],
     arrivals: np.ndarray,
     capacity_truth: SignalSeries,
     carbon_truth: SignalSeries,
@@ -98,15 +97,16 @@ def assemble_inputs(
     forecast held at its value at the forecast-horizon edge beyond t_c and
     the carbon forecast persisting past the series end. Job arrivals are
     read from `arrivals`, the run's classes x hours table (see
-    `ArrivalProfile.table`), at hours before r + t_j.
+    `ArrivalProfile.table`; its rows follow `state.classes`), at hours
+    before r + t_j.
     """
     t_end = arrivals.shape[1]
     cap_fc = capacity_forecast if capacity_forecast is not None else capacity_truth
     car_fc = carbon_forecast if carbon_forecast is not None else carbon_truth
 
-    inputs = StageInputs(cfg, state, classes, None, None, None, weights, horizons, t_end)
+    inputs = StageInputs(cfg, state, None, None, None, weights, horizons, t_end)
     window, extended = inputs.window(), inputs.extended_window()
-    jobs = np.zeros((len(classes), len(window)), dtype=np.int64)
+    jobs = np.zeros((len(state.classes), len(window)), dtype=np.int64)
     seen = min(len(window), horizons.t_j)
     jobs[:, :seen] = arrivals[:, r - 1:r - 1 + seen]
     edge = r + horizons.t_c - 1
@@ -118,67 +118,49 @@ def assemble_inputs(
     )
 
 
-def advance_state(
-    state: SystemState,
-    decision: StageDecision,
-    arrivals: np.ndarray,
-    classes: tuple[JobClass, ...],
-) -> SystemState:
+def advance_state(state: SystemState, decision: StageDecision, arrivals: np.ndarray) -> SystemState:
     """Apply the hour-r starts and terminations, observe the hour-r
     arrivals, and return the stage-(r+1) state. `arrivals` is the hour's
-    column of the run's arrival table (see `ArrivalProfile.table`), and the
-    decision's starts are in the stage's layout: both have row i for class
-    classes[i], and the starts' column 0 is hour r. A zero count leaves the
-    state's tables as they are. Verifies the commitment-vector identity and
-    job conservation."""
-    r = state.stage
-    starts_r = [(c, num) for c, num in zip(classes, decision.starts[:, 0].tolist(), strict=True)
-                if num]
-    arrivals_r = [(c, num) for c, num in zip(classes, arrivals.tolist(), strict=True) if num]
-    terminations = decision.terminations
-    max_runtime = max_runtime_of(classes)
-    # the tables are copied, not rebuilt: kept running entries stay in
-    # order, and the jobs that end at r and the emptied entries leave
-    running = dict(state.running)
-    queued, completed, arrived = dict(state.queued), dict(state.completed), dict(state.arrived)
-    for key, cancelled in terminations.items():
-        if key not in running or cancelled > running[key]:
-            raise DomainError(f"terminating {cancelled} of {running.get(key, 0)} running {key}")
-        running[key] -= cancelled
-        queued[key[0]] = queued.get(key[0], 0) + cancelled
-    for c, t_b in state.running:
-        if t_b == r - c.runtime + 1:
-            completed[c] = completed.get(c, 0) + running.pop((c, t_b))
-    for key in [key for key, num in running.items() if not num]:
-        del running[key]
-    for c, num in arrivals_r:
-        queued[c] = queued.get(c, 0) + num
-        arrived[c] = arrived.get(c, 0) + num
-    for c, num in starts_r:
-        queued[c] = queued.get(c, 0) - num
-        if queued[c] < 0:
-            raise DomainError(f"queue for {c} would go negative ({queued[c]}) at stage {r}")
-        if c.runtime == 1:
-            completed[c] = completed.get(c, 0) + num
-        else:
-            running[(c, r)] = running.get((c, r), 0) + num
+    column of the run's arrival table and the decision's starts are in the
+    stage's layout: both have row i for class `state.classes[i]`.
 
-    new = SystemState(r + 1, running, queued, completed, arrived)
-    # the commitment vector derived from the new running table must match
-    # the old one shifted by an hour, plus the hour-r starts, less the
-    # terminated jobs (index l - 1: servers committed for l more hours)
-    derived = check_state(new, max_runtime)
-    expected = server_commitments(state, max_runtime)[1:] + [0]
-    for c, num in starts_r:
-        if c.runtime > 1:
-            expected[c.runtime - 2] += c.servers * num
-    for (c, t_b), num in terminations.items():
-        left = c.runtime - (r - t_b)  # hours left at r, r included
-        if left > 1:
-            expected[left - 2] -= c.servers * num
-    if derived != expected[:len(derived)]:
-        raise DomainError(f"commitment recursion mismatch at stage {r}: "
-                          f"derived {derived} vs incremental {expected}")
+    A terminated job is requeued; a running job completes in its hour
+    t_b + runtime - 1, and a 1-hour job started at r at once. The new state
+    must pass `check_state` and hold the servers held before, an hour on,
+    less what the terminated jobs held, plus what the hour-r starts hold."""
+    r, n_c = state.stage, len(state.classes)
+    servers, runtime = class_table(state.classes)
+    starts = decision.starts[:, 0]
+    if starts.shape != (n_c,) or arrivals.shape != (n_c,):
+        raise DomainError(f"{len(starts)} start and {len(arrivals)} arrival rows "
+                          f"for {n_c} classes at stage {r}")
+    running, queued = state.running.copy(), state.n_queued + arrivals
+    terminated = []
+    for (c, t_b), cancelled in decision.terminations.items():
+        cell = state.cell(c, t_b)
+        if cell is None or cancelled > running[cell]:
+            raise DomainError(f"terminating {cancelled} of {0 if cell is None else running[cell]} "
+                              f"running {(c, t_b)}")
+        running[cell] -= cancelled
+        queued[cell[0]] += cancelled
+        terminated.append((c.servers, c.runtime, t_b, -cancelled))
+    queued -= starts  # check_state rejects a start of a job not queued
+    # at r + 1 every job is an hour older, an hour-r start of age 1; the
+    # jobs whose age reaches their runtime completed during r
+    aged = np.concatenate([starts[:, None], running], axis=1)
+    width = running.shape[1]
+    done = np.arange(1, width + 2) == runtime[:, None]
+    completed = state.n_completed + (aged * done).sum(axis=1)
+    new = SystemState(r + 1, state.classes, np.where(done, 0, aged)[:, :width], queued, completed,
+                      state.n_arrived + arrivals)
+    check_state(new)
+    change = np.concatenate([[servers, runtime, np.full(n_c, r), starts],
+                             np.array(terminated, dtype=np.int64).reshape(-1, 4).T], axis=1)
+    expected = state.held(width + 1)[1:] + held_servers(change, r + 1, width)
+    held = new.held(width)
+    if not np.array_equal(held, expected):
+        raise DomainError(f"held servers mismatch at stage {r}: "
+                          f"derived {held.tolist()} vs incremental {expected.tolist()}")
     return new
 
 
@@ -202,13 +184,13 @@ def run(
     t_end = profile.horizon
     capacity_truth.require_hours(t_end)
 
-    state = SystemState(stage=1)
+    state = SystemState.empty(1, classes)
     traj = Trajectory()
     warm = WarmStart()
     for r in range(1, t_end + 1):
         try:
             inputs = assemble_inputs(
-                r, state, cfg, classes, table, capacity_truth, carbon_truth,
+                r, state, cfg, table, capacity_truth, carbon_truth,
                 horizons, weights, capacity_forecast, carbon_forecast,
             )
             decision = solve_stage(inputs, gap_tol=gap_tol, time_limit=time_limit, warm=warm)
@@ -218,14 +200,11 @@ def run(
                     f"stage {r}: realized active servers {realized_m} exceed "
                     f"capacity {capacity_truth.at(r)}"
                 )
-            new_state = advance_state(state, decision, table[:, r - 1], classes)
+            new_state = advance_state(state, decision, table[:, r - 1])
         except (StageError, DomainError) as exc:
             traj.final_state = state
             raise RunAborted(r, traj, exc) from exc
-        wasted = sum(
-            c.servers * (r - t_b) * num
-            for (c, t_b), num in decision.terminations.items()
-        )
+        wasted = sum(c.servers * (r - t_b) * num for (c, t_b), num in decision.terminations.items())
         traj.records.append(
             HourRecord(
                 hour=r,
@@ -234,7 +213,7 @@ def run(
                 carbon=carbon_truth.at(r),
                 starts={c: num for c, num in zip(classes, decision.starts[:, 0].tolist()) if num},
                 terminations=dict(decision.terminations),
-                queued_after=sum(new_state.queued.values()),
+                queued_after=int(new_state.n_queued.sum()),
                 committed_before=int(inputs.bounds.held[0]),
                 objective=decision.objective,
                 gap=decision.gap,
@@ -276,8 +255,7 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
 
 def goodput_components(traj: Trajectory) -> tuple[int, int]:
     """(completed server-hours, wasted server-hours) of a finished run."""
-    assert traj.final_state is not None
-    completed = sum(
-        c.server_hours * num for c, num in traj.final_state.completed.items()
-    )
-    return completed, traj.wasted_server_hours()
+    state = traj.final_state
+    assert state is not None
+    servers, runtime = class_table(state.classes)
+    return int(servers * runtime @ state.n_completed), traj.wasted_server_hours()

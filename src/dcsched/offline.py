@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ArrivalProfile, DomainError, JobClass
+from .core import ArrivalProfile, DomainError, JobClass, class_table
 from .milp import MilpModel, csc, solve
 from .stage import start_block
 
@@ -39,10 +39,9 @@ def build_offline(
     t_end = profile.horizon
     if len(capacity) < t_end:
         raise DomainError(f"capacity series covers {len(capacity)} of {t_end} hours")
-    classes = sorted(set(classes))
+    classes = tuple(sorted(set(classes)))
     arrivals = profile.table(classes)
-    servers = np.array([c.servers for c in classes], dtype=int)
-    runtime = np.array([c.runtime for c in classes], dtype=int)
+    servers, runtime = class_table(classes)
     k = np.maximum(t_end - runtime + 1 if require_completion else np.full(len(classes), t_end), 0)
     cls, _, occupancy, allocation = start_block(k, servers, runtime, t_end, t_end)
     n = len(cls)

@@ -20,10 +20,10 @@ from .core import (
     ObjectiveWeights,
     StageDecision,
     SystemState,
+    class_table,
     held_servers,
     max_runtime_of,
     power_of,
-    server_entries,
 )
 from .milp import CscMatrix, MilpModel, WarmStart, csc, solve
 
@@ -67,13 +67,17 @@ class StageInputs:
 
     cfg: DCConfig
     state: SystemState
-    classes: tuple[JobClass, ...]
     job_forecast: np.ndarray
     capacity_forecast: np.ndarray
     carbon_forecast: np.ndarray
     weights: ObjectiveWeights
     horizons: HorizonConfig
     t_end: int
+
+    @property
+    def classes(self) -> tuple[JobClass, ...]:
+        """The state's classes, whose order every array here follows."""
+        return self.state.classes
 
     def window(self) -> list[int]:
         r = self.state.stage
@@ -90,19 +94,14 @@ class StageInputs:
         state, classes = self.state, self.classes
         r, n_c = state.stage, len(classes)
         n_t, n_ext = len(self.window()), len(self.extended_window())
-        declared = set(classes)
-        for c in state.queued:
-            if c not in declared:
-                raise DomainError(f"queued class {c} outside declared class set")
         shapes = tuple(np.shape(f) for f in (self.job_forecast, self.capacity_forecast,
                                               self.carbon_forecast))
         if shapes != ((n_c, n_t), (n_t,), (n_ext,)):
             raise DomainError(f"forecast shapes {shapes}, expected {((n_c, n_t), (n_t,), (n_ext,))}")
-        servers, runtime = np.array([(c.servers, c.runtime) for c in classes],
-                                    dtype=np.int64).reshape(-1, 2).T
+        servers, runtime = class_table(classes)
         # per class: the queue, then the forecast arrivals at each window hour
         counts = np.zeros((n_c, n_t + 1), dtype=np.int64)
-        counts[:, 0] = [state.queued.get(c, 0) for c in classes]
+        counts[:, 0] = state.n_queued
         counts[:, 1:] = self.job_forecast
         available = np.cumsum(counts, axis=1)
 
@@ -114,7 +113,7 @@ class StageInputs:
         # admissible start simply waits
         required = available[np.arange(n_c), np.minimum(n_t // 2, k)]
 
-        held = held_servers(server_entries(state.running), r, n_ext)
+        held = state.held(n_ext)
         # at future hours the bound never forces termination of committed
         # work (pre-emptive termination on an unrealized forecast dip is
         # not modelled)
@@ -184,7 +183,7 @@ def _stage_matrix(classes: tuple[JobClass, ...], t_h: int, slope: float, with_sl
     each termination column's (servers, hours left from r). Built once per
     such shape and shared, read-only, by every stage that has it."""
     n_c, n_pad = len(classes), t_h + max_runtime_of(classes) - 1
-    servers, runtime = np.array([(c.servers, c.runtime) for c in classes], dtype=int).reshape(-1, 2).T
+    servers, runtime = class_table(classes)
     cls, _, occupancy, allocation = start_block(np.full(n_c, t_h), servers, runtime, t_h, n_pad)
     v_servers, v_left = np.array(terms, dtype=int).reshape(-1, 2).T
     n_s, m0 = len(cls), len(cls) + len(terms)
@@ -237,15 +236,18 @@ def build_stage(
     # extended-window hour, PD, then slack per class
     # termination variables exist only when the realized hour-r capacity
     # cannot hold the prior commitments; a job is never cancelled for
-    # economic gain or on an unrealized forecast dip
-    running = []
+    # economic gain or on an unrealized forecast dip. Their columns take
+    # the running cells by start hour, then by class: oldest age first
+    running = inputs.state.running
+    cut = age = np.zeros(0, dtype=np.int64)
     if b.held[0] > b.capacity[0]:
-        running = sorted(inputs.state.running.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+        hour, cut = np.nonzero(running[:, ::-1].T)
+        age = running.shape[1] - hour
     a = _stage_matrix(classes, t_h, cfg.slope_mw_per_server, with_slack,
-                      tuple((c.servers, t_b + c.runtime - r) for (c, t_b), _ in running))
+                      tuple(zip(b.servers[cut].tolist(), (b.runtime[cut] - age).tolist())))
     n = a.shape[1]
     cls, off = np.divmod(np.arange(n_c * t_h), t_h)
-    n_s, m0 = len(cls), len(cls) + len(running)
+    n_s, m0 = len(cls), len(cls) + len(cut)
     pd = m0 + n_pad
 
     neg_held = _padded(-b.held, n_pad, 0.0)
@@ -257,7 +259,7 @@ def build_stage(
                          _padded(b.capacity, t_h, np.inf),
                          _padded(np.full(n_t, -cfg.p_idle_mw), t_h, np.inf)])
     ub = np.concatenate([np.where(off < b.k[cls], allowance[cls, n_t - 1], 0.0),
-                         [num for _, num in running],
+                         running[cut, age - 1],
                          _padded(np.full(n_ext, cfg.total_servers), n_pad, 0.0), [np.inf],
                          np.where(b.k > 0, np.inf, 0.0) if with_slack else []])
     integer = np.ones(n, dtype=bool)
@@ -267,7 +269,7 @@ def build_stage(
     at_r = np.array([util_coeff(r, t_h, c, r) for c in classes], dtype=int)
     obj = np.zeros(n)
     obj[:n_s] = at_r[cls] - off  # util_coeff at hour r + off
-    obj[n_s:m0] = -np.array([util_coeff(r, t_h, c, t_b) for (c, t_b), _ in running], dtype=float)
+    obj[n_s:m0] = -(at_r[cut] + age)  # util_coeff at the start hour r - age
     constant = 0.0
     lambda_ce = inputs.weights.lambda_ce
     if lambda_ce:
@@ -280,7 +282,8 @@ def build_stage(
 
     rounded = np.ones(n, dtype=bool)
     rounded[m0:] = False
-    h = _StageHandles([key for key, _ in running], m0, pd, rounded)
+    h = _StageHandles([(classes[i], t_b) for i, t_b in zip(cut.tolist(), (r - age).tolist())],
+                      m0, pd, rounded)
     return MilpModel(obj, np.zeros(n), ub, integer, a, lo, hi, constant), h
 
 
@@ -358,8 +361,10 @@ def validate_decision(inputs: StageInputs, decision: StageDecision) -> list[str]
     if any(decision.terminations.values()) and b.held[0] <= b.capacity[0]:
         bad.append(f"terminations without a shortfall: {b.held[0]} <= {b.capacity[0]}")
     for (c, t_b), num in decision.terminations.items():
-        if num > state.running.get((c, t_b), 0):
-            bad.append(f"terminating {num} of {(c, t_b)}, only {state.running.get((c, t_b), 0)} running")
+        cell = state.cell(c, t_b)
+        running = 0 if cell is None else int(state.running[cell])
+        if num > running:
+            bad.append(f"terminating {num} of {(c, t_b)}, only {running} running")
 
     i, o = np.nonzero(starts)
     occupied = b.held + held_servers(np.array([b.servers[i], b.runtime[i], r + o, starts[i, o]]),

@@ -1,6 +1,30 @@
+import numpy as np
 import pytest
 
 import dcsched.milp
+from dcsched.core import SystemState
+
+
+def state_of(stage, classes, running=None, queued=None, completed=None, arrived=None):
+    """The array state at hour `stage` over `classes` that the dict tables
+    a test writes give: `running` maps (class, start hour) to a count, the
+    others map a class to one; what they leave out is 0."""
+    state = SystemState.empty(stage, tuple(classes))
+    for (c, t_b), num in (running or {}).items():
+        assert 1 <= stage - t_b <= state.running.shape[1], (c, t_b)
+        state.running[state.classes.index(c), stage - t_b - 1] = num
+    for table, counts in ((state.n_queued, queued), (state.n_completed, completed),
+                          (state.n_arrived, arrived)):
+        for c, num in (counts or {}).items():
+            table[state.classes.index(c)] = num
+    return state
+
+
+def running_of(state):
+    """The state's running jobs as (class, start hour) -> count, for the
+    nonzero cells."""
+    return {(state.classes[i], state.stage - a - 1): int(state.running[i, a])
+            for i, a in np.argwhere(state.running).tolist()}
 
 
 @pytest.fixture

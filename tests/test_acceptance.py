@@ -19,7 +19,6 @@ from dcsched.core import (
     JobClass,
     ObjectiveWeights,
     StageDecision,
-    SystemState,
     check_state,
 )
 from dcsched.engine import advance_state, goodput_components, run
@@ -34,6 +33,7 @@ from dcsched.signals import (
 from dcsched.stage import StageInputs, solve_stage
 from dcsched.traces import sample_arrivals, synthetic_jobs
 
+from conftest import running_of, state_of
 from oracle_offline import brute_force_goodput, random_instance
 from test_stage import stage_emissions
 
@@ -135,7 +135,31 @@ def test_c2_offline_is_an_upper_bound():
 
 # ---------------------------------------------------------------------------
 # criterion 3: conservation and commitment identities over >= 10^4 fuzzed
-# transitions (advance_state itself asserts both; check_state re-verifies)
+# transitions (advance_state itself asserts both; check_state re-verifies),
+# each matched by a reference transition on dict tables
+
+
+def reference_step(tables, r, classes, starts, terminations, arrivals):
+    """The hour-r state step on dict tables: running by (class, start
+    hour), queued and completed by class. A terminated job is requeued, a
+    running job completes in its hour t_b + runtime - 1, and a 1-hour job
+    started at r completes at once. Returns the tables of the nonzero
+    counts at r + 1."""
+    running, queued, completed = (dict(table) for table in tables)
+    for (c, t_b), num in terminations.items():
+        running[(c, t_b)] -= num
+        queued[c] = queued.get(c, 0) + num
+    for c, t_b in list(running):
+        if t_b + c.runtime - 1 == r:
+            completed[c] = completed.get(c, 0) + running.pop((c, t_b))
+    for c, num, arrived in zip(classes, starts.tolist(), arrivals.tolist()):
+        queued[c] = queued.get(c, 0) + arrived - num
+        if c.runtime == 1:
+            completed[c] = completed.get(c, 0) + num
+        else:
+            running[(c, r)] = num
+    return tuple({key: num for key, num in table.items() if num}
+                 for table in (running, queued, completed))
 
 
 def test_c3_conservation_under_fuzzing():
@@ -143,12 +167,12 @@ def test_c3_conservation_under_fuzzing():
     classes = tuple(
         JobClass(k, l) for k in (1, 2, 3) for l in (1, 2, 3, 4)
     )
-    max_runtime = 4
     transitions = 0
     episodes = 0
     while transitions < 10_000:
         episodes += 1
-        state = SystemState(stage=1)
+        state = state_of(1, classes)
+        reference = ({}, {}, {})
         for _ in range(int(rng.integers(5, 30))):
             r = state.stage
             arrivals = np.zeros(len(classes), dtype=np.int64)
@@ -163,15 +187,18 @@ def test_c3_conservation_under_fuzzing():
                     starts[i, 0] = int(rng.integers(0, avail + 1))
             # random terminations of currently running jobs
             terms = {}
-            for (c, t_b), num in state.running.items():
+            for (c, t_b), num in reference[0].items():
                 if rng.random() < 0.2:
                     terms[(c, t_b)] = int(rng.integers(0, num + 1))
             decision = StageDecision(starts=starts, terminations=terms)
-            state = advance_state(state, decision, arrivals, classes)
-            check_state(state, max_runtime)
+            state = advance_state(state, decision, arrivals)
+            check_state(state)
+            reference = reference_step(reference, r, classes, starts[:, 0], terms, arrivals)
+            assert (running_of(state), state.queued, state.completed) == reference
             transitions += 1
     print(f"\ncriterion 3: PASS - {transitions} fuzzed transitions over "
-          f"{episodes} episodes, zero conservation violations")
+          f"{episodes} episodes, zero conservation violations, each equal to "
+          f"the dict-keyed reference")
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +248,10 @@ def _random_stage_inputs(rng: np.random.Generator, weights: ObjectiveWeights) ->
         JobClass(int(k), int(l))
         for k, l in {(rng.integers(1, 4), rng.integers(1, 5)) for _ in range(3)}
     )
-    state = SystemState(stage=1)
     r, t_h = 1, 6
     t_end = 12
     queued = {c: int(rng.integers(0, 4)) for c in classes}
-    state.queued.update({c: n for c, n in queued.items() if n})
-    state.arrived.update({c: n for c, n in queued.items() if n})
+    state = state_of(r, classes, queued=queued, arrived=queued)
     cap = int(rng.integers(4, 10))
     job_fc = np.zeros((len(classes), t_h), dtype=np.int64)
     for i in range(len(classes)):
@@ -238,7 +263,6 @@ def _random_stage_inputs(rng: np.random.Generator, weights: ObjectiveWeights) ->
     return StageInputs(
         cfg=DCConfig(total_servers=10, p_peak_mw=10.0, p_idle_mw=2.0),
         state=state,
-        classes=classes,
         job_forecast=job_fc,
         capacity_forecast=np.full(t_h, cap),
         carbon_forecast=np.array(carbon[:n_ext]),
@@ -379,7 +403,7 @@ def test_c9_stage_solve_performance():
     assert len(classes) >= 110
     carbon = synthetic_carbon(168 + 24)
     inputs = assemble_inputs(
-        1, SystemState(stage=1), fleet, classes, profile.table(classes),
+        1, state_of(1, classes), fleet, profile.table(classes),
         constant_capacity(20_000, 168), carbon,
         HorizonConfig(24, 24, 24), ObjectiveWeights(lambda_ce=0.1),
     )
@@ -393,7 +417,7 @@ def test_c9_stage_solve_performance():
     profile = sample_arrivals(totals, "uniform", DESK_HOURS, seed=1)
     classes = tuple(sorted(totals))
     inputs = assemble_inputs(
-        1, SystemState(stage=1), DESK, classes, profile.table(classes),
+        1, state_of(1, classes), DESK, profile.table(classes),
         constant_capacity(200, DESK_HOURS), synthetic_carbon(DESK_HOURS + 8),
         HorizonConfig(24, 24, 24), ObjectiveWeights(lambda_ce=0.1),
     )

@@ -17,6 +17,7 @@ from dcsched.core import (
     ArrivalProfile, DCConfig, HorizonConfig, JobClass, ObjectiveWeights, SystemState,
 )
 from dcsched.signals import SignalSeries, constant_capacity
+from conftest import state_of
 from test_milp import dense_model
 from test_stage import make_inputs
 
@@ -55,7 +56,7 @@ def test_model_size_view_of_a_fleet_stage():
     # perfbench counts model size through these views: a steady stage of
     # 60 job classes with a 24-hour window
     classes = [JobClass(k, l) for k in (1, 2, 4, 8, 16) for l in range(1, 13)]
-    inputs = make_inputs(SystemState(stage=1), classes, capacity=20000, t_h=24,
+    inputs = make_inputs(state_of(1, classes), capacity=20000, t_h=24,
                          cfg=DCConfig(20000, 100.0, 30.0))
     model, _ = dcsched.stage.build_stage(inputs)
     assert len(model.variables) == 1476
@@ -153,13 +154,15 @@ def test_perfbench_reads_decisions_records_and_the_final_state(monkeypatch):
     # perfbench reads each decision's terminations as a mapping (its
     # stage.terminations count), and checks.check_trajectory reads each
     # record's terminations, active and committed_before and the final
-    # state's tables as mappings; a run with a termination
-    terminated = []
+    # state's queued and completed views as mappings; a run with a
+    # termination
+    terminated, keyed = [], []
     solve_stage = dcsched.engine.solve_stage
 
     def observed(*args, **kwargs):
         decision = solve_stage(*args, **kwargs)
         terminated.append(sum(decision.terminations.values()))
+        keyed.extend((t_b, num) for (_, t_b), num in decision.terminations.items())
         return decision
 
     monkeypatch.setattr(dcsched.engine, "solve_stage", observed)
@@ -175,3 +178,12 @@ def test_perfbench_reads_decisions_records_and_the_final_state(monkeypatch):
     assert (cut.terminations, cut.active, cut.committed_before) == ({(c23, 1): 1}, 0, 2)
     state = traj.final_state
     assert (state.queued.get(c23), state.completed.get(c11), state.running_by_class()) == (1, 3, {})
+    # the edge values are plain ints, not numpy scalars, so that their
+    # reprs (and digests of them) do not depend on the state's layout
+    keyed += [(t_b, num) for rec in traj.records for (_, t_b), num in rec.terminations.items()]
+    assert len(keyed) == 2
+    values = [v for pair in keyed for v in pair]
+    values += [num for rec in traj.records for table in (rec.starts, rec.slack)
+               for num in table.values()]
+    values += list(state.queued.values()) + list(state.completed.values())
+    assert all(type(v) is int for v in values), [type(v) for v in values]

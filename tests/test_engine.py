@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize._highspy._core import HighsModelStatus
 
+from conftest import running_of, state_of
 from oracle_offline import TinyInstance, brute_force_goodput, random_instance
 
 import dcsched.engine
@@ -15,7 +16,6 @@ from dcsched.core import (
     JobClass,
     ObjectiveWeights,
     StageDecision,
-    SystemState,
     check_state,
 )
 from dcsched.engine import (
@@ -51,9 +51,9 @@ def carbon_series(t_end):
 
 
 def test_assemble_truth_at_current_hour_only_with_tj_1():
-    state = SystemState(stage=1)
+    state = state_of(1, (C11, C22))
     inputs = assemble_inputs(
-        1, state, CFG4, (C11, C22), INSTANCE_A.table((C11, C22)), constant_capacity(4, 4),
+        1, state, CFG4, INSTANCE_A.table((C11, C22)), constant_capacity(4, 4),
         carbon_series(4), hz(4, t_j=1), ObjectiveWeights(),
     )
     # arrivals beyond the job-forecast horizon are invisible
@@ -61,9 +61,9 @@ def test_assemble_truth_at_current_hour_only_with_tj_1():
 
 
 def test_assemble_full_job_visibility():
-    state = SystemState(stage=1)
+    state = state_of(1, (C11, C22))
     inputs = assemble_inputs(
-        1, state, CFG4, (C11, C22), INSTANCE_A.table((C11, C22)), constant_capacity(4, 4),
+        1, state, CFG4, INSTANCE_A.table((C11, C22)), constant_capacity(4, 4),
         carbon_series(4), hz(4), ObjectiveWeights(),
     )
     assert inputs.job_forecast.tolist() == [[2, 0, 1, 0], [1, 0, 0, 0]]
@@ -76,11 +76,11 @@ def test_arrival_table_rows_follow_the_classes():
 
 
 def test_assemble_capacity_held_at_forecast_edge():
-    state = SystemState(stage=1)
+    state = state_of(1, (C11,))
     truth = SignalSeries("capacity", (4.0, 3.0, 2.0, 1.0))
     forecast = SignalSeries("capacity", (4.0, 4.0, 3.0, 1.0))
     inputs = assemble_inputs(
-        1, state, CFG4, (C11,), np.zeros((1, 4), dtype=int), truth,
+        1, state, CFG4, np.zeros((1, 4), dtype=int), truth,
         carbon_series(4), hz(4, t_c=2), ObjectiveWeights(),
         capacity_forecast=forecast,
     )
@@ -89,11 +89,11 @@ def test_assemble_capacity_held_at_forecast_edge():
 
 
 def test_assemble_carbon_truth_now_forecast_later():
-    state = SystemState(stage=1)
+    state = state_of(1, (C12,))
     truth = SignalSeries("carbon", (100.0, 100.0, 100.0, 100.0))
     forecast = SignalSeries("carbon", (55.0, 66.0, 77.0, 88.0))
     inputs = assemble_inputs(
-        1, state, CFG4, (C12,), np.zeros((1, 4), dtype=int), constant_capacity(4, 4),
+        1, state, CFG4, np.zeros((1, 4), dtype=int), constant_capacity(4, 4),
         truth, hz(4), ObjectiveWeights(), carbon_forecast=forecast,
     )
     ext = inputs.extended_window()
@@ -104,9 +104,9 @@ def test_assemble_carbon_truth_now_forecast_later():
 
 
 def test_assemble_window_truncated_at_t_end():
-    state = SystemState(stage=3)
+    state = state_of(3, (C11,))
     inputs = assemble_inputs(
-        3, state, CFG4, (C11,), np.zeros((1, 4), dtype=int), constant_capacity(4, 4),
+        3, state, CFG4, np.zeros((1, 4), dtype=int), constant_capacity(4, 4),
         carbon_series(4), hz(4), ObjectiveWeights(),
     )
     assert inputs.window() == [3, 4]
@@ -117,81 +117,72 @@ def test_assemble_window_truncated_at_t_end():
 
 
 def test_advance_start_becomes_running():
-    state = SystemState(stage=1)
+    state = state_of(1, (C22,))
     decision = StageDecision(starts=np.array([[1, 0]]))  # one start at hour 1
-    new = advance_state(state, decision, np.array([1]), (C22,))
+    new = advance_state(state, decision, np.array([1]))
     assert new.stage == 2
-    assert new.running == {(C22, 1): 1}
+    assert running_of(new) == {(C22, 1): 1}
     assert new.queued.get(C22, 0) == 0
-    assert new.arrived == {C22: 1}
+    assert new.n_arrived.tolist() == [1]
 
 
 def test_advance_one_hour_job_completes_directly():
-    state = SystemState(stage=1)
+    state = state_of(1, (C11,))
     decision = StageDecision(starts=np.array([[2]]))
-    new = advance_state(state, decision, np.array([2]), (C11,))
-    assert new.running == {}
+    new = advance_state(state, decision, np.array([2]))
+    assert running_of(new) == {}
     assert new.completed == {C11: 2}
 
 
 def test_advance_running_job_completes_at_deadline():
     # a (2,2) job started at hour 1 finishes during hour 2
-    state = SystemState(stage=2, running={(C22, 1): 1}, arrived={C22: 1})
+    state = state_of(2, (C22,), running={(C22, 1): 1}, arrived={C22: 1})
     decision = StageDecision(starts=np.zeros((1, 1), dtype=int))
-    new = advance_state(state, decision, np.zeros(1, dtype=int), (C22,))
-    assert new.running == {}
+    new = advance_state(state, decision, np.zeros(1, dtype=int))
+    assert running_of(new) == {}
     assert new.completed == {C22: 1}
 
 
 def test_advance_termination_requeues_job():
-    state = SystemState(stage=2, running={(C23, 1): 1}, arrived={C23: 1})
+    state = state_of(2, (C23,), running={(C23, 1): 1}, arrived={C23: 1})
     decision = StageDecision(starts=np.zeros((1, 1), dtype=int), terminations={(C23, 1): 1})
-    new = advance_state(state, decision, np.zeros(1, dtype=int), (C23,))
-    assert new.running == {}
+    new = advance_state(state, decision, np.zeros(1, dtype=int))
+    assert running_of(new) == {}
     assert new.queued == {C23: 1}
     assert new.completed == {}
 
 
 def test_advance_rejects_overtermination():
-    state = SystemState(stage=2, running={(C23, 1): 1}, arrived={C23: 1})
+    state = state_of(2, (C23,), running={(C23, 1): 1}, arrived={C23: 1})
     decision = StageDecision(starts=np.zeros((1, 1), dtype=int), terminations={(C23, 1): 2})
     with pytest.raises(DomainError):
-        advance_state(state, decision, np.zeros(1, dtype=int), (C23,))
+        advance_state(state, decision, np.zeros(1, dtype=int))
 
 
 def test_advance_rejects_unknown_termination():
-    state = SystemState(stage=2, running={(C23, 1): 1}, arrived={C23: 1})
+    state = state_of(2, (C22, C23), running={(C23, 1): 1}, arrived={C23: 1})
     decision = StageDecision(starts=np.zeros((2, 1), dtype=int), terminations={(C22, 1): 1})
     with pytest.raises(DomainError):
-        advance_state(state, decision, np.zeros(2, dtype=int), (C22, C23))
+        advance_state(state, decision, np.zeros(2, dtype=int))
 
 
 def test_advance_rejects_start_of_unqueued_job():
-    state = SystemState(stage=1)
+    state = state_of(1, (C11,))
     decision = StageDecision(starts=np.array([[1]]))
     with pytest.raises(DomainError):
-        advance_state(state, decision, np.zeros(1, dtype=int), (C11,))
+        advance_state(state, decision, np.zeros(1, dtype=int))
 
 
 def test_advance_rejects_starts_of_another_class_count():
     decision = StageDecision(starts=np.array([[1]]))
     with pytest.raises(ValueError):
-        advance_state(SystemState(stage=1), decision, np.array([1, 0]), (C11, C22))
+        advance_state(state_of(1, (C11, C22)), decision, np.array([1, 0]))
 
 
 def test_advance_rejects_arrivals_of_another_class_count():
     decision = StageDecision(starts=np.array([[1], [0]]))
     with pytest.raises(ValueError):
-        advance_state(SystemState(stage=1), decision, np.array([1]), (C11, C22))
-
-
-def test_advance_keeps_zero_arrivals_out_of_the_state():
-    # the arrival column holds every class; only those arriving enter the
-    # queued and arrived tables
-    decision = StageDecision(starts=np.zeros((2, 1), dtype=int))
-    new = advance_state(SystemState(stage=1), decision, np.array([0, 3]), (C11, C22))
-    assert new.queued == {C22: 3}
-    assert new.arrived == {C22: 3}
+        advance_state(state_of(1, (C11, C22)), decision, np.array([1]))
 
 
 # ---------------------------------------------------------------- full runs
@@ -232,7 +223,7 @@ def test_myopic_horizon_still_conserves_jobs():
         total = (
             final.queued.get(c, 0)
             + final.completed.get(c, 0)
-            + sum(n for (c2, _), n in final.running.items() if c2 == c)
+            + final.running_by_class().get(c, 0)
         )
         assert total == INSTANCE_A.totals().get(c, 0)
 
@@ -250,7 +241,7 @@ def test_random_instances_complete_and_stay_bounded():
         )
         for rec in traj.records:
             assert rec.active <= inst.capacity[rec.hour - 1]
-        check_state(traj.final_state, max(c.runtime for c in classes))
+        check_state(traj.final_state)
 
 
 def test_capacity_drop_causes_termination_and_requeue():

@@ -7,7 +7,6 @@ from dcsched.core import (
     HorizonConfig,
     JobClass,
     ObjectiveWeights,
-    SystemState,
 )
 from dcsched.engine import HourRecord, Trajectory, run
 from dcsched.metrics import (
@@ -20,6 +19,8 @@ from dcsched.metrics import (
     SUMMARY_COLUMNS,
 )
 from dcsched.signals import SignalSeries, constant_capacity
+
+from conftest import state_of
 
 CFG = DCConfig(total_servers=20000, p_peak_mw=100.0, p_idle_mw=30.0)
 C11 = JobClass(1, 1)
@@ -94,7 +95,7 @@ def test_goodput_counts_completed_and_wasted():
 
 def test_summary_csv_round_trip(tmp_path):
     traj = Trajectory(records=[record(t, t * 10) for t in range(1, 5)],
-                      final_state=SystemState(stage=5))
+                      final_state=state_of(5, ()))
     carbon = SignalSeries("carbon", (500.0,) * 4)
     capacity = constant_capacity(20000, 4)
     label = {

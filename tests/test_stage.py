@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from conftest import running_of, state_of
 from dcsched.milp import CscMatrix, MilpModel, WarmStart, compact
 from dcsched.core import (
     ArrivalProfile,
     DCConfig,
-    DomainError,
     HorizonConfig,
     JobClass,
     ObjectiveWeights,
-    SystemState,
     power_of,
 )
 from dcsched.offline import build_offline
@@ -38,7 +37,6 @@ CFG = DCConfig(total_servers=4, p_peak_mw=10.0, p_idle_mw=2.0)
 
 def make_inputs(
     state,
-    classes,
     job_forecast=None,
     capacity=4,
     carbon=None,
@@ -47,13 +45,13 @@ def make_inputs(
     t_end=None,
     cfg=CFG,
 ):
-    """Stage inputs with a constant capacity forecast; `job_forecast` is a
-    classes x window array (none by default), `carbon` maps each
+    """Stage inputs of `state` with a constant capacity forecast;
+    `job_forecast` is a classes x window array (none by default), `carbon` maps each
     extended-window hour to its rate (0 by default). The run ends at
     `t_end`, by default at the last extended-window hour, so that every
     start in the window can finish."""
     hz = HorizonConfig(t_h=t_h, t_j=t_h, t_c=t_h)
-    r = state.stage
+    r, classes = state.stage, state.classes
     l_max = max(c.runtime for c in classes)
     if t_end is None:
         t_end = r + t_h + l_max - 2
@@ -63,7 +61,6 @@ def make_inputs(
     return StageInputs(
         cfg=cfg,
         state=state,
-        classes=tuple(classes),
         job_forecast=job_forecast,
         capacity_forecast=np.full(last - r + 1, capacity),
         carbon_forecast=np.array([carbon[t] if carbon else 0.0 for t in range(r, last + l_max)]),
@@ -84,8 +81,8 @@ def test_util_coeff_values():
 def test_empty_state_objective_is_idle_cost():
     weights = ObjectiveWeights(lambda_ce=2.0, lambda_pd=3.0)
     carbon = {t: 100.0 + t for t in range(1, 9)}
-    state = SystemState(stage=1)
-    inputs = make_inputs(state, [C23], carbon=carbon, weights=weights)
+    state = state_of(1, [C23])
+    inputs = make_inputs(state, carbon=carbon, weights=weights)
     decision = solve_stage(inputs)
     expected = -sum(
         weights.lambda_ce * carbon[t] * CFG.p_idle_mw for t in inputs.extended_window()
@@ -96,8 +93,8 @@ def test_empty_state_objective_is_idle_cost():
 
 
 def test_queued_job_starts_immediately_without_weights():
-    state = SystemState(stage=1, queued={C11: 1}, arrived={C11: 1})
-    inputs = make_inputs(state, [C11])
+    state = state_of(1, [C11], queued={C11: 1}, arrived={C11: 1})
+    inputs = make_inputs(state)
     decision = solve_stage(inputs)
     assert decision.starts.tolist() == [[1, 0, 0, 0]]
     assert decision.active[0] == 1
@@ -106,8 +103,8 @@ def test_queued_job_starts_immediately_without_weights():
 def test_forecast_dip_does_not_force_termination():
     # a (2,3) job started at hour 1 is still running at stage 2; the
     # forecast says capacity collapses later, but the hour-2 truth is fine
-    state = SystemState(stage=2, running={(C23, 1): 1}, arrived={C23: 1})
-    inputs = make_inputs(state, [C23], capacity=0)
+    state = state_of(2, [C23], running={(C23, 1): 1}, arrived={C23: 1})
+    inputs = make_inputs(state, capacity=0)
     decision = solve_stage(dataclasses.replace(inputs, capacity_forecast=np.array([2, 0, 0, 0])))
     assert decision.terminations == {}
     assert decision.active[:2].tolist() == [2, 2]  # hours 2 and 3
@@ -115,8 +112,8 @@ def test_forecast_dip_does_not_force_termination():
 
 def test_realized_shortfall_forces_termination():
     # same running job, but the hour-2 truth only offers one server
-    state = SystemState(stage=2, running={(C23, 1): 1}, arrived={C23: 1})
-    inputs = make_inputs(state, [C23], capacity=1)
+    state = state_of(2, [C23], running={(C23, 1): 1}, arrived={C23: 1})
+    inputs = make_inputs(state, capacity=1)
     decision = solve_stage(inputs)
     assert decision.terminations == {(C23, 1): 1}
     assert decision.active[0] == 0
@@ -126,20 +123,20 @@ def test_carbon_weight_shifts_start_to_cleaner_hour():
     # the clearance constraint forces the queued job to start somewhere in
     # the window, but leaves the hour free; carbon pricing moves it
     carbon_by_hour = {1: 100.0, 2: 100.0, 3: 500.0, 4: 10.0}
-    state = SystemState(stage=1, queued={C11: 1}, arrived={C11: 1})
+    state = state_of(1, [C11], queued={C11: 1}, arrived={C11: 1})
 
-    greedy = solve_stage(make_inputs(state, [C11], carbon=carbon_by_hour))
+    greedy = solve_stage(make_inputs(state, carbon=carbon_by_hour))
     assert greedy.starts.tolist() == [[1, 0, 0, 0]]
 
-    aware = solve_stage(make_inputs(state, [C11], carbon=carbon_by_hour,
+    aware = solve_stage(make_inputs(state, carbon=carbon_by_hour,
                                     weights=ObjectiveWeights(lambda_ce=10.0)))
     assert aware.starts.tolist() == [[0, 0, 0, 1]]
 
 
 def test_infeasible_clearance_relaxes_with_slack(highs_calls, given_starts):
     # a 2-server job can never fit on a 1-server facility
-    state = SystemState(stage=1, queued={C22: 1}, arrived={C22: 1})
-    inputs = make_inputs(state, [C22], capacity=1)
+    state = state_of(1, [C22], queued={C22: 1}, arrived={C22: 1})
+    inputs = make_inputs(state, capacity=1)
     decision = solve_stage(inputs)
     assert decision.slack.tolist() == [1]
     assert not decision.starts.any()
@@ -157,8 +154,8 @@ def test_infeasible_clearance_relaxes_with_slack(highs_calls, given_starts):
 
 def test_slack_is_last_resort():
     # one of two queued jobs fits; slack should only absorb the other
-    state = SystemState(stage=1, queued={C11: 1, C22: 1}, arrived={C11: 1, C22: 1})
-    inputs = make_inputs(state, [C11, C22], capacity=1)
+    state = state_of(1, [C11, C22], queued={C11: 1, C22: 1}, arrived={C11: 1, C22: 1})
+    inputs = make_inputs(state, capacity=1)
     decision = solve_stage(inputs)
     assert decision.slack.tolist() == [0, 1]
     assert decision.starts[0].sum() == 1
@@ -167,8 +164,8 @@ def test_slack_is_last_resort():
 def test_class_that_cannot_finish_gets_no_clearance_slack():
     # with t_end=4 a (2,3) job queued at stage 3 cannot start at all, so it
     # waits; only the (2,2) job, which cannot fit on one server, is relaxed
-    state = SystemState(stage=3, queued={C22: 1, C23: 1}, arrived={C22: 1, C23: 1})
-    inputs = make_inputs(state, [C22, C23], capacity=1, t_end=4)
+    state = state_of(3, [C22, C23], queued={C22: 1, C23: 1}, arrived={C22: 1, C23: 1})
+    inputs = make_inputs(state, capacity=1, t_end=4)
     decision = solve_stage(inputs)
     assert decision.slack.tolist() == [1, 0]
     assert not decision.starts.any()
@@ -176,8 +173,8 @@ def test_class_that_cannot_finish_gets_no_clearance_slack():
 
 def test_completable_start_filter_near_t_end():
     # with t_end=4 a 3-hour job may start no later than hour 2
-    state = SystemState(stage=1, queued={C23: 1}, arrived={C23: 1})
-    inputs = make_inputs(state, [C23], t_end=4)
+    state = state_of(1, [C23], queued={C23: 1}, arrived={C23: 1})
+    inputs = make_inputs(state, t_end=4)
     model, _ = build_stage(inputs)
     assert model.ub[:4].tolist() == [1, 1, 0, 0]  # the start columns, hours 1..4
 
@@ -194,10 +191,10 @@ def test_stages_of_a_run_share_one_matrix():
     for r in range(1, 8):
         running = {(c, t_b): 1 for c in AGREE_CLASSES for t_b in range(max(r - c.runtime + 1, 1), r)
                    if t_b + c.runtime - 1 <= 7 and rng.random() < 0.3}
-        state = SystemState(stage=r, running=running,
-                            queued={c: rng.randint(0, 2) for c in AGREE_CLASSES})
+        state = state_of(r, AGREE_CLASSES, running=running,
+                         queued={c: rng.randint(0, 2) for c in AGREE_CLASSES})
         forecast = np.array([[rng.randint(0, 1) for t in range(r, r + 4)] for c in AGREE_CLASSES])
-        stages.append(make_inputs(state, AGREE_CLASSES, job_forecast=forecast[:, :8 - r], capacity=12,
+        stages.append(make_inputs(state, job_forecast=forecast[:, :8 - r], capacity=12,
                                   t_end=7, weights=ObjectiveWeights(0.01, 1.0), cfg=AGREE_CFG))
     assert len(stages[-1].window()) == 1
     a = build_stage(stages[0])[0].a
@@ -216,8 +213,8 @@ def test_stages_of_a_run_share_one_matrix():
         assert warm.matrix is a
 
     # terminations and slack columns change the matrix, and no basis fits it
-    state = SystemState(stage=3, running={(C22, 2): 1, (C23, 1): 1}, queued={C11: 1})
-    cut = make_inputs(state, AGREE_CLASSES, capacity=1, t_end=7, cfg=AGREE_CFG)
+    state = state_of(3, AGREE_CLASSES, running={(C22, 2): 1, (C23, 1): 1}, queued={C11: 1})
+    cut = make_inputs(state, capacity=1, t_end=7, cfg=AGREE_CFG)
     model, h = build_stage(cut)
     assert h.terms and model.a is not a and warm.basis_for(model.a) is None
     solve_stage(cut, warm=warm)
@@ -235,8 +232,8 @@ def test_validate_decision_reports_what_the_model_has_no_column_for():
     # re-check reports it instead of raising or reading a wrapped or
     # clipped array index
     c14 = JobClass(1, 4)
-    state = SystemState(stage=2, running={(C23, 1): 1}, queued={C23: 1}, arrived={C23: 2})
-    inputs = make_inputs(state, [C11, C23, c14], capacity=12, t_end=4, cfg=AGREE_CFG)
+    state = state_of(2, [C11, C23, c14], running={(C23, 1): 1}, queued={C23: 1}, arrived={C23: 2})
+    inputs = make_inputs(state, capacity=12, t_end=4, cfg=AGREE_CFG)
     decision = solve_stage(inputs)
     assert validate_decision(inputs, decision) == []
 
@@ -270,12 +267,11 @@ def test_validate_decision_reports_what_the_model_has_no_column_for():
 def test_peak_weight_flattens_profile():
     # two queued 1-hour jobs: without the peak term both run right away;
     # with a moderate weight they are staggered across two hours
-    state = SystemState(stage=1, queued={C11: 2}, arrived={C11: 2})
-    flat_free = solve_stage(make_inputs(state, [C11]))
+    state = state_of(1, [C11], queued={C11: 2}, arrived={C11: 2})
+    flat_free = solve_stage(make_inputs(state))
     assert flat_free.active.max() == 2
 
-    flat = solve_stage(make_inputs(state, [C11],
-                                   weights=ObjectiveWeights(lambda_pd=1.0)))
+    flat = solve_stage(make_inputs(state, weights=ObjectiveWeights(lambda_pd=1.0)))
     assert flat.active.max() == 1
     assert flat.peak == pytest.approx(power_of(1, CFG))
 
@@ -288,9 +284,9 @@ def stage_emissions(inputs, decision):
 
 
 def test_stage_emissions_matches_hand_computation():
-    state = SystemState(stage=1, queued={C11: 1}, arrived={C11: 1})
+    state = state_of(1, [C11], queued={C11: 1}, arrived={C11: 1})
     carbon = {1: 100.0, 2: 200.0, 3: 300.0, 4: 400.0}
-    inputs = make_inputs(state, [C11], carbon=carbon)
+    inputs = make_inputs(state, carbon=carbon)
     decision = solve_stage(inputs)
     # one active server at hour 1, idle afterwards
     expected = 100.0 * power_of(1, CFG) + (200.0 + 300.0 + 400.0) * power_of(0, CFG)
@@ -298,8 +294,8 @@ def test_stage_emissions_matches_hand_computation():
 
 
 def test_validate_decision_catches_tampering():
-    state = SystemState(stage=1, queued={C11: 1}, arrived={C11: 1})
-    inputs = make_inputs(state, [C11])
+    state = state_of(1, [C11], queued={C11: 1}, arrived={C11: 1})
+    inputs = make_inputs(state)
     decision = solve_stage(inputs)
     decision.active[0] += 1
     assert any("mismatch" in v for v in validate_decision(inputs, decision))
@@ -307,8 +303,8 @@ def test_validate_decision_catches_tampering():
     # a start or termination the model has no column for: a (2,3) job
     # cannot start at hour 3 when the run ends at 4, and two held servers
     # fit the capacity, so nothing may be terminated
-    state = SystemState(stage=2, running={(C23, 1): 1}, queued={C23: 1}, arrived={C23: 2})
-    inputs = make_inputs(state, [C23], t_end=4)
+    state = state_of(2, [C23], running={(C23, 1): 1}, queued={C23: 1}, arrived={C23: 2})
+    inputs = make_inputs(state, t_end=4)
     decision = solve_stage(inputs)
     late = dataclasses.replace(decision, starts=decision.starts + [[0, 1, 0, 0]])  # at hour 3
     assert any("inadmissible" in v for v in validate_decision(inputs, late))
@@ -316,17 +312,9 @@ def test_validate_decision_catches_tampering():
     assert any("shortfall" in v for v in validate_decision(inputs, cancelled))
 
 
-def test_unknown_queued_class_rejected():
-    state = SystemState(stage=1, queued={C22: 1}, arrived={C22: 1})
-    inputs = make_inputs(state, [C11])
-    with pytest.raises(DomainError):
-        build_stage(inputs)
-
-
 def test_objective_is_finite_and_status_optimal():
-    state = SystemState(stage=1, queued={C11: 2, C12: 1}, arrived={C11: 2, C12: 1})
-    inputs = make_inputs(state, [C11, C12], weights=ObjectiveWeights(lambda_ce=1.0,
-                                                                     lambda_pd=1.0),
+    state = state_of(1, [C11, C12], queued={C11: 2, C12: 1}, arrived={C11: 2, C12: 1})
+    inputs = make_inputs(state, weights=ObjectiveWeights(lambda_ce=1.0, lambda_pd=1.0),
                          carbon={t: 50.0 for t in range(1, 10)})
     decision = solve_stage(inputs)
     assert decision.status == "optimal"
@@ -351,7 +339,7 @@ def random_stage(seed):
         if rng.random() < 0.6
     }
     queued = {c: rng.randint(0, 2) for c in AGREE_CLASSES}
-    state = SystemState(stage=r, running=running, queued=queued)
+    state = state_of(r, AGREE_CLASSES, running=running, queued=queued)
     hz = HorizonConfig(t_h=4, t_j=4, t_c=4)
     # r + 5: a 3-hour job started at the window's last hour, r + 3, ends then
     t_end = rng.choice([r + 5, r + 1, r + 2])
@@ -360,7 +348,6 @@ def random_stage(seed):
     return StageInputs(
         cfg=AGREE_CFG,
         state=state,
-        classes=AGREE_CLASSES,
         job_forecast=np.array([[rng.randint(0, 1) for t in ts] for c in AGREE_CLASSES]),
         capacity_forecast=np.array([rng.randint(0, 8) for t in ts]),
         carbon_forecast=np.array([float(rng.randint(0, 100)) for t in range(r, last + 3)]),
@@ -392,7 +379,7 @@ def with_occupancy(inputs, decision):
     active = np.zeros(len(inputs.extended_window()), dtype=np.int64)
     for (i, o), n in np.ndenumerate(decision.starts):
         active[o:o + classes[i].runtime] += classes[i].servers * n
-    for (c, t_b), n in inputs.state.running.items():
+    for (c, t_b), n in running_of(inputs.state).items():
         active[:t_b + c.runtime - r] += c.servers * (n - decision.terminations.get((c, t_b), 0))
     cfg = inputs.cfg
     peak = max(cfg.slope_mw_per_server * m + cfg.p_idle_mw for m in active[:len(inputs.window())])
@@ -436,7 +423,7 @@ def test_model_and_recheck_agree_on_perturbed_decisions():
     seen = {"terms": 0, "truncated": 0, "slack": 0, "accepted": 0, "rejected": 0}
     cases = [random_stage(seed) for seed in range(40)]
     cases.append(make_inputs(
-        SystemState(stage=3, queued={C22: 1, C23: 1}), [C22, C23], capacity=1, t_end=4,
+        state_of(3, [C22, C23], queued={C22: 1, C23: 1}), capacity=1, t_end=4,
     ))
     for inputs in cases:
         decision = solve_stage(inputs)
