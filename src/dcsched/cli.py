@@ -6,11 +6,12 @@ Subcommands:
   validate <config>    parse and validate the config, nothing else
   gen-signals <config> emit the signal CSVs a run would use
 
-Every sweep cell runs in a process pool of solver.workers processes, one
-worker or many. Exit codes: 0 success; 1 if any cell failed, in which case
-each failed cell gets one `error: <cell>: ...` line on stderr, a cell whose
-run aborted keeps its `<cell>_trajectory.partial.csv`, and summary.csv still
-lists every other cell; 2 invalid config.
+Every sweep cell, and every offline schedule, runs in a process pool of
+solver.workers processes, one worker or many. Exit codes: 0 success; 1 if
+any cell failed, in which case each failed cell gets one `error: <cell>: ...`
+line on stderr, a cell whose run aborted keeps its
+`<cell>_trajectory.partial.csv`, and summary.csv still lists every other
+cell; 2 invalid config.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import itertools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -208,23 +208,9 @@ def _write_manifest(cfg: dict, cell: tuple, traj, path: str) -> None:
 
 
 def _stdout_to_stderr() -> None:
-    """Point a pool worker's fd 1 at stderr, so that whatever a cell prints
-    there (HiGHS's stray lines among it) stays out of the sweep's stdout."""
+    """Point a pool worker's fd 1 at stderr, so that whatever a solve prints
+    there (HiGHS's stray lines among it) stays out of the command's stdout."""
     os.dup2(2, 1)
-
-
-@contextmanager
-def _stdout_on_stderr():
-    """As `_stdout_to_stderr`, in this process and for the block only."""
-    sys.stdout.flush()
-    saved = os.dup(1)
-    os.dup2(2, 1)
-    try:
-        yield
-    finally:
-        sys.stdout.flush()
-        os.dup2(saved, 1)
-        os.close(saved)
 
 
 def cmd_run(cfg: dict) -> int:
@@ -251,25 +237,29 @@ def cmd_run(cfg: dict) -> int:
     return 1 if failed else 0
 
 
+def _offline_schedule(cfg: dict, totals: dict[JobClass, int], shape: str, seed: int) -> str:
+    """Solve and write the offline schedule of one profile shape and seed;
+    return the line that reports it."""
+    profile = sample_arrivals(totals, shape, cfg["signals"]["hours"], seed)
+    capacity = _capacity_truth(cfg, seed)
+    schedule = solve_offline(
+        profile, [int(v) for v in capacity.values], tuple(sorted(totals)),
+        gap_tol=cfg["solver"]["gap"], time_limit=cfg["solver"]["time_limit_s"],
+    )
+    path = os.path.join(cfg["output_dir"], f"offline_{shape}_s{seed}.csv")
+    write_schedule_csv(schedule, path)
+    return f"{shape} seed {seed}: goodput {schedule.goodput} server-hours -> {path}"
+
+
 def cmd_offline(cfg: dict) -> int:
-    out_dir = cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(cfg["output_dir"], exist_ok=True)
     totals = _class_totals(cfg)
-    classes = tuple(sorted(totals))
-    for shape in cfg["profiles"]["shapes"]:
-        for seed in cfg["sweep"]["seeds"]:
-            profile = sample_arrivals(totals, shape, cfg["signals"]["hours"], seed)
-            capacity = _capacity_truth(cfg, seed)
-            # the solve runs here, not in a worker: keep HiGHS's stray
-            # lines out of the command's stdout
-            with _stdout_on_stderr():
-                schedule = solve_offline(
-                    profile, [int(v) for v in capacity.values], classes,
-                    gap_tol=cfg["solver"]["gap"], time_limit=cfg["solver"]["time_limit_s"],
-                )
-            path = os.path.join(out_dir, f"offline_{shape}_s{seed}.csv")
-            write_schedule_csv(schedule, path)
-            print(f"{shape} seed {seed}: goodput {schedule.goodput} server-hours -> {path}")
+    with ProcessPoolExecutor(max_workers=cfg["solver"]["workers"],
+                             initializer=_stdout_to_stderr) as pool:
+        futures = [pool.submit(_offline_schedule, cfg, totals, shape, seed)
+                   for shape in cfg["profiles"]["shapes"] for seed in cfg["sweep"]["seeds"]]
+        for future in futures:
+            print(future.result())
     return 0
 
 

@@ -43,7 +43,7 @@ def build_offline(
     arrivals = profile.table(classes)
     servers, runtime = class_table(classes)
     k = np.maximum(t_end - runtime + 1 if require_completion else np.full(len(classes), t_end), 0)
-    cls, _, occupancy, allocation = start_block(k, servers, runtime, t_end, t_end)
+    cls, off, occupancy, allocation = start_block(k, servers, runtime, t_end, t_end)
     n = len(cls)
     # hourly capacity on active servers, then cumulative starts bounded by
     # cumulative submissions
@@ -58,7 +58,7 @@ def build_offline(
         lo=np.full(rows, -np.inf),
         hi=np.concatenate([np.asarray(capacity[:t_end], dtype=float), submitted.ravel()]),
     )
-    handles = dict(zip(((c, t) for c, kk in zip(classes, k) for t in range(1, kk + 1)), range(n)))
+    handles = {(classes[i], o + 1): j for j, (i, o) in enumerate(zip(cls.tolist(), off.tolist()))}
     return model, handles
 
 

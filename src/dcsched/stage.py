@@ -7,7 +7,7 @@ carbon emissions and the stage peak power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -134,8 +134,8 @@ class _StageHandles:
     i * t_h + o starts class i at hour r + o; the termination columns of
     the running entries `terms` follow, in order; the active servers at
     hours r, r + 1, ... start at column `m0` and end before the stage peak,
-    column `peak`. A model with slack has one slack column per class after
-    it."""
+    column `peak`. One clearance slack column per class follows it, closed
+    (ub 0) until `solve_stage` opens it."""
 
     terms: list[tuple[JobClass, int]]
     m0: int
@@ -176,12 +176,12 @@ def start_block(k: np.ndarray, servers: np.ndarray, runtime: np.ndarray,
 
 
 @lru_cache(maxsize=8)
-def _stage_matrix(classes: tuple[JobClass, ...], t_h: int, slope: float, with_slack: bool,
+def _stage_matrix(classes: tuple[JobClass, ...], t_h: int, slope: float,
                   terms: tuple[tuple[int, int], ...]) -> CscMatrix:
     """The stage's constraint matrix, which depends on nothing but these:
-    the classes, the window length, the power slope, the slack columns and
-    each termination column's (servers, hours left from r). Built once per
-    such shape and shared, read-only, by every stage that has it."""
+    the classes, the window length, the power slope and each termination
+    column's (servers, hours left from r). Built once per such shape and
+    shared, read-only, by every stage that has it."""
     n_c, n_pad = len(classes), t_h + max_runtime_of(classes) - 1
     servers, runtime = class_table(classes)
     cls, _, occupancy, allocation = start_block(np.full(n_c, t_h), servers, runtime, t_h, n_pad)
@@ -204,18 +204,15 @@ def _stage_matrix(classes: tuple[JobClass, ...], t_h: int, slope: float, with_sl
         (cap + ts_i, m0 + ts_i, np.ones(t_h)),
         (pk + ts_i, m0 + ts_i, np.full(t_h, slope)),
         (pk + ts_i, np.full(t_h, pd), np.full(t_h, -1.0)),
+        (clr + cl_i, pd + 1 + cl_i, np.ones(n_c)),
     ]
-    if with_slack:
-        entries.append((clr + cl_i, pd + 1 + cl_i, np.ones(n_c)))
-    a = csc(entries, (pk + t_h, pd + 1 + (n_c if with_slack else 0)))
+    a = csc(entries, (pk + t_h, pd + 1 + n_c))
     for part in (a.data, a.indices, a.indptr):
         part.flags.writeable = False
     return a
 
 
-def build_stage(
-    inputs: StageInputs, with_slack: bool = False
-) -> tuple[MilpModel, _StageHandles]:
+def build_stage(inputs: StageInputs) -> tuple[MilpModel, _StageHandles]:
     """The stage MILP and the column of each decision quantity.
 
     The model always lays out the full window: t_h start hours per class
@@ -223,9 +220,10 @@ def build_stage(
     inadmissible starts are stated by bounds, not by leaving columns or
     rows out: such starts and the active servers past the extended window
     are fixed at 0, and the rows of window hours past t_end and the
-    clearance rows of classes with no admissible start are free. So every
-    stage of a run without terminations or slack receives the same matrix
-    object, and each relaxation can start from the basis of the hour before.
+    clearance rows of classes with no admissible start are free. The slack
+    columns are closed by their bounds. So every stage of a run without
+    terminations receives the same matrix object, and each relaxation can
+    start from the basis of the hour before.
     """
     r, cfg, t_h = inputs.state.stage, inputs.cfg, inputs.horizons.t_h
     b, classes = inputs.bounds, inputs.classes
@@ -243,7 +241,7 @@ def build_stage(
     if b.held[0] > b.capacity[0]:
         hour, cut = np.nonzero(running[:, ::-1].T)
         age = running.shape[1] - hour
-    a = _stage_matrix(classes, t_h, cfg.slope_mw_per_server, with_slack,
+    a = _stage_matrix(classes, t_h, cfg.slope_mw_per_server,
                       tuple(zip(b.servers[cut].tolist(), (b.runtime[cut] - age).tolist())))
     n = a.shape[1]
     cls, off = np.divmod(np.arange(n_c * t_h), t_h)
@@ -261,7 +259,7 @@ def build_stage(
     ub = np.concatenate([np.where(off < b.k[cls], allowance[cls, n_t - 1], 0.0),
                          running[cut, age - 1],
                          _padded(np.full(n_ext, cfg.total_servers), n_pad, 0.0), [np.inf],
-                         np.where(b.k > 0, np.inf, 0.0) if with_slack else []])
+                         np.zeros(n_c)])
     integer = np.ones(n, dtype=bool)
     integer[pd] = False
 
@@ -300,23 +298,26 @@ def solve_stage(
     time_limit: float = 60.0,
     warm: WarmStart | None = None,
 ) -> StageDecision:
-    """Solve the stage problem; on infeasible minimum clearance, re-solve
-    with penalized slack and return the relaxed optimum. `warm` carries the
-    run's last optimal relaxation basis into both solves; a fractional
-    relaxation has its starts and terminations rounded in its neighbourhood
-    before full branch-and-bound."""
+    """Solve the stage problem; on infeasible minimum clearance, open the
+    slack columns of the classes with a clearance rule, re-solve at their
+    penalty and return the relaxed optimum. Both solves share the one
+    matrix, so `warm` carries the run's last optimal relaxation basis into
+    each; a fractional relaxation has its starts and terminations rounded
+    in its neighbourhood before full branch-and-bound."""
     r = inputs.state.stage
-    model, h = build_stage(inputs, with_slack=False)
+    model, h = build_stage(inputs)
     res = solve(model, gap_tol=gap_tol, time_limit=time_limit, warm=warm, rounded=h.rounded)
     if res.status == "infeasible":
-        model, h = build_stage(inputs, with_slack=True)
-        res = solve(model, gap_tol=gap_tol, time_limit=time_limit, warm=warm, rounded=h.rounded)
+        ub = model.ub.copy()
+        ub[h.peak + 1:] = np.where(inputs.bounds.k > 0, np.inf, 0.0)
+        res = solve(replace(model, ub=ub), gap_tol=gap_tol, time_limit=time_limit, warm=warm,
+                    rounded=h.rounded)
     if res.status in ("infeasible", "error"):
         raise StageError(r, f"{res.status}: {res.message}")
 
     # every column but PD is integral, and PD is not read
-    classes, t_h, x = inputs.classes, inputs.horizons.t_h, res.values.astype(np.int64)
-    n_s, slack = len(classes) * t_h, x[h.peak + 1:]
+    t_h, x = inputs.horizons.t_h, res.values.astype(np.int64)
+    n_s = len(inputs.classes) * t_h
     active = x[h.m0:h.m0 + len(inputs.bounds.held)]
     decision = StageDecision(
         starts=x[:n_s].reshape(-1, t_h),
@@ -324,10 +325,10 @@ def solve_stage(
         active=active,
         # the realized stage peak, not the (possibly slack) epigraph value
         peak=max(power_of(m, inputs.cfg) for m in active[:len(inputs.window())].tolist()),
-        objective=res.objective if res.objective is not None else float("nan"),
+        objective=res.objective,
         gap=res.gap,
         status=res.status,
-        slack=slack if len(slack) else np.zeros(len(classes), dtype=np.int64),
+        slack=x[h.peak + 1:],
     )
     violations = validate_decision(inputs, decision)
     if violations:

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import dcsched.milp
 from dcsched.core import SystemState
+from dcsched.stage import build_stage
 
 
 def state_of(stage, classes, running=None, queued=None, completed=None, arrived=None):
@@ -25,6 +28,17 @@ def running_of(state):
     nonzero cells."""
     return {(state.classes[i], state.stage - a - 1): int(state.running[i, a])
             for i, a in np.argwhere(state.running).tolist()}
+
+
+def stage_models(inputs):
+    """The stage model of `inputs` as `build_stage` returns it, its
+    clearance slack closed, then the same model with the slack of each class
+    with a clearance rule opened, as `solve_stage` re-solves an infeasible
+    stage: two (model, handles) pairs, which share the matrix object."""
+    model, h = build_stage(inputs)
+    ub = model.ub.copy()
+    ub[h.peak + 1:] = np.where(inputs.bounds.k > 0, np.inf, 0.0)
+    return [(model, h), (dataclasses.replace(model, ub=ub), h)]
 
 
 @pytest.fixture

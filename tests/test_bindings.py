@@ -59,10 +59,10 @@ def test_model_size_view_of_a_fleet_stage():
     inputs = make_inputs(state_of(1, classes), capacity=20000, t_h=24,
                          cfg=DCConfig(20000, 100.0, 30.0))
     model, _ = dcsched.stage.build_stage(inputs)
-    assert len(model.variables) == 1476
-    assert sum(v.kind == "integer" for v in model.variables) == 1475
+    assert len(model.variables) == 1536
+    assert sum(v.kind == "integer" for v in model.variables) == 1535
     assert len(model.constraints) == 1583
-    assert sum(len(c.coeffs) for c in model.constraints) == 28907
+    assert sum(len(c.coeffs) for c in model.constraints) == 28967
 
 
 def test_model_size_view_of_a_fleet_offline_model():

@@ -214,8 +214,8 @@ def test_offline_subcommand(tmp_path, capsys):
 
 
 def test_offline_output_on_fd_1_goes_to_stderr(tmp_path, monkeypatch, capfd):
-    # the offline bound solves in the CLI's own process, where HiGHS's stray
-    # lines would reach fd 1; stdout must carry only the CLI's own lines
+    # the offline bound solves in a pool worker, where HiGHS's stray lines
+    # reach fd 1; stdout must carry only the CLI's own lines
     solve_offline = dcsched.cli.solve_offline
 
     def noisy_solve(*args, **kwargs):

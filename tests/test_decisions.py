@@ -139,9 +139,9 @@ def test_overload_cell_decisions_are_pinned(recorded, tmp_path):
     # stages with terminations and stages with slack are among them
     assert any(terms for _, _, terms, *_ in decisions)
     assert any(slack for *_, slack, _, _, _ in decisions)
-    assert dict(runs) == {"LP cold": 15, "LP hot": 44, "MILP": 25, "MILP seeded": 18}
+    assert dict(runs) == {"LP cold": 5, "LP hot": 54, "MILP": 27, "MILP seeded": 20}
     assert digest(decisions) == (
-        "25ee1c77f5a4694a69993c66dbe0d8de53c625aa6e4bbb5f61f3eb81ddc7ed42"
+        "da1dedf538020b35fb1a8e2fe1dd2f7a2072954f8c4f3996f2f089f62e488b4f"
     )
 
 

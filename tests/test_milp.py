@@ -20,6 +20,7 @@ from dcsched.engine import run
 from dcsched.milp import INT_TOL, MilpModel, WarmStart, compact, csc, solve
 from dcsched.signals import noisy_forecast, synthetic_carbon
 from dcsched.stage import build_stage, solve_stage, validate_decision
+from conftest import stage_models
 from test_acceptance import DESK, _c7_profile, _cliff_capacity
 from test_stage import assert_same_matrix, check_feasible, random_stage, scipy_csc
 
@@ -142,8 +143,7 @@ def test_lp_first_matches_branch_and_bound_on_random_stages(highs_calls):
     paths = {"LP": 0, "MILP": 0}
     for seed in range(40):
         inputs = random_stage(seed)
-        for with_slack in (False, True):
-            model, _ = build_stage(inputs, with_slack=with_slack)
+        for model, _ in stage_models(inputs):
             highs_calls.clear()
             res = solve(model, gap_tol=gap_tol)
             reference = branch_and_bound(model, gap_tol)

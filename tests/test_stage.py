@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import running_of, state_of
+from conftest import running_of, stage_models, state_of
+import dcsched.milp
 from dcsched.milp import CscMatrix, MilpModel, WarmStart, compact
 from dcsched.core import (
     ArrivalProfile,
@@ -133,7 +134,7 @@ def test_carbon_weight_shifts_start_to_cleaner_hour():
     assert aware.starts.tolist() == [[0, 0, 0, 1]]
 
 
-def test_infeasible_clearance_relaxes_with_slack(highs_calls, given_starts):
+def test_infeasible_clearance_opens_the_slack_columns(highs_calls, given_starts):
     # a 2-server job can never fit on a 1-server facility
     state = state_of(1, [C22], queued={C22: 1}, arrived={C22: 1})
     inputs = make_inputs(state, capacity=1)
@@ -142,12 +143,12 @@ def test_infeasible_clearance_relaxes_with_slack(highs_calls, given_starts):
     assert not decision.starts.any()
     assert not validate_decision(inputs, decision)
     # half the job fits, so both relaxations are fractional: the LP, its
-    # neighbourhood and the infeasible MILP of the model, then the LP, its
-    # neighbourhood and the MILP with slack. The first neighbourhood is
-    # infeasible. In the second the LP left the slack at 0 and half the job
-    # at two hours; the slack keeps its bounds there, so the neighbourhood
-    # clears the job with slack. That does not certify against the LP bound,
-    # and full branch-and-bound starts from it
+    # neighbourhood and the infeasible MILP of the closed model, then the
+    # LP, its neighbourhood and the MILP with the slack opened. The first
+    # neighbourhood is infeasible. In the second the LP left the slack at 0
+    # and half the job at two hours; the slack keeps its bounds there, so
+    # the neighbourhood clears the job with slack. That does not certify
+    # against the LP bound, and full branch-and-bound starts from it
     assert highs_calls == ["LP", "MILP", "MILP"] * 2
     assert [start is not None for start in given_starts] == [False] * 5 + [True]
 
@@ -183,7 +184,7 @@ def matrix_digest(a):
     return hashlib.sha256(a.indptr.tobytes() + a.indices.tobytes() + a.data.tobytes()).hexdigest()
 
 
-def test_stages_of_a_run_share_one_matrix():
+def test_stages_of_a_run_share_one_matrix(monkeypatch):
     # a run that ends at hour 7 with a 4-hour window: stages 5-7 see a
     # truncated window, and all of them receive the matrix of stage 1
     rng = random.Random(3)
@@ -212,15 +213,33 @@ def test_stages_of_a_run_share_one_matrix():
         solve_stage(inputs, warm=warm)
         assert warm.matrix is a
 
-    # terminations and slack columns change the matrix, and no basis fits it
+    # a (2,2) job on one server: the closed model is infeasible, and its
+    # re-solve with the slack opened receives the same matrix object and
+    # the stored basis, and so does the hour after it
+    relaxations = []
+    highs = dcsched.milp._scipy_milp
+
+    def recorded(model, time_limit, gap_tol, basis=None, start=None):
+        if not model.integer.any():
+            relaxations.append((model.a is a, basis is not None, model.ub[-len(AGREE_CLASSES):]))
+        return highs(model, time_limit, gap_tol, basis, start=start)
+
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", recorded)
+    state = state_of(3, AGREE_CLASSES, queued={C22: 1})
+    infeasible = make_inputs(state, capacity=1, t_end=7, cfg=AGREE_CFG)
+    assert solve_stage(infeasible, warm=warm).slack.tolist() == [0, 0, 1, 0]
+    assert warm.matrix is a
+    solve_stage(stages[3], warm=warm)
+    assert [(shared, hot) for shared, hot, _ in relaxations] == [(True, True)] * 3
+    slack_ub = [ub.tolist() for _, _, ub in relaxations]
+    assert slack_ub == [[0] * 4, [np.inf] * 4, [0] * 4]
+
+    # terminations change the matrix, and no basis fits it
     state = state_of(3, AGREE_CLASSES, running={(C22, 2): 1, (C23, 1): 1}, queued={C11: 1})
     cut = make_inputs(state, capacity=1, t_end=7, cfg=AGREE_CFG)
     model, h = build_stage(cut)
     assert h.terms and model.a is not a and warm.basis_for(model.a) is None
     solve_stage(cut, warm=warm)
-    slack, h = build_stage(stages[0], with_slack=True)
-    assert slack.a.shape[1] == h.peak + 1 + len(AGREE_CLASSES)
-    assert slack.a is not a and slack.a is not model.a
     # the shared matrix was never written to
     assert matrix_digest(a) == digest
 
@@ -393,8 +412,7 @@ def model_values(model, handles, decision):
     x[n_s:handles.m0] = [decision.terminations.get(key, 0) for key in handles.terms]
     x[handles.m0:handles.m0 + len(decision.active)] = decision.active
     x[handles.peak] = decision.peak
-    if len(x) > handles.peak + 1:  # a model with slack
-        x[handles.peak + 1:] = decision.slack
+    x[handles.peak + 1:] = decision.slack
     return x
 
 
@@ -427,11 +445,11 @@ def test_model_and_recheck_agree_on_perturbed_decisions():
     ))
     for inputs in cases:
         decision = solve_stage(inputs)
-        model, h = build_stage(inputs, with_slack=bool(decision.slack.any()))
-        with_slack = model.a.shape[1] > h.peak + 1
+        opened = bool(decision.slack.any())
+        model, h = stage_models(inputs)[opened]
         seen["terms"] += bool(h.terms)
         seen["truncated"] += len(inputs.window()) < inputs.horizons.t_h
-        seen["slack"] += with_slack
+        seen["slack"] += opened
         # a fractional relaxation's neighbourhood rounds the starts and the
         # terminations: m, PD and slack keep their bounds
         assert np.flatnonzero(~h.rounded).tolist() == list(range(h.m0, model.a.shape[1]))
@@ -440,7 +458,7 @@ def test_model_and_recheck_agree_on_perturbed_decisions():
         changes = (
             [("starts", index) for index in np.ndindex(decision.starts.shape)]
             + [("terminations", key) for key in h.terms]
-            + [("slack", (i,)) for i in range(len(inputs.classes)) if with_slack]
+            + [("slack", (i,)) for i in range(len(inputs.classes)) if opened]
         )
         for field_name, key in changes:
             for delta in (1, -1):
@@ -476,11 +494,10 @@ def model_digest(models):
 def test_stage_model_is_unchanged():
     # the formulation, float for float and in column and row order, as
     # branch-and-bound receives it (compacted): every model of the random
-    # stages with and without slack (they cover terminations, truncated
-    # windows and classes with no admissible start), and the offline model
-    # of one profile with and without the completion rule
-    models = [build_stage(random_stage(seed), with_slack=with_slack)[0]
-              for seed in range(40) for with_slack in (False, True)]
+    # stages with the slack closed and opened (they cover terminations,
+    # truncated windows and classes with no admissible start), and the
+    # offline model of one profile with and without the completion rule
+    models = [m for seed in range(40) for m, _ in stage_models(random_stage(seed))]
     assert model_digest(compact(m)[0] for m in models + offline_models()) == (
         "91b644817fcb5b3572cf2be3171d14fc39a0c69e1f759b653735ef45f20483ef"
     )
@@ -511,8 +528,8 @@ def test_builders_return_canonical_column_wise_matrices():
     # HiGHS is handed the matrix's own arrays as column-wise ones: the
     # stage and offline builders and compact must all return canonical CSC
     # with HiGHS's int32 indices
-    models = [build_stage(random_stage(seed), with_slack=with_slack)[0]
-              for seed in range(8) for with_slack in (False, True)] + offline_models()
+    models = [m for seed in range(8) for m, _ in stage_models(random_stage(seed))]
+    models += offline_models()
     for m in models + [compact(m)[0] for m in models]:
         a = m.a
         assert isinstance(a, CscMatrix)
@@ -535,12 +552,12 @@ def scipy_compact(m: MilpModel) -> tuple[sparse.csc_matrix, np.ndarray, np.ndarr
 
 
 def test_compact_matches_scipy_on_the_random_stages():
-    # bit for bit, on every model of the random stages with and without
-    # slack: compact's matrix and row bounds, and the product a @ x
+    # bit for bit, on every model of the random stages with the slack
+    # closed and opened: compact's matrix and row bounds, and the product
+    # a @ x
     rng = np.random.default_rng(3)
     for seed in range(40):
-        for with_slack in (False, True):
-            m = build_stage(random_stage(seed), with_slack=with_slack)[0]
+        for m, _ in stage_models(random_stage(seed)):
             sub, _ = compact(m)
             a, lo, hi = scipy_compact(m)
             assert_same_matrix(sub.a, a)
