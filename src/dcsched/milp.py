@@ -20,14 +20,17 @@ optimal rounding", Math. Prog. Comp. 6, 2014): the small MILP in which each
 column it names may only take the floor or the ceiling of its LP value.
 A neighbourhood optimum within the gap tolerance of the LP bound is a MILP
 optimum to that tolerance; one that is not hands itself to full
-branch-and-bound as the starting incumbent, so HiGHS's root heuristics need
-not find it again. Every run goes through the one module binding
-``_scipy_milp``: the relaxation as the model with no integer column,
-branch-and-bound on the model :func:`compact` leaves (no fixed columns, no
-free or emptied rows). :func:`solve` reads HiGHS's model status, solution,
-basis and gap from the finished run. Branch-and-bound runs without HiGHS's
-Feasibility Jump heuristic, which took about a quarter of its time on the
-desk grid's stage models.
+branch-and-bound as the starting incumbent. Every run goes through the one
+module binding ``_scipy_milp``: the relaxation as the model with no integer
+column, branch-and-bound on the model :func:`compact` leaves (no fixed
+columns, no free or emptied rows). :func:`solve` reads HiGHS's model status,
+solution, basis and gap from the finished run. Branch-and-bound runs without
+HiGHS's Feasibility Jump heuristic, which took about a quarter of its time on
+the desk grid's stage models. A run given a starting incumbent also runs
+without HiGHS's sub-MIP searches for one (RENS, RINS and root reduced-cost
+fixing), which repeated the neighbourhood's search and took over a third
+of the time of the desk grid's seeded runs; it still proves the gap
+tolerance.
 
 A receding-horizon run solves one relaxation an hour, and from hour to
 hour only the right-hand sides, the bounds and the objective move: the
@@ -94,6 +97,10 @@ _LIMITS = (HighsModelStatus.kTimeLimit, HighsModelStatus.kIterationLimit,
 _HOT = [("simplex_dual_edge_weight_strategy", 1), ("simplex_scale_strategy", 0)]
 # the option of every branch-and-bound run: no Feasibility Jump heuristic
 _BNB = [("mip_heuristic_run_feasibility_jump", False)]
+# the options of a branch-and-bound run given a starting incumbent: none of
+# HiGHS's sub-MIP searches for one (RENS, RINS, root reduced-cost fixing)
+_SEEDED = [("mip_heuristic_run_rens", False), ("mip_heuristic_run_rins", False),
+           ("mip_heuristic_run_root_reduced_cost", False)]
 
 
 class Variable(NamedTuple):
@@ -262,7 +269,9 @@ def _scipy_milp(model: MilpModel, time_limit: float, gap_tol: float,
     weights for the basis before the first pivot. The hot run skips both
     (`_HOT`: Devex pricing, no scaling); a cold relaxation, which pivots
     for far longer, keeps the defaults. Branch-and-bound keeps them too,
-    but for Feasibility Jump (`_BNB`). Any option, model, basis or start
+    but for Feasibility Jump (`_BNB`), and, given `start`, but for the
+    sub-MIP heuristics that search for an incumbent (`_SEEDED`: RENS, RINS,
+    root reduced-cost fixing). Any option, model, basis or start
     HiGHS refuses (a start of the wrong length, say) raises, so no run
     silently falls back to a default.
     """
@@ -270,6 +279,7 @@ def _scipy_milp(model: MilpModel, time_limit: float, gap_tol: float,
     options = [("output_flag", False), ("time_limit", float(time_limit)),
                ("mip_rel_gap", float(gap_tol))]
     options += _HOT if basis is not None else _BNB if model.integer.any() else []
+    options += _SEEDED if start is not None else []
     for name, value in options:
         _check(highs.setOptionValue(name, value), f"option {name} = {value!r}")
     a = model.a
@@ -316,10 +326,11 @@ def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
     there within `gap_tol` of the LP bound is returned as `optimal`, with
     that gap. Failing that, HiGHS branch-and-bound solves the compacted
     MILP (:func:`compact`) to relative gap `gap_tol`, starting from the
-    neighbourhood's solution as its incumbent when there is one; the fixed
-    columns are put back in its solution. `time_limit` bounds all the runs
-    of one call together. A branch-and-bound run that stops at a limit with
-    an incumbent returns it as `feasible-gap`, with the gap HiGHS reports.
+    neighbourhood's solution as its incumbent when there is one, without
+    HiGHS's own sub-MIP searches for one; the fixed columns are put back in
+    its solution. `time_limit` bounds all the runs of one call together. A
+    branch-and-bound run that stops at a limit with an incumbent returns it
+    as `feasible-gap`, with the gap HiGHS reports.
 
     With `warm`, the relaxation starts from the stored basis when the
     constraint matrix is the one it was found on, and an optimal relaxation

@@ -139,9 +139,9 @@ def test_overload_cell_decisions_are_pinned(recorded, tmp_path):
     # stages with terminations and stages with slack are among them
     assert any(terms for _, _, terms, *_ in decisions)
     assert any(slack for *_, slack, _, _, _ in decisions)
-    assert dict(runs) == {"LP cold": 5, "LP hot": 54, "MILP": 27, "MILP seeded": 20}
+    assert dict(runs) == {"LP cold": 5, "LP hot": 54, "MILP": 26, "MILP seeded": 20}
     assert digest(decisions) == (
-        "da1dedf538020b35fb1a8e2fe1dd2f7a2072954f8c4f3996f2f089f62e488b4f"
+        "0cd94eefb407eeb78a50d5d4ddfac3fe5725d4387b148ace1fc9295550735255"
     )
 
 

@@ -11,7 +11,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as scipy_milp
-from scipy.optimize._highspy._core import HighsBasis, _Highs
+from scipy.optimize._highspy._core import HighsBasis, HighsStatus, _Highs
 
 import dcsched.milp
 import dcsched.stage
@@ -138,12 +138,12 @@ def scipy_fallback(model, gap_tol):
     return x
 
 
-def test_lp_first_matches_branch_and_bound_on_random_stages(highs_calls):
+def test_lp_first_matches_branch_and_bound_on_random_stages(highs_calls, given_starts):
     gap_tol = 1e-4
-    paths = {"LP": 0, "MILP": 0}
+    paths = {"LP": 0, "MILP": 0, "seeded": 0}
     for seed in range(40):
         inputs = random_stage(seed)
-        for model, _ in stage_models(inputs):
+        for model, h in stage_models(inputs):
             highs_calls.clear()
             res = solve(model, gap_tol=gap_tol)
             reference = branch_and_bound(model, gap_tol)
@@ -157,9 +157,18 @@ def test_lp_first_matches_branch_and_bound_on_random_stages(highs_calls):
             if highs_calls[-1] == "MILP":
                 # the same HiGHS run as scipy's milp on the compacted model
                 np.testing.assert_array_equal(res.values, scipy_fallback(model, gap_tol))
+                # solved as a stage is: full branch-and-bound, when it
+                # runs, starts from the neighbourhood's solution
+                given_starts.clear()
+                seeded = solve(model, gap_tol=gap_tol, rounded=h.rounded)
+                assert seeded.status == "optimal" and seeded.gap <= gap_tol
+                assert check_feasible(model, seeded.values) == []
+                assert seeded.objective == pytest.approx(res.objective, rel=gap_tol, abs=1e-6)
+                paths["seeded"] += given_starts[-1] is not None
         decision = solve_stage(inputs, gap_tol=gap_tol)
         assert validate_decision(inputs, decision) == []
-    # feasible models take both paths: accepted relaxations and fallbacks
+    # feasible models take both paths: accepted relaxations and fallbacks,
+    # some of them seeded
     assert all(paths.values()), paths
 
 
@@ -355,6 +364,8 @@ def test_refused_option_or_basis_fails_the_solve():
 
 HOT_OPTIONS = ("simplex_dual_edge_weight_strategy", "simplex_scale_strategy")
 JUMP = "mip_heuristic_run_feasibility_jump"
+SUB_MIPS = ("mip_heuristic_run_rens", "mip_heuristic_run_rins",
+            "mip_heuristic_run_root_reduced_cost")
 
 
 def test_only_hot_relaxations_leave_the_highs_defaults(monkeypatch):
@@ -363,24 +374,38 @@ def test_only_hot_relaxations_leave_the_highs_defaults(monkeypatch):
 
     def recorded(model, time_limit, gap_tol, basis=None, start=None):
         run = highs(model, time_limit, gap_tol, basis, start=start)
-        kind = "MILP" if model.integer.any() else "hot" if basis is not None else "cold"
-        runs.append((kind, [run.getOptionValue(name)[1] for name in HOT_OPTIONS + (JUMP,)]))
+        kind = ("seeded" if start is not None else "MILP" if model.integer.any()
+                else "hot" if basis is not None else "cold")
+        runs.append((kind, [run.getOptionValue(name)[1]
+                            for name in HOT_OPTIONS + (JUMP,) + SUB_MIPS]))
         return run
 
     monkeypatch.setattr(dcsched.milp, "_scipy_milp", recorded)
     defaults = [_Highs().getOptionValue(name)[1] for name in HOT_OPTIONS]
-    assert defaults != [1, 0] and _Highs().getOptionValue(JUMP)[1] is True
+    assert defaults != [1, 0]
+    assert [_Highs().getOptionValue(name)[1] for name in (JUMP,) + SUB_MIPS] == [True] * 4
     # a fractional relaxation, solved twice with one warm start: cold, then
     # hot; with a rounding mask, its neighbourhood (x = 3, not within the
-    # gap of 3.5) runs before full branch-and-bound
+    # gap of 3.5) runs before full branch-and-bound, which it seeds
     warm = WarmStart()
     for rounded in (None, None, np.ones(1, dtype=bool)):
         assert solve(dense_model([1.0], [([2.0], "<=", 7)]), warm=warm, rounded=rounded).values[0] == 3
     # Devex pricing and no scaling on the hot relaxation only; Feasibility
-    # Jump off on every branch-and-bound run, the neighbourhood included
-    lp, bnb = defaults + [True], defaults + [False]
-    assert runs == [("cold", lp), ("MILP", bnb), ("hot", [1, 0, True]), ("MILP", bnb),
-                    ("hot", [1, 0, True]), ("MILP", bnb), ("MILP", bnb)]
+    # Jump off on every branch-and-bound run, the neighbourhood included;
+    # RENS, RINS and root reduced-cost fixing off on the seeded run only
+    lp, hot = defaults + [True] * 4, [1, 0] + [True] * 4
+    bnb, seeded = defaults + [False] + [True] * 3, defaults + [False] * 4
+    assert runs == [("cold", lp), ("MILP", bnb), ("hot", hot), ("MILP", bnb),
+                    ("hot", hot), ("MILP", bnb), ("seeded", seeded)]
+
+
+def test_the_installed_highs_takes_every_option_set():
+    # a HiGHS without one of these names, or with another type for it,
+    # would fail every solve that sets it as `error`
+    for name, value in dcsched.milp._HOT + dcsched.milp._BNB + dcsched.milp._SEEDED:
+        highs = _Highs()
+        assert highs.setOptionValue(name, value) != HighsStatus.kError, name
+        assert highs.getOptionValue(name)[1] == value, name
 
 
 def test_infeasible_neighbourhood_falls_through_to_branch_and_bound(highs_calls, given_starts):
