@@ -139,13 +139,13 @@ def _cell_name(cell: tuple) -> str:
     return f"{shape}_ce{lce:g}_pd{lpd:g}_T{t}_{mode}_s{seed}"
 
 
-def _run_cell(cfg: dict, cell: tuple, out_dir: str) -> dict | str:
-    """Run one cell and return its summary row, or an error string if the
-    run aborted (its partial trajectory is written) or its set-up broke a
-    domain invariant. Only plain data goes back to the parent process."""
+def _run_cell(cfg: dict, totals: dict[JobClass, int], cell: tuple, out_dir: str) -> dict | str:
+    """Run one cell on the job mix `totals`; return its summary row, or an
+    error string if the run aborted (its partial trajectory is written) or
+    its set-up broke a domain invariant: plain data for the parent process."""
     name = _cell_name(cell)
     try:
-        return _run_cell_or_raise(cfg, cell, out_dir)
+        return _run_cell_or_raise(cfg, totals, cell, out_dir)
     except RunAborted as exc:
         write_trajectory_csv(
             exc.trajectory, os.path.join(out_dir, f"{name}_trajectory.partial.csv")
@@ -155,10 +155,9 @@ def _run_cell(cfg: dict, cell: tuple, out_dir: str) -> dict | str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _run_cell_or_raise(cfg: dict, cell: tuple, out_dir: str) -> dict:
+def _run_cell_or_raise(cfg: dict, totals: dict[JobClass, int], cell: tuple, out_dir: str) -> dict:
     shape, lce, lpd, horizon_t, mode, seed = cell
     dc = _dc_config(cfg)
-    totals = _class_totals(cfg)
     profile = sample_arrivals(totals, shape, cfg["signals"]["hours"], seed)
     classes = tuple(sorted(totals))
     carbon = _carbon_truth(cfg)
@@ -218,11 +217,12 @@ def cmd_run(cfg: dict) -> int:
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     workers = cfg["solver"]["workers"]
+    totals = _class_totals(cfg)  # read once: every cell draws from the one job mix
     rows: dict[tuple, dict] = {}
     failed = False
     with ProcessPoolExecutor(max_workers=workers, initializer=_stdout_to_stderr) as pool:
         futures = {
-            pool.submit(_run_cell, cfg, cell, out_dir): cell for cell in cells
+            pool.submit(_run_cell, cfg, totals, cell, out_dir): cell for cell in cells
         }
         for future, cell in futures.items():
             result = future.result()

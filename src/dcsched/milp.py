@@ -18,29 +18,31 @@ proves the MILP infeasible. Before full branch-and-bound, a caller may have
 it search the relaxation's neighbourhood (RENS; Berthold, "RENS — the
 optimal rounding", Math. Prog. Comp. 6, 2014): the small MILP in which each
 column it names may only take the floor or the ceiling of its LP value.
-A neighbourhood optimum within the gap tolerance of the LP bound is a MILP
-optimum to that tolerance; one that is not hands itself to full
-branch-and-bound as the starting incumbent. Every run goes through the one
-module binding ``_scipy_milp``: the relaxation as the model with no integer
-column, branch-and-bound on the model :func:`compact` leaves (no fixed
-columns, no free or emptied rows). :func:`solve` reads HiGHS's model status,
-solution, basis and gap from the finished run. Branch-and-bound runs without
-HiGHS's Feasibility Jump heuristic, which took about a quarter of its time on
-the desk grid's stage models. A run given a starting incumbent also runs
-without HiGHS's sub-MIP searches for one (RENS, RINS and root reduced-cost
-fixing), which repeated the neighbourhood's search and took over a third
-of the time of the desk grid's seeded runs; it still proves the gap
-tolerance.
+A branch-and-bound run's solution is the feasible one HiGHS holds, if any,
+whatever status it stopped at. A neighbourhood solution within the gap
+tolerance of the LP bound is a MILP optimum to that tolerance; one that is
+not hands itself to full branch-and-bound as the starting incumbent. Every
+run goes through the one module binding ``_scipy_milp``: the relaxation as
+the model with no integer column, branch-and-bound on the model
+:func:`compact` leaves (no fixed columns, no free or emptied rows).
+:func:`solve` reads HiGHS's model status, solution, basis and gap from the
+finished run. Branch-and-bound runs without HiGHS's Feasibility Jump
+heuristic, which took about a quarter of its time on the desk grid's stage
+models. A run given a starting incumbent also runs without HiGHS's
+sub-MIP searches for one (RENS, RINS and root reduced-cost fixing), which
+repeated the neighbourhood's search and took over a third of the time of
+the desk grid's seeded runs; it still proves the gap tolerance.
 
 A receding-horizon run solves one relaxation an hour, and from hour to
 hour only the right-hand sides, the bounds and the objective move: the
-stage builder keeps the matrix the same. A :class:`WarmStart` carried
-through the run lets each relaxation start from the previous hour's
-optimal basis, so HiGHS's dual simplex re-optimizes in a few iterations
-instead of solving from scratch. So few (about a dozen at fleet scale)
-that such a hot relaxation's cost is HiGHS's set-up, not its pivots: the
-hot run therefore uses Devex pricing and leaves the LP unscaled, where a
-cold relaxation and branch-and-bound keep HiGHS's defaults.
+stage builder hands every hour one matrix object. A :class:`WarmStart`
+carried through the run lets each relaxation on it start from the previous
+hour's optimal basis, so HiGHS's dual simplex re-optimizes in a few
+iterations instead of solving from scratch. So few (about a dozen at fleet
+scale) that such a hot relaxation's cost is HiGHS's set-up, not its
+pivots: the hot run therefore uses Devex pricing and leaves the LP
+unscaled, where a cold relaxation and branch-and-bound keep HiGHS's
+defaults.
 """
 
 from __future__ import annotations
@@ -90,9 +92,6 @@ _Highs = _core._Highs
 kSolutionStatusFeasible = _core.kSolutionStatusFeasible
 
 INT_TOL = 1e-4  # largest distance from an integer HiGHS may leave an integer variable
-# the limits at which a branch-and-bound run may stop holding a feasible incumbent
-_LIMITS = (HighsModelStatus.kTimeLimit, HighsModelStatus.kIterationLimit,
-           HighsModelStatus.kSolutionLimit)
 # the options of a relaxation started from a basis: Devex pricing, no scaling
 _HOT = [("simplex_dual_edge_weight_strategy", 1), ("simplex_scale_strategy", 0)]
 # the option of every branch-and-bound run: no Feasibility Jump heuristic
@@ -202,21 +201,22 @@ class MilpModel:
 def csc(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
         shape: tuple[int, int]) -> CscMatrix:
     """The matrix holding each block of (row, column, value) entries, in
-    canonical CSC form: each column's rows sorted, whatever the entry order,
-    and the values of entries at the same place summed. An entry with the
-    value 0 is kept."""
+    canonical CSC form: each column's rows sorted, whatever the entry order.
+    An entry with the value 0 is kept. An entry outside the matrix, or a
+    second one at a place, is a builder's error and raises ValueError."""
     rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
     n_rows, n_cols = int(shape[0]), int(shape[1])
     if len(rows) and not (0 <= rows.min() and rows.max() < n_rows
                           and 0 <= cols.min() and cols.max() < n_cols):
         raise ValueError(f"an entry lies outside the {n_rows} x {n_cols} matrix")
-    # by column, then row; a stable sort keeps duplicates in entry order
+    # by column, then row
     place = np.asarray(cols, dtype=np.int64) * n_rows + rows
     order = np.argsort(place, kind="stable")
     place, rows, vals = place[order], rows[order], np.asarray(vals[order], dtype=np.float64)
-    first = np.flatnonzero(np.diff(place, prepend=-1))  # the first entry at each place
-    if len(first) < len(place):
-        place, rows, vals = place[first], rows[first], np.add.reduceat(vals, first)
+    same = np.diff(place) == 0
+    if same.any():
+        col, row = divmod(int(place[same.argmax()]), n_rows)
+        raise ValueError(f"two entries at row {row}, column {col} of the {n_rows} x {n_cols} matrix")
     indptr = np.searchsorted(place, np.arange(n_cols + 1) * n_rows)
     return CscMatrix(indptr.astype(np.int32), rows.astype(np.int32), vals, (n_rows, n_cols))
 
@@ -233,21 +233,16 @@ class SolveResult:
 @dataclass
 class WarmStart:
     """The optimal basis of the last relaxation one run solved, and the
-    constraint matrix it belongs to. Kept per run, never shared, so a
-    decision depends only on the run's own history."""
+    constraint matrix object it belongs to; any other matrix, even an equal
+    one, solves cold. Kept per run, never shared, so a decision depends only
+    on the run's own history."""
 
     matrix: CscMatrix | None = None
     basis: HighsBasis | None = None
 
     def basis_for(self, a: CscMatrix) -> HighsBasis | None:
-        """The stored basis if `a` is the matrix it was found on, else None."""
-        m = self.matrix
-        if m is a or (m is not None and m.shape == a.shape
-                and np.array_equal(m.indptr, a.indptr)
-                and np.array_equal(m.indices, a.indices)
-                and np.array_equal(m.data, a.data)):
-            return self.basis
-        return None
+        """The stored basis if `a` is the very object it was found on, else None."""
+        return self.basis if self.matrix is a else None
 
 
 def _scipy_milp(model: MilpModel, time_limit: float, gap_tol: float,
@@ -329,11 +324,12 @@ def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
     neighbourhood's solution as its incumbent when there is one, without
     HiGHS's own sub-MIP searches for one; the fixed columns are put back in
     its solution. `time_limit` bounds all the runs of one call together. A
-    branch-and-bound run that stops at a limit with an incumbent returns it
-    as `feasible-gap`, with the gap HiGHS reports.
+    neighbourhood stopped at a limit keeps its solution as if it had finished;
+    full branch-and-bound stopped at a limit with an incumbent returns it as
+    `feasible-gap`, with the gap HiGHS reports.
 
     With `warm`, the relaxation starts from the stored basis when the
-    constraint matrix is the one it was found on, and an optimal relaxation
+    constraint matrix is the object it was found on, and an optimal relaxation
     stores its basis there for the next call.
 
     Integer variables in the returned values are rounded to the nearest
@@ -363,7 +359,7 @@ def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
                 x, gap = found
             else:
                 start = None if found is None else found[0]
-                highs, x = _branch_and_bound(model, deadline, gap_tol, at_limit=True, start=start)
+                highs, x = _branch_and_bound(model, deadline, gap_tol, start=start)
                 status = highs.getModelStatus()
                 message = highs.modelStatusToString(status)
                 if x is not None:
@@ -396,7 +392,8 @@ def _neighbourhood(model: MilpModel, x_lp: np.ndarray, rounded: np.ndarray, dead
     """Solve the neighbourhood of the fractional relaxation optimum `x_lp`:
     `model` with each column in the mask `rounded` bounded to the floor and
     ceiling of its LP value, so one the LP left integral is fixed. Return
-    the solution and its gap, or None if HiGHS finds no solution there.
+    the solution HiGHS holds when it stops (at a limit too) and its gap, or
+    None if it holds none.
 
     The gap is the one HiGHS reports as `mip_gap`, |primal - bound| /
     |primal|, with the neighbourhood optimum as the primal value and the LP
@@ -405,7 +402,7 @@ def _neighbourhood(model: MilpModel, x_lp: np.ndarray, rounded: np.ndarray, dead
     """
     lb = np.where(rounded, np.maximum(model.lb, np.floor(x_lp + INT_TOL)), model.lb)
     ub = np.where(rounded, np.minimum(model.ub, np.ceil(x_lp - INT_TOL)), model.ub)
-    _, x = _branch_and_bound(replace(model, lb=lb, ub=ub), deadline, gap_tol, at_limit=False)
+    _, x = _branch_and_bound(replace(model, lb=lb, ub=ub), deadline, gap_tol)
     if x is None:
         return None
     free = model.lb != model.ub
@@ -414,21 +411,18 @@ def _neighbourhood(model: MilpModel, x_lp: np.ndarray, rounded: np.ndarray, dead
     return x, gap
 
 
-def _branch_and_bound(model: MilpModel, deadline: float, gap_tol: float, at_limit: bool,
+def _branch_and_bound(model: MilpModel, deadline: float, gap_tol: float,
                       start: np.ndarray | None = None) -> tuple[_Highs, np.ndarray | None]:
     """Run branch-and-bound on `model` compacted (:func:`compact`), within
     what is left until `deadline`, from the starting incumbent `start` (a
     solution of `model`) when one is given. Return the finished run and its
     solution with every column left out put back at its lb; the solution is
-    None unless the run is optimal or, with `at_limit`, stopped at a limit
-    holding a feasible incumbent."""
+    None unless the run holds a feasible one, whether it proved it optimal
+    or stopped at a limit."""
     sub, live = compact(model)
     highs = _scipy_milp(sub, max(deadline - time.perf_counter(), 0.0), gap_tol,
                         start=None if start is None else start[live])
-    status = highs.getModelStatus()
-    if status != HighsModelStatus.kOptimal and not (
-            at_limit and status in _LIMITS
-            and highs.getInfo().primal_solution_status == kSolutionStatusFeasible):
+    if highs.getInfo().primal_solution_status != kSolutionStatusFeasible:
         return highs, None
     x = model.lb.copy()
     x[live] = highs.getSolution().col_value

@@ -74,16 +74,22 @@ def given_starts(monkeypatch):
 
 @pytest.fixture
 def first_incumbent(monkeypatch):
-    """Make every HiGHS run stop branch-and-bound at its first improving
-    solution, as a limit stops it holding an incumbent; return the runs
-    made, in order."""
+    """A function that makes HiGHS runs stop branch-and-bound at their first
+    improving solution, as a limit stops one holding an incumbent: the runs
+    whose indices it is given, counted from 0 in the order the test makes
+    them, or every run when it is given none. It returns the runs made, in
+    order."""
     runs = []
 
-    class FirstIncumbent(dcsched.milp._Highs):
-        def run(self):
-            runs.append(self)
-            self.setOptionValue("mip_max_improving_sols", 1)
-            return super().run()
+    def stop(*which):
+        class FirstIncumbent(dcsched.milp._Highs):
+            def run(self):
+                if not which or len(runs) in which:
+                    self.setOptionValue("mip_max_improving_sols", 1)
+                runs.append(self)
+                return super().run()
 
-    monkeypatch.setattr(dcsched.milp, "_Highs", FirstIncumbent)
-    return runs
+        monkeypatch.setattr(dcsched.milp, "_Highs", FirstIncumbent)
+        return runs
+
+    return stop

@@ -187,6 +187,24 @@ def test_run_is_deterministic(tmp_path):
     assert open(os.path.join(out, "summary.csv")).read() == first
 
 
+def test_trace_is_read_once_per_sweep(tmp_path, capfd):
+    # one over-long job in the trace and two cells: the class mix is read
+    # and reported once, not once per cell
+    trace = tmp_path / "trace.csv"
+    trace.write_text("job_id,servers,runtime_hours\n"
+                     + "".join(f"j{i},{1 + i % 2},{1 + i % 4}\n" for i in range(30))
+                     + "long,1,10\n")
+    path = tmp_path / "trace.yaml"
+    path.write_text(TINY.format(out=tmp_path / "results")
+                    .replace("profiles:\n", f"profiles:\n  source: trace\n  trace_csv: {trace}\n")
+                    .replace("seeds: [1]", "seeds: [1, 2]"))
+    assert main(["run", str(path)]) == 0
+    captured = capfd.readouterr()
+    assert captured.out.splitlines() == [f"wrote 2 of 2 cells to {tmp_path}/results/summary.csv"]
+    dropped = [line for line in captured.err.splitlines() if line.startswith("trace: dropped")]
+    assert dropped == ["trace: dropped 1 over-long and 0 over-wide jobs"]
+
+
 def test_worker_output_on_fd_1_goes_to_stderr(tmp_path, monkeypatch, capfd):
     # HiGHS writes stray lines straight to fd 1 from inside the pool
     # workers; the sweep's stdout must carry only the CLI's own lines

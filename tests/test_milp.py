@@ -11,7 +11,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as scipy_milp
-from scipy.optimize._highspy._core import HighsBasis, HighsStatus, _Highs
+from scipy.optimize._highspy._core import HighsBasis, HighsModelStatus, HighsStatus, _Highs
 
 import dcsched.milp
 import dcsched.stage
@@ -186,14 +186,11 @@ def test_unknown_variable_reference_rejected():
 
 def random_blocks(rng):
     """Two blocks of random (row, column, value) entries of a matrix of
-    random shape, and that shape. The entries are unsorted, with duplicates
-    (each place at most twice, so that any summation order gives the same
-    bits) and explicit zeros."""
+    random shape, and that shape. The entries are unsorted, each place at
+    most once, with explicit zeros."""
     shape = tuple(int(v) for v in rng.integers(1, 30, size=2))
     n = int(rng.integers(0, shape[0] * shape[1] // 2 + 1))
-    places = rng.choice(shape[0] * shape[1], size=n, replace=False)
-    twice = rng.choice(places, size=n // 3, replace=False)
-    rows, cols = np.divmod(rng.permutation(np.concatenate([places, twice])), shape[1])
+    rows, cols = np.divmod(rng.choice(shape[0] * shape[1], size=n, replace=False), shape[1])
     vals = rng.normal(size=len(rows))
     vals[rng.random(len(rows)) < 0.1] = 0.0
     half = len(rows) // 2
@@ -207,9 +204,16 @@ def test_csc_equals_scipys_matrix_of_the_same_blocks():
         rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
         oracle = sparse.csc_matrix((vals, (rows, cols)), shape=shape)
         assert_same_matrix(csc(blocks, shape), oracle)
-    # explicit zeros are kept, and so is a sum of duplicates that is 0
-    a = csc([(np.array([1, 0, 1]), np.array([0, 0, 0]), np.array([2.0, 0.0, -2.0]))], (2, 1))
-    assert (a.indptr.tolist(), a.indices.tolist(), a.data.tolist()) == ([0, 2], [0, 1], [0.0, 0.0])
+        if len(rows):
+            # a second entry at a place already taken is a builder's error
+            i = int(rng.integers(len(rows)))
+            again = (rows[i:i + 1], cols[i:i + 1], np.zeros(1))
+            named = f"^two entries at row {rows[i]}, column {cols[i]} of the {shape[0]} x {shape[1]}"
+            with pytest.raises(ValueError, match=named + " matrix$"):
+                csc([*blocks, again], shape)
+    # explicit zeros are kept
+    a = csc([(np.array([1, 0]), np.array([0, 0]), np.array([0.0, 2.0]))], (2, 1))
+    assert (a.indptr.tolist(), a.indices.tolist(), a.data.tolist()) == ([0, 2], [0, 1], [2.0, 0.0])
 
 
 def test_slice_subset_and_product_match_scipy_on_random_matrices():
@@ -308,15 +312,26 @@ def budget_model(cap, rhs=4.0, extra_row=False):
     return dense_model([2.0, 1.0], rows)
 
 
+def moved(model, cap, rhs=4.0):
+    """The two-row `budget_model` with the right-hand sides of `cap` and
+    `rhs`, on the very same matrix object, as the stage builder hands every
+    hour one."""
+    return dataclasses.replace(model, hi=np.array([rhs, cap]))
+
+
 def test_same_matrix_starts_from_the_stored_basis(lp_bases):
     warm = WarmStart()
-    first = solve(budget_model(3), warm=warm)
+    model = budget_model(3)
+    first = solve(model, warm=warm)
     assert warm.basis is not None
     # only a right-hand side moved: the relaxation starts from the basis
-    second = solve(budget_model(1), warm=warm)
+    second = solve(moved(model, 1), warm=warm)
     assert lp_bases == [False, True]
     assert (second.values[0], second.values[1]) == (1, 3)
     assert (first.values[0], first.values[1]) == (3, 1)
+    # an equal matrix that is another object solves cold
+    assert solve(budget_model(1), warm=warm).objective == pytest.approx(5.0)
+    assert lp_bases == [False, True, False]
 
 
 def test_changed_matrix_solves_cold(lp_bases):
@@ -340,13 +355,14 @@ def test_changed_matrix_solves_cold(lp_bases):
 
 def test_infeasible_relaxation_keeps_the_stored_basis(lp_bases):
     warm = WarmStart()
-    solve(budget_model(3), warm=warm)
+    model = budget_model(3)
+    solve(model, warm=warm)
     matrix, basis = warm.matrix, warm.basis
-    assert solve(budget_model(3, rhs=-1.0), warm=warm).status == "infeasible"
+    assert solve(moved(model, 3, rhs=-1.0), warm=warm).status == "infeasible"
     assert solve(budget_model(3, rhs=-1.0, extra_row=True), warm=warm).status == "infeasible"
     assert warm.matrix is matrix and warm.basis is basis
     assert lp_bases == [False, True, False]
-    assert solve(budget_model(2), warm=warm).objective == pytest.approx(6.0)
+    assert solve(moved(model, 2), warm=warm).objective == pytest.approx(6.0)
     assert lp_bases[-1] is True
 
 
@@ -388,8 +404,9 @@ def test_only_hot_relaxations_leave_the_highs_defaults(monkeypatch):
     # hot; with a rounding mask, its neighbourhood (x = 3, not within the
     # gap of 3.5) runs before full branch-and-bound, which it seeds
     warm = WarmStart()
+    model = dense_model([1.0], [([2.0], "<=", 7)])
     for rounded in (None, None, np.ones(1, dtype=bool)):
-        assert solve(dense_model([1.0], [([2.0], "<=", 7)]), warm=warm, rounded=rounded).values[0] == 3
+        assert solve(model, warm=warm, rounded=rounded).values[0] == 3
     # Devex pricing and no scaling on the hot relaxation only; Feasibility
     # Jump off on every branch-and-bound run, the neighbourhood included;
     # RENS, RINS and root reduced-cost fixing off on the seeded run only
@@ -571,12 +588,13 @@ def test_time_limit_hit_without_a_solution_is_an_error():
 def test_branch_and_bound_stopped_at_a_limit_returns_its_incumbent(first_incumbent, highs_calls):
     # the relaxation of this stage is fractional; branch-and-bound stops at
     # its first incumbent, short of gap_tol
+    runs = first_incumbent()
     model, _ = build_stage(random_stage(1))
     res = solve(model)
     assert highs_calls == ["LP", "MILP"]
     assert (res.status, res.message) == ("feasible-gap", "Solution limit reached")
     assert check_feasible(model, res.values) == []
-    assert res.gap == first_incumbent[-1].getInfo().mip_gap > 1e-4
+    assert res.gap == runs[-1].getInfo().mip_gap > 1e-4
     assert res.objective == pytest.approx(model.c @ res.values + model.constant)
 
 
@@ -602,3 +620,63 @@ def test_neighbourhood_counts_on_an_overload_loop(monkeypatch, highs_calls):
     # 15 settled by their neighbourhood, 4 by full branch-and-bound
     assert len(per_solve) == 37
     assert Counter(per_solve) == {("LP",): 18, ("LP", "MILP"): 15, ("LP", "MILP", "MILP"): 4}
+
+
+def test_neighbourhood_stopped_at_a_limit_keeps_its_incumbent(first_incumbent, given_starts,
+                                                              monkeypatch):
+    # this stage's neighbourhood, the second HiGHS run of a solve, stops at
+    # its first improving solution, as a limit stops it holding one
+    model, h = stage_models(random_stage(24))[1]
+    found = []
+    neighbourhood = dcsched.milp._neighbourhood
+
+    def recorded(*args):
+        found.append(neighbourhood(*args))
+        return found[-1]
+
+    monkeypatch.setattr(dcsched.milp, "_neighbourhood", recorded)
+    runs = first_incumbent(1, 4)
+    res = solve(model, gap_tol=1e-4, rounded=h.rounded)
+    assert runs[1].getModelStatus() == HighsModelStatus.kSolutionLimit
+    ((x, gap),) = found
+    assert check_feasible(model, x) == []
+    # short of gap_tol of the LP bound: it starts full branch-and-bound
+    assert len(runs) == 3 and gap > 1e-4
+    np.testing.assert_array_equal(given_starts[2], x[compact(model)[1]])
+    assert (res.status, len(given_starts)) == ("optimal", 3) and res.gap <= 1e-4
+    assert res.objective >= model.c @ x + model.constant
+    # HiGHS stopped further from its own bound than from the LP bound; with
+    # gap_tol between the two, the incumbent is certified against the LP
+    # bound and returned as optimal, with no full branch-and-bound
+    limit_gap = runs[1].getInfo().mip_gap
+    assert gap < limit_gap
+    tol = (gap + limit_gap) / 2
+    res = solve(model, gap_tol=tol, rounded=h.rounded)
+    assert len(runs) == 5 and runs[4].getModelStatus() == HighsModelStatus.kSolutionLimit
+    assert runs[4].getInfo().mip_gap > tol
+    assert found[1][1] == gap and (res.status, res.gap) == ("optimal", gap)
+    np.testing.assert_allclose(res.values, x, rtol=0, atol=INT_TOL)
+
+
+def test_neighbourhood_that_uses_up_the_time_hands_on_its_incumbent(first_incumbent, given_starts,
+                                                                    monkeypatch):
+    # the neighbourhood stops holding an uncertified incumbent, and the
+    # clock passes the deadline while it runs: full branch-and-bound gets
+    # no time, and HiGHS hands the start back unchanged, with no bound
+    clock = [0.0]
+    highs = dcsched.milp._scipy_milp
+
+    def slow(*args, **kwargs):
+        clock.append(clock[-1] + 10.0)
+        return highs(*args, **kwargs)
+
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", slow)
+    monkeypatch.setattr(dcsched.milp, "time", SimpleNamespace(perf_counter=lambda: clock[-1]))
+    model, h = stage_models(random_stage(24))[1]
+    runs = first_incumbent(1)
+    res = solve(model, time_limit=15.0, rounded=h.rounded)
+    assert runs[1].getModelStatus() == HighsModelStatus.kSolutionLimit
+    assert runs[2].getInfo().mip_node_count == 0
+    assert (res.status, res.message, res.gap) == ("feasible-gap", "Time limit reached", np.inf)
+    assert check_feasible(model, res.values) == []
+    np.testing.assert_array_equal(given_starts[2], res.values[compact(model)[1]])

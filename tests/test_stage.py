@@ -384,10 +384,11 @@ def test_time_limit_hit_without_a_solution_fails_the_stage():
 def test_incumbent_at_a_limit_is_a_feasible_gap_decision(first_incumbent):
     # branch-and-bound stops at its first incumbent, short of gap_tol: the
     # decision says so and still passes the independent re-check
+    runs = first_incumbent()
     inputs = random_stage(1)
     decision = solve_stage(inputs)
     assert decision.status == "feasible-gap"
-    assert decision.gap == first_incumbent[-1].getInfo().mip_gap > 1e-4
+    assert decision.gap == runs[-1].getInfo().mip_gap > 1e-4
     assert validate_decision(inputs, decision) == []
 
 
