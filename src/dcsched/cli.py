@@ -139,10 +139,12 @@ def _cell_name(cell: tuple) -> str:
     return f"{shape}_ce{lce:g}_pd{lpd:g}_T{t}_{mode}_s{seed}"
 
 
-def _run_cell(cfg: dict, totals: dict[JobClass, int], cell: tuple, out_dir: str) -> dict | str:
-    """Run one cell on the job mix `totals`; return its summary row, or an
-    error string if the run aborted (its partial trajectory is written) or
-    its set-up broke a domain invariant: plain data for the parent process."""
+def _run_cell(cfg: dict, totals: dict[JobClass, int], cell: tuple,
+              out_dir: str) -> tuple[dict, list[str]] | str:
+    """Run one cell on the job mix `totals`; return its summary row and its
+    own manifest lines, or an error string if the run aborted (its partial
+    trajectory is written) or its set-up broke a domain invariant: plain
+    data for the parent process."""
     name = _cell_name(cell)
     try:
         return _run_cell_or_raise(cfg, totals, cell, out_dir)
@@ -155,7 +157,8 @@ def _run_cell(cfg: dict, totals: dict[JobClass, int], cell: tuple, out_dir: str)
         return f"{type(exc).__name__}: {exc}"
 
 
-def _run_cell_or_raise(cfg: dict, totals: dict[JobClass, int], cell: tuple, out_dir: str) -> dict:
+def _run_cell_or_raise(cfg: dict, totals: dict[JobClass, int], cell: tuple,
+                       out_dir: str) -> tuple[dict, list[str]]:
     shape, lce, lpd, horizon_t, mode, seed = cell
     dc = _dc_config(cfg)
     profile = sample_arrivals(totals, shape, cfg["signals"]["hours"], seed)
@@ -175,8 +178,10 @@ def _run_cell_or_raise(cfg: dict, totals: dict[JobClass, int], cell: tuple, out_
         gap_tol=cfg["solver"]["gap"], time_limit=cfg["solver"]["time_limit_s"],
     )
     write_trajectory_csv(traj, os.path.join(out_dir, f"{name}_trajectory.csv"))
-    _write_manifest(cfg, cell, traj, os.path.join(out_dir, f"{name}_manifest.txt"))
-    return summary_row(traj, carbon, capacity, dc, label)
+    max_gap = max((rec.gap for rec in traj.records), default=0.0)
+    manifest = [f"cell {name}", f"stages {len(traj.records)}", f"max_mip_gap {max_gap:.3g}",
+                f"slack_events {traj.slack_events()}"]
+    return summary_row(traj, carbon, capacity, dc, label), manifest
 
 
 def _experiment_sha256(cfg: dict) -> str:
@@ -192,20 +197,6 @@ def _experiment_sha256(cfg: dict) -> str:
     return hashlib.sha256(dump_experiment(data).encode()).hexdigest()
 
 
-def _write_manifest(cfg: dict, cell: tuple, traj, path: str) -> None:
-    max_gap = max((rec.gap for rec in traj.records), default=0.0)
-    lines = [
-        f"dcsched {__version__}",
-        f"config_sha256 {_experiment_sha256(cfg)}",
-        f"cell {_cell_name(cell)}",
-        f"stages {len(traj.records)}",
-        f"max_mip_gap {max_gap:.3g}",
-        f"slack_events {traj.slack_events()}",
-        f"solver {solver_version()}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _stdout_to_stderr() -> None:
     """Point a pool worker's fd 1 at stderr, so that whatever a solve prints
     there (HiGHS's stray lines among it) stays out of the command's stdout."""
@@ -219,6 +210,7 @@ def cmd_run(cfg: dict) -> int:
     workers = cfg["solver"]["workers"]
     totals = _class_totals(cfg)  # read once: every cell draws from the one job mix
     rows: dict[tuple, dict] = {}
+    manifests: dict[tuple, list[str]] = {}
     failed = False
     with ProcessPoolExecutor(max_workers=workers, initializer=_stdout_to_stderr) as pool:
         futures = {
@@ -230,7 +222,13 @@ def cmd_run(cfg: dict) -> int:
                 failed = True
                 print(f"error: {_cell_name(cell)}: {result}", file=sys.stderr)
             else:
-                rows[cell] = result
+                rows[cell], manifests[cell] = result
+    # what every manifest of the sweep shares, found once, after the runs
+    head = [f"dcsched {__version__}", f"config_sha256 {_experiment_sha256(cfg)}"]
+    tail = [f"solver {solver_version()}"]
+    for cell, lines in manifests.items():
+        Path(out_dir, f"{_cell_name(cell)}_manifest.txt").write_text(
+            "\n".join(head + lines + tail) + "\n")
     ordered = [rows[cell] for cell in sorted(rows, key=_cell_name)]
     write_summary_csv(ordered, os.path.join(out_dir, "summary.csv"))
     print(f"wrote {len(ordered)} of {len(cells)} cells to {out_dir}/summary.csv")

@@ -179,7 +179,7 @@ def run(
 ) -> Trajectory:
     """Run the receding-horizon loop over hours 1..profile.horizon. Each
     hour's LP relaxation starts from the previous hour's optimal basis,
-    kept for this run only."""
+    moved one hour along the window and kept for this run only."""
     table = profile.table(classes)
     t_end = profile.horizon
     capacity_truth.require_hours(t_end)

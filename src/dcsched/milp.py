@@ -37,12 +37,15 @@ A receding-horizon run solves one relaxation an hour, and from hour to
 hour only the right-hand sides, the bounds and the objective move: the
 stage builder hands every hour one matrix object. A :class:`WarmStart`
 carried through the run lets each relaxation on it start from the previous
-hour's optimal basis, so HiGHS's dual simplex re-optimizes in a few
-iterations instead of solving from scratch. So few (about a dozen at fleet
-scale) that such a hot relaxation's cost is HiGHS's set-up, not its
-pivots: the hot run therefore uses Devex pricing and leaves the LP
-unscaled, where a cold relaxation and branch-and-bound keep HiGHS's
-defaults.
+hour's optimal basis moved one hour along the window (:class:`Shift`), so
+HiGHS's dual simplex re-optimizes in a few iterations instead of solving
+from scratch. So few (a handful at fleet scale) that such a hot
+relaxation's cost is HiGHS's set-up, not its pivots: the hot run therefore
+uses Devex pricing and leaves the LP unscaled, where a cold relaxation and
+branch-and-bound keep HiGHS's defaults. The basis is kept as HiGHS's
+status of each column and row, two int8 arrays read back from the basic
+variables and the solution, not from the lists of `getBasis()`, whose
+thousands of Python enum objects cost more than the pivots they save.
 """
 
 from __future__ import annotations
@@ -84,6 +87,7 @@ def _load_highs():
 
 _core = _load_highs()
 HighsBasis = _core.HighsBasis
+HighsBasisStatus = _core.HighsBasisStatus
 HighsModelStatus = _core.HighsModelStatus
 HighsStatus = _core.HighsStatus
 MatrixFormat = _core.MatrixFormat
@@ -91,6 +95,10 @@ ObjSense = _core.ObjSense
 _Highs = _core._Highs
 kSolutionStatusFeasible = _core.kSolutionStatusFeasible
 
+# HiGHS's basis status values, as the int8 arrays of a WarmStart hold them
+LOWER, BASIC, UPPER, ZERO = (int(HighsBasisStatus.kLower), int(HighsBasisStatus.kBasic),
+                             int(HighsBasisStatus.kUpper), int(HighsBasisStatus.kZero))
+_STATUSES = tuple(sorted(HighsBasisStatus.__members__.values(), key=int))  # by value
 INT_TOL = 1e-4  # largest distance from an integer HiGHS may leave an integer variable
 # the options of a relaxation started from a basis: Devex pricing, no scaling
 _HOT = [("simplex_dual_edge_weight_strategy", 1), ("simplex_scale_strategy", 0)]
@@ -230,28 +238,83 @@ class SolveResult:
     message: str = ""
 
 
+class Shift(NamedTuple):
+    """How a basis moves one hour along a receding window. Its entries are
+    the columns, then the rows (row i is entry n_cols + i): entry e takes
+    the status of entry source[e]. In each hour-indexed block, offset o
+    takes the status of offset o + 1 and the last offset, one of `last`,
+    keeps its own; the other entries keep theirs."""
+
+    source: np.ndarray
+    last: np.ndarray  # the last offset of each block, from the end of the basis backwards
+
+    def apply(self, basis: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """`basis` moved one hour along the window, and kept square: the
+        status the first offsets held leaves, and the last offsets' status
+        repeats, so the count of basic entries can drift from the count of
+        rows. The last offsets, in the order of `last`, absorb the
+        difference: basic ones give their status up (a column to its lower
+        bound, a row to its upper one), or nonbasic ones take it."""
+        status = np.concatenate(basis)[self.source]
+        n_cols, n_rows = map(len, basis)
+        excess = np.count_nonzero(status == BASIC) - n_rows
+        if excess > 0:
+            take = self.last[status[self.last] == BASIC][:excess]
+            status[take] = np.where(take < n_cols, LOWER, UPPER)
+        elif excess < 0:
+            status[self.last[status[self.last] != BASIC][:-excess]] = BASIC
+        return status[:n_cols], status[n_cols:]
+
+
 @dataclass
 class WarmStart:
-    """The optimal basis of the last relaxation one run solved, and the
-    constraint matrix object it belongs to; any other matrix, even an equal
-    one, solves cold. Kept per run, never shared, so a decision depends only
-    on the run's own history."""
+    """The optimal basis of the last relaxation one run solved, as HiGHS's
+    status of each column and of each row (int8 arrays of
+    `HighsBasisStatus` values), the constraint matrix object it belongs to
+    and the hour of the run it was found at; any other matrix, even an
+    equal one, solves cold. Kept per run, never shared, so a decision
+    depends only on the run's own history.
+
+    Before an hour's first relaxation, :meth:`move` lays the basis out for
+    that hour's window (`moved`); that relaxation starts from it, and a
+    second relaxation of the hour from the basis as found."""
 
     matrix: CscMatrix | None = None
-    basis: HighsBasis | None = None
+    basis: tuple[np.ndarray, np.ndarray] | None = None
+    hour: int = 0
+    moved: tuple[np.ndarray, np.ndarray] | None = None
 
-    def basis_for(self, a: CscMatrix) -> HighsBasis | None:
-        """The stored basis if `a` is the very object it was found on, else None."""
-        return self.basis if self.matrix is a else None
+    def basis_for(self, a: CscMatrix) -> tuple[np.ndarray, np.ndarray] | None:
+        """The basis to start a relaxation on `a` from: the moved one, once,
+        if there is one, else the stored one; None unless `a` is the very
+        object they were found on."""
+        if self.matrix is not a:
+            return None
+        start, self.moved = self.basis if self.moved is None else self.moved, None
+        return start
+
+    def move(self, a: CscMatrix, hour: int, shift: Shift) -> None:
+        """Lay the stored basis out for the window at `hour` when it was
+        found on `a`: one hour along the window (`shift`) for each hour
+        since it was found. A basis found from here on is found at
+        `hour`."""
+        self.moved = None
+        if self.matrix is a:
+            moved = self.basis
+            for _ in range(hour - self.hour):
+                moved = shift.apply(moved)
+            self.moved = moved
+        self.hour = hour
 
 
 def _scipy_milp(model: MilpModel, time_limit: float, gap_tol: float,
-                basis: HighsBasis | None = None, start: np.ndarray | None = None) -> _Highs:
+                basis: tuple[np.ndarray, np.ndarray] | None = None,
+                start: np.ndarray | None = None) -> _Highs:
     """Run scipy's bundled HiGHS on `model`, minimizing -c @ x, to relative
-    gap `gap_tol` within `time_limit` seconds, from `basis` when one is
-    given and with the column values `start` as the starting incumbent of
-    branch-and-bound when they are; return the finished run to read status,
-    solution and info from.
+    gap `gap_tol` within `time_limit` seconds, from `basis` (the status of
+    each column and row) when one is given and with the column values
+    `start` as the starting incumbent of branch-and-bound when they are;
+    return the finished run to read status, solution and info from.
 
     Every HiGHS call dcsched makes goes through here: the relaxation (a
     model with no integer column) as well as branch-and-bound, the
@@ -266,9 +329,10 @@ def _scipy_milp(model: MilpModel, time_limit: float, gap_tol: float,
     for far longer, keeps the defaults. Branch-and-bound keeps them too,
     but for Feasibility Jump (`_BNB`), and, given `start`, but for the
     sub-MIP heuristics that search for an incumbent (`_SEEDED`: RENS, RINS,
-    root reduced-cost fixing). Any option, model, basis or start
-    HiGHS refuses (a start of the wrong length, say) raises, so no run
-    silently falls back to a default.
+    root reduced-cost fixing). A basis with more or fewer basic entries
+    than rows goes to HiGHS as alien, for it to complete. Any option,
+    model, basis or start HiGHS refuses (a start or a basis of the wrong
+    length, say) raises, so no run silently falls back to a default.
     """
     highs = _Highs()
     options = [("output_flag", False), ("time_limit", float(time_limit)),
@@ -283,7 +347,12 @@ def _scipy_milp(model: MilpModel, time_limit: float, gap_tol: float,
                            model.hi, a.indptr, a.indices, a.data, model.integer.astype(np.int32)),
            "the model")
     if basis is not None:
-        _check(highs.setBasis(basis), "the starting basis")
+        col, row = basis
+        given = HighsBasis()
+        given.col_status = [_STATUSES[s] for s in col.tolist()]
+        given.row_status = [_STATUSES[s] for s in row.tolist()]
+        given.alien = np.count_nonzero(col == BASIC) + np.count_nonzero(row == BASIC) != len(row)
+        _check(highs.setBasis(given), "the starting basis")
     if start is not None:
         solution = _core.HighsSolution()
         solution.col_value, solution.value_valid = start, True
@@ -326,11 +395,13 @@ def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
     its solution. `time_limit` bounds all the runs of one call together. A
     neighbourhood stopped at a limit keeps its solution as if it had finished;
     full branch-and-bound stopped at a limit with an incumbent returns it as
-    `feasible-gap`, with the gap HiGHS reports.
+    `feasible-gap`. Full branch-and-bound's gap is the smaller of the one
+    HiGHS reports and the one to the LP bound (:func:`_lp_gap`), so a run
+    that stops holding only its start still reports a finite gap.
 
-    With `warm`, the relaxation starts from the stored basis when the
-    constraint matrix is the object it was found on, and an optimal relaxation
-    stores its basis there for the next call.
+    With `warm`, the relaxation starts from the basis it holds for the
+    constraint matrix object (:meth:`WarmStart.basis_for`), and an optimal
+    relaxation stores its basis there for the next call (:func:`_read_basis`).
 
     Integer variables in the returned values are rounded to the nearest
     integer; one further than INT_TOL from it is reported as an error.
@@ -347,14 +418,15 @@ def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
         status, gap, x = highs.getModelStatus(), 0.0, None
         message = highs.modelStatusToString(status)
         if status == HighsModelStatus.kOptimal:
-            x = np.array(highs.getSolution().col_value)
+            solution = highs.getSolution()
+            x = _floats(solution.col_value)
             if warm is not None:
-                warm.matrix, warm.basis = a, highs.getBasis()
+                warm.matrix, warm.basis = a, _read_basis(highs, solution, model, x)
         if status != HighsModelStatus.kInfeasible and (x is None or _fractional(x[integer]).any()):
             del highs  # free the relaxation's solver first: it holds megabytes at fleet scale
-            found = None
-            if x is not None and rounded is not None:
-                found = _neighbourhood(model, x, rounded, deadline, gap_tol)
+            x_lp, found = x, None
+            if x_lp is not None and rounded is not None:
+                found = _neighbourhood(model, x_lp, rounded, deadline, gap_tol)
             if found is not None and found[1] <= gap_tol:
                 x, gap = found
             else:
@@ -364,6 +436,8 @@ def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
                 message = highs.modelStatusToString(status)
                 if x is not None:
                     gap = highs.getInfo().mip_gap
+                    if x_lp is not None:
+                        gap = min(gap, _lp_gap(model, x, x_lp))
     except Exception as exc:  # backend failure
         return SolveResult("error", None, None, np.inf, f"backend failure: {exc}")
 
@@ -403,12 +477,52 @@ def _neighbourhood(model: MilpModel, x_lp: np.ndarray, rounded: np.ndarray, dead
     lb = np.where(rounded, np.maximum(model.lb, np.floor(x_lp + INT_TOL)), model.lb)
     ub = np.where(rounded, np.minimum(model.ub, np.ceil(x_lp - INT_TOL)), model.ub)
     _, x = _branch_and_bound(replace(model, lb=lb, ub=ub), deadline, gap_tol)
-    if x is None:
-        return None
+    return None if x is None else (x, _lp_gap(model, x, x_lp))
+
+
+def _lp_gap(model: MilpModel, x: np.ndarray, x_lp: np.ndarray) -> float:
+    """The gap of the solution `x` to the LP optimum `x_lp` of `model`, as
+    HiGHS reports `mip_gap`: |primal - bound| / |primal|, both on the
+    objective branch-and-bound sees, c @ x over the columns of
+    :func:`compact`, without the constant."""
     free = model.lb != model.ub
     primal, bound = float(model.c[free] @ x[free]), float(model.c[free] @ x_lp[free])
-    gap = 0.0 if primal == bound else abs(primal - bound) / abs(primal) if primal else np.inf
-    return x, gap
+    return 0.0 if primal == bound else abs(primal - bound) / abs(primal) if primal else np.inf
+
+
+def _read_basis(highs: _Highs, solution, model: MilpModel,
+                x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The status of each column and row of `model` in the optimal basis of
+    the finished relaxation `highs`, whose `solution` gave the column
+    values `x`: what `getBasis()` lists, without its enum objects.
+
+    The basic entries are the ones `getBasicVariables()` names. A nonbasic
+    entry sits at the bound its value is nearer to, and a free one is Zero;
+    at equal bounds the dual decides: a fixed column is Upper when its dual
+    is negative, an equality row when its dual is positive."""
+    n = len(x)
+    status = np.concatenate([
+        _at_bound(x, model.lb, model.ub, _floats(solution.col_dual) < 0),
+        _at_bound(_floats(solution.row_value), model.lo, model.hi,
+                  _floats(solution.row_dual) > 0)])
+    basic = highs.getBasicVariables()[1]
+    status[np.where(basic >= 0, basic, n - 1 - basic)] = BASIC
+    return status[:n], status[n:]
+
+
+def _floats(values: list[float]) -> np.ndarray:
+    """A list HiGHS hands back as an array; `fromiter` skips the type
+    inference `np.array` makes on every entry."""
+    return np.fromiter(values, float, len(values))
+
+
+def _at_bound(value: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+              upper_if_fixed: np.ndarray) -> np.ndarray:
+    """The nonbasic status of each entry of `value` within [lo, hi]."""
+    status = np.where(np.abs(value - lo) <= np.abs(value - hi), LOWER, UPPER).astype(np.int8)
+    status[lo == hi] = np.where(upper_if_fixed[lo == hi], UPPER, LOWER)
+    status[(lo == -np.inf) & (hi == np.inf)] = ZERO
+    return status
 
 
 def _branch_and_bound(model: MilpModel, deadline: float, gap_tol: float,

@@ -25,7 +25,7 @@ from .core import (
     max_runtime_of,
     power_of,
 )
-from .milp import CscMatrix, MilpModel, WarmStart, csc, solve
+from .milp import CscMatrix, MilpModel, Shift, WarmStart, csc, solve
 
 
 class StageError(RuntimeError):
@@ -144,6 +144,8 @@ class _StageHandles:
     # terminations; the occupancy rows tie m and PD to them. Slack keeps its
     # bounds: where the LP left it at 0, the neighbourhood may still need it
     rounded: np.ndarray
+    # how the previous hour's basis moves onto this hour's window
+    shift: Shift
 
 
 def _spans(first: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,13 +177,29 @@ def start_block(k: np.ndarray, servers: np.ndarray, runtime: np.ndarray,
     return cls, off, occupancy, allocation
 
 
+def _shift(first: np.ndarray, length: np.ndarray, n: int) -> Shift:
+    """The move of a basis of n entries one hour along the blocks of
+    `length` entries from `first`: entry first + o takes the status of
+    entry first + min(o + 1, length - 1), and an entry in no block keeps
+    its own. The blocks come in increasing order."""
+    source = np.arange(n)
+    block, entry = _spans(first, length)
+    last = first + length - 1
+    source[entry] = np.minimum(entry + 1, last[block])
+    return Shift(source, last[length > 1][::-1])
+
+
 @lru_cache(maxsize=8)
 def _stage_matrix(classes: tuple[JobClass, ...], t_h: int, slope: float,
-                  terms: tuple[tuple[int, int], ...]) -> CscMatrix:
+                  terms: tuple[tuple[int, int], ...]) -> tuple[CscMatrix, Shift]:
     """The stage's constraint matrix, which depends on nothing but these:
     the classes, the window length, the power slope and each termination
     column's (servers, hours left from r). Built once per such shape and
-    shared, read-only, by every stage that has it."""
+    shared, read-only, by every stage that has it, with the map that moves
+    its basis one hour along the window: the start columns of each class,
+    the m columns and the occupancy, allocation, capacity and peak rows
+    move; the termination columns, PD, the slack columns and the clearance
+    rows do not."""
     n_c, n_pad = len(classes), t_h + max_runtime_of(classes) - 1
     servers, runtime = class_table(classes)
     cls, _, occupancy, allocation = start_block(np.full(n_c, t_h), servers, runtime, t_h, n_pad)
@@ -207,9 +225,15 @@ def _stage_matrix(classes: tuple[JobClass, ...], t_h: int, slope: float,
         (clr + cl_i, pd + 1 + cl_i, np.ones(n_c)),
     ]
     a = csc(entries, (pk + t_h, pd + 1 + n_c))
-    for part in (a.data, a.indices, a.indptr):
+    # the basis's entries are the columns, then the rows
+    n = a.shape[1]
+    first = np.concatenate([np.arange(n_c) * t_h, [m0, n], n + n_pad + np.arange(n_c) * t_h,
+                            [n + cap, n + pk]])
+    length = np.concatenate([np.full(n_c, t_h), [n_pad, n_pad], np.full(n_c + 2, t_h)])
+    shift = _shift(first, length, n + a.shape[0])
+    for part in (a.data, a.indices, a.indptr, *shift):
         part.flags.writeable = False
-    return a
+    return a, shift
 
 
 def build_stage(inputs: StageInputs) -> tuple[MilpModel, _StageHandles]:
@@ -223,7 +247,8 @@ def build_stage(inputs: StageInputs) -> tuple[MilpModel, _StageHandles]:
     clearance rows of classes with no admissible start are free. The slack
     columns are closed by their bounds. So every stage of a run without
     terminations receives the same matrix object, and each relaxation can
-    start from the basis of the hour before.
+    start from the basis of the hour before, moved one hour along the
+    window.
     """
     r, cfg, t_h = inputs.state.stage, inputs.cfg, inputs.horizons.t_h
     b, classes = inputs.bounds, inputs.classes
@@ -241,8 +266,8 @@ def build_stage(inputs: StageInputs) -> tuple[MilpModel, _StageHandles]:
     if b.held[0] > b.capacity[0]:
         hour, cut = np.nonzero(running[:, ::-1].T)
         age = running.shape[1] - hour
-    a = _stage_matrix(classes, t_h, cfg.slope_mw_per_server,
-                      tuple(zip(b.servers[cut].tolist(), (b.runtime[cut] - age).tolist())))
+    a, shift = _stage_matrix(classes, t_h, cfg.slope_mw_per_server,
+                             tuple(zip(b.servers[cut].tolist(), (b.runtime[cut] - age).tolist())))
     n = a.shape[1]
     cls, off = np.divmod(np.arange(n_c * t_h), t_h)
     n_s, m0 = len(cls), len(cls) + len(cut)
@@ -281,7 +306,7 @@ def build_stage(inputs: StageInputs) -> tuple[MilpModel, _StageHandles]:
     rounded = np.ones(n, dtype=bool)
     rounded[m0:] = False
     h = _StageHandles([(classes[i], t_b) for i, t_b in zip(cut.tolist(), (r - age).tolist())],
-                      m0, pd, rounded)
+                      m0, pd, rounded, shift)
     return MilpModel(obj, np.zeros(n), ub, integer, a, lo, hi, constant), h
 
 
@@ -302,10 +327,15 @@ def solve_stage(
     slack columns of the classes with a clearance rule, re-solve at their
     penalty and return the relaxed optimum. Both solves share the one
     matrix, so `warm` carries the run's last optimal relaxation basis into
-    each; a fractional relaxation has its starts and terminations rounded
-    in its neighbourhood before full branch-and-bound."""
+    each: the first starts from it moved one hour along the window, the
+    re-solve from the stored basis unmoved (from the moved one, overload
+    stages fall on other tied optima). A fractional relaxation has its
+    starts and terminations rounded in its neighbourhood before full
+    branch-and-bound."""
     r = inputs.state.stage
     model, h = build_stage(inputs)
+    if warm is not None:
+        warm.move(model.a, r, h.shift)
     res = solve(model, gap_tol=gap_tol, time_limit=time_limit, warm=warm, rounded=h.rounded)
     if res.status == "infeasible":
         ub = model.ub.copy()

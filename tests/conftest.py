@@ -58,6 +58,24 @@ def highs_calls(monkeypatch):
 
 
 @pytest.fixture
+def lp_iterations(monkeypatch):
+    """Record each relaxation (a model with no integer column) run through
+    `dcsched.milp._scipy_milp`, in order, as (given a starting basis, its
+    simplex iterations)."""
+    runs = []
+    highs = dcsched.milp._scipy_milp
+
+    def counted(model, time_limit, gap_tol, basis=None, start=None):
+        run = highs(model, time_limit, gap_tol, basis, start=start)
+        if not model.integer.any():
+            runs.append((basis is not None, run.getInfo().simplex_iteration_count))
+        return run
+
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", counted)
+    return runs
+
+
+@pytest.fixture
 def given_starts(monkeypatch):
     """Record the starting solution each HiGHS run made through
     `dcsched.milp._scipy_milp` was given (None for none), in order."""

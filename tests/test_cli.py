@@ -1,10 +1,12 @@
 import csv
 import logging
 import os
+from pathlib import Path
 
 import pytest
 
 import dcsched.cli
+import dcsched.core
 import dcsched.engine
 import dcsched.milp
 from dcsched.cli import main
@@ -203,6 +205,40 @@ def test_trace_is_read_once_per_sweep(tmp_path, capfd):
     assert captured.out.splitlines() == [f"wrote 2 of 2 cells to {tmp_path}/results/summary.csv"]
     dropped = [line for line in captured.err.splitlines() if line.startswith("trace: dropped")]
     assert dropped == ["trace: dropped 1 over-long and 0 over-wide jobs"]
+
+
+def test_manifests_hash_the_trace_once_per_sweep(tmp_path, monkeypatch):
+    # three cells: the config check and the class mix read the trace, and
+    # the manifests' experiment hash reads it once for the whole sweep, in
+    # whichever process
+    trace = tmp_path / "trace.csv"
+    trace.write_text("job_id,servers,runtime_hours\n"
+                     + "".join(f"j{i},{1 + i % 2},{1 + i % 4}\n" for i in range(30)))
+    log = tmp_path / "reads.txt"
+    read_bytes, builtin_open = Path.read_bytes, open
+
+    def logged(what):
+        def read(path, *args, **kwargs):
+            if Path(path) == trace:
+                with builtin_open(log, "a") as fh:
+                    fh.write(what + "\n")
+            return (read_bytes if what == "hash" else builtin_open)(path, *args, **kwargs)
+        return read
+
+    # fork-started pool workers inherit the patches
+    monkeypatch.setattr(Path, "read_bytes", logged("hash"))
+    monkeypatch.setattr(dcsched.core, "open", logged("rows"), raising=False)
+    path = tmp_path / "trace.yaml"
+    path.write_text(TINY.format(out=tmp_path / "results")
+                    .replace("profiles:\n", f"profiles:\n  source: trace\n  trace_csv: {trace}\n")
+                    .replace("seeds: [1]", "seeds: [1, 2, 3]"))
+    assert main(["run", str(path)]) == 0
+    assert log.read_text().splitlines() == ["rows", "rows", "hash"]
+    manifests = sorted((tmp_path / "results").glob("*_manifest.txt"))
+    assert len(manifests) == 3
+    expected = f"config_sha256 {dcsched.cli._experiment_sha256(load_config(str(path)))}"
+    for manifest in manifests:
+        assert manifest.read_text().splitlines()[1] == expected
 
 
 def test_worker_output_on_fd_1_goes_to_stderr(tmp_path, monkeypatch, capfd):

@@ -9,7 +9,8 @@ The HiGHS runs of each loop are pinned by kind: a relaxation given the
 previous hour's basis ("LP hot"), one started cold ("LP cold"),
 branch-and-bound given a starting incumbent, which is full branch-and-bound
 after an uncertified neighbourhood ("MILP seeded"), and any other
-branch-and-bound, the neighbourhood included ("MILP").
+branch-and-bound, the neighbourhood included ("MILP"). So are the simplex
+iterations of the desk and fleet loops' hot relaxations.
 
 The pins are tied to HiGHS 1.12.0 as scipy 1.17.1 bundles it: a change of
 scipy re-pins them and says so. A change that moves a decision re-pins them
@@ -145,18 +146,41 @@ def test_overload_cell_decisions_are_pinned(recorded, tmp_path):
     )
 
 
-def test_fleet_shaped_decisions_are_pinned(recorded):
-    # 60 classes on 20,000 servers: every relaxation after the first starts
-    # from the basis of the hour before
-    decisions, runs = recorded
-    hours = 36
+def run_fleet(hours):
+    """A fleet-shaped closed loop of `hours` hours: 60 classes on 20,000
+    servers, a 24-hour window."""
     totals = synthetic_jobs(30000, (1, 2, 4, 8, 16), 12, seed=0)
     assert len(totals) == 60
     run(DCConfig(20000, 100.0, 30.0), sample_arrivals(totals, "small_var", hours, seed=5),
         tuple(sorted(totals)), constant_capacity(20000, hours), synthetic_carbon(hours),
         HorizonConfig(24, 24, 24), ObjectiveWeights(lambda_ce=0.1, lambda_pd=5.0))
+
+
+def test_fleet_shaped_decisions_are_pinned(recorded):
+    # 60 classes on 20,000 servers: every relaxation after the first starts
+    # from the basis of the hour before
+    decisions, runs = recorded
+    hours = 36
+    run_fleet(hours)
     assert len(decisions) == hours
     assert dict(runs) == {"LP cold": 1, "LP hot": 35}
     assert digest(decisions) == (
         "770d95efd1e48ebd82f5889f2bab5d9439c867c8c7e5d27f6884e3d23de75350"
     )
+
+
+# The simplex iterations of the relaxations that start from the basis of the
+# hour before, moved one hour along the window. Started from that basis as
+# it was, the desk cell's 23 took 914 and the fleet loop's 35 took 1,760.
+
+
+def test_desk_cell_hot_relaxation_iterations_are_pinned(lp_iterations, tmp_path):
+    run_cell(tmp_path, DESK_CELL)
+    hot = [n for given, n in lp_iterations if given]
+    assert (len(hot), sum(hot)) == (23, 387)
+
+
+def test_fleet_shaped_hot_relaxation_iterations_are_pinned(lp_iterations):
+    run_fleet(36)
+    hot = [n for given, n in lp_iterations if given]
+    assert (len(hot), sum(hot)) == (35, 157)

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -11,16 +12,18 @@ import pytest
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as scipy_milp
-from scipy.optimize._highspy._core import HighsBasis, HighsModelStatus, HighsStatus, _Highs
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 import dcsched.milp
 import dcsched.stage
 from dcsched.core import HorizonConfig, ObjectiveWeights
 from dcsched.engine import run
-from dcsched.milp import INT_TOL, MilpModel, WarmStart, compact, csc, solve
+from dcsched.milp import (BASIC, INT_TOL, LOWER, UPPER, MilpModel, Shift, WarmStart, compact, csc,
+                          solve)
 from dcsched.signals import noisy_forecast, synthetic_carbon
 from dcsched.stage import build_stage, solve_stage, validate_decision
 from conftest import stage_models
+import test_decisions
 from test_acceptance import DESK, _c7_profile, _cliff_capacity
 from test_stage import assert_same_matrix, check_feasible, random_stage, scipy_csc
 
@@ -368,14 +371,78 @@ def test_infeasible_relaxation_keeps_the_stored_basis(lp_bases):
 
 def test_refused_option_or_basis_fails_the_solve():
     # HiGHS refuses these and would otherwise run on with its default: no
-    # time limit, the default gap, or a cold start
+    # time limit, the default gap, or a cold start; the bases have a status
+    # too many or too few, square or not
     model = budget_model(3)
+    short = (np.array([BASIC], dtype=np.int8), np.array([BASIC, UPPER], dtype=np.int8))
+    long = (np.array([BASIC, BASIC, BASIC], dtype=np.int8), np.array([UPPER, UPPER], dtype=np.int8))
     for kwargs, named in (({"time_limit": -1.0}, "option time_limit = -1.0"),
                           ({"gap_tol": -1.0}, "option mip_rel_gap = -1.0"),
-                          ({"warm": WarmStart(model.a, HighsBasis())}, "the starting basis")):
+                          ({"warm": WarmStart(model.a, short)}, "the starting basis"),
+                          ({"warm": WarmStart(model.a, long)}, "the starting basis")):
         res = solve(model, **kwargs)
         assert (res.status, res.values) == ("error", None), kwargs
         assert res.message == f"backend failure: HiGHS refused {named}"
+
+
+def test_a_basis_that_is_not_square_goes_to_highs_as_alien(lp_bases):
+    # no basic entry at all: HiGHS completes it and solves from it
+    model = budget_model(3)
+    nonbasic = (np.full(2, LOWER, dtype=np.int8), np.full(2, UPPER, dtype=np.int8))
+    res = solve(model, warm=WarmStart(model.a, nonbasic))
+    assert (res.status, res.objective) == ("optimal", pytest.approx(7.0))
+    assert lp_bases == [True]
+
+
+def test_a_moved_basis_stays_square():
+    # two columns, then two rows, each pair one hour-indexed block: entry 0
+    # takes the status of entry 1, entry 2 that of entry 3; the last
+    # offsets, rows first, give up or take the basic statuses in excess
+    shift = Shift(np.array([1, 1, 3, 3]), np.array([3, 1]))
+
+    def moved(cols, rows):
+        return [s.tolist() for s in shift.apply((np.array(cols, dtype=np.int8),
+                                                 np.array(rows, dtype=np.int8)))]
+
+    # square as moved
+    assert moved([BASIC, LOWER], [UPPER, BASIC]) == [[LOWER, LOWER], [BASIC, BASIC]]
+    # two basic statuses leave: both last offsets take one
+    assert moved([BASIC, LOWER], [BASIC, UPPER]) == [[LOWER, BASIC], [UPPER, BASIC]]
+    # two repeat: both give theirs up, the column to its lower bound, the
+    # row to its upper one
+    assert moved([LOWER, BASIC], [LOWER, BASIC]) == [[BASIC, LOWER], [BASIC, UPPER]]
+
+
+def test_the_basis_read_back_equals_highs_own(monkeypatch, tmp_path):
+    # every optimal relaxation of the random stages (cold) and of the desk
+    # and overload loops of test_decisions (hot and cold, with
+    # terminations and slack): the statuses kept are the ones getBasis()
+    # lists, the fixed columns and the equality rows included
+    seen = Counter()
+    read_basis = dcsched.milp._read_basis
+
+    def checked(highs, solution, model, x):
+        col, row = read_basis(highs, solution, model, x)
+        basis = highs.getBasis()
+        assert col.tolist() == [int(s) for s in basis.col_status]
+        assert row.tolist() == [int(s) for s in basis.row_status]
+        fixed, equality = model.lb == model.ub, model.lo == model.hi
+        for name, status in (("fixed", col[fixed]), ("equality", row[equality])):
+            seen[name, "upper"] += np.count_nonzero(status == UPPER)
+            seen[name, "lower"] += np.count_nonzero(status == LOWER)
+        seen["relaxations"] += 1
+        return col, row
+
+    monkeypatch.setattr(dcsched.milp, "_read_basis", checked)
+    for seed in range(40):
+        for model, _ in stage_models(random_stage(seed)):
+            solve(dataclasses.replace(model, integer=np.zeros_like(model.integer)), warm=WarmStart())
+    for cell in (test_decisions.DESK_CELL, test_decisions.OVERLOAD_CELL):
+        (tmp_path / "cell").mkdir()
+        test_decisions.run_cell(tmp_path / "cell", cell)
+        shutil.rmtree(tmp_path / "cell")
+    assert seen["relaxations"] > 100
+    assert min(seen.values()) > 0, seen
 
 
 HOT_OPTIONS = ("simplex_dual_edge_weight_strategy", "simplex_scale_strategy")
@@ -662,7 +729,8 @@ def test_neighbourhood_that_uses_up_the_time_hands_on_its_incumbent(first_incumb
                                                                     monkeypatch):
     # the neighbourhood stops holding an uncertified incumbent, and the
     # clock passes the deadline while it runs: full branch-and-bound gets
-    # no time, and HiGHS hands the start back unchanged, with no bound
+    # no time, and HiGHS hands the start back unchanged, with no bound; the
+    # gap reported is the one to the LP bound
     clock = [0.0]
     highs = dcsched.milp._scipy_milp
 
@@ -677,6 +745,12 @@ def test_neighbourhood_that_uses_up_the_time_hands_on_its_incumbent(first_incumb
     res = solve(model, time_limit=15.0, rounded=h.rounded)
     assert runs[1].getModelStatus() == HighsModelStatus.kSolutionLimit
     assert runs[2].getInfo().mip_node_count == 0
-    assert (res.status, res.message, res.gap) == ("feasible-gap", "Time limit reached", np.inf)
+    assert runs[2].getInfo().mip_gap == np.inf
+    assert (res.status, res.message) == ("feasible-gap", "Time limit reached")
+    # on the objective branch-and-bound sees: the compacted columns, no constant
+    live, x_lp = compact(model)[1], np.array(runs[0].getSolution().col_value)
+    primal, bound = model.c[live] @ res.values[live], model.c[live] @ x_lp[live]
+    assert res.gap == pytest.approx(abs(primal - bound) / abs(primal))
+    assert 0 < res.gap < 1
     assert check_feasible(model, res.values) == []
     np.testing.assert_array_equal(given_starts[2], res.values[compact(model)[1]])

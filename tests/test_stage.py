@@ -9,6 +9,7 @@ from scipy import sparse
 
 from conftest import running_of, stage_models, state_of
 import dcsched.milp
+from scipy.optimize._highspy._core import HighsModelStatus
 from dcsched.milp import CscMatrix, MilpModel, WarmStart, compact
 from dcsched.core import (
     ArrivalProfile,
@@ -244,6 +245,118 @@ def test_stages_of_a_run_share_one_matrix(monkeypatch):
     assert matrix_digest(a) == digest
 
 
+def test_the_basis_moves_one_hour_along_each_hour_indexed_block():
+    # a 4-hour window over classes of up to 3 hours: 6 m columns and 6
+    # occupancy rows; a stage without terminations and one with two
+    steady = make_inputs(state_of(2, AGREE_CLASSES, queued={C11: 1}), capacity=12,
+                         cfg=AGREE_CFG)
+    state = state_of(3, AGREE_CLASSES, running={(C22, 2): 1, (C23, 1): 1}, queued={C11: 1})
+    cut = make_inputs(state, capacity=1, t_end=7, cfg=AGREE_CFG)
+    n_c, t_h, n_pad = 4, 4, 6
+    for inputs, n_terms in ((steady, 0), (cut, 2)):
+        model, h = build_stage(inputs)
+        n_rows, n_cols = model.a.shape
+        n_s = n_c * t_h
+        assert len(h.terms) == n_terms and h.m0 == n_s + n_terms
+        # rows: occupancy, allocation, clearance, capacity, peak; the
+        # basis's entries are the columns, then the rows
+        clr = n_cols + n_pad + n_c * t_h
+        blocks = ([(i * t_h, t_h) for i in range(n_c)] + [(h.m0, n_pad), (n_cols, n_pad)]
+                  + [(n_cols + n_pad + i * t_h, t_h) for i in range(n_c)]
+                  + [(clr + n_c, t_h), (clr + n_c + t_h, t_h)])
+        source = list(range(n_cols + n_rows))
+        for first, length in blocks:
+            for o in range(length):
+                source[first + o] = first + min(o + 1, length - 1)
+        assert h.shift.source.tolist() == source
+        last = sorted(first + length - 1 for first, length in blocks)
+        assert h.shift.last.tolist() == last[::-1]
+        # the terminations, PD, the slack and the clearance rows keep theirs
+        kept = [e for e, s in enumerate(source) if e == s and e not in last]
+        assert kept == [*range(n_s, h.m0), h.peak, *range(h.peak + 1, n_cols),
+                        *range(clr, clr + n_c)]
+        assert h.peak + 1 + n_c == n_cols and clr + n_c + 2 * t_h == n_cols + n_rows
+
+
+def test_the_slack_re_solve_starts_from_the_basis_as_found(monkeypatch):
+    # hour 2 leaves its basis; at hour 3 two (2,2) jobs to clear on one
+    # server make the closed relaxation infeasible: it starts from the
+    # basis moved one hour along, the re-solve with the slack opened from
+    # the basis as hour 2 left it
+    given = []
+    highs = dcsched.milp._scipy_milp
+
+    def recorded(model, time_limit, gap_tol, basis=None, start=None):
+        if not model.integer.any():
+            given.append(basis)
+        return highs(model, time_limit, gap_tol, basis, start=start)
+
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", recorded)
+    warm = WarmStart()
+    solve_stage(make_inputs(state_of(2, AGREE_CLASSES, queued={C11: 1, C23: 1}), capacity=12,
+                            t_end=7, cfg=AGREE_CFG), warm=warm)
+    found = warm.basis
+    infeasible = make_inputs(state_of(3, AGREE_CLASSES, queued={C22: 2}), capacity=1, t_end=7,
+                             cfg=AGREE_CFG)
+    model, h = build_stage(infeasible)
+    assert warm.matrix is model.a and warm.hour == 2
+    given.clear()
+    assert solve_stage(infeasible, warm=warm).slack.tolist() == [0, 0, 2, 0]
+    assert len(given) == 2 and given[1] is found
+    moved = h.shift.apply(found)
+    assert not all(np.array_equal(m, f) for m, f in zip(moved, found))
+    for mine, theirs in zip(given[0], moved):
+        np.testing.assert_array_equal(mine, theirs)
+    assert warm.hour == 3 and warm.basis is not found and warm.moved is None
+
+
+def without_shortfall(inputs):
+    """`inputs` with the capacity at r raised to the whole fleet, so that no
+    job is terminated and the stage has the run's one matrix."""
+    capacity = inputs.capacity_forecast.copy()
+    capacity[0] = inputs.cfg.total_servers
+    return dataclasses.replace(inputs, capacity_forecast=capacity)
+
+
+def test_moved_bases_reach_the_cold_optimum_on_random_two_hour_sequences(monkeypatch):
+    # two hours of one run on one matrix, the end of the run cutting the
+    # window of many: each relaxation of the second hour, started from the
+    # first hour's basis moved one hour along, ends as a cold start does
+    relaxations = []
+    highs = dcsched.milp._scipy_milp
+
+    def recorded(model, time_limit, gap_tol, basis=None, start=None):
+        run = highs(model, time_limit, gap_tol, basis, start=start)
+        if not model.integer.any():
+            status = run.getModelStatus()
+            objective = run.getInfo().objective_function_value
+            relaxations.append((basis is not None, status.name,
+                                objective if status == HighsModelStatus.kOptimal else None))
+        return run
+
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", recorded)
+    hot = cut = 0
+    for seed in range(40):
+        first = without_shortfall(random_stage(seed))
+        r = first.state.stage
+        second = without_shortfall(random_stage(seed + 40, r=r + 1, t_end=first.t_end))
+        assert build_stage(second)[0].a is build_stage(first)[0].a
+        warm = WarmStart()
+        solve_stage(first, warm=warm)
+        relaxations.clear()
+        solve_stage(second, warm=warm)
+        moved = relaxations[:]
+        relaxations.clear()
+        solve_stage(second)
+        assert [given for given, *_ in relaxations] == [False] * len(relaxations)
+        assert [end for _, *end in moved] == [
+            [status, pytest.approx(objective, rel=1e-9, abs=1e-9)]
+            for _, status, objective in relaxations]
+        hot += moved[0][0]
+        cut += len(second.window()) < 4
+    assert (hot, cut) == (40, 25)
+
+
 def test_validate_decision_reports_what_the_model_has_no_column_for():
     # the run ends at hour 4: at stage 2 the window is hours 2..4 of the
     # 4-hour layout, a (1,4) job may not start at all and nothing of (1,1)
@@ -345,12 +458,14 @@ AGREE_CFG = DCConfig(total_servers=12, p_peak_mw=10.0, p_idle_mw=2.0)
 AGREE_CLASSES = (C11, C12, C22, C23)
 
 
-def random_stage(seed):
+def random_stage(seed, r=None, t_end=None):
     """A small stage with running jobs, a queue, forecast arrivals, a
     capacity that may fall under the running jobs at r, and an end of run
-    inside the window or late enough for every start in it to finish."""
+    inside the window or late enough for every start in it to finish; at
+    hour `r` and with the end of run `t_end` when they are given."""
     rng = random.Random(seed)
-    r = rng.randint(2, 5)
+    drawn = rng.randint(2, 5)
+    r = drawn if r is None else r
     running = {
         (c, t_b): 1
         for c in AGREE_CLASSES
@@ -361,7 +476,8 @@ def random_stage(seed):
     state = state_of(r, AGREE_CLASSES, running=running, queued=queued)
     hz = HorizonConfig(t_h=4, t_j=4, t_c=4)
     # r + 5: a 3-hour job started at the window's last hour, r + 3, ends then
-    t_end = rng.choice([r + 5, r + 1, r + 2])
+    drawn = rng.choice([r + 5, r + 1, r + 2])
+    t_end = drawn if t_end is None else t_end
     last = min(r + 3, t_end)
     ts = range(r, last + 1)
     return StageInputs(
