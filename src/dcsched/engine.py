@@ -26,9 +26,8 @@ from .core import (
     class_table,
     held_servers,
 )
-from .milp import WarmStart
 from .signals import SignalSeries
-from .stage import StageError, StageInputs, solve_stage
+from .stage import StageError, StageInputs, WarmStart, solve_stage
 
 
 @dataclass

@@ -33,18 +33,15 @@ sub-MIP searches for one (RENS, RINS and root reduced-cost fixing), which
 repeated the neighbourhood's search and took over a third of the time of
 the desk grid's seeded runs; it still proves the gap tolerance.
 
-A receding-horizon run solves one relaxation an hour, and from hour to
-hour only the right-hand sides, the bounds and the objective move: the
-stage builder hands every hour one matrix object. A :class:`WarmStart`
-carried through the run lets each relaxation on it start from the previous
-hour's optimal basis moved one hour along the window (:class:`Shift`), so
-HiGHS's dual simplex re-optimizes in a few iterations instead of solving
-from scratch. So few (a handful at fleet scale) that such a hot
-relaxation's cost is HiGHS's set-up, not its pivots: the hot run therefore
-uses Devex pricing and leaves the LP unscaled, where a cold relaxation and
-branch-and-bound keep HiGHS's defaults. The basis is kept as HiGHS's
-status of each column and row, two int8 arrays read back from the basic
-variables and the solution, not from the lists of `getBasis()`, whose
+:func:`solve` returns the basis of every optimal relaxation it solves
+(:func:`_read_basis`) and may start a relaxation from a given basis, so a
+caller that solves a sequence of like models can start each from the one
+before. HiGHS's dual simplex re-optimizes from such a basis in so few
+iterations that a hot relaxation's cost is HiGHS's set-up, not its pivots:
+the hot run therefore uses Devex pricing and leaves the LP unscaled, where
+a cold relaxation and branch-and-bound keep HiGHS's defaults. A basis is
+HiGHS's status of each column and row, two int8 arrays read back from the
+basic variables and the solution, not from the lists of `getBasis()`, whose
 thousands of Python enum objects cost more than the pivots they save.
 """
 
@@ -95,7 +92,7 @@ ObjSense = _core.ObjSense
 _Highs = _core._Highs
 kSolutionStatusFeasible = _core.kSolutionStatusFeasible
 
-# HiGHS's basis status values, as the int8 arrays of a WarmStart hold them
+# HiGHS's basis status values, as the int8 arrays of a basis hold them
 LOWER, BASIC, UPPER, ZERO = (int(HighsBasisStatus.kLower), int(HighsBasisStatus.kBasic),
                              int(HighsBasisStatus.kUpper), int(HighsBasisStatus.kZero))
 _STATUSES = tuple(sorted(HighsBasisStatus.__members__.values(), key=int))  # by value
@@ -236,75 +233,8 @@ class SolveResult:
     objective: float | None
     gap: float
     message: str = ""
-
-
-class Shift(NamedTuple):
-    """How a basis moves one hour along a receding window. Its entries are
-    the columns, then the rows (row i is entry n_cols + i): entry e takes
-    the status of entry source[e]. In each hour-indexed block, offset o
-    takes the status of offset o + 1 and the last offset, one of `last`,
-    keeps its own; the other entries keep theirs."""
-
-    source: np.ndarray
-    last: np.ndarray  # the last offset of each block, from the end of the basis backwards
-
-    def apply(self, basis: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """`basis` moved one hour along the window, and kept square: the
-        status the first offsets held leaves, and the last offsets' status
-        repeats, so the count of basic entries can drift from the count of
-        rows. The last offsets, in the order of `last`, absorb the
-        difference: basic ones give their status up (a column to its lower
-        bound, a row to its upper one), or nonbasic ones take it."""
-        status = np.concatenate(basis)[self.source]
-        n_cols, n_rows = map(len, basis)
-        excess = np.count_nonzero(status == BASIC) - n_rows
-        if excess > 0:
-            take = self.last[status[self.last] == BASIC][:excess]
-            status[take] = np.where(take < n_cols, LOWER, UPPER)
-        elif excess < 0:
-            status[self.last[status[self.last] != BASIC][:-excess]] = BASIC
-        return status[:n_cols], status[n_cols:]
-
-
-@dataclass
-class WarmStart:
-    """The optimal basis of the last relaxation one run solved, as HiGHS's
-    status of each column and of each row (int8 arrays of
-    `HighsBasisStatus` values), the constraint matrix object it belongs to
-    and the hour of the run it was found at; any other matrix, even an
-    equal one, solves cold. Kept per run, never shared, so a decision
-    depends only on the run's own history.
-
-    Before an hour's first relaxation, :meth:`move` lays the basis out for
-    that hour's window (`moved`); that relaxation starts from it, and a
-    second relaxation of the hour from the basis as found."""
-
-    matrix: CscMatrix | None = None
+    # the relaxation's optimal basis (column, row statuses); None if it was not optimal
     basis: tuple[np.ndarray, np.ndarray] | None = None
-    hour: int = 0
-    moved: tuple[np.ndarray, np.ndarray] | None = None
-
-    def basis_for(self, a: CscMatrix) -> tuple[np.ndarray, np.ndarray] | None:
-        """The basis to start a relaxation on `a` from: the moved one, once,
-        if there is one, else the stored one; None unless `a` is the very
-        object they were found on."""
-        if self.matrix is not a:
-            return None
-        start, self.moved = self.basis if self.moved is None else self.moved, None
-        return start
-
-    def move(self, a: CscMatrix, hour: int, shift: Shift) -> None:
-        """Lay the stored basis out for the window at `hour` when it was
-        found on `a`: one hour along the window (`shift`) for each hour
-        since it was found. A basis found from here on is found at
-        `hour`."""
-        self.moved = None
-        if self.matrix is a:
-            moved = self.basis
-            for _ in range(hour - self.hour):
-                moved = shift.apply(moved)
-            self.moved = moved
-        self.hour = hour
 
 
 def _scipy_milp(model: MilpModel, time_limit: float, gap_tol: float,
@@ -376,7 +306,8 @@ def _check(status: HighsStatus, what: str) -> None:
 
 
 def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
-          warm: WarmStart | None = None, rounded: np.ndarray | None = None) -> SolveResult:
+          basis: tuple[np.ndarray, np.ndarray] | None = None,
+          rounded: np.ndarray | None = None) -> SolveResult:
     """Maximize `model`: the LP relaxation first, branch-and-bound only when
     it is fractional.
 
@@ -399,9 +330,9 @@ def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
     HiGHS reports and the one to the LP bound (:func:`_lp_gap`), so a run
     that stops holding only its start still reports a finite gap.
 
-    With `warm`, the relaxation starts from the basis it holds for the
-    constraint matrix object (:meth:`WarmStart.basis_for`), and an optimal
-    relaxation stores its basis there for the next call (:func:`_read_basis`).
+    The relaxation starts from `basis` (the status of each column and row)
+    when one is given. The result holds the relaxation's own basis when the
+    relaxation is optimal (:func:`_read_basis`), whatever the MILP's status.
 
     Integer variables in the returned values are rounded to the nearest
     integer; one further than INT_TOL from it is reported as an error.
@@ -410,9 +341,8 @@ def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
     names it.
     """
     deadline = time.perf_counter() + time_limit
-    c, a, integer = model.c, model.a, model.integer
+    c, integer, lp_basis = model.c, model.integer, None
     try:
-        basis = warm.basis_for(a) if warm is not None else None
         highs = _scipy_milp(replace(model, integer=np.zeros_like(integer)), time_limit, gap_tol,
                             basis)
         status, gap, x = highs.getModelStatus(), 0.0, None
@@ -420,8 +350,7 @@ def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
         if status == HighsModelStatus.kOptimal:
             solution = highs.getSolution()
             x = _floats(solution.col_value)
-            if warm is not None:
-                warm.matrix, warm.basis = a, _read_basis(highs, solution, model, x)
+            lp_basis = _read_basis(highs, solution, model, x)
         if status != HighsModelStatus.kInfeasible and (x is None or _fractional(x[integer]).any()):
             del highs  # free the relaxation's solver first: it holds megabytes at fleet scale
             x_lp, found = x, None
@@ -439,26 +368,21 @@ def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
                     if x_lp is not None:
                         gap = min(gap, _lp_gap(model, x, x_lp))
     except Exception as exc:  # backend failure
-        return SolveResult("error", None, None, np.inf, f"backend failure: {exc}")
+        return SolveResult("error", None, None, np.inf, f"backend failure: {exc}", lp_basis)
 
     if status == HighsModelStatus.kInfeasible:
-        return SolveResult("infeasible", None, None, np.inf, message)
+        return SolveResult("infeasible", None, None, np.inf, message, lp_basis)
     if x is None:
-        return SolveResult("error", None, None, np.inf, message)
+        return SolveResult("error", None, None, np.inf, message, lp_basis)
 
     far = _fractional(x[integer])
     if far.any():
         vid = int(np.flatnonzero(integer)[np.argmax(far)])
-        return SolveResult(
-            "error", None, None, np.inf,
-            f"integer column {vid} at {x[vid]} is not integral",
-        )
+        return SolveResult("error", None, None, np.inf,
+                           f"integer column {vid} at {x[vid]} is not integral", lp_basis)
     x[integer] = np.round(x[integer]) + 0.0  # + 0.0 turns -0.0 into 0.0
-    objective = float(c @ x + model.constant)
-
-    if status == HighsModelStatus.kOptimal:
-        return SolveResult("optimal", x, objective, gap, message)
-    return SolveResult("feasible-gap", x, objective, gap, message)
+    return SolveResult("optimal" if status == HighsModelStatus.kOptimal else "feasible-gap", x,
+                       float(c @ x + model.constant), gap, message, lp_basis)
 
 
 def _neighbourhood(model: MilpModel, x_lp: np.ndarray, rounded: np.ndarray, deadline: float,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .core import (
     max_runtime_of,
     power_of,
 )
-from .milp import CscMatrix, MilpModel, Shift, WarmStart, csc, solve
+from .milp import BASIC, LOWER, UPPER, CscMatrix, MilpModel, csc, solve
 
 
 class StageError(RuntimeError):
@@ -177,6 +178,34 @@ def start_block(k: np.ndarray, servers: np.ndarray, runtime: np.ndarray,
     return cls, off, occupancy, allocation
 
 
+class Shift(NamedTuple):
+    """How a basis moves one hour along a receding window. Its entries are
+    the columns, then the rows (row i is entry n_cols + i): entry e takes
+    the status of entry source[e]. In each hour-indexed block, offset o
+    takes the status of offset o + 1 and the last offset, one of `last`,
+    keeps its own; the other entries keep theirs."""
+
+    source: np.ndarray
+    last: np.ndarray  # the last offset of each block, from the end of the basis backwards
+
+    def apply(self, basis: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """`basis` moved one hour along the window, and kept square: the
+        status the first offsets held leaves, and the last offsets' status
+        repeats, so the count of basic entries can drift from the count of
+        rows. The last offsets, in the order of `last`, absorb the
+        difference: basic ones give their status up (a column to its lower
+        bound, a row to its upper one), or nonbasic ones take it."""
+        status = np.concatenate(basis)[self.source]
+        n_cols, n_rows = map(len, basis)
+        excess = np.count_nonzero(status == BASIC) - n_rows
+        if excess > 0:
+            take = self.last[status[self.last] == BASIC][:excess]
+            status[take] = np.where(take < n_cols, LOWER, UPPER)
+        elif excess < 0:
+            status[self.last[status[self.last] != BASIC][:-excess]] = BASIC
+        return status[:n_cols], status[n_cols:]
+
+
 def _shift(first: np.ndarray, length: np.ndarray, n: int) -> Shift:
     """The move of a basis of n entries one hour along the blocks of
     `length` entries from `first`: entry first + o takes the status of
@@ -317,6 +346,17 @@ def _padded(values, n: int, fill: float) -> np.ndarray:
     return out
 
 
+@dataclass
+class WarmStart:
+    """The newest optimal relaxation basis of a run and the constraint
+    matrix object it was found on; :func:`solve_stage` reads and replaces
+    it. Kept per run, never shared, so a decision depends only on the run's
+    own history."""
+
+    matrix: CscMatrix | None = None
+    basis: tuple[np.ndarray, np.ndarray] | None = None
+
+
 def solve_stage(
     inputs: StageInputs,
     gap_tol: float = 1e-4,
@@ -325,23 +365,31 @@ def solve_stage(
 ) -> StageDecision:
     """Solve the stage problem; on infeasible minimum clearance, open the
     slack columns of the classes with a clearance rule, re-solve at their
-    penalty and return the relaxed optimum. Both solves share the one
-    matrix, so `warm` carries the run's last optimal relaxation basis into
-    each: the first starts from it moved one hour along the window, the
-    re-solve from the stored basis unmoved (from the moved one, overload
-    stages fall on other tied optima). A fractional relaxation has its
+    penalty and return the relaxed optimum. A fractional relaxation has its
     starts and terminations rounded in its neighbourhood before full
-    branch-and-bound."""
+    branch-and-bound.
+
+    With `warm`, the run's bases pass from hour to hour. When the stored
+    basis was found on this stage's very matrix object (any other, even an
+    equal one, solves cold), the first relaxation starts from it moved one
+    hour along the window; the re-solve starts from the newest basis found
+    on the matrix as it was found (from a moved one, overload stages fall
+    on other tied optima). The newest basis is then stored."""
     r = inputs.state.stage
     model, h = build_stage(inputs)
-    if warm is not None:
-        warm.move(model.a, r, h.shift)
-    res = solve(model, gap_tol=gap_tol, time_limit=time_limit, warm=warm, rounded=h.rounded)
+    basis = warm.basis if warm is not None and warm.matrix is model.a else None
+    res = solve(model, gap_tol=gap_tol, time_limit=time_limit,
+                basis=None if basis is None else h.shift.apply(basis), rounded=h.rounded)
     if res.status == "infeasible":
+        if warm is not None:  # the closed relaxation's basis, if it was feasible
+            basis = res.basis or basis
         ub = model.ub.copy()
         ub[h.peak + 1:] = np.where(inputs.bounds.k > 0, np.inf, 0.0)
-        res = solve(replace(model, ub=ub), gap_tol=gap_tol, time_limit=time_limit, warm=warm,
+        res = solve(replace(model, ub=ub), gap_tol=gap_tol, time_limit=time_limit, basis=basis,
                     rounded=h.rounded)
+    basis = res.basis or basis
+    if warm is not None and basis is not None:
+        warm.matrix, warm.basis = model.a, basis
     if res.status in ("infeasible", "error"):
         raise StageError(r, f"{res.status}: {res.message}")
 

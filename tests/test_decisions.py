@@ -10,7 +10,7 @@ previous hour's basis ("LP hot"), one started cold ("LP cold"),
 branch-and-bound given a starting incumbent, which is full branch-and-bound
 after an uncertified neighbourhood ("MILP seeded"), and any other
 branch-and-bound, the neighbourhood included ("MILP"). So are the simplex
-iterations of the desk and fleet loops' hot relaxations.
+iterations of every loop's hot relaxations.
 
 The pins are tied to HiGHS 1.12.0 as scipy 1.17.1 bundles it: a change of
 scipy re-pins them and says so. A change that moves a decision re-pins them
@@ -184,3 +184,10 @@ def test_fleet_shaped_hot_relaxation_iterations_are_pinned(lp_iterations):
     run_fleet(36)
     hot = [n for given, n in lp_iterations if given]
     assert (len(hot), sum(hot)) == (35, 157)
+
+
+def test_overload_cell_hot_relaxation_iterations_are_pinned(lp_iterations, tmp_path):
+    # the one pinned loop whose hot relaxations include slack re-solves
+    run_cell(tmp_path, OVERLOAD_CELL)
+    hot = [n for given, n in lp_iterations if given]
+    assert (len(hot), sum(hot)) == (54, 1096)

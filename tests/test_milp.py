@@ -16,16 +16,16 @@ from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 import dcsched.milp
 import dcsched.stage
-from dcsched.core import HorizonConfig, ObjectiveWeights
+from dcsched.core import DCConfig, HorizonConfig, ObjectiveWeights
 from dcsched.engine import run
-from dcsched.milp import (BASIC, INT_TOL, LOWER, UPPER, MilpModel, Shift, WarmStart, compact, csc,
-                          solve)
+from dcsched.milp import BASIC, INT_TOL, LOWER, UPPER, MilpModel, compact, csc, solve
 from dcsched.signals import noisy_forecast, synthetic_carbon
-from dcsched.stage import build_stage, solve_stage, validate_decision
-from conftest import stage_models
+from dcsched.stage import WarmStart, build_stage, solve_stage, validate_decision
+from conftest import stage_models, state_of
 import test_decisions
 from test_acceptance import DESK, _c7_profile, _cliff_capacity
-from test_stage import assert_same_matrix, check_feasible, random_stage, scipy_csc
+from test_stage import (AGREE_CFG, AGREE_CLASSES, C11, C23, assert_same_matrix, check_feasible,
+                        make_inputs, random_stage, scipy_csc)
 
 
 def dense_model(objective, rows, lb=0.0, ub=np.inf, integer=True, constant=0.0):
@@ -323,50 +323,67 @@ def moved(model, cap, rhs=4.0):
 
 
 def test_same_matrix_starts_from_the_stored_basis(lp_bases):
-    warm = WarmStart()
     model = budget_model(3)
-    first = solve(model, warm=warm)
-    assert warm.basis is not None
+    first = solve(model)
+    assert first.basis is not None
     # only a right-hand side moved: the relaxation starts from the basis
-    second = solve(moved(model, 1), warm=warm)
+    second = solve(moved(model, 1), basis=first.basis)
     assert lp_bases == [False, True]
     assert (second.values[0], second.values[1]) == (1, 3)
     assert (first.values[0], first.values[1]) == (3, 1)
-    # an equal matrix that is another object solves cold
-    assert solve(budget_model(1), warm=warm).objective == pytest.approx(5.0)
-    assert lp_bases == [False, True, False]
+    # and hands its own on
+    assert second.basis is not None and second.basis is not first.basis
 
 
 def test_changed_matrix_solves_cold(lp_bases):
-    # one coefficient moved to the other column (only the indices differ),
-    # one coefficient changed (only the data differ), one more column in
-    # no row (only the shape differs), and one more row
-    moved = dense_model([2.0, 1.0], [([1.0, 1.0], "<=", 4), ([0.0, 1.0], "<=", 3)])
-    doubled = dense_model([2.0, 1.0], [([1.0, 1.0], "<=", 4), ([2.0, 0.0], "<=", 3)])
-    widened = dense_model([2.0, 1.0, 0.0], [([1.0, 1.0, 0.0], "<=", 4), ([1.0, 0.0, 0.0], "<=", 3)],
-                          ub=[np.inf, np.inf, 1])
-    grown = budget_model(3, extra_row=True)
-    changed = ((moved, 8.0), (doubled, 5.0), (widened, 7.0), (grown, 7.0))
-    for model, objective in changed:
+    # a stage starts from its run's basis only on the very matrix object it
+    # was found on: an equal matrix that is another object, one whose data
+    # differ (a steeper power slope) and one grown (a longer window) solve
+    # cold, and their basis is then the stored one
+    def stage(r, cfg=AGREE_CFG, t_h=4):
+        state = state_of(r, AGREE_CLASSES, queued={C11: 1, C23: 1})
+        return make_inputs(state, capacity=12, t_h=t_h, t_end=7, cfg=cfg)
+
+    changed = {"same": stage(3), "equal": stage(3),
+               "steeper": stage(3, cfg=DCConfig(12, 20.0, 2.0)), "longer": stage(3, t_h=5)}
+    for name, inputs in changed.items():
         warm = WarmStart()
-        solve(budget_model(3), warm=warm)
-        assert solve(model, warm=warm).objective == pytest.approx(objective)
-        # the changed model's basis is now the stored one
-        assert warm.matrix.shape == (len(model.constraints), len(model.variables))
-    assert lp_bases == [False] * 8
+        solve_stage(stage(2), warm=warm)
+        a = warm.matrix
+        if name == "equal":
+            dcsched.stage._stage_matrix.cache_clear()
+        b = build_stage(inputs)[0].a
+        lp_bases.clear()
+        solve_stage(inputs, warm=warm)
+        assert lp_bases == [name == "same"], name
+        assert warm.matrix is b
+        if name == "equal":
+            assert b is not a and b.shape == a.shape
+            for mine, theirs in ((b.indptr, a.indptr), (b.indices, a.indices), (b.data, a.data)):
+                np.testing.assert_array_equal(mine, theirs)
+        elif name == "steeper":
+            assert b.shape == a.shape and not np.array_equal(b.data, a.data)
+        elif name == "longer":
+            assert b.shape[0] > a.shape[0] and b.shape[1] > a.shape[1]
 
 
 def test_infeasible_relaxation_keeps_the_stored_basis(lp_bases):
-    warm = WarmStart()
     model = budget_model(3)
-    solve(model, warm=warm)
-    matrix, basis = warm.matrix, warm.basis
-    assert solve(moved(model, 3, rhs=-1.0), warm=warm).status == "infeasible"
-    assert solve(budget_model(3, rhs=-1.0, extra_row=True), warm=warm).status == "infeasible"
-    assert warm.matrix is matrix and warm.basis is basis
+    basis = solve(model).basis
+    kept = [status.copy() for status in basis]
+    # an infeasible relaxation, hot or cold, finds no basis and leaves the
+    # one it was given as it was
+    for res in (solve(moved(model, 3, rhs=-1.0), basis=basis),
+                solve(budget_model(3, rhs=-1.0, extra_row=True))):
+        assert (res.status, res.basis) == ("infeasible", None)
+    for status, before in zip(basis, kept):
+        np.testing.assert_array_equal(status, before)
     assert lp_bases == [False, True, False]
-    assert solve(moved(model, 2), warm=warm).objective == pytest.approx(6.0)
+    assert solve(moved(model, 2), basis=basis).objective == pytest.approx(6.0)
     assert lp_bases[-1] is True
+    # a feasible relaxation of an infeasible MILP (2x = 1) hands its basis on
+    res = solve(dense_model([1.0], [([2.0], "=", 1)]))
+    assert res.status == "infeasible" and res.basis is not None
 
 
 def test_refused_option_or_basis_fails_the_solve():
@@ -378,8 +395,8 @@ def test_refused_option_or_basis_fails_the_solve():
     long = (np.array([BASIC, BASIC, BASIC], dtype=np.int8), np.array([UPPER, UPPER], dtype=np.int8))
     for kwargs, named in (({"time_limit": -1.0}, "option time_limit = -1.0"),
                           ({"gap_tol": -1.0}, "option mip_rel_gap = -1.0"),
-                          ({"warm": WarmStart(model.a, short)}, "the starting basis"),
-                          ({"warm": WarmStart(model.a, long)}, "the starting basis")):
+                          ({"basis": short}, "the starting basis"),
+                          ({"basis": long}, "the starting basis")):
         res = solve(model, **kwargs)
         assert (res.status, res.values) == ("error", None), kwargs
         assert res.message == f"backend failure: HiGHS refused {named}"
@@ -389,28 +406,9 @@ def test_a_basis_that_is_not_square_goes_to_highs_as_alien(lp_bases):
     # no basic entry at all: HiGHS completes it and solves from it
     model = budget_model(3)
     nonbasic = (np.full(2, LOWER, dtype=np.int8), np.full(2, UPPER, dtype=np.int8))
-    res = solve(model, warm=WarmStart(model.a, nonbasic))
+    res = solve(model, basis=nonbasic)
     assert (res.status, res.objective) == ("optimal", pytest.approx(7.0))
     assert lp_bases == [True]
-
-
-def test_a_moved_basis_stays_square():
-    # two columns, then two rows, each pair one hour-indexed block: entry 0
-    # takes the status of entry 1, entry 2 that of entry 3; the last
-    # offsets, rows first, give up or take the basic statuses in excess
-    shift = Shift(np.array([1, 1, 3, 3]), np.array([3, 1]))
-
-    def moved(cols, rows):
-        return [s.tolist() for s in shift.apply((np.array(cols, dtype=np.int8),
-                                                 np.array(rows, dtype=np.int8)))]
-
-    # square as moved
-    assert moved([BASIC, LOWER], [UPPER, BASIC]) == [[LOWER, LOWER], [BASIC, BASIC]]
-    # two basic statuses leave: both last offsets take one
-    assert moved([BASIC, LOWER], [BASIC, UPPER]) == [[LOWER, BASIC], [UPPER, BASIC]]
-    # two repeat: both give theirs up, the column to its lower bound, the
-    # row to its upper one
-    assert moved([LOWER, BASIC], [LOWER, BASIC]) == [[BASIC, LOWER], [BASIC, UPPER]]
 
 
 def test_the_basis_read_back_equals_highs_own(monkeypatch, tmp_path):
@@ -436,7 +434,7 @@ def test_the_basis_read_back_equals_highs_own(monkeypatch, tmp_path):
     monkeypatch.setattr(dcsched.milp, "_read_basis", checked)
     for seed in range(40):
         for model, _ in stage_models(random_stage(seed)):
-            solve(dataclasses.replace(model, integer=np.zeros_like(model.integer)), warm=WarmStart())
+            solve(dataclasses.replace(model, integer=np.zeros_like(model.integer)))
     for cell in (test_decisions.DESK_CELL, test_decisions.OVERLOAD_CELL):
         (tmp_path / "cell").mkdir()
         test_decisions.run_cell(tmp_path / "cell", cell)
@@ -467,13 +465,15 @@ def test_only_hot_relaxations_leave_the_highs_defaults(monkeypatch):
     defaults = [_Highs().getOptionValue(name)[1] for name in HOT_OPTIONS]
     assert defaults != [1, 0]
     assert [_Highs().getOptionValue(name)[1] for name in (JUMP,) + SUB_MIPS] == [True] * 4
-    # a fractional relaxation, solved twice with one warm start: cold, then
-    # hot; with a rounding mask, its neighbourhood (x = 3, not within the
-    # gap of 3.5) runs before full branch-and-bound, which it seeds
-    warm = WarmStart()
-    model = dense_model([1.0], [([2.0], "<=", 7)])
+    # a fractional relaxation, solved three times, each from the basis the
+    # solve before found: cold, then hot; with a rounding mask, its
+    # neighbourhood (x = 3, not within the gap of 3.5) runs before full
+    # branch-and-bound, which it seeds
+    model, basis = dense_model([1.0], [([2.0], "<=", 7)]), None
     for rounded in (None, None, np.ones(1, dtype=bool)):
-        assert solve(model, warm=warm, rounded=rounded).values[0] == 3
+        res = solve(model, basis=basis, rounded=rounded)
+        assert res.values[0] == 3
+        basis = res.basis
     # Devex pricing and no scaling on the hot relaxation only; Feasibility
     # Jump off on every branch-and-bound run, the neighbourhood included;
     # RENS, RINS and root reduced-cost fixing off on the seeded run only

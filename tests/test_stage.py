@@ -10,7 +10,7 @@ from scipy import sparse
 from conftest import running_of, stage_models, state_of
 import dcsched.milp
 from scipy.optimize._highspy._core import HighsModelStatus
-from dcsched.milp import CscMatrix, MilpModel, WarmStart, compact
+from dcsched.milp import BASIC, LOWER, UPPER, CscMatrix, MilpModel, compact
 from dcsched.core import (
     ArrivalProfile,
     DCConfig,
@@ -21,8 +21,10 @@ from dcsched.core import (
 )
 from dcsched.offline import build_offline
 from dcsched.stage import (
+    Shift,
     StageError,
     StageInputs,
+    WarmStart,
     build_stage,
     solve_stage,
     util_coeff,
@@ -201,46 +203,62 @@ def test_stages_of_a_run_share_one_matrix(monkeypatch):
     assert len(stages[-1].window()) == 1
     a = build_stage(stages[0])[0].a
     digest = matrix_digest(a)
-
-    # each steady stage gets the same object, and its relaxation starts
-    # from the basis the stage before left
-    warm = WarmStart()
-    for inputs in stages:
-        model, h = build_stage(inputs)
-        assert not h.terms and model.a is a
-        basis = warm.basis_for(model.a)
-        assert (basis is None) == (inputs is stages[0])
-        assert basis is warm.basis
-        solve_stage(inputs, warm=warm)
-        assert warm.matrix is a
-
-    # a (2,2) job on one server: the closed model is infeasible, and its
-    # re-solve with the slack opened receives the same matrix object and
-    # the stored basis, and so does the hour after it
     relaxations = []
     highs = dcsched.milp._scipy_milp
 
     def recorded(model, time_limit, gap_tol, basis=None, start=None):
         if not model.integer.any():
-            relaxations.append((model.a is a, basis is not None, model.ub[-len(AGREE_CLASSES):]))
+            relaxations.append((model.a is a, basis, model.ub[-len(AGREE_CLASSES):]))
         return highs(model, time_limit, gap_tol, basis, start=start)
 
     monkeypatch.setattr(dcsched.milp, "_scipy_milp", recorded)
+
+    # each steady stage gets the same object, and its relaxation starts
+    # from the basis the stage before left, moved one hour along
+    warm = WarmStart()
+    for inputs in stages:
+        model, h = build_stage(inputs)
+        assert not h.terms and model.a is a
+        left = warm.basis
+        relaxations.clear()
+        solve_stage(inputs, warm=warm)
+        (shared, given, _), *_ = relaxations
+        assert shared and (given is None) == (inputs is stages[0])
+        if given is not None:
+            for mine, theirs in zip(given, h.shift.apply(left)):
+                np.testing.assert_array_equal(mine, theirs)
+        assert warm.matrix is a and warm.basis is not left
+
+    # hours 1-4 of another run, with a (2,2) job on one server at hour 3:
+    # the closed model is infeasible, and its re-solve with the slack opened
+    # receives the same matrix object and a basis, and so does the hour
+    # after it
+    warm = WarmStart()
+    for inputs in stages[:2]:
+        solve_stage(inputs, warm=warm)
+    relaxations.clear()
     state = state_of(3, AGREE_CLASSES, queued={C22: 1})
     infeasible = make_inputs(state, capacity=1, t_end=7, cfg=AGREE_CFG)
     assert solve_stage(infeasible, warm=warm).slack.tolist() == [0, 0, 1, 0]
     assert warm.matrix is a
     solve_stage(stages[3], warm=warm)
-    assert [(shared, hot) for shared, hot, _ in relaxations] == [(True, True)] * 3
+    assert [(shared, given is not None) for shared, given, _ in relaxations] == [(True, True)] * 3
     slack_ub = [ub.tolist() for _, _, ub in relaxations]
     assert slack_ub == [[0] * 4, [np.inf] * 4, [0] * 4]
 
-    # terminations change the matrix, and no basis fits it
+    # at hour 3 of a third run, terminations change the matrix, and no
+    # basis fits it: it solves cold and its basis is stored
+    warm = WarmStart()
+    for inputs in stages[:2]:
+        solve_stage(inputs, warm=warm)
+    relaxations.clear()
     state = state_of(3, AGREE_CLASSES, running={(C22, 2): 1, (C23, 1): 1}, queued={C11: 1})
     cut = make_inputs(state, capacity=1, t_end=7, cfg=AGREE_CFG)
     model, h = build_stage(cut)
-    assert h.terms and model.a is not a and warm.basis_for(model.a) is None
+    assert h.terms and model.a is not a and warm.matrix is a
     solve_stage(cut, warm=warm)
+    assert relaxations and all(not shared and given is None for shared, given, _ in relaxations)
+    assert warm.matrix is model.a
     # the shared matrix was never written to
     assert matrix_digest(a) == digest
 
@@ -278,6 +296,25 @@ def test_the_basis_moves_one_hour_along_each_hour_indexed_block():
         assert h.peak + 1 + n_c == n_cols and clr + n_c + 2 * t_h == n_cols + n_rows
 
 
+def test_a_moved_basis_stays_square():
+    # two columns, then two rows, each pair one hour-indexed block: entry 0
+    # takes the status of entry 1, entry 2 that of entry 3; the last
+    # offsets, rows first, give up or take the basic statuses in excess
+    shift = Shift(np.array([1, 1, 3, 3]), np.array([3, 1]))
+
+    def moved(cols, rows):
+        return [s.tolist() for s in shift.apply((np.array(cols, dtype=np.int8),
+                                                 np.array(rows, dtype=np.int8)))]
+
+    # square as moved
+    assert moved([BASIC, LOWER], [UPPER, BASIC]) == [[LOWER, LOWER], [BASIC, BASIC]]
+    # two basic statuses leave: both last offsets take one
+    assert moved([BASIC, LOWER], [BASIC, UPPER]) == [[LOWER, BASIC], [UPPER, BASIC]]
+    # two repeat: both give theirs up, the column to its lower bound, the
+    # row to its upper one
+    assert moved([LOWER, BASIC], [LOWER, BASIC]) == [[BASIC, LOWER], [BASIC, UPPER]]
+
+
 def test_the_slack_re_solve_starts_from_the_basis_as_found(monkeypatch):
     # hour 2 leaves its basis; at hour 3 two (2,2) jobs to clear on one
     # server make the closed relaxation infeasible: it starts from the
@@ -299,7 +336,7 @@ def test_the_slack_re_solve_starts_from_the_basis_as_found(monkeypatch):
     infeasible = make_inputs(state_of(3, AGREE_CLASSES, queued={C22: 2}), capacity=1, t_end=7,
                              cfg=AGREE_CFG)
     model, h = build_stage(infeasible)
-    assert warm.matrix is model.a and warm.hour == 2
+    assert warm.matrix is model.a
     given.clear()
     assert solve_stage(infeasible, warm=warm).slack.tolist() == [0, 0, 2, 0]
     assert len(given) == 2 and given[1] is found
@@ -307,7 +344,57 @@ def test_the_slack_re_solve_starts_from_the_basis_as_found(monkeypatch):
     assert not all(np.array_equal(m, f) for m, f in zip(moved, found))
     for mine, theirs in zip(given[0], moved):
         np.testing.assert_array_equal(mine, theirs)
-    assert warm.hour == 3 and warm.basis is not found and warm.moved is None
+    # the re-solve's basis replaces the stored one
+    assert warm.matrix is model.a and warm.basis is not found
+
+
+def test_the_slack_re_solve_starts_from_the_closed_relaxations_basis(monkeypatch):
+    # hour 2 leaves its basis; at hour 3 one (2,2) job to clear on one
+    # server: the closed relaxation is LP-feasible (half a job starts) but
+    # integer-infeasible, so the re-solve with the slack opened starts from
+    # the basis that relaxation found, not from the one hour 2 left
+    given, found = [], []
+    highs, read_basis = dcsched.milp._scipy_milp, dcsched.milp._read_basis
+
+    def recorded(model, time_limit, gap_tol, basis=None, start=None):
+        if not model.integer.any():
+            given.append(basis)
+        return highs(model, time_limit, gap_tol, basis, start=start)
+
+    def read(*args):
+        found.append(read_basis(*args))
+        return found[-1]
+
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", recorded)
+    monkeypatch.setattr(dcsched.milp, "_read_basis", read)
+    warm = WarmStart()
+    solve_stage(make_inputs(state_of(2, AGREE_CLASSES, queued={C11: 1, C23: 1}), capacity=12,
+                            t_end=7, cfg=AGREE_CFG), warm=warm)
+    (left,) = found
+    infeasible = make_inputs(state_of(3, AGREE_CLASSES, queued={C22: 1}), capacity=1, t_end=7,
+                             cfg=AGREE_CFG)
+    given.clear(), found.clear()
+    assert solve_stage(infeasible, warm=warm).slack.tolist() == [0, 0, 1, 0]
+    # the closed relaxation and the re-solve are optimal; each found a basis
+    assert len(given) == 2 and len(found) == 2
+    closed, reopened = found
+    assert given[1] is closed
+    assert not all(np.array_equal(c, s) for c, s in zip(closed, left))
+    assert warm.basis is reopened
+
+
+def test_a_relaxation_stopped_at_a_limit_keeps_the_stored_basis():
+    # no time at hour 3: the relaxation stops before it finds a basis, the
+    # stage fails, and the basis hour 2 left stays stored
+    warm = WarmStart()
+    solve_stage(make_inputs(state_of(2, AGREE_CLASSES, queued={C11: 1, C23: 1}), capacity=12,
+                            t_end=7, cfg=AGREE_CFG), warm=warm)
+    matrix, basis = warm.matrix, warm.basis
+    late = make_inputs(state_of(3, AGREE_CLASSES, queued={C11: 1, C22: 1}), capacity=12, t_end=7,
+                       cfg=AGREE_CFG)
+    with pytest.raises(StageError, match="Time limit reached"):
+        solve_stage(late, time_limit=0.0, warm=warm)
+    assert warm.matrix is matrix and warm.basis is basis
 
 
 def without_shortfall(inputs):
