@@ -73,6 +73,9 @@ DESK_SCALE_OVERRIDES: dict[str, Any] = {
 }
 
 FORECAST_MODES = ("accurate", "noisy_carbon", "noisy_capacity", "noisy_both")
+# the longest run a config may ask for: a year, leap day included. A run
+# builds arrays over its hours, so a larger value could exhaust the memory
+MAX_HOURS = 366 * 24
 
 
 def _parse(value: Any, default: Any, where: str) -> Any:
@@ -142,6 +145,9 @@ def validate(data: dict[str, Any]) -> None:
     _reach("dc.p_idle_mw", lambda: DCConfig(1, dc["p_peak_mw"], dc["p_idle_mw"]))
 
     sig = data["signals"]
+    # on the value alone, before any rule that builds the run's hours is reached
+    _require(sig["hours"] <= MAX_HOURS,
+             f"signals.hours: at most {MAX_HOURS} (a year), got {sig['hours']}")
     _reach("signals.hours", lambda: sample_arrivals({}, "uniform", sig["hours"], seed=0))
     carbon = sig["carbon"]
     _require(

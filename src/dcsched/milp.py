@@ -33,6 +33,16 @@ sub-MIP searches for one (RENS, RINS and root reduced-cost fixing), which
 repeated the neighbourhood's search and took over a third of the time of
 the desk grid's seeded runs; it still proves the gap tolerance.
 
+Every relaxation runs in one HiGHS object kept per thread, made on the
+thread's first relaxation. Each run resets its options and passes its
+model and basis anew, so HiGHS receives what a new object would; what is
+kept is the solver's workspace, which a new object allocates, and the
+kernel zero-fills, every hour. A fractional relaxation releases the object
+before the neighbourhood and branch-and-bound run; each of those runs in a
+new object, freed with the run, so a fallback holds one solver at a time.
+HiGHS's run clock adds up over an object's runs and its time limit is read
+on that clock, so each run's limit is set past the clock's reading.
+
 :func:`solve` returns the basis of every optimal relaxation it solves
 (:func:`_read_basis`) and may start a relaxation from a given basis, so a
 caller that solves a sequence of like models can start each from the one
@@ -51,6 +61,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
@@ -92,6 +103,8 @@ ObjSense = _core.ObjSense
 _Highs = _core._Highs
 kSolutionStatusFeasible = _core.kSolutionStatusFeasible
 
+# each thread's relaxation object, `_kept.highs`, made on its first relaxation
+_kept = threading.local()
 # HiGHS's basis status values, as the int8 arrays of a basis hold them
 LOWER, BASIC, UPPER, ZERO = (int(HighsBasisStatus.kLower), int(HighsBasisStatus.kBasic),
                              int(HighsBasisStatus.kUpper), int(HighsBasisStatus.kZero))
@@ -249,7 +262,10 @@ def _scipy_milp(model: MilpModel, time_limit: float, gap_tol: float,
     Every HiGHS call dcsched makes goes through here: the relaxation (a
     model with no integer column) as well as branch-and-bound, the
     neighbourhood search included. perfbench traces the solver by wrapping
-    this name.
+    this name. A relaxation runs in this thread's kept object (`_kept`),
+    made on first use, its options reset; branch-and-bound runs in a new
+    one. The time limit is set on HiGHS's run clock, which adds up over
+    the object's runs: `time_limit` seconds past its reading.
 
     A hot relaxation (one given a basis) re-optimizes in a dozen or so dual
     simplex iterations, so its cost is set-up, not pivoting: with HiGHS's
@@ -264,10 +280,20 @@ def _scipy_milp(model: MilpModel, time_limit: float, gap_tol: float,
     model, basis or start HiGHS refuses (a start or a basis of the wrong
     length, say) raises, so no run silently falls back to a default.
     """
-    highs = _Highs()
-    options = [("output_flag", False), ("time_limit", float(time_limit)),
+    mip = model.integer.any()
+    if mip:
+        highs = _Highs()
+    else:
+        highs = getattr(_kept, "highs", None)
+        if highs is None:
+            highs = _kept.highs = _Highs()
+        _check(highs.resetOptions(), "the reset of its options")
+    time_limit = float(time_limit)
+    # a negative limit goes as it is, for HiGHS to refuse
+    clock = highs.getRunTime() if time_limit >= 0 else 0.0
+    options = [("output_flag", False), ("time_limit", clock + time_limit),
                ("mip_rel_gap", float(gap_tol))]
-    options += _HOT if basis is not None else _BNB if model.integer.any() else []
+    options += _HOT if basis is not None else _BNB if mip else []
     options += _SEEDED if start is not None else []
     for name, value in options:
         _check(highs.setOptionValue(name, value), f"option {name} = {value!r}")
@@ -333,6 +359,12 @@ def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
     The relaxation starts from `basis` (the status of each column and row)
     when one is given. The result holds the relaxation's own basis when the
     relaxation is optimal (:func:`_read_basis`), whatever the MILP's status.
+    The relaxation runs in the object this thread keeps for relaxations
+    (:func:`_scipy_milp`). One that leaves branching to do releases it
+    first, as the object holds megabytes at fleet scale: the neighbourhood
+    and branch-and-bound each run in a new object, and the next relaxation
+    makes the kept one anew. Each run's time limit is set on HiGHS's run
+    clock, which adds up over the kept object's runs, past its reading.
 
     Integer variables in the returned values are rounded to the nearest
     integer; one further than INT_TOL from it is reported as an error.
@@ -352,7 +384,7 @@ def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
             x = _floats(solution.col_value)
             lp_basis = _read_basis(highs, solution, model, x)
         if status != HighsModelStatus.kInfeasible and (x is None or _fractional(x[integer]).any()):
-            del highs  # free the relaxation's solver first: it holds megabytes at fleet scale
+            _kept.highs = highs = None  # release the relaxation's object first
             x_lp, found = x, None
             if x_lp is not None and rounded is not None:
                 found = _neighbourhood(model, x_lp, rounded, deadline, gap_tol)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -39,6 +40,25 @@ def stage_models(inputs):
     ub = model.ub.copy()
     ub[h.peak + 1:] = np.where(inputs.bounds.k > 0, np.inf, 0.0)
     return [(model, h), (dataclasses.replace(model, ub=ub), h)]
+
+
+@contextlib.contextmanager
+def fresh_highs():
+    """Run the relaxations of the block in a new HiGHS object, then put
+    back the one this thread kept before it."""
+    kept = getattr(dcsched.milp._kept, "highs", None)
+    dcsched.milp._kept.highs = None
+    try:
+        yield
+    finally:
+        dcsched.milp._kept.highs = kept
+
+
+def drop_kept_highs(monkeypatch):
+    """Drop this thread's kept relaxation object for the rest of the test,
+    so that the next relaxation runs in an object of `dcsched.milp._Highs`
+    as the test has patched it; the kept one comes back after the test."""
+    monkeypatch.setattr(dcsched.milp._kept, "highs", None, raising=False)
 
 
 @pytest.fixture
@@ -108,6 +128,7 @@ def first_incumbent(monkeypatch):
                 return super().run()
 
         monkeypatch.setattr(dcsched.milp, "_Highs", FirstIncumbent)
+        drop_kept_highs(monkeypatch)
         return runs
 
     return stop

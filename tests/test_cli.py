@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import dcsched.cli
+import dcsched.config
 import dcsched.core
 import dcsched.engine
 import dcsched.milp
@@ -61,6 +62,22 @@ def test_validate_bad_config(tmp_path, capsys):
         path.write_text(f"dc:\n  total_servers: {value}\n")
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: dc.total_servers: ")
+
+
+def test_validate_refuses_more_hours_than_a_year_before_building_them(tmp_path, capsys,
+                                                                       monkeypatch):
+    # the check reads the value alone: no rule that builds arrays over the
+    # run's hours is reached
+    def unreached(*args, **kwargs):
+        raise AssertionError("the hours were built")
+
+    monkeypatch.setattr(dcsched.config, "sample_arrivals", unreached)
+    path = tmp_path / "long.yaml"
+    for hours in (8785, 100000):
+        path.write_text(f"signals:\n  hours: {hours}\n")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: signals.hours: at most 8784 (a year), got {hours}\n")
 
 
 def test_validate_missing_file(tmp_path, capsys):

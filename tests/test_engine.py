@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize._highspy._core import HighsModelStatus
 
-from conftest import running_of, state_of
+from conftest import drop_kept_highs, fresh_highs, running_of, state_of
 from oracle_offline import TinyInstance, brute_force_goodput, random_instance
 
 import dcsched.engine
@@ -278,30 +278,38 @@ def test_write_trajectory_csv(tmp_path):
 STEADY_CLASSES = synthetic_jobs(300, (1, 2, 4), 4, seed=0)
 
 
-def steady_run(seed, hours=30, t_h=6):
+def steady_run(seed, hours=30, t_h=6, weights=ObjectiveWeights(lambda_ce=0.1)):
     """A desk-sized run at constant capacity that never terminates a job:
     every stage has the same constraint matrix."""
     profile = sample_arrivals(STEADY_CLASSES, "small_var", hours, seed=seed)
     return run(
         DCConfig(200, 10.0, 3.0), profile, tuple(sorted(STEADY_CLASSES)),
-        constant_capacity(200, hours), synthetic_carbon(hours), hz(t_h),
-        ObjectiveWeights(lambda_ce=0.1),
+        constant_capacity(200, hours), synthetic_carbon(hours), hz(t_h), weights,
     )
+
+
+def outcome(run):
+    """The model status and column values of the finished run `run`."""
+    return run.getModelStatus(), np.array(run.getSolution().col_value)
 
 
 @pytest.fixture
 def relaxations(monkeypatch):
     """Record each relaxation (a model with no integer column) run through
-    `dcsched.milp._scipy_milp` as (given a basis, the finished run, the same
-    relaxation run cold)."""
+    `dcsched.milp._scipy_milp` as (given a basis, its outcome, the outcome of
+    the same relaxation run cold in a new HiGHS object), each read as the
+    run finishes."""
     seen = []
     highs = dcsched.milp._scipy_milp
 
     def recorded(model, time_limit, gap_tol, basis=None, start=None):
         run = highs(model, time_limit, gap_tol, basis, start=start)
         if not model.integer.any():
-            hot = basis is not None
-            seen.append((hot, run, highs(model, time_limit, gap_tol) if hot else run))
+            hot, found = basis is not None, outcome(run)
+            if hot:
+                with fresh_highs():
+                    cold = outcome(highs(model, time_limit, gap_tol))
+            seen.append((hot, found, cold if hot else found))
         return run
 
     monkeypatch.setattr(dcsched.milp, "_scipy_milp", recorded)
@@ -316,10 +324,9 @@ def test_hot_started_relaxations_reach_the_cold_vertex(relaxations):
     hot = [(res, cold) for given, res, cold in relaxations if given]
     assert len(hot) == 29
     assert [given for given, _, _ in relaxations] == [False] + [True] * 29
-    for res, cold in hot:
-        assert res.getModelStatus() == cold.getModelStatus() == HighsModelStatus.kOptimal
-        np.testing.assert_allclose(res.getSolution().col_value, cold.getSolution().col_value,
-                                   rtol=0, atol=1e-9)
+    for (status, x), (cold_status, cold_x) in hot:
+        assert status == cold_status == HighsModelStatus.kOptimal
+        np.testing.assert_allclose(x, cold_x, rtol=0, atol=1e-9)
 
 
 FLEET_CLASSES = synthetic_jobs(48000, (1, 2, 4, 8, 16), 12, seed=0)
@@ -347,10 +354,9 @@ def test_hot_started_fleet_relaxations_reach_the_cold_vertex(relaxations, monkey
             tuple(sorted(FLEET_CLASSES)), constant_capacity(20000, hours), synthetic_carbon(hours),
             hz(24), ObjectiveWeights(lambda_ce=0.1, lambda_pd=5.0))
     assert [given for given, _, _ in relaxations] == [False] + [True] * 7
-    for _, res, cold in relaxations[1:]:
-        assert res.getModelStatus() == cold.getModelStatus() == HighsModelStatus.kOptimal
-        np.testing.assert_allclose(res.getSolution().col_value, cold.getSolution().col_value,
-                                   rtol=0, atol=1e-9)
+    for _, (status, x), (cold_status, cold_x) in relaxations[1:]:
+        assert status == cold_status == HighsModelStatus.kOptimal
+        np.testing.assert_allclose(x, cold_x, rtol=0, atol=1e-9)
 
 
 def test_highs_receives_the_models_own_column_wise_arrays(monkeypatch):
@@ -370,6 +376,7 @@ def test_highs_receives_the_models_own_column_wise_arrays(monkeypatch):
 
     monkeypatch.setattr(dcsched.milp, "_scipy_milp", recorded)
     monkeypatch.setattr(dcsched.milp, "_Highs", Recorded)
+    drop_kept_highs(monkeypatch)
     dcsched.stage._stage_matrix.cache_clear()  # no matrix of an earlier run is reused
     traj = steady_run(seed=3)
     assert len(traj.records) == 30
@@ -379,6 +386,41 @@ def test_highs_receives_the_models_own_column_wise_arrays(monkeypatch):
         assert indptr is model.a.indptr and indices is model.a.indices and data is model.a.data
     relaxations = [model.a for model in models if not model.integer.any()]
     assert len(relaxations) == 30 and all(a is relaxations[0] for a in relaxations)
+
+
+def test_relaxations_share_one_highs_object_until_one_is_fractional(monkeypatch):
+    # each HiGHS run through `_scipy_milp` as (its kind, whether it made a
+    # new object): the relaxations run in the one object this thread keeps,
+    # until a fractional one releases it for branch-and-bound, which makes
+    # an object for each of its runs
+    made, runs = [], []
+    highs = dcsched.milp._scipy_milp
+
+    class Counted(dcsched.milp._Highs):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    def counted(model, *args, **kwargs):
+        before = len(made)
+        run = highs(model, *args, **kwargs)
+        runs.append(("MILP" if model.integer.any() else "LP", len(made) - before))
+        return run
+
+    monkeypatch.setattr(dcsched.milp, "_Highs", Counted)
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", counted)
+    drop_kept_highs(monkeypatch)
+    # 30 hours on one matrix, every relaxation integral: one object
+    steady_run(seed=3)
+    assert runs == [("LP", 1)] + [("LP", 0)] * 29
+    assert len(made) == 1
+    # the relaxation of hour 5 is fractional: its neighbourhood gets an
+    # object of its own, and hour 6 makes the relaxation object anew
+    made.clear(), runs.clear()
+    drop_kept_highs(monkeypatch)
+    steady_run(seed=5, weights=ObjectiveWeights(lambda_ce=0.1, lambda_pd=1.0))
+    assert runs == [("LP", 1)] + [("LP", 0)] * 4 + [("MILP", 1), ("LP", 1)] + [("LP", 0)] * 24
+    assert len(made) == 3
 
 
 def test_basis_is_kept_per_run(monkeypatch):

@@ -16,16 +16,16 @@ from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 import dcsched.milp
 import dcsched.stage
-from dcsched.core import DCConfig, HorizonConfig, ObjectiveWeights
+from dcsched.core import DCConfig, HorizonConfig, JobClass, ObjectiveWeights
 from dcsched.engine import run
 from dcsched.milp import BASIC, INT_TOL, LOWER, UPPER, MilpModel, compact, csc, solve
 from dcsched.signals import noisy_forecast, synthetic_carbon
 from dcsched.stage import WarmStart, build_stage, solve_stage, validate_decision
-from conftest import stage_models, state_of
+from conftest import fresh_highs, stage_models, state_of
 import test_decisions
 from test_acceptance import DESK, _c7_profile, _cliff_capacity
 from test_stage import (AGREE_CFG, AGREE_CLASSES, C11, C23, assert_same_matrix, check_feasible,
-                        make_inputs, random_stage, scipy_csc)
+                        make_inputs, random_stage, scipy_csc, without_shortfall)
 
 
 def dense_model(objective, rows, lb=0.0, ub=np.inf, integer=True, constant=0.0):
@@ -450,11 +450,12 @@ SUB_MIPS = ("mip_heuristic_run_rens", "mip_heuristic_run_rins",
 
 
 def test_only_hot_relaxations_leave_the_highs_defaults(monkeypatch):
-    runs = []
+    runs, objects = [], []
     highs = dcsched.milp._scipy_milp
 
     def recorded(model, time_limit, gap_tol, basis=None, start=None):
         run = highs(model, time_limit, gap_tol, basis, start=start)
+        objects.append(run)
         kind = ("seeded" if start is not None else "MILP" if model.integer.any()
                 else "hot" if basis is not None else "cold")
         runs.append((kind, [run.getOptionValue(name)[1]
@@ -481,6 +482,15 @@ def test_only_hot_relaxations_leave_the_highs_defaults(monkeypatch):
     bnb, seeded = defaults + [False] + [True] * 3, defaults + [False] * 4
     assert runs == [("cold", lp), ("MILP", bnb), ("hot", hot), ("MILP", bnb),
                     ("hot", hot), ("MILP", bnb), ("seeded", seeded)]
+    # integral relaxations, cold, hot and cold again, run in one object:
+    # the cold one after the hot one has HiGHS's defaults back
+    runs.clear(), objects.clear()
+    model = budget_model(3)
+    basis = solve(model).basis
+    assert solve(moved(model, 1), basis=basis).values.tolist() == [1, 3]
+    assert solve(moved(model, 2)).values.tolist() == [2, 2]
+    assert runs == [("cold", lp), ("hot", hot), ("cold", lp)]
+    assert objects[0] is objects[1] is objects[2]
 
 
 def test_the_installed_highs_takes_every_option_set():
@@ -600,6 +610,123 @@ def test_time_limit_used_up_by_the_relaxation(monkeypatch):
     res = solve(model, time_limit=5.0, rounded=h.rounded)
     assert limits == [5.0, 0.0, 0.0]
     assert (res.status, res.message, res.values) == ("error", "Time limit reached", None)
+
+
+def relaxed(model):
+    """`model` with no integer column."""
+    return dataclasses.replace(model, integer=np.zeros_like(model.integer))
+
+
+def test_the_kept_objects_run_time_leaves_the_time_limit_whole():
+    # HiGHS's run clock adds up over the runs of an object, and its time
+    # limit is read on that clock: once the kept relaxation object has run
+    # for longer than a limit, a relaxation given that limit still solves,
+    # and one given no time still stops at once
+    limit = 0.02
+    model = budget_model(3)
+    lp = relaxed(model)
+    kept = dcsched.milp._scipy_milp(lp, 60.0, 1e-4)
+    for _ in range(100_000):
+        if kept.getRunTime() > limit:
+            break
+        dcsched.milp._scipy_milp(lp, 60.0, 1e-4)
+    assert kept.getRunTime() > limit
+    res = solve(model, time_limit=limit)
+    assert (res.status, res.values.tolist()) == ("optimal", [3, 1])
+    assert dcsched.milp._kept.highs is kept
+    res = solve(model, time_limit=0.0)
+    assert (res.status, res.message, res.values) == ("error", "Time limit reached", None)
+
+
+def cold_and_hot(first, second):
+    """The relaxations of the stage `first` and of `second`, the hour after
+    it on the same matrix, each with its clearance slack open, as (model,
+    starting basis): the first cold, the second from the first's basis
+    moved one hour along, as a run passes it."""
+    (one, _), (two, h) = stage_models(first)[1], stage_models(second)[1]
+    assert two.a is one.a
+    basis = solve(relaxed(one)).basis
+    assert basis is not None
+    return [(relaxed(one), None), (relaxed(two), h.shift.apply(basis))]
+
+
+def fleet_hours():
+    """Two hours of a fleet stage: 60 classes on 20,000 servers, a
+    24-hour window, a queue and forecast arrivals."""
+    classes = tuple(JobClass(k, l) for k in (1, 2, 4, 8, 16) for l in range(1, 13))
+    rng = np.random.default_rng(0)
+    carbon = {t: 400.0 + 100.0 * np.sin(t / 4) for t in range(1, 50)}
+
+    def hour(r):
+        queued = dict(zip(classes, rng.integers(0, 400, len(classes)).tolist()))
+        return make_inputs(state_of(r, classes, queued=queued),
+                           job_forecast=rng.integers(0, 40, (len(classes), 24)), capacity=20000,
+                           carbon=carbon, weights=ObjectiveWeights(0.1, 5.0), t_h=24, t_end=56,
+                           cfg=DCConfig(20000, 100.0, 30.0))
+
+    return hour(1), hour(2)
+
+
+def relaxation_outcome(model, basis=None, time_limit=60.0):
+    """Run the relaxation `model` from `basis` through the one binding and
+    read its status, column values, basis and simplex iterations."""
+    highs = dcsched.milp._scipy_milp(model, time_limit, 1e-4, basis)
+    status, found = highs.getModelStatus(), None
+    if status == HighsModelStatus.kOptimal:
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        found = x, dcsched.milp._read_basis(highs, solution, model, x)
+    return status, found, highs.getInfo().simplex_iteration_count
+
+
+def test_no_relaxation_depends_on_the_kept_objects_history():
+    # fixed relaxations, cold and hot, give in the kept object what they
+    # give in a new one, whatever kind of run the object made before: the
+    # same status, column values to the bit, basis and simplex iterations
+    cases = []
+    for seed in (0, 1, 3):
+        first = without_shortfall(random_stage(seed))
+        second = without_shortfall(random_stage(seed + 40, r=first.state.stage + 1,
+                                                t_end=first.t_end))
+        cases += cold_and_hot(first, second)
+    fleet = cold_and_hot(*fleet_hours())
+    cases += fleet
+    budget = budget_model(3)
+    other_hot = cold_and_hot(*(without_shortfall(random_stage(seed, r=r, t_end=9))
+                               for seed, r in ((5, 4), (6, 5))))[1]
+
+    def refused():
+        with pytest.raises(ValueError, match="HiGHS refused option time_limit = -1.0"):
+            dcsched.milp._scipy_milp(relaxed(budget), -1.0, 1e-4)
+
+    before = {
+        "a cold relaxation of another shape": lambda: relaxation_outcome(relaxed(budget)),
+        "a hot relaxation": lambda: relaxation_outcome(*other_hot),
+        "an infeasible relaxation": lambda: relaxation_outcome(
+            relaxed(budget_model(3, rhs=-1.0))),
+        "a run stopped at its time limit": lambda: relaxation_outcome(fleet[0][0],
+                                                                     time_limit=0.0),
+        "a run whose option HiGHS refused": refused,
+    }
+    kinds = [before[name]() for name in list(before)[:4]]
+    assert [status for status, *_ in kinds] == [HighsModelStatus.kOptimal] * 2 + [
+        HighsModelStatus.kInfeasible, HighsModelStatus.kTimeLimit]
+    assert sum(basis is not None for _, basis in cases) == len(cases) // 2
+    compared = 0
+    for model, basis in cases:
+        with fresh_highs():
+            status, found, iterations = relaxation_outcome(model, basis)
+        assert status == HighsModelStatus.kOptimal
+        x, (col, row) = found
+        for name, run in before.items():
+            run()
+            again, found, again_iterations = relaxation_outcome(model, basis)
+            assert (again, again_iterations) == (status, iterations), name
+            assert x.tobytes() == found[0].tobytes(), name
+            np.testing.assert_array_equal(found[1][0], col, err_msg=name)
+            np.testing.assert_array_equal(found[1][1], row, err_msg=name)
+            compared += 1
+    assert compared == 40
 
 
 def test_branch_and_bound_sees_the_compacted_model(monkeypatch, highs_calls):
