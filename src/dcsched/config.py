@@ -76,6 +76,10 @@ FORECAST_MODES = ("accurate", "noisy_carbon", "noisy_capacity", "noisy_both")
 # the longest run a config may ask for: a year, leap day included. A run
 # builds arrays over its hours, so a larger value could exhaust the memory
 MAX_HOURS = 366 * 24
+# the most synthetic jobs: a year at the fleet's arrival rate (48,000 jobs in
+# 56 hours) is ~7.5 million. `synthetic_jobs` draws two int64 entries per
+# job, 160 MB at this bound, and steps through them one by one
+MAX_JOBS = 10_000_000
 
 
 def _parse(value: Any, default: Any, where: str) -> Any:
@@ -190,7 +194,14 @@ def validate(data: dict[str, Any]) -> None:
         _reach("profiles.trace_csv", lambda: load_trace_csv(prof["trace_csv"]))
     else:
         _require(prof["jobs"] >= 0, "profiles.jobs: must be >= 0")
+        _require(prof["jobs"] <= MAX_JOBS,
+                 f"profiles.jobs: at most {MAX_JOBS}, got {prof['jobs']}")
     _reach("profiles.k_buckets", lambda: AggregationRule(k_buckets=tuple(prof["k_buckets"])))
+    # no job longer than MAX_HOURS can finish in a run, and `synthetic_jobs`
+    # weighs each runtime hour, so a longer one would only allocate
+    _require(prof["max_runtime_hours"] <= MAX_HOURS,
+             f"profiles.max_runtime_hours: at most {MAX_HOURS} (a year), "
+             f"got {prof['max_runtime_hours']}")
     _reach(
         "profiles.max_runtime_hours",
         lambda: AggregationRule(max_runtime_hours=prof["max_runtime_hours"]),

@@ -277,7 +277,8 @@ def build_stage(inputs: StageInputs) -> tuple[MilpModel, _StageHandles]:
     columns are closed by their bounds. So every stage of a run without
     terminations receives the same matrix object, and each relaxation can
     start from the basis of the hour before, moved one hour along the
-    window.
+    window; a stage with no such basis starts from its greedy one
+    (:func:`greedy_basis`), which the handles locate.
     """
     r, cfg, t_h = inputs.state.stage, inputs.cfg, inputs.horizons.t_h
     b, classes = inputs.bounds, inputs.classes
@@ -339,6 +340,48 @@ def build_stage(inputs: StageInputs) -> tuple[MilpModel, _StageHandles]:
     return MilpModel(obj, np.zeros(n), ub, integer, a, lo, hi, constant), h
 
 
+def greedy_basis(b: StageBounds, h: _StageHandles) -> tuple[np.ndarray, np.ndarray]:
+    """The basis of the plan that starts every job the hour it becomes
+    available, on the stage model of bounds `b` and handles `h`: where a
+    stage's first relaxation starts when no basis of the hour before
+    applies (an initial basis from the model's structure; Bixby,
+    "Implementing the simplex method: the initial basis", ORSA J. Computing
+    4, 1992).
+
+    Every admissible start (i, o) is basic, its allocation row at its upper
+    bound, so it takes the jobs that become available at hour r + o: the
+    queue and the arrivals at r at o = 0, and at most hours none. Every
+    other start column sits at its lower bound with its allocation row
+    basic. The clearance and capacity rows, the m columns and PD are basic;
+    the occupancy rows fix the m columns, and the peak row of the window
+    hour where the plan holds the most servers sits at its upper bound and
+    fixes PD, the other peak rows basic. Every other column sits at its
+    lower bound. Each (class, hour) pair gives one basic entry, so the
+    basis is square, and it is block-triangular with a nonzero diagonal, so
+    it is nonsingular.
+
+    Making only the starts that take jobs basic poses the same vertex, but
+    the optimum HiGHS reaches from that basis moves one hour along with
+    more pivots: about twice as many in the hours that follow, on the desk
+    grid and on the fleet."""
+    (n_c, n_t), n_pad = b.allowance.shape, h.peak - h.m0
+    t_h = (h.m0 - len(h.terms)) // n_c
+    admissible = np.arange(t_h) < b.k[:, None]  # k <= n_t <= t_h
+    i, o = np.nonzero(admissible)
+    added = np.diff(b.allowance, axis=1, prepend=0)  # the jobs that become available each hour
+    busy = b.held[:n_t] + held_servers(np.array([b.servers[i], b.runtime[i], o, added[i, o]]),
+                                       0, n_t)
+    started = admissible.ravel()
+    col = np.full(h.peak + 1 + n_c, LOWER, dtype=np.int8)
+    col[:len(started)][started] = BASIC
+    col[h.m0:h.peak + 1] = BASIC
+    row = np.full(n_pad + len(started) + n_c + 2 * t_h, BASIC, dtype=np.int8)
+    row[:n_pad] = LOWER
+    row[n_pad:n_pad + len(started)][started] = UPPER
+    row[len(row) - t_h + np.argmax(busy)] = UPPER
+    return col, row
+
+
 def _padded(values, n: int, fill: float) -> np.ndarray:
     """`values` followed by `fill` up to length n."""
     out = np.full(n, fill)
@@ -370,16 +413,19 @@ def solve_stage(
     branch-and-bound.
 
     With `warm`, the run's bases pass from hour to hour. When the stored
-    basis was found on this stage's very matrix object (any other, even an
-    equal one, solves cold), the first relaxation starts from it moved one
-    hour along the window; the re-solve starts from the newest basis found
-    on the matrix as it was found (from a moved one, overload stages fall
-    on other tied optima). The newest basis is then stored."""
+    basis was found on this stage's very matrix object, the first
+    relaxation starts from it moved one hour along the window. Otherwise
+    (any other matrix, even an equal one, or no `warm`) it starts from the
+    stage's greedy basis (:func:`greedy_basis`). The re-solve starts from
+    the newest basis found on the matrix as it was found (from a moved one,
+    overload stages fall on other tied optima), or cold if there is none
+    (from the greedy basis, more overload re-solves were fractional). The
+    newest basis found is then stored; the greedy one never is."""
     r = inputs.state.stage
     model, h = build_stage(inputs)
     basis = warm.basis if warm is not None and warm.matrix is model.a else None
-    res = solve(model, gap_tol=gap_tol, time_limit=time_limit,
-                basis=None if basis is None else h.shift.apply(basis), rounded=h.rounded)
+    start = greedy_basis(inputs.bounds, h) if basis is None else h.shift.apply(basis)
+    res = solve(model, gap_tol=gap_tol, time_limit=time_limit, basis=start, rounded=h.rounded)
     if res.status == "infeasible":
         if warm is not None:  # the closed relaxation's basis, if it was feasible
             basis = res.basis or basis

@@ -10,6 +10,7 @@ import dcsched.config
 import dcsched.core
 import dcsched.engine
 import dcsched.milp
+import dcsched.traces
 from dcsched.cli import main
 from dcsched.config import load_config
 from dcsched.core import DomainError
@@ -78,6 +79,29 @@ def test_validate_refuses_more_hours_than_a_year_before_building_them(tmp_path, 
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err == (
             f"config error: signals.hours: at most 8784 (a year), got {hours}\n")
+
+
+def test_validate_refuses_oversized_job_profiles_before_drawing_them(tmp_path, capsys,
+                                                                     monkeypatch):
+    # each bound reads the value alone, before any command draws the jobs
+    def unreached(*args, **kwargs):
+        raise AssertionError("the jobs were drawn")
+
+    monkeypatch.setattr(dcsched.cli, "synthetic_jobs", unreached)
+    monkeypatch.setattr(dcsched.traces, "synthetic_jobs", unreached)
+    path = tmp_path / "big.yaml"
+    cases = [("jobs", 10_000_001, "at most 10000000"),
+             ("jobs", 10**12, "at most 10000000"),
+             ("max_runtime_hours", 8785, "at most 8784 (a year)"),
+             ("max_runtime_hours", 10**9, "at most 8784 (a year)")]
+    for key, value, bound in cases:
+        path.write_text(f"profiles:\n  {key}: {value}\n")
+        for command in ("validate", "run", "offline", "gen-signals"):
+            assert main([command, str(path)]) == 2
+            assert capsys.readouterr().err == f"config error: profiles.{key}: {bound}, got {value}\n"
+    # the bounds themselves pass
+    path.write_text("profiles:\n  jobs: 10000000\n  max_runtime_hours: 8784\n")
+    assert main(["validate", str(path)]) == 0
 
 
 def test_validate_missing_file(tmp_path, capsys):

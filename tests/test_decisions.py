@@ -5,8 +5,10 @@ window, the terminations, the active servers over the extended window, the
 clearance slack, the realized peak, the status and the rounded gap. The
 encoding is independent of how a decision stores them: sorted
 (servers, runtime, hour, count) tuples, whichever layout the tables have.
-The HiGHS runs of each loop are pinned by kind: a relaxation given the
-previous hour's basis ("LP hot"), one started cold ("LP cold"),
+The HiGHS runs of each loop are pinned by kind: a relaxation given a
+starting basis, the previous hour's or the stage's greedy one ("LP hot"),
+one started cold, which only a slack re-solve with no basis to start from
+is ("LP cold"),
 branch-and-bound given a starting incumbent, which is full branch-and-bound
 after an uncertified neighbourhood ("MILP seeded"), and any other
 branch-and-bound, the neighbourhood included ("MILP"). So are the simplex
@@ -127,7 +129,7 @@ def test_desk_cell_decisions_are_pinned(recorded, tmp_path):
     decisions, runs = recorded
     run_cell(tmp_path, DESK_CELL)
     assert len(decisions) == 24
-    assert dict(runs) == {"LP cold": 1, "LP hot": 23, "MILP": 8, "MILP seeded": 7}
+    assert dict(runs) == {"LP hot": 24, "MILP": 8, "MILP seeded": 7}
     assert digest(decisions) == (
         "655461e58c67c5fa28ef69f7d8c7559cab03502ae71339702c50b3689aace1c6"
     )
@@ -140,7 +142,7 @@ def test_overload_cell_decisions_are_pinned(recorded, tmp_path):
     # stages with terminations and stages with slack are among them
     assert any(terms for _, _, terms, *_ in decisions)
     assert any(slack for *_, slack, _, _, _ in decisions)
-    assert dict(runs) == {"LP cold": 5, "LP hot": 54, "MILP": 26, "MILP seeded": 20}
+    assert dict(runs) == {"LP cold": 2, "LP hot": 57, "MILP": 26, "MILP seeded": 20}
     assert digest(decisions) == (
         "0cd94eefb407eeb78a50d5d4ddfac3fe5725d4387b148ace1fc9295550735255"
     )
@@ -157,37 +159,38 @@ def run_fleet(hours):
 
 
 def test_fleet_shaped_decisions_are_pinned(recorded):
-    # 60 classes on 20,000 servers: every relaxation after the first starts
-    # from the basis of the hour before
+    # 60 classes on 20,000 servers: the first relaxation starts from its
+    # greedy basis, every later one from the basis of the hour before
     decisions, runs = recorded
     hours = 36
     run_fleet(hours)
     assert len(decisions) == hours
-    assert dict(runs) == {"LP cold": 1, "LP hot": 35}
+    assert dict(runs) == {"LP hot": 36}
     assert digest(decisions) == (
         "770d95efd1e48ebd82f5889f2bab5d9439c867c8c7e5d27f6884e3d23de75350"
     )
 
 
-# The simplex iterations of the relaxations that start from the basis of the
-# hour before, moved one hour along the window. Started from that basis as
-# it was, the desk cell's 23 took 914 and the fleet loop's 35 took 1,760.
+# The simplex iterations of the relaxations that start from a basis: the
+# first stage's greedy one, then the basis of the hour before, moved one
+# hour along the window. Started from that basis as it was, the desk cell's
+# 23 later hours took 914 and the fleet loop's 35 took 1,760.
 
 
 def test_desk_cell_hot_relaxation_iterations_are_pinned(lp_iterations, tmp_path):
     run_cell(tmp_path, DESK_CELL)
     hot = [n for given, n in lp_iterations if given]
-    assert (len(hot), sum(hot)) == (23, 387)
+    assert (len(hot), sum(hot)) == (24, 670)
 
 
 def test_fleet_shaped_hot_relaxation_iterations_are_pinned(lp_iterations):
     run_fleet(36)
     hot = [n for given, n in lp_iterations if given]
-    assert (len(hot), sum(hot)) == (35, 157)
+    assert (len(hot), sum(hot)) == (36, 106)
 
 
 def test_overload_cell_hot_relaxation_iterations_are_pinned(lp_iterations, tmp_path):
     # the one pinned loop whose hot relaxations include slack re-solves
     run_cell(tmp_path, OVERLOAD_CELL)
     hot = [n for given, n in lp_iterations if given]
-    assert (len(hot), sum(hot)) == (54, 1096)
+    assert (len(hot), sum(hot)) == (57, 1122)

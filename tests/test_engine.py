@@ -305,11 +305,10 @@ def relaxations(monkeypatch):
     def recorded(model, time_limit, gap_tol, basis=None, start=None):
         run = highs(model, time_limit, gap_tol, basis, start=start)
         if not model.integer.any():
-            hot, found = basis is not None, outcome(run)
-            if hot:
-                with fresh_highs():
-                    cold = outcome(highs(model, time_limit, gap_tol))
-            seen.append((hot, found, cold if hot else found))
+            found = outcome(run)
+            with fresh_highs():
+                cold = outcome(highs(model, time_limit, gap_tol))
+            seen.append((basis is not None, found, cold))
         return run
 
     monkeypatch.setattr(dcsched.milp, "_scipy_milp", recorded)
@@ -319,12 +318,11 @@ def relaxations(monkeypatch):
 def test_hot_started_relaxations_reach_the_cold_vertex(relaxations):
     traj = steady_run(seed=3)
     assert len(traj.records) == 30
-    # every stage has the same matrix, the end-of-run stages too: all but
-    # the first reuse the basis of the stage before
-    hot = [(res, cold) for given, res, cold in relaxations if given]
-    assert len(hot) == 29
-    assert [given for given, _, _ in relaxations] == [False] + [True] * 29
-    for (status, x), (cold_status, cold_x) in hot:
+    # every stage has the same matrix, the end-of-run stages too: the first
+    # starts from its greedy basis, the others from the basis of the stage
+    # before
+    assert [given for given, _, _ in relaxations] == [True] * 30
+    for _, (status, x), (cold_status, cold_x) in relaxations:
         assert status == cold_status == HighsModelStatus.kOptimal
         np.testing.assert_allclose(x, cold_x, rtol=0, atol=1e-9)
 
@@ -353,8 +351,8 @@ def test_hot_started_fleet_relaxations_reach_the_cold_vertex(relaxations, monkey
         run(DCConfig(20000, 100.0, 30.0), sample_arrivals(FLEET_CLASSES, "small_var", hours, seed=5),
             tuple(sorted(FLEET_CLASSES)), constant_capacity(20000, hours), synthetic_carbon(hours),
             hz(24), ObjectiveWeights(lambda_ce=0.1, lambda_pd=5.0))
-    assert [given for given, _, _ in relaxations] == [False] + [True] * 7
-    for _, (status, x), (cold_status, cold_x) in relaxations[1:]:
+    assert [given for given, _, _ in relaxations] == [True] * 8
+    for _, (status, x), (cold_status, cold_x) in relaxations:
         assert status == cold_status == HighsModelStatus.kOptimal
         np.testing.assert_allclose(x, cold_x, rtol=0, atol=1e-9)
 

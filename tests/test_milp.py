@@ -20,7 +20,7 @@ from dcsched.core import DCConfig, HorizonConfig, JobClass, ObjectiveWeights
 from dcsched.engine import run
 from dcsched.milp import BASIC, INT_TOL, LOWER, UPPER, MilpModel, compact, csc, solve
 from dcsched.signals import noisy_forecast, synthetic_carbon
-from dcsched.stage import WarmStart, build_stage, solve_stage, validate_decision
+from dcsched.stage import WarmStart, build_stage, greedy_basis, solve_stage, validate_decision
 from conftest import fresh_highs, stage_models, state_of
 import test_decisions
 from test_acceptance import DESK, _c7_profile, _cliff_capacity
@@ -335,11 +335,21 @@ def test_same_matrix_starts_from_the_stored_basis(lp_bases):
     assert second.basis is not None and second.basis is not first.basis
 
 
-def test_changed_matrix_solves_cold(lp_bases):
+def test_changed_matrix_starts_from_the_greedy_basis(monkeypatch):
     # a stage starts from its run's basis only on the very matrix object it
     # was found on: an equal matrix that is another object, one whose data
-    # differ (a steeper power slope) and one grown (a longer window) solve
-    # cold, and their basis is then the stored one
+    # differ (a steeper power slope) and one grown (a longer window) start
+    # from their greedy basis, and the basis they find is then the stored one
+    given = []
+    highs = dcsched.milp._scipy_milp
+
+    def recorded(model, time_limit, gap_tol, basis=None, start=None):
+        if not model.integer.any():
+            given.append(basis)
+        return highs(model, time_limit, gap_tol, basis, start=start)
+
+    monkeypatch.setattr(dcsched.milp, "_scipy_milp", recorded)
+
     def stage(r, cfg=AGREE_CFG, t_h=4):
         state = state_of(r, AGREE_CLASSES, queued={C11: 1, C23: 1})
         return make_inputs(state, capacity=12, t_h=t_h, t_end=7, cfg=cfg)
@@ -352,10 +362,18 @@ def test_changed_matrix_solves_cold(lp_bases):
         a = warm.matrix
         if name == "equal":
             dcsched.stage._stage_matrix.cache_clear()
-        b = build_stage(inputs)[0].a
-        lp_bases.clear()
+        model, h = build_stage(inputs)
+        b = model.a
+        start = greedy = greedy_basis(inputs.bounds, h)
+        if name == "same":
+            start = h.shift.apply(warm.basis)
+            # the two starts differ, so the test tells them apart
+            assert not all(np.array_equal(m, g) for m, g in zip(start, greedy))
+        given.clear()
         solve_stage(inputs, warm=warm)
-        assert lp_bases == [name == "same"], name
+        assert len(given) == 1, name
+        for mine, theirs in zip(given[0], start):
+            np.testing.assert_array_equal(mine, theirs, err_msg=name)
         assert warm.matrix is b
         if name == "equal":
             assert b is not a and b.shape == a.shape
@@ -677,6 +695,27 @@ def relaxation_outcome(model, basis=None, time_limit=60.0):
         x = np.array(solution.col_value)
         found = x, dcsched.milp._read_basis(highs, solution, model, x)
     return status, found, highs.getInfo().simplex_iteration_count
+
+
+def test_relaxations_from_the_greedy_basis_end_as_cold_ones():
+    # each relaxation started from its stage's greedy basis ends at the
+    # status and objective of the same relaxation run cold in a new HiGHS
+    # object: on random stages, with shortfalls, windows cut by the end of
+    # the run and the clearance slack closed and open, and on a fleet stage
+    seen = Counter()
+    for inputs in [random_stage(seed) for seed in range(200)] + [fleet_hours()[0]]:
+        for model, h in stage_models(inputs):
+            lp = relaxed(model)
+            hot = dcsched.milp._scipy_milp(lp, 60.0, 1e-4, greedy_basis(inputs.bounds, h))
+            status, objective = hot.getModelStatus(), hot.getInfo().objective_function_value
+            with fresh_highs():
+                cold = dcsched.milp._scipy_milp(lp, 60.0, 1e-4)
+                assert cold.getModelStatus() == status
+                if status == HighsModelStatus.kOptimal:
+                    assert objective == pytest.approx(cold.getInfo().objective_function_value,
+                                                      rel=1e-9)
+            seen[status.name] += 1
+    assert dict(seen) == {"kInfeasible": 168, "kOptimal": 234}
 
 
 def test_no_relaxation_depends_on_the_kept_objects_history():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from scipy import sparse
 from conftest import running_of, stage_models, state_of
 import dcsched.milp
 from scipy.optimize._highspy._core import HighsModelStatus
-from dcsched.milp import BASIC, LOWER, UPPER, CscMatrix, MilpModel, compact
+from dcsched.milp import BASIC, LOWER, UPPER, CscMatrix, MilpModel, compact, solve
 from dcsched.core import (
     ArrivalProfile,
     DCConfig,
     HorizonConfig,
     JobClass,
     ObjectiveWeights,
+    StageDecision,
     power_of,
 )
 from dcsched.offline import build_offline
@@ -26,6 +28,7 @@ from dcsched.stage import (
     StageInputs,
     WarmStart,
     build_stage,
+    greedy_basis,
     solve_stage,
     util_coeff,
     validate_decision,
@@ -214,7 +217,8 @@ def test_stages_of_a_run_share_one_matrix(monkeypatch):
     monkeypatch.setattr(dcsched.milp, "_scipy_milp", recorded)
 
     # each steady stage gets the same object, and its relaxation starts
-    # from the basis the stage before left, moved one hour along
+    # from the basis the stage before left, moved one hour along; the first
+    # from its greedy basis
     warm = WarmStart()
     for inputs in stages:
         model, h = build_stage(inputs)
@@ -223,10 +227,10 @@ def test_stages_of_a_run_share_one_matrix(monkeypatch):
         relaxations.clear()
         solve_stage(inputs, warm=warm)
         (shared, given, _), *_ = relaxations
-        assert shared and (given is None) == (inputs is stages[0])
-        if given is not None:
-            for mine, theirs in zip(given, h.shift.apply(left)):
-                np.testing.assert_array_equal(mine, theirs)
+        start = greedy_basis(inputs.bounds, h) if inputs is stages[0] else h.shift.apply(left)
+        assert shared
+        for mine, theirs in zip(given, start):
+            np.testing.assert_array_equal(mine, theirs)
         assert warm.matrix is a and warm.basis is not left
 
     # hours 1-4 of another run, with a (2,2) job on one server at hour 3:
@@ -247,7 +251,8 @@ def test_stages_of_a_run_share_one_matrix(monkeypatch):
     assert slack_ub == [[0] * 4, [np.inf] * 4, [0] * 4]
 
     # at hour 3 of a third run, terminations change the matrix, and no
-    # basis fits it: it solves cold and its basis is stored
+    # stored basis fits it: it starts from its greedy basis, and the basis
+    # it finds is stored
     warm = WarmStart()
     for inputs in stages[:2]:
         solve_stage(inputs, warm=warm)
@@ -257,7 +262,10 @@ def test_stages_of_a_run_share_one_matrix(monkeypatch):
     model, h = build_stage(cut)
     assert h.terms and model.a is not a and warm.matrix is a
     solve_stage(cut, warm=warm)
-    assert relaxations and all(not shared and given is None for shared, given, _ in relaxations)
+    (shared, given, _), *rest = relaxations
+    assert not shared and not rest
+    for mine, theirs in zip(given, greedy_basis(cut.bounds, h)):
+        np.testing.assert_array_equal(mine, theirs)
     assert warm.matrix is model.a
     # the shared matrix was never written to
     assert matrix_digest(a) == digest
@@ -408,7 +416,8 @@ def without_shortfall(inputs):
 def test_moved_bases_reach_the_cold_optimum_on_random_two_hour_sequences(monkeypatch):
     # two hours of one run on one matrix, the end of the run cutting the
     # window of many: each relaxation of the second hour, started from the
-    # first hour's basis moved one hour along, ends as a cold start does
+    # first hour's basis moved one hour along, ends as a cold start of the
+    # same model does
     relaxations = []
     highs = dcsched.milp._scipy_milp
 
@@ -434,7 +443,9 @@ def test_moved_bases_reach_the_cold_optimum_on_random_two_hour_sequences(monkeyp
         solve_stage(second, warm=warm)
         moved = relaxations[:]
         relaxations.clear()
-        solve_stage(second)
+        for model, _ in stage_models(second):  # closed, then with the slack opened
+            if solve(model).status != "infeasible":
+                break
         assert [given for given, *_ in relaxations] == [False] * len(relaxations)
         assert [end for _, *end in moved] == [
             [status, pytest.approx(objective, rel=1e-9, abs=1e-9)]
@@ -442,6 +453,61 @@ def test_moved_bases_reach_the_cold_optimum_on_random_two_hour_sequences(monkeyp
         hot += moved[0][0]
         cut += len(second.window()) < 4
     assert (hot, cut) == (40, 25)
+
+
+def start_on_arrival(inputs):
+    """The decision that starts every job the hour it becomes available:
+    the queue and the arrivals at r at hour r, each later forecast arrival
+    at its own hour, wherever its class may still start; with the active
+    servers and the realized peak it implies."""
+    classes, k = inputs.classes, inputs.bounds.k
+    starts = np.zeros((len(classes), inputs.horizons.t_h), dtype=np.int64)
+    for i in range(len(classes)):
+        for o, n in enumerate(inputs.job_forecast[i].tolist()):
+            if o < k[i]:
+                starts[i, o] = n + (inputs.state.n_queued[i] if o == 0 else 0)
+    return with_occupancy(inputs, StageDecision(starts, slack=np.zeros(len(classes), dtype=np.int64)))
+
+
+def basic_solution(model, basis):
+    """The column values and row activities of `basis` on `model`: each
+    nonbasic entry at the bound its status names, the basic ones solved for
+    densely. Asserts that the basis is square and nonsingular and that no
+    nonbasic entry sits at an infinite bound."""
+    n_rows, n_cols = model.a.shape
+    full = np.hstack([scipy_csc(model.a).toarray(), -np.eye(n_rows)])  # a @ x - activity = 0
+    status = np.concatenate(basis)
+    basic = status == BASIC
+    assert basic.sum() == n_rows
+    assert np.linalg.matrix_rank(full[:, basic]) == n_rows
+    value = np.where(status == UPPER, np.concatenate([model.ub, model.hi]),
+                     np.concatenate([model.lb, model.lo]))
+    value[basic] = 0.0
+    assert np.isfinite(value).all()
+    value[basic] = np.linalg.solve(full[:, basic], -full[:, ~basic] @ value[~basic])
+    return value[:n_cols], value[n_cols:]
+
+
+def test_the_greedy_basis_is_the_start_on_arrival_plans_vertex():
+    # on random stages, with shortfalls (termination columns), windows cut
+    # by the end of the run and the clearance slack closed and open, the
+    # greedy basis is square and nonsingular, and its vertex is the plan
+    # that starts every job the hour it becomes available, the peak at its
+    # highest hour
+    seen = Counter()
+    for seed in range(200):
+        inputs = random_stage(seed)
+        plan = start_on_arrival(inputs)
+        n_t = len(inputs.window())
+        for model, h in stage_models(inputs):
+            x, activity = basic_solution(model, greedy_basis(inputs.bounds, h))
+            np.testing.assert_allclose(x, model_values(model, h, plan), rtol=0, atol=1e-9)
+            np.testing.assert_array_less(activity[-4:], model.hi[-4:] + 1e-9)  # the peak rows
+        seen["terms"] += bool(h.terms)
+        seen["cut"] += n_t < 4
+        seen["started"] += bool(plan.starts.any())
+        seen["peak after r"] += int(np.argmax(plan.active[:n_t])) > 0
+    assert dict(seen) == {"terms": 105, "cut": 130, "started": 200, "peak after r": 22}
 
 
 def test_validate_decision_reports_what_the_model_has_no_column_for():
