@@ -7,11 +7,12 @@ Subcommands:
   gen-signals <config> emit the signal CSVs a run would use
 
 Every sweep cell, and every offline schedule, runs in a process pool of
-solver.workers processes, one worker or many. Exit codes: 0 success; 1 if
-any cell failed, in which case each failed cell gets one `error: <cell>: ...`
-line on stderr, a cell whose run aborted keeps its
-`<cell>_trajectory.partial.csv`, and summary.csv still lists every other
-cell; 2 invalid config.
+solver.workers processes, one worker or many, and never more workers than
+tasks. Exit codes: 0 success; 1 if any cell or schedule failed, in which
+case each failed one gets one `error: <cell>: ...` or `error: <shape> seed
+<seed>: ...` line on stderr, a cell whose run aborted keeps its
+`<cell>_trajectory.partial.csv`, summary.csv still lists every other cell
+and every other schedule is still written and reported; 2 invalid config.
 """
 
 from __future__ import annotations
@@ -203,16 +204,22 @@ def _stdout_to_stderr() -> None:
     os.dup2(2, 1)
 
 
+def _pool(cfg: dict, tasks: int) -> ProcessPoolExecutor:
+    """A pool of solver.workers processes, never more than `tasks` of them,
+    whose fd 1 points at stderr."""
+    return ProcessPoolExecutor(max_workers=min(cfg["solver"]["workers"], tasks),
+                               initializer=_stdout_to_stderr)
+
+
 def cmd_run(cfg: dict) -> int:
     cells = _cells(cfg)  # never empty: every sweep list is parsed non-empty
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    workers = cfg["solver"]["workers"]
     totals = _class_totals(cfg)  # read once: every cell draws from the one job mix
     rows: dict[tuple, dict] = {}
     manifests: dict[tuple, list[str]] = {}
     failed = False
-    with ProcessPoolExecutor(max_workers=workers, initializer=_stdout_to_stderr) as pool:
+    with _pool(cfg, len(cells)) as pool:
         futures = {
             pool.submit(_run_cell, cfg, totals, cell, out_dir): cell for cell in cells
         }
@@ -235,30 +242,41 @@ def cmd_run(cfg: dict) -> int:
     return 1 if failed else 0
 
 
-def _offline_schedule(cfg: dict, totals: dict[JobClass, int], shape: str, seed: int) -> str:
+def _offline_schedule(cfg: dict, totals: dict[JobClass, int], shape: str,
+                      seed: int) -> tuple[bool, str]:
     """Solve and write the offline schedule of one profile shape and seed;
-    return the line that reports it."""
-    profile = sample_arrivals(totals, shape, cfg["signals"]["hours"], seed)
-    capacity = _capacity_truth(cfg, seed)
-    schedule = solve_offline(
-        profile, [int(v) for v in capacity.values], tuple(sorted(totals)),
-        gap_tol=cfg["solver"]["gap"], time_limit=cfg["solver"]["time_limit_s"],
-    )
+    return whether it was solved and the line that reports it, or its
+    error if the solve failed or its set-up broke a domain invariant."""
+    try:
+        profile = sample_arrivals(totals, shape, cfg["signals"]["hours"], seed)
+        capacity = _capacity_truth(cfg, seed)
+        schedule = solve_offline(
+            profile, [int(v) for v in capacity.values], tuple(sorted(totals)),
+            gap_tol=cfg["solver"]["gap"], time_limit=cfg["solver"]["time_limit_s"],
+        )
+    except (RuntimeError, DomainError) as exc:
+        return False, f"{shape} seed {seed}: {type(exc).__name__}: {exc}"
     path = os.path.join(cfg["output_dir"], f"offline_{shape}_s{seed}.csv")
     write_schedule_csv(schedule, path)
-    return f"{shape} seed {seed}: goodput {schedule.goodput} server-hours -> {path}"
+    return True, f"{shape} seed {seed}: goodput {schedule.goodput} server-hours -> {path}"
 
 
 def cmd_offline(cfg: dict) -> int:
     os.makedirs(cfg["output_dir"], exist_ok=True)
     totals = _class_totals(cfg)
-    with ProcessPoolExecutor(max_workers=cfg["solver"]["workers"],
-                             initializer=_stdout_to_stderr) as pool:
+    schedules = list(itertools.product(cfg["profiles"]["shapes"], cfg["sweep"]["seeds"]))
+    failed = False
+    with _pool(cfg, len(schedules)) as pool:
         futures = [pool.submit(_offline_schedule, cfg, totals, shape, seed)
-                   for shape in cfg["profiles"]["shapes"] for seed in cfg["sweep"]["seeds"]]
+                   for shape, seed in schedules]
         for future in futures:
-            print(future.result())
-    return 0
+            solved, line = future.result()
+            if solved:
+                print(line)
+            else:
+                failed = True
+                print(f"error: {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_gen_signals(cfg: dict) -> int:

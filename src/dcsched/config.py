@@ -80,6 +80,15 @@ MAX_HOURS = 366 * 24
 # 56 hours) is ~7.5 million. `synthetic_jobs` draws two int64 entries per
 # job, 160 MB at this bound, and steps through them one by one
 MAX_JOBS = 10_000_000
+# the longest look-ahead window: a week. The stage matrix grows as its
+# square (classes x t_h(t_h+1)/2 allocation entries): at the fleet's 60
+# classes, a 168-hour stage matrix holds 0.93 million entries, and building
+# it took a process from 39 to 117 MB
+MAX_HORIZON = 7 * 24
+# the most pool workers: each is a forked Python process of its own, and a
+# pool starts all of them at its first task, so a larger value could fork
+# the machine out of processes or memory
+MAX_WORKERS = 64
 
 
 def _parse(value: Any, default: Any, where: str) -> Any:
@@ -216,6 +225,8 @@ def validate(data: dict[str, Any]) -> None:
         for lam in sweep[key]:
             _reach(f"sweep.{key}", lambda: ObjectiveWeights(**{key: lam}))
     for t in sweep["horizon_t"]:
+        # on the value alone, before any stage is built
+        _require(t <= MAX_HORIZON, f"sweep.horizon_t: at most {MAX_HORIZON} (a week), got {t}")
         _reach("sweep.horizon_t", lambda: HorizonConfig(t, t, t))
     # each value names sweep cells (the weights as `:g`), so two equal names
     # would write the same files
@@ -235,6 +246,8 @@ def validate(data: dict[str, Any]) -> None:
     _require(solver["gap"] >= 0, "solver.gap: must be >= 0")
     _require(solver["time_limit_s"] > 0, "solver.time_limit_s: must be positive")
     _require(solver["workers"] >= 1, "solver.workers: must be >= 1")
+    _require(solver["workers"] <= MAX_WORKERS,
+             f"solver.workers: at most {MAX_WORKERS}, got {solver['workers']}")
 
 
 def load_config(path: str | None, desk_scale: bool = False) -> dict[str, Any]:

@@ -3,7 +3,8 @@
 All job counts are exact integers; power and energy are floats with
 explicit units (MW, MWh). Types are immutable or treated as immutable so
 they can be shared freely across parallel experiment runs. `read_csv` is
-the one way a CSV file from outside the program is read.
+the one way a CSV file from outside the program is read, and `write_csv`
+the one way the program writes one.
 """
 
 from __future__ import annotations
@@ -47,6 +48,15 @@ def read_csv(path: str, header: Sequence[str], parse: Callable[[list[str]], T]) 
             except ValueError as exc:
                 raise DomainError(f"{path}:{lineno}: bad row {row!r}: {exc}") from exc
     return rows
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write `header`, then `rows`, to a CSV file in the csv module's
+    default dialect (comma-separated, minimal quoting, `\\r\\n` line ends)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _non_finite(cell: str) -> bool:

@@ -7,7 +7,6 @@ and advances the inventory state.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass, field
 
@@ -25,6 +24,7 @@ from .core import (
     check_state,
     class_table,
     held_servers,
+    write_csv,
 )
 from .signals import SignalSeries
 from .stage import StageError, StageInputs, WarmStart, solve_stage
@@ -227,29 +227,16 @@ def run(
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["hour", "active_servers", "capacity", "carbon_rate", "starts",
-             "terminations", "queued_after", "committed_before", "objective",
-             "gap", "status", "slack_jobs", "wasted_server_hours"]
-        )
-        for rec in traj.records:
-            writer.writerow([
-                rec.hour,
-                rec.active,
-                rec.capacity,
-                f"{rec.carbon:.6g}",
-                sum(rec.starts.values()),
-                sum(rec.terminations.values()),
-                rec.queued_after,
-                rec.committed_before,
-                f"{rec.objective:.6g}",
-                f"{rec.gap:.3g}",
-                rec.status,
-                sum(rec.slack.values()),
-                rec.wasted_server_hours,
-            ])
+    write_csv(
+        path,
+        ["hour", "active_servers", "capacity", "carbon_rate", "starts",
+         "terminations", "queued_after", "committed_before", "objective",
+         "gap", "status", "slack_jobs", "wasted_server_hours"],
+        ([rec.hour, rec.active, rec.capacity, f"{rec.carbon:.6g}", sum(rec.starts.values()),
+          sum(rec.terminations.values()), rec.queued_after, rec.committed_before,
+          f"{rec.objective:.6g}", f"{rec.gap:.3g}", rec.status, sum(rec.slack.values()),
+          rec.wasted_server_hours] for rec in traj.records),
+    )
 
 
 def goodput_components(traj: Trajectory) -> tuple[int, int]:

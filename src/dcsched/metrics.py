@@ -3,12 +3,11 @@ goodput, and the CSV result tables."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DCConfig, DomainError, power_of
+from .core import DCConfig, DomainError, power_of, write_csv
 from .engine import Trajectory, goodput_components
 from .signals import SignalSeries
 
@@ -87,8 +86,4 @@ def summary_row(
 
 
 def write_summary_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    write_csv(path, SUMMARY_COLUMNS, ([row[key] for key in SUMMARY_COLUMNS] for row in rows))

@@ -275,10 +275,11 @@ def _scipy_milp(model: MilpModel, time_limit: float, gap_tol: float,
     for far longer, keeps the defaults. Branch-and-bound keeps them too,
     but for Feasibility Jump (`_BNB`), and, given `start`, but for the
     sub-MIP heuristics that search for an incumbent (`_SEEDED`: RENS, RINS,
-    root reduced-cost fixing). A basis with more or fewer basic entries
-    than rows goes to HiGHS as alien, for it to complete. Any option,
-    model, basis or start HiGHS refuses (a start or a basis of the wrong
-    length, say) raises, so no run silently falls back to a default.
+    root reduced-cost fixing). A basis goes to HiGHS as it is, never as
+    alien for HiGHS to complete: each basis dcsched passes is square. Any
+    option, model, basis or start HiGHS refuses (a start or a basis of the
+    wrong length, a basis with more or fewer basic entries than rows, say)
+    raises, so no run silently falls back to a default.
     """
     mip = model.integer.any()
     if mip:
@@ -307,7 +308,7 @@ def _scipy_milp(model: MilpModel, time_limit: float, gap_tol: float,
         given = HighsBasis()
         given.col_status = [_STATUSES[s] for s in col.tolist()]
         given.row_status = [_STATUSES[s] for s in row.tolist()]
-        given.alien = np.count_nonzero(col == BASIC) + np.count_nonzero(row == BASIC) != len(row)
+        given.alien = False
         _check(highs.setBasis(given), "the starting basis")
     if start is not None:
         solution = _core.HighsSolution()

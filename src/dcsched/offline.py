@@ -6,13 +6,12 @@ job-submission-time constraints over the whole horizon.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ArrivalProfile, DomainError, JobClass, class_table
+from .core import ArrivalProfile, DomainError, JobClass, class_table, write_csv
 from .milp import MilpModel, csc, solve
 from .stage import start_block
 
@@ -85,8 +84,6 @@ def solve_offline(
 
 
 def write_schedule_csv(schedule: OfflineSchedule, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "k", "l", "n"])
-        for (c, t), num in sorted(schedule.starts.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            writer.writerow([t, c.servers, c.runtime, num])
+    write_csv(path, ["t", "k", "l", "n"],
+              ([t, c.servers, c.runtime, num] for (c, t), num
+               in sorted(schedule.starts.items(), key=lambda kv: (kv[0][1], kv[0][0]))))

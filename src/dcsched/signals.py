@@ -3,13 +3,12 @@ their noisy forecasts. All generators are pure functions of their seed."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, read_csv
+from .core import DomainError, read_csv, write_csv
 
 CARBON = "carbon"
 CAPACITY = "capacity"
@@ -132,8 +131,6 @@ def load_signal_csv(path: str, kind: str) -> SignalSeries:
 
 
 def save_signal_csv(series: SignalSeries, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hour", "value"])
-        for t, v in enumerate(series.values, start=1):
-            writer.writerow([t, int(v) if series.kind == CAPACITY else v])
+    write_csv(path, ["hour", "value"],
+              ([t, int(v) if series.kind == CAPACITY else v]
+               for t, v in enumerate(series.values, start=1)))

@@ -412,29 +412,30 @@ def solve_stage(
     starts and terminations rounded in its neighbourhood before full
     branch-and-bound.
 
-    With `warm`, the run's bases pass from hour to hour. When the stored
-    basis was found on this stage's very matrix object, the first
+    The run's bases pass from hour to hour in `warm`; a call without it
+    runs as a run's first hour, on a fresh :class:`WarmStart`. When the
+    stored basis was found on this stage's very matrix object, the first
     relaxation starts from it moved one hour along the window. Otherwise
-    (any other matrix, even an equal one, or no `warm`) it starts from the
-    stage's greedy basis (:func:`greedy_basis`). The re-solve starts from
-    the newest basis found on the matrix as it was found (from a moved one,
-    overload stages fall on other tied optima), or cold if there is none
-    (from the greedy basis, more overload re-solves were fractional). The
-    newest basis found is then stored; the greedy one never is."""
+    (any other matrix, even an equal one, or none stored) it starts from
+    the stage's greedy basis (:func:`greedy_basis`). The re-solve starts
+    from the newest basis found on the matrix as it was found (from a moved
+    one, overload stages fall on other tied optima), or cold if there is
+    none (from the greedy basis, more overload re-solves were fractional).
+    The newest basis found is then stored; the greedy one never is."""
     r = inputs.state.stage
+    warm = WarmStart() if warm is None else warm
     model, h = build_stage(inputs)
-    basis = warm.basis if warm is not None and warm.matrix is model.a else None
+    basis = warm.basis if warm.matrix is model.a else None
     start = greedy_basis(inputs.bounds, h) if basis is None else h.shift.apply(basis)
     res = solve(model, gap_tol=gap_tol, time_limit=time_limit, basis=start, rounded=h.rounded)
     if res.status == "infeasible":
-        if warm is not None:  # the closed relaxation's basis, if it was feasible
-            basis = res.basis or basis
+        basis = res.basis or basis  # the closed relaxation's basis, if it was feasible
         ub = model.ub.copy()
         ub[h.peak + 1:] = np.where(inputs.bounds.k > 0, np.inf, 0.0)
         res = solve(replace(model, ub=ub), gap_tol=gap_tol, time_limit=time_limit, basis=basis,
                     rounded=h.rounded)
     basis = res.basis or basis
-    if warm is not None and basis is not None:
+    if basis is not None:
         warm.matrix, warm.basis = model.a, basis
     if res.status in ("infeasible", "error"):
         raise StageError(r, f"{res.status}: {res.message}")

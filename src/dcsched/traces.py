@@ -3,14 +3,14 @@ arrival-time profiles (uniform / small_var / large_var)."""
 
 from __future__ import annotations
 
-import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ArrivalProfile, DomainError, JobClass, read_csv
+from .core import ArrivalProfile, DomainError, JobClass, read_csv, write_csv
 
 SHAPES = ("uniform", "small_var", "large_var")
 _AMPLITUDE = {"uniform": 0.0, "small_var": 0.3, "large_var": 0.8}
@@ -25,8 +25,8 @@ class RawJob:
     def __post_init__(self) -> None:
         if self.servers < 1:
             raise DomainError(f"job {self.job_id}: servers must be >= 1")
-        if self.runtime_hours <= 0:
-            raise DomainError(f"job {self.job_id}: runtime must be positive")
+        if not 0 < self.runtime_hours < math.inf:
+            raise DomainError(f"job {self.job_id}: runtime must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -54,20 +54,25 @@ class GroupReport:
 def group_jobs(jobs: Iterable[RawJob], rule: AggregationRule) -> GroupReport:
     """Map each job to (smallest bucket >= servers, ceil(runtime)); report
     drops for over-long and over-wide jobs instead of silently bucketing."""
-    totals: dict[JobClass, int] = {}
-    dropped_long = dropped_oversize = 0
-    for job in jobs:
-        runtime = math.ceil(job.runtime_hours)
-        if runtime > rule.max_runtime_hours:
-            dropped_long += 1
-            continue
-        bucket = next((b for b in rule.k_buckets if b >= job.servers), None)
-        if bucket is None:
-            dropped_oversize += 1
-            continue
-        c = JobClass(bucket, runtime)
-        totals[c] = totals.get(c, 0) + 1
-    return GroupReport(totals, dropped_long, dropped_oversize)
+    jobs = list(jobs)
+    # bisect on Python ints: a server count may not fit an int64
+    bucket = np.array([bisect_left(rule.k_buckets, job.servers) for job in jobs], dtype=np.int64)
+    runtime = np.ceil(np.array([job.runtime_hours for job in jobs], dtype=float))
+    long = runtime > rule.max_runtime_hours
+    wide = ~long & (bucket == len(rule.k_buckets))
+    kept = ~(long | wide)
+    totals = _count_classes(rule.k_buckets, rule.max_runtime_hours, bucket[kept],
+                            runtime[kept].astype(np.int64) - 1)
+    return GroupReport(totals, int(np.count_nonzero(long)), int(np.count_nonzero(wide)))
+
+
+def _count_classes(k_buckets: Sequence[int], max_runtime_hours: int, bucket: np.ndarray,
+                   hour: np.ndarray) -> dict[JobClass, int]:
+    """Jobs per class of jobs in bucket k_buckets[bucket] that run hour + 1
+    hours, counted with one integer key per job; the classes come sorted."""
+    counts = np.bincount(bucket * max_runtime_hours + hour).tolist()
+    return {JobClass(int(k_buckets[key // max_runtime_hours]), key % max_runtime_hours + 1): n
+            for key, n in enumerate(counts) if n}
 
 
 def hour_weights(shape: str, t_end: int) -> np.ndarray:
@@ -120,13 +125,9 @@ def synthetic_jobs(
     k_weights /= k_weights.sum()
     l_weights = np.array([1.0 / (1 + 0.25 * i) for i in range(max_runtime_hours)])
     l_weights /= l_weights.sum()
-    totals: dict[JobClass, int] = {}
     ks = rng.choice(len(k_buckets), size=n_jobs, p=k_weights)
     ls = rng.choice(max_runtime_hours, size=n_jobs, p=l_weights)
-    for ki, li in zip(ks, ls):
-        c = JobClass(int(k_buckets[ki]), int(li) + 1)
-        totals[c] = totals.get(c, 0) + 1
-    return totals
+    return _count_classes(k_buckets, max_runtime_hours, ks, ls)
 
 
 def load_trace_csv(path: str) -> list[RawJob]:
@@ -138,11 +139,8 @@ def load_trace_csv(path: str) -> list[RawJob]:
 
 
 def write_profile_csv(profile: ArrivalProfile, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hour", "k", "l", "count"])
-        for (t, c), num in sorted(profile.counts.items()):
-            writer.writerow([t, c.servers, c.runtime, num])
+    write_csv(path, ["hour", "k", "l", "count"],
+              ([t, c.servers, c.runtime, num] for (t, c), num in sorted(profile.counts.items())))
 
 
 def load_profile_csv(path: str) -> ArrivalProfile:

@@ -1,6 +1,7 @@
 import csv
 import logging
 import os
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import dcsched.config
 import dcsched.core
 import dcsched.engine
 import dcsched.milp
+import dcsched.stage
 import dcsched.traces
 from dcsched.cli import main
 from dcsched.config import load_config
@@ -101,6 +103,75 @@ def test_validate_refuses_oversized_job_profiles_before_drawing_them(tmp_path, c
             assert capsys.readouterr().err == f"config error: profiles.{key}: {bound}, got {value}\n"
     # the bounds themselves pass
     path.write_text("profiles:\n  jobs: 10000000\n  max_runtime_hours: 8784\n")
+    assert main(["validate", str(path)]) == 0
+
+
+def test_validate_refuses_a_window_longer_than_a_week_before_building_a_stage(
+        tmp_path, capsys, monkeypatch):
+    # the stage matrix grows as the window's square; the bound reads the
+    # value alone, before any command builds a stage
+    def unreached(*args, **kwargs):
+        raise AssertionError("a stage was built")
+
+    monkeypatch.setattr(dcsched.stage, "_stage_matrix", unreached)
+    path = tmp_path / "wide.yaml"
+    for horizon in (169, 10**6):
+        path.write_text(f"sweep:\n  horizon_t: [24, {horizon}]\n")
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: sweep.horizon_t: at most 168 (a week), got {horizon}\n")
+    path.write_text("sweep:\n  horizon_t: [168]\n")
+    assert main(["validate", str(path)]) == 0
+
+
+def test_a_pool_starts_at_most_one_worker_per_task(tmp_path, capsys, monkeypatch):
+    made = []
+
+    class InlinePool:
+        """Runs each task in this process, starts none and records the
+        workers it was asked for."""
+
+        def __init__(self, max_workers, initializer=None):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(dcsched.cli, "ProcessPoolExecutor", InlinePool)
+    path, out = tiny_config(tmp_path)
+    text = Path(path).read_text().replace("time_limit_s: 30\n", "time_limit_s: 30\n  workers: 64\n")
+    Path(path).write_text(text)
+    assert main(["run", path]) == 0
+    Path(path).write_text(text.replace("seeds: [1]", "seeds: [1, 2]"))
+    assert main(["offline", path]) == 0
+    assert main(["run", path]) == 0
+    assert made == [1, 2, 2]
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+def test_validate_refuses_more_workers_than_its_bound_before_starting_one(
+        tmp_path, capsys, monkeypatch):
+    def unreached(*args, **kwargs):
+        raise AssertionError("a pool was made")
+
+    monkeypatch.setattr(dcsched.cli, "ProcessPoolExecutor", unreached)
+    path = tmp_path / "many.yaml"
+    for workers in (65, 100000):
+        path.write_text(f"solver:\n  workers: {workers}\n")
+        for command in ("validate", "run", "offline"):
+            assert main([command, str(path)]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: solver.workers: at most 64, got {workers}\n")
+    path.write_text("solver:\n  workers: 64\n")
     assert main(["validate", str(path)]) == 0
 
 
@@ -325,6 +396,35 @@ def test_offline_output_on_fd_1_goes_to_stderr(tmp_path, monkeypatch, capfd):
     assert line.startswith("uniform seed 1: goodput ")
     assert line.endswith(f" server-hours -> {out}/offline_uniform_s1.csv")
     assert captured.err.splitlines() == ["stray line"]
+
+
+@pytest.mark.parametrize("error", [RuntimeError("offline solve failed: error Time limit reached"),
+                                   DomainError("injected invariant breach")],
+                         ids=["RuntimeError", "DomainError"])
+def test_offline_survives_a_failed_schedule(tmp_path, monkeypatch, capsys, error):
+    # the first of two schedules fails in its worker: its error goes to
+    # stderr, the other's line still prints, and the command exits 1
+    path, out = tiny_config(tmp_path)
+    Path(path).write_text(Path(path).read_text().replace("seeds: [1]", "seeds: [1, 2]"))
+    cfg = load_config(path)
+    failing = dcsched.traces.sample_arrivals(dcsched.cli._class_totals(cfg), "uniform", 24, 1)
+    solve_offline = dcsched.cli.solve_offline
+
+    def failing_solve(profile, *args, **kwargs):
+        if profile == failing:
+            raise error
+        return solve_offline(profile, *args, **kwargs)
+
+    # fork-started pool workers inherit the patch
+    monkeypatch.setattr(dcsched.cli, "solve_offline", failing_solve)
+    assert main(["offline", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: uniform seed 1: {type(error).__name__}: {error}"]
+    (line,) = captured.out.splitlines()
+    assert line.startswith("uniform seed 2: goodput ")
+    assert not os.path.exists(os.path.join(out, "offline_uniform_s1.csv"))
+    assert os.path.exists(os.path.join(out, "offline_uniform_s2.csv"))
 
 
 def test_gen_signals(tmp_path, capsys):

@@ -273,6 +273,26 @@ def test_write_trajectory_csv(tmp_path):
     assert lines[1].split(",")[1] == "4"
 
 
+def test_trajectory_csv_bytes(tmp_path):
+    def rec(hour, carbon, starts, terms, objective, gap, status, slack):
+        return dcsched.engine.HourRecord(
+            hour=hour, active=3 * hour, capacity=4, carbon=carbon, starts=starts,
+            terminations=terms, queued_after=hour - 1, committed_before=2, objective=objective,
+            gap=gap, status=status, slack=slack, wasted_server_hours=hour - 1)
+
+    traj = dcsched.engine.Trajectory([
+        rec(1, 512.3456789, {C11: 2, C22: 1}, {}, -1.5, 0.0, "optimal", {}),
+        rec(2, 0.1, {}, {(C22, 1): 1}, 1234567.0, 1.23456e-5, "feasible-gap", {C11: 3}),
+    ])
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, str(path))
+    assert path.read_bytes() == (
+        b"hour,active_servers,capacity,carbon_rate,starts,terminations,queued_after,"
+        b"committed_before,objective,gap,status,slack_jobs,wasted_server_hours\r\n"
+        b"1,3,4,512.346,3,0,0,2,-1.5,0,optimal,0,0\r\n"
+        b"2,6,4,0.1,0,1,1,2,1.23457e+06,1.23e-05,feasible-gap,3,1\r\n")
+
+
 # ------------------------------------------------------------- warm start
 
 STEADY_CLASSES = synthetic_jobs(300, (1, 2, 4), 4, seed=0)

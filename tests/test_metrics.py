@@ -109,3 +109,17 @@ def test_summary_csv_round_trip(tmp_path):
     lines = open(path).read().strip().splitlines()
     assert lines[0] == ",".join(SUMMARY_COLUMNS)
     assert len(lines) == 2
+
+
+def test_summary_csv_bytes(tmp_path):
+    # the rows' keys in any order; the file's columns in SUMMARY_COLUMNS's
+    rows = [dict(reversed([(key, f"{key[:3]}{i}") for key in SUMMARY_COLUMNS]))
+            for i in (1, 2)]
+    rows[1]["seed"] = 7
+    path = tmp_path / "summary.csv"
+    write_summary_csv(rows, str(path))
+    assert path.read_bytes() == (
+        b"profile,lambda_ce,lambda_pd,horizon_t,forecast,seed,co2_kg,volatility,peak_mw,"
+        b"goodput_server_hours,goodput_ratio,terminations,wasted_server_hours,slack_events\r\n"
+        b"pro1,lam1,lam1,hor1,for1,see1,co21,vol1,pea1,goo1,goo1,ter1,was1,sla1\r\n"
+        b"pro2,lam2,lam2,hor2,for2,7,co22,vol2,pea2,goo2,goo2,ter2,was2,sla2\r\n")

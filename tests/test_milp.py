@@ -407,26 +407,20 @@ def test_infeasible_relaxation_keeps_the_stored_basis(lp_bases):
 def test_refused_option_or_basis_fails_the_solve():
     # HiGHS refuses these and would otherwise run on with its default: no
     # time limit, the default gap, or a cold start; the bases have a status
-    # too many or too few, square or not
+    # too many or too few, square or not, or the right lengths and no basic
+    # entry, which HiGHS would complete had it come as alien
     model = budget_model(3)
     short = (np.array([BASIC], dtype=np.int8), np.array([BASIC, UPPER], dtype=np.int8))
     long = (np.array([BASIC, BASIC, BASIC], dtype=np.int8), np.array([UPPER, UPPER], dtype=np.int8))
+    nonbasic = (np.full(2, LOWER, dtype=np.int8), np.full(2, UPPER, dtype=np.int8))
     for kwargs, named in (({"time_limit": -1.0}, "option time_limit = -1.0"),
                           ({"gap_tol": -1.0}, "option mip_rel_gap = -1.0"),
                           ({"basis": short}, "the starting basis"),
-                          ({"basis": long}, "the starting basis")):
+                          ({"basis": long}, "the starting basis"),
+                          ({"basis": nonbasic}, "the starting basis")):
         res = solve(model, **kwargs)
         assert (res.status, res.values) == ("error", None), kwargs
         assert res.message == f"backend failure: HiGHS refused {named}"
-
-
-def test_a_basis_that_is_not_square_goes_to_highs_as_alien(lp_bases):
-    # no basic entry at all: HiGHS completes it and solves from it
-    model = budget_model(3)
-    nonbasic = (np.full(2, LOWER, dtype=np.int8), np.full(2, UPPER, dtype=np.int8))
-    res = solve(model, basis=nonbasic)
-    assert (res.status, res.objective) == ("optimal", pytest.approx(7.0))
-    assert lp_bases == [True]
 
 
 def test_the_basis_read_back_equals_highs_own(monkeypatch, tmp_path):

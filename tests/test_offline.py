@@ -4,7 +4,7 @@ import pytest
 from oracle_offline import TinyInstance, brute_force_goodput, random_instance
 
 from dcsched.core import ArrivalProfile, DomainError, JobClass
-from dcsched.offline import build_offline, solve_offline, write_schedule_csv
+from dcsched.offline import OfflineSchedule, build_offline, solve_offline, write_schedule_csv
 from dcsched.milp import solve
 
 C11 = JobClass(1, 1)
@@ -116,3 +116,11 @@ def test_schedule_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,k,l,n"
     assert len(lines) > 1
+
+
+def test_schedule_csv_bytes(tmp_path):
+    # rows by start hour, then by class
+    schedule = OfflineSchedule({(C22, 3): 1, (C11, 1): 2}, 6, [2, 0, 2, 2])
+    path = tmp_path / "schedule.csv"
+    write_schedule_csv(schedule, str(path))
+    assert path.read_bytes() == b"t,k,l,n\r\n1,1,1,2\r\n3,2,2,1\r\n"

@@ -123,6 +123,15 @@ def test_signal_csv_round_trip(tmp_path):
     assert load_signal_csv(cpath, "capacity").values == c.values
 
 
+def test_signal_csv_bytes(tmp_path):
+    # carbon values as Python writes floats, capacities as whole numbers
+    path = tmp_path / "signal.csv"
+    save_signal_csv(SignalSeries("carbon", (500.0, 0.1 + 0.2)), str(path))
+    assert path.read_bytes() == b"hour,value\r\n1,500.0\r\n2,0.30000000000000004\r\n"
+    save_signal_csv(SignalSeries("capacity", (50.0, 7.0)), str(path))
+    assert path.read_bytes() == b"hour,value\r\n1,50\r\n2,7\r\n"
+
+
 def test_signal_csv_rejects_bad_files(tmp_path):
     def write(name, text):
         p = tmp_path / name

@@ -389,6 +389,16 @@ def test_the_slack_re_solve_starts_from_the_closed_relaxations_basis(monkeypatch
     assert given[1] is closed
     assert not all(np.array_equal(c, s) for c, s in zip(closed, left))
     assert warm.basis is reopened
+    # without `warm` the stage runs as a run's first hour: the closed
+    # relaxation starts from the greedy basis, the re-solve from the basis
+    # that relaxation found, not cold
+    given.clear(), found.clear()
+    assert solve_stage(infeasible).slack.tolist() == [0, 0, 1, 0]
+    assert len(given) == 2 and len(found) == 2
+    model, h = build_stage(infeasible)
+    for mine, theirs in zip(given[0], greedy_basis(infeasible.bounds, h)):
+        np.testing.assert_array_equal(mine, theirs)
+    assert given[1] is found[0]
 
 
 def test_a_relaxation_stopped_at_a_limit_keeps_the_stored_basis():

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from dcsched.core import DomainError, JobClass
+from dcsched.core import ArrivalProfile, DomainError, JobClass
 from dcsched.traces import (
     AggregationRule,
+    GroupReport,
     RawJob,
     group_jobs,
     hour_weights,
@@ -43,6 +46,96 @@ def test_grouping_conserves_job_count():
     ]
     report = group_jobs(jobs, RULE)
     assert sum(report.class_totals.values()) + report.dropped_long + report.dropped_oversize == 500
+
+
+def reference_group_jobs(jobs, rule):
+    """group_jobs as a per-job loop: the counter must agree with it."""
+    totals = {}
+    dropped_long = dropped_oversize = 0
+    for job in jobs:
+        runtime = math.ceil(job.runtime_hours)
+        if runtime > rule.max_runtime_hours:
+            dropped_long += 1
+            continue
+        bucket = next((b for b in rule.k_buckets if b >= job.servers), None)
+        if bucket is None:
+            dropped_oversize += 1
+            continue
+        c = JobClass(bucket, runtime)
+        totals[c] = totals.get(c, 0) + 1
+    return totals, dropped_long, dropped_oversize
+
+
+def reference_synthetic_jobs(n_jobs, k_buckets, max_runtime_hours, seed):
+    """synthetic_jobs as a per-job loop over the same draws."""
+    rng = np.random.default_rng(seed)
+    k_weights = np.array([2.0 ** -i for i in range(len(k_buckets))])
+    k_weights /= k_weights.sum()
+    l_weights = np.array([1.0 / (1 + 0.25 * i) for i in range(max_runtime_hours)])
+    l_weights /= l_weights.sum()
+    totals = {}
+    ks = rng.choice(len(k_buckets), size=n_jobs, p=k_weights)
+    ls = rng.choice(max_runtime_hours, size=n_jobs, p=l_weights)
+    for ki, li in zip(ks, ls):
+        c = JobClass(int(k_buckets[ki]), int(li) + 1)
+        totals[c] = totals.get(c, 0) + 1
+    return totals
+
+
+def assert_plain_counts(totals):
+    # Python ints throughout, as the per-job loop gave them
+    for c, n in totals.items():
+        assert (type(c.servers), type(c.runtime), type(n)) == (int, int, int)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_group_jobs_counts_as_the_per_job_loop(seed):
+    rng = np.random.default_rng(seed)
+    rule = AggregationRule((1, 2, 4, 8, 16), 12)
+    jobs = [RawJob(str(i), int(rng.integers(1, 24)), float(rng.uniform(0.01, 16)))
+            for i in range(int(rng.integers(0, 2000)))]
+    # the edges: a runtime of exactly max_runtime_hours, a whole hour, an
+    # hour just past it, the widest bucket, one server more, and a job far
+    # too wide for an int64
+    jobs += [RawJob("at", 1, 12.0), RawJob("whole", 16, 3.0), RawJob("past", 2, 12.000001),
+             RawJob("widest", 16, 0.5), RawJob("wider", 17, 0.5), RawJob("huge", 10**30, 1.0),
+             RawJob("huge-long", 10**30, 99.0)]
+    report = group_jobs(iter(jobs), rule)
+    expected = reference_group_jobs(jobs, rule)
+    assert (report.class_totals, report.dropped_long, report.dropped_oversize) == expected
+    assert_plain_counts(report.class_totals)
+    assert type(report.dropped_long) is type(report.dropped_oversize) is int
+
+
+def test_group_jobs_of_no_jobs_and_of_one_too_wide():
+    assert group_jobs([], RULE) == GroupReport({}, 0, 0)
+    assert group_jobs([RawJob("huge", 10**30, 1.0)], RULE) == GroupReport({}, 0, 1)
+    assert group_jobs([RawJob("at", 1, 24.0)], RULE) == GroupReport({JobClass(1, 24): 1}, 0, 0)
+    # buckets and jobs past int64 as well
+    rule = AggregationRule((1, 10**30), 24)
+    assert group_jobs([RawJob("a", 10**20, 1.0), RawJob("b", 10**31, 1.0)], rule) == GroupReport(
+        {JobClass(10**30, 1): 1}, 0, 1)
+
+
+@pytest.mark.parametrize("n_jobs, k_buckets, max_runtime_hours, seed", [
+    (0, (1, 2, 4, 8, 16), 24, 0),
+    (1, (1,), 1, 3),
+    (300, (1, 2, 4), 8, 1),
+    (2000, (1, 2, 4, 8, 16), 24, 0),
+    (48000, (1, 2, 4, 8, 16), 12, 0),
+    (5000, (3, 5, 7), 40, 11),
+])
+def test_synthetic_jobs_counts_as_the_per_job_loop(n_jobs, k_buckets, max_runtime_hours, seed):
+    totals = synthetic_jobs(n_jobs, k_buckets, max_runtime_hours, seed)
+    assert totals == reference_synthetic_jobs(n_jobs, k_buckets, max_runtime_hours, seed)
+    assert sum(totals.values()) == n_jobs
+    assert_plain_counts(totals)
+
+
+def test_a_job_needs_a_positive_finite_runtime():
+    for runtime in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="runtime must be positive and finite"):
+            RawJob("j", 1, runtime)
 
 
 def test_rule_rejects_unsorted_buckets():
@@ -158,3 +251,11 @@ def test_profile_csv_round_trip(tmp_path):
     write_profile_csv(profile, path)
     loaded = load_profile_csv(path)
     assert loaded.counts == profile.counts
+
+
+def test_profile_csv_bytes(tmp_path):
+    # rows by hour, then by class
+    path = tmp_path / "profile.csv"
+    write_profile_csv(ArrivalProfile({(3, JobClass(1, 2)): 4, (1, JobClass(2, 1)): 1}, 3),
+                      str(path))
+    assert path.read_bytes() == b"hour,k,l,count\r\n1,2,1,1\r\n3,1,2,4\r\n"
