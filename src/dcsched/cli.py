@@ -4,7 +4,12 @@ Subcommands:
   run <config>         full receding-horizon sweep with reports
   offline <config>     perfect-information baseline only
   validate <config>    parse and validate the config, nothing else
-  gen-signals <config> emit the signal CSVs a run would use
+  gen-signals <config> write carbon.csv, and for each sweep seed
+                       capacity_s<seed>.csv, carbon_forecast_s<seed>.csv
+                       and capacity_forecast_s<seed>.csv when a forecast
+                       mode makes that forecast noisy, and
+                       profile_s<seed>.csv, the arrivals of the first
+                       profile shape only
 
 Every sweep cell, and every offline schedule, runs in a process pool of
 solver.workers processes, one worker or many, and never more workers than
@@ -25,6 +30,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .config import ConfigError, dump_experiment, load_config
@@ -141,48 +147,39 @@ def _cell_name(cell: tuple) -> str:
 
 
 def _run_cell(cfg: dict, totals: dict[JobClass, int], cell: tuple,
-              out_dir: str) -> tuple[dict, list[str]] | str:
-    """Run one cell on the job mix `totals`; return its summary row and its
-    own manifest lines, or an error string if the run aborted (its partial
-    trajectory is written) or its set-up broke a domain invariant: plain
-    data for the parent process."""
+              out_dir: str) -> tuple[bool, tuple[dict, list[str]] | str]:
+    """Run one cell on the job mix `totals`; return (True, its summary row
+    and its own manifest lines), or (False, its error) if the run aborted
+    (its partial trajectory is written) or its set-up broke a domain
+    invariant: plain data for the parent process."""
+    shape, lce, lpd, horizon_t, mode, seed = cell
     name = _cell_name(cell)
     try:
-        return _run_cell_or_raise(cfg, totals, cell, out_dir)
+        dc = _dc_config(cfg)
+        profile = sample_arrivals(totals, shape, cfg["signals"]["hours"], seed)
+        carbon = _carbon_truth(cfg)
+        capacity = _capacity_truth(cfg, seed)
+        carbon_fc, capacity_fc = _forecasts(cfg, mode, seed, carbon, capacity)
+        traj = run(
+            dc, profile, tuple(sorted(totals)), capacity, carbon,
+            HorizonConfig(horizon_t, horizon_t, horizon_t), ObjectiveWeights(lce, lpd),
+            capacity_forecast=capacity_fc, carbon_forecast=carbon_fc,
+            gap_tol=cfg["solver"]["gap"], time_limit=cfg["solver"]["time_limit_s"],
+        )
+        write_trajectory_csv(traj, os.path.join(out_dir, f"{name}_trajectory.csv"))
+        max_gap = max((rec.gap for rec in traj.records), default=0.0)
+        manifest = [f"cell {name}", f"stages {len(traj.records)}",
+                    f"max_mip_gap {max_gap:.3g}", f"slack_events {traj.slack_events()}"]
+        label = dict(profile=shape, lambda_ce=f"{lce:g}", lambda_pd=f"{lpd:g}",
+                     horizon_t=horizon_t, forecast=mode, seed=seed)
+        return True, (summary_row(traj, carbon, capacity, dc, label), manifest)
     except RunAborted as exc:
         write_trajectory_csv(
             exc.trajectory, os.path.join(out_dir, f"{name}_trajectory.partial.csv")
         )
-        return str(exc)
+        return False, f"{name}: {exc}"
     except DomainError as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-def _run_cell_or_raise(cfg: dict, totals: dict[JobClass, int], cell: tuple,
-                       out_dir: str) -> tuple[dict, list[str]]:
-    shape, lce, lpd, horizon_t, mode, seed = cell
-    dc = _dc_config(cfg)
-    profile = sample_arrivals(totals, shape, cfg["signals"]["hours"], seed)
-    classes = tuple(sorted(totals))
-    carbon = _carbon_truth(cfg)
-    capacity = _capacity_truth(cfg, seed)
-    carbon_fc, capacity_fc = _forecasts(cfg, mode, seed, carbon, capacity)
-    horizons = HorizonConfig(horizon_t, horizon_t, horizon_t)
-    weights = ObjectiveWeights(lce, lpd)
-
-    name = _cell_name(cell)
-    label = dict(profile=shape, lambda_ce=f"{lce:g}", lambda_pd=f"{lpd:g}",
-                 horizon_t=horizon_t, forecast=mode, seed=seed)
-    traj = run(
-        dc, profile, classes, capacity, carbon, horizons, weights,
-        capacity_forecast=capacity_fc, carbon_forecast=carbon_fc,
-        gap_tol=cfg["solver"]["gap"], time_limit=cfg["solver"]["time_limit_s"],
-    )
-    write_trajectory_csv(traj, os.path.join(out_dir, f"{name}_trajectory.csv"))
-    max_gap = max((rec.gap for rec in traj.records), default=0.0)
-    manifest = [f"cell {name}", f"stages {len(traj.records)}", f"max_mip_gap {max_gap:.3g}",
-                f"slack_events {traj.slack_events()}"]
-    return summary_row(traj, carbon, capacity, dc, label), manifest
+        return False, f"{name}: {type(exc).__name__}: {exc}"
 
 
 def _experiment_sha256(cfg: dict) -> str:
@@ -211,35 +208,39 @@ def _pool(cfg: dict, tasks: int) -> ProcessPoolExecutor:
                                initializer=_stdout_to_stderr)
 
 
+def _run_tasks(cfg: dict, task: Callable[..., tuple[bool, object]],
+               args: list[tuple]) -> list[tuple[bool, object]]:
+    """Run `task(*a)` for each `a` of `args` in a `_pool`; print each failed
+    task's `error: ` line on stderr, in task order, and return every task's
+    (ok, value), in task order. A task returns its own errors: an exception
+    that leaves one leaves the command too."""
+    results = []
+    with _pool(cfg, len(args)) as pool:
+        for future in [pool.submit(task, *a) for a in args]:
+            ok, value = future.result()
+            if not ok:
+                print(f"error: {value}", file=sys.stderr)
+            results.append((ok, value))
+    return results
+
+
 def cmd_run(cfg: dict) -> int:
     cells = _cells(cfg)  # never empty: every sweep list is parsed non-empty
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     totals = _class_totals(cfg)  # read once: every cell draws from the one job mix
-    rows: dict[tuple, dict] = {}
-    manifests: dict[tuple, list[str]] = {}
-    failed = False
-    with _pool(cfg, len(cells)) as pool:
-        futures = {
-            pool.submit(_run_cell, cfg, totals, cell, out_dir): cell for cell in cells
-        }
-        for future, cell in futures.items():
-            result = future.result()
-            if isinstance(result, str):
-                failed = True
-                print(f"error: {_cell_name(cell)}: {result}", file=sys.stderr)
-            else:
-                rows[cell], manifests[cell] = result
+    results = _run_tasks(cfg, _run_cell, [(cfg, totals, cell, out_dir) for cell in cells])
+    done = {cell: value for cell, (ok, value) in zip(cells, results) if ok}
     # what every manifest of the sweep shares, found once, after the runs
     head = [f"dcsched {__version__}", f"config_sha256 {_experiment_sha256(cfg)}"]
     tail = [f"solver {solver_version()}"]
-    for cell, lines in manifests.items():
+    for cell, (_, lines) in done.items():
         Path(out_dir, f"{_cell_name(cell)}_manifest.txt").write_text(
             "\n".join(head + lines + tail) + "\n")
-    ordered = [rows[cell] for cell in sorted(rows, key=_cell_name)]
+    ordered = [done[cell][0] for cell in sorted(done, key=_cell_name)]
     write_summary_csv(ordered, os.path.join(out_dir, "summary.csv"))
     print(f"wrote {len(ordered)} of {len(cells)} cells to {out_dir}/summary.csv")
-    return 1 if failed else 0
+    return 0 if len(done) == len(cells) else 1
 
 
 def _offline_schedule(cfg: dict, totals: dict[JobClass, int], shape: str,
@@ -264,19 +265,13 @@ def _offline_schedule(cfg: dict, totals: dict[JobClass, int], shape: str,
 def cmd_offline(cfg: dict) -> int:
     os.makedirs(cfg["output_dir"], exist_ok=True)
     totals = _class_totals(cfg)
-    schedules = list(itertools.product(cfg["profiles"]["shapes"], cfg["sweep"]["seeds"]))
-    failed = False
-    with _pool(cfg, len(schedules)) as pool:
-        futures = [pool.submit(_offline_schedule, cfg, totals, shape, seed)
-                   for shape, seed in schedules]
-        for future in futures:
-            solved, line = future.result()
-            if solved:
-                print(line)
-            else:
-                failed = True
-                print(f"error: {line}", file=sys.stderr)
-    return 1 if failed else 0
+    schedules = itertools.product(cfg["profiles"]["shapes"], cfg["sweep"]["seeds"])
+    results = _run_tasks(cfg, _offline_schedule,
+                         [(cfg, totals, shape, seed) for shape, seed in schedules])
+    for ok, line in results:
+        if ok:
+            print(line)
+    return 0 if all(ok for ok, _ in results) else 1
 
 
 def cmd_gen_signals(cfg: dict) -> int:
@@ -306,6 +301,15 @@ def cmd_gen_signals(cfg: dict) -> int:
     return 0
 
 
+def cmd_validate(cfg: dict) -> int:
+    print("config ok")
+    return 0
+
+
+_COMMANDS = {"run": cmd_run, "offline": cmd_offline, "validate": cmd_validate,
+             "gen-signals": cmd_gen_signals}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="dcsched", description="Receding-horizon data-center scheduling experiments"
@@ -313,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--desk-scale", action="store_true",
                         help="small preset (200 servers, 72 h) for quick runs")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "offline", "validate", "gen-signals"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("config", nargs="?", default=None,
                        help="YAML config (defaults used when omitted)")
@@ -324,17 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    if args.command == "validate":
-        print("config ok")
-        return 0
-    if args.command == "run":
-        return cmd_run(cfg)
-    if args.command == "offline":
-        return cmd_offline(cfg)
-    if args.command == "gen-signals":
-        return cmd_gen_signals(cfg)
-    return 2
+    return _COMMANDS[args.command](cfg)
 
 
 if __name__ == "__main__":

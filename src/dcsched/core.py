@@ -13,7 +13,7 @@ import csv
 import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -66,24 +66,20 @@ def _non_finite(cell: str) -> bool:
         return False
 
 
-@dataclass(frozen=True, order=True)
-class JobClass:
+class JobClass(NamedTuple("JobClass", [("servers", int), ("runtime", int)])):
     """An aggregated job group: `servers` machines for `runtime` whole hours.
 
-    Job classes key most of the run's tables, so the hash is computed once:
-    the value a plain dataclass would give, hash((servers, runtime))."""
+    Job classes key most of the run's tables, so a class is a named tuple:
+    its hash, equality and order are the tuple's own, computed in C, and it
+    equals the plain tuple (servers, runtime)."""
 
-    servers: int
-    runtime: int
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.servers < 1 or self.runtime < 1:
-            raise DomainError(f"job class needs servers >= 1 and runtime >= 1, got {self!r}")
-        object.__setattr__(self, "_hash", hash((self.servers, self.runtime)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, servers: int, runtime: int) -> JobClass:
+        if servers < 1 or runtime < 1:
+            raise DomainError(f"job class needs servers >= 1 and runtime >= 1, "
+                              f"got JobClass(servers={servers!r}, runtime={runtime!r})")
+        return super().__new__(cls, servers, runtime)
 
     @property
     def server_hours(self) -> int:

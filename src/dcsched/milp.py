@@ -38,8 +38,10 @@ thread's first relaxation. Each run resets its options and passes its
 model and basis anew, so HiGHS receives what a new object would; what is
 kept is the solver's workspace, which a new object allocates, and the
 kernel zero-fills, every hour. A fractional relaxation releases the object
-before the neighbourhood and branch-and-bound run; each of those runs in a
-new object, freed with the run, so a fallback holds one solver at a time.
+before the neighbourhood and branch-and-bound run, as it holds megabytes at
+fleet scale; each of those runs in a new object, freed with the run, so a
+fallback holds one solver at a time, and the next relaxation makes the
+kept one anew.
 HiGHS's run clock adds up over an object's runs and its time limit is read
 on that clock, so each run's limit is set past the clock's reading.
 
@@ -262,10 +264,8 @@ def _scipy_milp(model: MilpModel, time_limit: float, gap_tol: float,
     Every HiGHS call dcsched makes goes through here: the relaxation (a
     model with no integer column) as well as branch-and-bound, the
     neighbourhood search included. perfbench traces the solver by wrapping
-    this name. A relaxation runs in this thread's kept object (`_kept`),
-    made on first use, its options reset; branch-and-bound runs in a new
-    one. The time limit is set on HiGHS's run clock, which adds up over
-    the object's runs: `time_limit` seconds past its reading.
+    this name. A relaxation runs in this thread's kept object (`_kept`; the
+    module docstring says why), branch-and-bound in a new one.
 
     A hot relaxation (one given a basis) re-optimizes in a dozen or so dual
     simplex iterations, so its cost is set-up, not pivoting: with HiGHS's
@@ -360,12 +360,6 @@ def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
     The relaxation starts from `basis` (the status of each column and row)
     when one is given. The result holds the relaxation's own basis when the
     relaxation is optimal (:func:`_read_basis`), whatever the MILP's status.
-    The relaxation runs in the object this thread keeps for relaxations
-    (:func:`_scipy_milp`). One that leaves branching to do releases it
-    first, as the object holds megabytes at fleet scale: the neighbourhood
-    and branch-and-bound each run in a new object, and the next relaxation
-    makes the kept one anew. Each run's time limit is set on HiGHS's run
-    clock, which adds up over the kept object's runs, past its reading.
 
     Integer variables in the returned values are rounded to the nearest
     integer; one further than INT_TOL from it is reported as an error.

@@ -3,6 +3,19 @@
 Decides job starts over the decision window, terminations of running jobs
 at r, and the implied active-server trajectory, trading utilization against
 carbon emissions and the stage peak power.
+
+The stage's rules are derived once, as integer arrays by class and hour
+(:class:`StageBounds`), and read by both the model (:func:`build_stage`)
+and the exact re-check of a decision (:func:`validate_decision`). Minimum
+clearance is a hard rule: its slack columns are always in the model,
+closed by their bounds, and :func:`solve_stage` opens them
+(:func:`open_slack`) only after the closed model proves infeasible. The
+window is always laid out in full and the end of the run lives in bounds,
+so every stage of a run without terminations shares one read-only matrix
+object. A stage's first relaxation starts from the basis of the hour
+before, moved one hour along the window (:class:`Shift`,
+:class:`WarmStart`), or from its greedy basis (:func:`greedy_basis`)
+where none applies.
 """
 
 from __future__ import annotations
@@ -389,6 +402,14 @@ def _padded(values, n: int, fill: float) -> np.ndarray:
     return out
 
 
+def open_slack(model: MilpModel, h: _StageHandles, b: StageBounds) -> MilpModel:
+    """`model` with the clearance slack of each class with a clearance rule
+    (an admissible start, k > 0) opened, as an infeasible stage re-solves."""
+    ub = model.ub.copy()
+    ub[h.peak + 1:] = np.where(b.k > 0, np.inf, 0.0)
+    return replace(model, ub=ub)
+
+
 @dataclass
 class WarmStart:
     """The newest optimal relaxation basis of a run and the constraint
@@ -430,10 +451,8 @@ def solve_stage(
     res = solve(model, gap_tol=gap_tol, time_limit=time_limit, basis=start, rounded=h.rounded)
     if res.status == "infeasible":
         basis = res.basis or basis  # the closed relaxation's basis, if it was feasible
-        ub = model.ub.copy()
-        ub[h.peak + 1:] = np.where(inputs.bounds.k > 0, np.inf, 0.0)
-        res = solve(replace(model, ub=ub), gap_tol=gap_tol, time_limit=time_limit, basis=basis,
-                    rounded=h.rounded)
+        res = solve(open_slack(model, h, inputs.bounds), gap_tol=gap_tol,
+                    time_limit=time_limit, basis=basis, rounded=h.rounded)
     basis = res.basis or basis
     if basis is not None:
         warm.matrix, warm.basis = model.a, basis

@@ -1,12 +1,11 @@
 import contextlib
-import dataclasses
 
 import numpy as np
 import pytest
 
 import dcsched.milp
 from dcsched.core import SystemState
-from dcsched.stage import build_stage
+from dcsched.stage import build_stage, open_slack
 
 
 def state_of(stage, classes, running=None, queued=None, completed=None, arrived=None):
@@ -37,9 +36,7 @@ def stage_models(inputs):
     with a clearance rule opened, as `solve_stage` re-solves an infeasible
     stage: two (model, handles) pairs, which share the matrix object."""
     model, h = build_stage(inputs)
-    ub = model.ub.copy()
-    ub[h.peak + 1:] = np.where(inputs.bounds.k > 0, np.inf, 0.0)
-    return [(model, h), (dataclasses.replace(model, ub=ub), h)]
+    return [(model, h), (open_slack(model, h, inputs.bounds), h)]
 
 
 @contextlib.contextmanager

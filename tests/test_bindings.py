@@ -6,6 +6,8 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import dcsched.cli
 import dcsched.engine
 import dcsched.metrics
@@ -18,6 +20,7 @@ from dcsched.core import (
 )
 from dcsched.signals import SignalSeries, constant_capacity
 from conftest import state_of
+from test_cli import TINY
 from test_milp import dense_model
 from test_stage import make_inputs
 
@@ -187,3 +190,36 @@ def test_perfbench_reads_decisions_records_and_the_final_state(monkeypatch):
                for num in table.values()]
     values += list(state.queued.values()) + list(state.completed.values())
     assert all(type(v) is int for v in values), [type(v) for v in values]
+
+
+class OwnStop(Exception):
+    """An exception of the test's own, as perfbench/probe.py raises its own
+    in place of the first stage solve."""
+
+
+def stop(*args, **kwargs):
+    raise OwnStop
+
+
+def test_an_exception_of_its_own_leaves_the_run(monkeypatch):
+    # perfbench's set-up probe stops a run by raising its own exception from
+    # a patched dcsched.engine.solve_stage; the engine catches only the
+    # errors it reports (StageError and DomainError), so the probe's leaves
+    monkeypatch.setattr(dcsched.engine, "solve_stage", stop)
+    c11 = JobClass(1, 1)
+    with pytest.raises(OwnStop):
+        dcsched.engine.run(DCConfig(4, 10.0, 2.0), ArrivalProfile({(1, c11): 2}, 4), (c11,),
+                           constant_capacity(4, 4), SignalSeries("carbon", (100.0,) * 4),
+                           HorizonConfig(2, 2, 2), ObjectiveWeights())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_exception_of_its_own_leaves_the_command(tmp_path, monkeypatch, workers):
+    # ... and dcsched.cli.main, from a pool worker: a cell catches only
+    # RunAborted and DomainError, so a catch-all there breaks the probe
+    monkeypatch.setattr(dcsched.engine, "solve_stage", stop)  # fork-started workers inherit it
+    path = tmp_path / "run.yaml"
+    path.write_text(TINY.format(out=tmp_path / "out").replace("seeds: [1]", "seeds: [1, 2]")
+                    .replace("time_limit_s: 30\n", f"time_limit_s: 30\n  workers: {workers}\n"))
+    with pytest.raises(OwnStop):
+        dcsched.cli.main(["run", str(path)])

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import pickle
 import random
@@ -63,15 +62,20 @@ def test_job_class_invariants():
 
 
 def test_job_class_hash_is_the_tuple_hash_and_survives_pickling():
-    # the cached hash keeps every dict and set of classes in the order a
-    # plain (servers, runtime) hash gives
+    # a class hashes, compares and orders as the plain (servers, runtime)
+    # tuple, which keeps every dict and set of classes in the one order
     for c in (JobClass(1, 1), JobClass(4, 12), JobClass(16, 3)):
         assert hash(c) == hash((c.servers, c.runtime))
         copy = pickle.loads(pickle.dumps(c))
-        assert copy == c and hash(copy) == hash(c)
+        assert type(copy) is JobClass and copy == c and hash(copy) == hash(c)
         assert repr(c) == f"JobClass(servers={c.servers}, runtime={c.runtime})"
-        moved = dataclasses.replace(c, servers=c.servers + 1)
+        moved = JobClass(c.servers + 1, c.runtime)
         assert hash(moved) == hash((c.servers + 1, c.runtime)) and moved > c
+    # an invalid class is refused when it is made, also by keyword
+    with pytest.raises(DomainError, match=r"got JobClass\(servers=2, runtime=0\)"):
+        JobClass(servers=2, runtime=0)
+    classes = [JobClass(4, 1), JobClass(1, 12), JobClass(2, 3), JobClass(1, 2)]
+    assert sorted(classes) == [JobClass(1, 2), JobClass(1, 12), JobClass(2, 3), JobClass(4, 1)]
 
 
 def committed_servers(state, t):

@@ -101,7 +101,9 @@ def run_cell(tmp_path, text):
     cfg = load_config(str(path))
     (cell,) = dcsched.cli._cells(cfg)
     (tmp_path / "out").mkdir()
-    dcsched.cli._run_cell_or_raise(cfg, dcsched.cli._class_totals(cfg), cell, cfg["output_dir"])
+    ok, result = dcsched.cli._run_cell(cfg, dcsched.cli._class_totals(cfg), cell,
+                                       cfg["output_dir"])
+    assert ok, result
 
 
 # the desk grid's size and a peak charge: fractional relaxations, their
