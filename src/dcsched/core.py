@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -223,10 +223,26 @@ class SystemState:
     def running_by_class(self) -> dict[JobClass, int]:
         return _nonzero(self.classes, self.running.sum(axis=1))
 
-    def cell(self, c: JobClass, t_b: int) -> tuple[int, int] | None:
-        """Where `running` counts class c started at t_b; None if nowhere."""
-        age = self.stage - t_b
-        return (self.classes.index(c), age - 1) if c in self.classes and 0 < age < c.runtime else None
+    def cancel(self, terminations: Mapping[tuple[JobClass, int], int]) -> SystemState:
+        """The state with the `terminations`, counts of running jobs by
+        (class, start hour), out of `running` and back in the queue; the
+        state itself, uncopied, when the mapping is empty. A key no running
+        entry has (a class outside `classes`, or a start hour whose age is
+        not in 1..runtime - 1) and a count below 0 or above its entry are
+        refused with DomainError."""
+        if not terminations:
+            return self
+        running, queued = self.running.copy(), self.n_queued.copy()
+        for (c, t_b), num in terminations.items():
+            age = self.stage - t_b
+            i = self.classes.index(c) if c in self.classes and 0 < age < c.runtime else None
+            n = 0 if i is None else int(running[i, age - 1])
+            if i is None or not 0 <= num <= n:
+                raise DomainError(f"negative count {num} for {(c, t_b)}" if num < 0 else
+                                  f"terminating {num} of {(c, t_b)}, only {n} running")
+            running[i, age - 1] -= num
+            queued[i] += num
+        return replace(self, running=running, n_queued=queued)
 
     def held(self, n: int) -> np.ndarray:
         """Servers held by the running jobs at hours stage..stage + n - 1."""
@@ -247,7 +263,9 @@ class StageDecision:
 
     starts is a classes x t_h int array of job starts over the decision
     window (0 past the end of the run); terminations maps (class, original
-    start hour) -> count of running jobs cancelled at r; active is an int
+    start hour) -> count of running jobs cancelled at r, the one edge in
+    that form, which `SystemState.cancel` applies to the running table and
+    refuses where it has no entry; active is an int
     array of active servers over the extended window; slack holds the
     clearance slack of each class; peak is the stage peak power in MW.
     A decision built for `advance_state`, which reads only the starts at r

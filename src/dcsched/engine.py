@@ -123,39 +123,30 @@ def advance_state(state: SystemState, decision: StageDecision, arrivals: np.ndar
     column of the run's arrival table and the decision's starts are in the
     stage's layout: both have row i for class `state.classes[i]`.
 
-    A terminated job is requeued; a running job completes in its hour
-    t_b + runtime - 1, and a 1-hour job started at r at once. The new state
-    must pass `check_state` and hold the servers held before, an hour on,
-    less what the terminated jobs held, plus what the hour-r starts hold."""
+    A terminated job is requeued (`SystemState.cancel`); a running job
+    completes in its hour t_b + runtime - 1, and a 1-hour job started at r
+    at once. The new state must pass `check_state` and hold the servers the
+    state held after its terminations, an hour on, plus what the hour-r
+    starts hold."""
     r, n_c = state.stage, len(state.classes)
     servers, runtime = class_table(state.classes)
     starts = decision.starts[:, 0]
     if starts.shape != (n_c,) or arrivals.shape != (n_c,):
         raise DomainError(f"{len(starts)} start and {len(arrivals)} arrival rows "
                           f"for {n_c} classes at stage {r}")
-    running, queued = state.running.copy(), state.n_queued + arrivals
-    terminated = []
-    for (c, t_b), cancelled in decision.terminations.items():
-        cell = state.cell(c, t_b)
-        if cell is None or cancelled > running[cell]:
-            raise DomainError(f"terminating {cancelled} of {0 if cell is None else running[cell]} "
-                              f"running {(c, t_b)}")
-        running[cell] -= cancelled
-        queued[cell[0]] += cancelled
-        terminated.append((c.servers, c.runtime, t_b, -cancelled))
-    queued -= starts  # check_state rejects a start of a job not queued
+    state = state.cancel(decision.terminations)
+    queued = state.n_queued + arrivals - starts  # check_state rejects a start of a job not queued
     # at r + 1 every job is an hour older, an hour-r start of age 1; the
     # jobs whose age reaches their runtime completed during r
-    aged = np.concatenate([starts[:, None], running], axis=1)
-    width = running.shape[1]
+    aged = np.concatenate([starts[:, None], state.running], axis=1)
+    width = state.running.shape[1]
     done = np.arange(1, width + 2) == runtime[:, None]
     completed = state.n_completed + (aged * done).sum(axis=1)
     new = SystemState(r + 1, state.classes, np.where(done, 0, aged)[:, :width], queued, completed,
                       state.n_arrived + arrivals)
     check_state(new)
-    change = np.concatenate([[servers, runtime, np.full(n_c, r), starts],
-                             np.array(terminated, dtype=np.int64).reshape(-1, 4).T], axis=1)
-    expected = state.held(width + 1)[1:] + held_servers(change, r + 1, width)
+    expected = state.held(width + 1)[1:] + held_servers(
+        np.array([servers, runtime, np.full(n_c, r), starts]), r + 1, width)
     held = new.held(width)
     if not np.array_equal(held, expected):
         raise DomainError(f"held servers mismatch at stage {r}: "

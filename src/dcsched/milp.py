@@ -353,9 +353,12 @@ def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
     its solution. `time_limit` bounds all the runs of one call together. A
     neighbourhood stopped at a limit keeps its solution as if it had finished;
     full branch-and-bound stopped at a limit with an incumbent returns it as
-    `feasible-gap`. Full branch-and-bound's gap is the smaller of the one
-    HiGHS reports and the one to the LP bound (:func:`_lp_gap`), so a run
-    that stops holding only its start still reports a finite gap.
+    `feasible-gap`. Full branch-and-bound's gap is the gap of the solution
+    returned, its integer columns rounded, to the smaller of HiGHS's dual
+    bound and the LP bound (:func:`_gap`), so a run that stops holding only
+    its start still reports a finite gap; one HiGHS closed at gap 0 keeps
+    gap 0. HiGHS's own gap is relative to its unrounded incumbent, which
+    can under-state the returned solution's gap.
 
     The relaxation starts from `basis` (the status of each column and row)
     when one is given. The result holds the relaxation's own basis when the
@@ -368,7 +371,7 @@ def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
     names it.
     """
     deadline = time.perf_counter() + time_limit
-    c, integer, lp_basis = model.c, model.integer, None
+    c, integer, lp_basis, bound = model.c, model.integer, None, None
     try:
         highs = _scipy_milp(replace(model, integer=np.zeros_like(integer)), time_limit, gap_tol,
                             basis)
@@ -390,10 +393,11 @@ def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
                 highs, x = _branch_and_bound(model, deadline, gap_tol, start=start)
                 status = highs.getModelStatus()
                 message = highs.modelStatusToString(status)
-                if x is not None:
-                    gap = highs.getInfo().mip_gap
+                info = highs.getInfo()
+                if info.mip_gap > 0:  # a run HiGHS closed keeps gap 0
+                    bound = -info.mip_dual_bound
                     if x_lp is not None:
-                        gap = min(gap, _lp_gap(model, x, x_lp))
+                        bound = min(bound, _free_objective(model, x_lp))
     except Exception as exc:  # backend failure
         return SolveResult("error", None, None, np.inf, f"backend failure: {exc}", lp_basis)
 
@@ -408,6 +412,8 @@ def solve(model: MilpModel, gap_tol: float = 1e-4, time_limit: float = 60.0,
         return SolveResult("error", None, None, np.inf,
                            f"integer column {vid} at {x[vid]} is not integral", lp_basis)
     x[integer] = np.round(x[integer]) + 0.0  # + 0.0 turns -0.0 into 0.0
+    if bound is not None:
+        gap = _gap(model, x, bound)
     return SolveResult("optimal" if status == HighsModelStatus.kOptimal else "feasible-gap", x,
                        float(c @ x + model.constant), gap, message, lp_basis)
 
@@ -428,16 +434,21 @@ def _neighbourhood(model: MilpModel, x_lp: np.ndarray, rounded: np.ndarray, dead
     lb = np.where(rounded, np.maximum(model.lb, np.floor(x_lp + INT_TOL)), model.lb)
     ub = np.where(rounded, np.minimum(model.ub, np.ceil(x_lp - INT_TOL)), model.ub)
     _, x = _branch_and_bound(replace(model, lb=lb, ub=ub), deadline, gap_tol)
-    return None if x is None else (x, _lp_gap(model, x, x_lp))
+    return None if x is None else (x, _gap(model, x, _free_objective(model, x_lp)))
 
 
-def _lp_gap(model: MilpModel, x: np.ndarray, x_lp: np.ndarray) -> float:
-    """The gap of the solution `x` to the LP optimum `x_lp` of `model`, as
-    HiGHS reports `mip_gap`: |primal - bound| / |primal|, both on the
-    objective branch-and-bound sees, c @ x over the columns of
-    :func:`compact`, without the constant."""
+def _free_objective(model: MilpModel, x: np.ndarray) -> float:
+    """The objective branch-and-bound sees at `x`: c @ x over the columns
+    of :func:`compact`, without the constant."""
     free = model.lb != model.ub
-    primal, bound = float(model.c[free] @ x[free]), float(model.c[free] @ x_lp[free])
+    return float(model.c[free] @ x[free])
+
+
+def _gap(model: MilpModel, x: np.ndarray, bound: float) -> float:
+    """The gap of the solution `x` of `model` to `bound`, an upper bound
+    on the objective :func:`_free_objective` states, as HiGHS reports
+    `mip_gap`: |primal - bound| / |primal|."""
+    primal = _free_objective(model, x)
     return 0.0 if primal == bound else abs(primal - bound) / abs(primal) if primal else np.inf
 
 

@@ -484,7 +484,10 @@ def validate_decision(inputs: StageInputs, decision: StageDecision) -> list[str]
     """Re-check the scheduling rules on the decision's own integer counts,
     exactly, against the stage bounds; never reads the model. An array of
     another shape than the stage's, and a start, termination or slack that
-    the model has no column for, are reported."""
+    the model has no column for, are reported. The terminations go through
+    `SystemState.cancel`, as the state step applies them: a mapping it
+    refuses is reported, and only the occupancy identity, which reads the
+    cancelled state, is skipped."""
     state, classes, b = inputs.state, inputs.classes, inputs.bounds
     r = state.stage
     (n_c, n_t), n_ext = b.allowance.shape, len(b.held)
@@ -496,7 +499,6 @@ def validate_decision(inputs: StageInputs, decision: StageDecision) -> list[str]
     starts, active, slack = decision.starts, decision.active, decision.slack
     bad = [f"negative count {starts[i, o]} for {(classes[i], r + o)}"
            for i, o in np.argwhere(starts < 0).tolist()]
-    bad += [f"negative count {num} for {key}" for key, num in decision.terminations.items() if num < 0]
     bad += [f"negative count {slack[i]} for {classes[i]}" for i in np.flatnonzero(slack < 0).tolist()]
     late = (starts != 0) & (np.arange(starts.shape[1]) >= b.k[:, None])
     bad += [f"class {classes[i]} started at inadmissible hour {r + o}"
@@ -505,19 +507,17 @@ def validate_decision(inputs: StageInputs, decision: StageDecision) -> list[str]
             for i in np.flatnonzero((slack != 0) & (b.k == 0)).tolist()]
     if any(decision.terminations.values()) and b.held[0] <= b.capacity[0]:
         bad.append(f"terminations without a shortfall: {b.held[0]} <= {b.capacity[0]}")
-    for (c, t_b), num in decision.terminations.items():
-        cell = state.cell(c, t_b)
-        running = 0 if cell is None else int(state.running[cell])
-        if num > running:
-            bad.append(f"terminating {num} of {(c, t_b)}, only {running} running")
-
-    i, o = np.nonzero(starts)
-    occupied = b.held + held_servers(np.array([b.servers[i], b.runtime[i], r + o, starts[i, o]]),
-                                     r, n_ext)
-    for (c, t_b), num in decision.terminations.items():
-        occupied[max(t_b - r, 0):max(t_b + c.runtime - r, 0)] -= c.servers * num
-    for o in np.flatnonzero(occupied != active).tolist():
-        bad.append(f"active-server mismatch at t={r + o}: {occupied[o]} != {active[o]}")
+    try:
+        cancelled = state.cancel(decision.terminations)
+    except DomainError as exc:
+        bad.append(str(exc))
+    else:  # the occupancy identity needs the state the terminations leave
+        held = b.held if cancelled is state else cancelled.held(n_ext)
+        i, o = np.nonzero(starts)
+        occupied = held + held_servers(np.array([b.servers[i], b.runtime[i], r + o, starts[i, o]]),
+                                       r, n_ext)
+        for o in np.flatnonzero(occupied != active).tolist():
+            bad.append(f"active-server mismatch at t={r + o}: {occupied[o]} != {active[o]}")
 
     started = np.cumsum(starts[:, :n_t], axis=1)
     over = started > b.allowance

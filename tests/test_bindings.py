@@ -18,7 +18,7 @@ import dcsched.traces
 from dcsched.core import (
     ArrivalProfile, DCConfig, HorizonConfig, JobClass, ObjectiveWeights, SystemState,
 )
-from dcsched.signals import SignalSeries, constant_capacity
+from dcsched.signals import SignalSeries, constant_capacity, synthetic_carbon
 from conftest import state_of
 from test_cli import TINY
 from test_milp import dense_model
@@ -190,6 +190,35 @@ def test_perfbench_reads_decisions_records_and_the_final_state(monkeypatch):
                for num in table.values()]
     values += list(state.queued.values()) + list(state.completed.values())
     assert all(type(v) is int for v in values), [type(v) for v in values]
+
+
+def test_fleet_goodput_stays_within_the_offline_bound_at_a_benchmark_seed(monkeypatch):
+    # perfbench's fleet_shaping workload at seed 65, episode 2 (arrival
+    # seed 4 * 65 + 2): the loop's goodput equals the offline LP bound, and
+    # the offline branch-and-bound stops at an incumbent within 1e-4 of it;
+    # the gap it reports must cover the rounded solution it returns, as
+    # checks.check_goodput reads it
+    totals = dcsched.traces.synthetic_jobs(48000, (1, 2, 4, 8, 16), 12, seed=0)
+    profile = dcsched.traces.sample_arrivals(totals, "small_var", 56, 262)
+    classes = tuple(sorted(totals))
+    capacity = constant_capacity(20000, 56)
+    traj = dcsched.engine.run(DCConfig(20000, 100.0, 30.0), profile, classes, capacity,
+                              synthetic_carbon(56), HorizonConfig(24, 24, 24),
+                              ObjectiveWeights(lambda_ce=0.1, lambda_pd=5.0))
+    goodput = dcsched.metrics.goodput(traj, capacity).completed_server_hours
+    gaps = []
+    solve = dcsched.offline.solve
+
+    def keep_gap(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        gaps.append(res.gap)
+        return res
+
+    monkeypatch.setattr(dcsched.offline, "solve", keep_gap)
+    schedule = dcsched.offline.solve_offline(profile, [20000] * 56, classes,
+                                             require_completion=True, gap_tol=1e-4)
+    assert (goodput, schedule.goodput) == (544828, 544792)
+    assert perfbench_checks().check_goodput(goodput, schedule.goodput, gaps[0]) == []
 
 
 class OwnStop(Exception):

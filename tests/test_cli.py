@@ -238,11 +238,11 @@ def test_run_tiny_sweep(tmp_path, capsys):
     assert "summary.csv" in files
     assert any(f.endswith("_trajectory.csv") for f in files)
     assert any(f.endswith("_manifest.txt") for f in files)
-    lines = open(os.path.join(out, "summary.csv")).read().strip().splitlines()
+    lines = Path(out, "summary.csv").read_text().strip().splitlines()
     assert lines[0].startswith("profile,lambda_ce")
     assert len(lines) == 2  # one sweep cell
     manifest = next(f for f in files if f.endswith("_manifest.txt"))
-    text = open(os.path.join(out, manifest)).read()
+    text = Path(out, manifest).read_text()
     assert "config_sha256" in text
     assert "stages 24" in text
     # the solver by its own version, and the scipy that bundles it
@@ -296,9 +296,9 @@ def test_config_hash_follows_a_csv_edited_in_place(tmp_path):
 def test_run_is_deterministic(tmp_path):
     path, out = tiny_config(tmp_path)
     assert main(["run", path]) == 0
-    first = open(os.path.join(out, "summary.csv")).read()
+    first = Path(out, "summary.csv").read_text()
     assert main(["run", path]) == 0
-    assert open(os.path.join(out, "summary.csv")).read() == first
+    assert Path(out, "summary.csv").read_text() == first
 
 
 def test_trace_is_read_once_per_sweep(tmp_path, capfd):

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import state_of
+from conftest import running_of, state_of
 from dcsched.core import (
     ArrivalProfile,
     DCConfig,
@@ -190,6 +190,80 @@ def test_check_state_flags_negative_counts():
         getattr(state, table)[0] = -1
         with pytest.raises(DomainError, match=f"negative {table}"):
             check_state(state)
+
+
+# SystemState.cancel on the running table of stage 4 below, against the
+# same rule stated on dict tables: a key names a running entry when its
+# class is in the run and its age, 4 - start hour, is in 1..runtime - 1,
+# whether the entry holds jobs or not
+C11, C22, C23, C14 = JobClass(1, 1), JobClass(2, 2), JobClass(2, 3), JobClass(1, 4)
+CANCEL_RUNNING = {(C23, 3): 2, (C23, 2): 1, (C14, 1): 3, (C14, 3): 1}  # (C14, 2) holds 0
+CANCEL_QUEUED = {C11: 1, C23: 1}
+CANCEL_CASES = [
+    pytest.param({(C23, 3): 1, (C23, 2): 1, (C14, 1): 2}, id="several keys"),
+    pytest.param({(C14, 1): 3, (C14, 3): 1}, id="whole entries"),
+    pytest.param({(C23, 3): 0}, id="zero on a live entry"),
+    pytest.param({(C14, 2): 0}, id="zero on an empty entry"),
+    pytest.param({(C22, 3): 0}, id="zero for a class not in the run"),
+    pytest.param({(C22, 3): 1}, id="one for a class not in the run"),
+    pytest.param({(C23, 4): 0}, id="zero started at the stage"),
+    pytest.param({(C23, 4): 1}, id="one started at the stage"),
+    pytest.param({(C23, 1): 0}, id="zero started a full runtime back"),
+    pytest.param({(C23, 1): 1}, id="one started a full runtime back"),
+    pytest.param({(C23, 5): 0}, id="zero started after the stage"),
+    pytest.param({(C11, 3): 0}, id="zero of a one-hour class"),
+    pytest.param({(C23, 3): -1}, id="negative"),
+    pytest.param({(C23, 3): 3}, id="above its entry"),
+    pytest.param({(C23, 3): 1, (C23, 4): 0}, id="a bad key beside a good one"),
+]
+
+
+def cancel_state():
+    return state_of(4, [C11, C23, C14], running=CANCEL_RUNNING, queued=CANCEL_QUEUED,
+                    arrived={C11: 1, C23: 4, C14: 4})
+
+
+def reference_cancel(stage, classes, terminations):
+    """The terminations applied to the dict tables of `cancel_state`:
+    (running, queued) with their nonzero counts, or None if refused."""
+    running, queued = dict(CANCEL_RUNNING), dict(CANCEL_QUEUED)
+    for (c, t_b), num in terminations.items():
+        if c not in classes or not 1 <= stage - t_b < c.runtime:
+            return None
+        if not 0 <= num <= running.get((c, t_b), 0):
+            return None
+        running[(c, t_b)] = running.get((c, t_b), 0) - num
+        queued[c] = queued.get(c, 0) + num
+    return ({key: num for key, num in running.items() if num},
+            {c: num for c, num in queued.items() if num})
+
+
+@pytest.mark.parametrize("terminations", CANCEL_CASES)
+def test_cancel_follows_the_dict_keyed_reference(terminations):
+    state = cancel_state()
+    expected = reference_cancel(state.stage, state.classes, terminations)
+    if expected is None:
+        with pytest.raises(DomainError):
+            state.cancel(terminations)
+    else:
+        cancelled = state.cancel(terminations)
+        assert (running_of(cancelled), cancelled.queued) == expected
+        assert cancelled is not state
+        check_state(cancelled)
+    assert state == cancel_state()  # the state cancelled from is left as it was
+
+
+def test_cancel_gives_the_exact_running_table_and_queue():
+    cancelled = cancel_state().cancel({(C23, 3): 1, (C23, 2): 1, (C14, 1): 2})
+    assert cancelled.running.tolist() == [[0, 0, 0], [1, 0, 0], [1, 0, 1]]
+    assert cancelled.n_queued.tolist() == [1, 3, 2]
+    assert (cancelled.stage, cancelled.n_completed.tolist(), cancelled.n_arrived.tolist()) == (
+        4, [0, 0, 0], [1, 4, 4])
+
+
+def test_cancel_of_nothing_is_the_state_itself():
+    state = cancel_state()
+    assert state.cancel({}) is state
 
 
 def test_arrival_profile_validation():

@@ -166,6 +166,15 @@ def test_advance_rejects_unknown_termination():
         advance_state(state, decision, np.zeros(2, dtype=int))
 
 
+def test_advance_rejects_a_negative_termination():
+    # terminating -1 of the (2,3) job started at 1 would move the queued one
+    # into that entry: two jobs started at hour 1, one of them never started
+    state = state_of(2, (C23,), running={(C23, 1): 1}, queued={C23: 1}, arrived={C23: 2})
+    decision = StageDecision(starts=np.zeros((1, 1), dtype=int), terminations={(C23, 1): -1})
+    with pytest.raises(DomainError, match="negative count -1"):
+        advance_state(state, decision, np.zeros(1, dtype=int))
+
+
 def test_advance_rejects_start_of_unqueued_job():
     state = state_of(1, (C11,))
     decision = StageDecision(starts=np.array([[1]]))

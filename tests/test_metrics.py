@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from dcsched.core import (
@@ -106,7 +108,7 @@ def test_summary_csv_round_trip(tmp_path):
     assert set(row) == set(SUMMARY_COLUMNS)
     path = str(tmp_path / "summary.csv")
     write_summary_csv([row], path)
-    lines = open(path).read().strip().splitlines()
+    lines = Path(path).read_text().strip().splitlines()
     assert lines[0] == ",".join(SUMMARY_COLUMNS)
     assert len(lines) == 2
 

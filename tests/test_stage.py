@@ -9,18 +9,21 @@ import pytest
 from scipy import sparse
 
 from conftest import running_of, stage_models, state_of
+from test_core import CANCEL_CASES, cancel_state, reference_cancel
 import dcsched.milp
 from scipy.optimize._highspy._core import HighsModelStatus
 from dcsched.milp import BASIC, LOWER, UPPER, CscMatrix, MilpModel, compact, solve
 from dcsched.core import (
     ArrivalProfile,
     DCConfig,
+    DomainError,
     HorizonConfig,
     JobClass,
     ObjectiveWeights,
     StageDecision,
     power_of,
 )
+from dcsched.engine import advance_state
 from dcsched.offline import build_offline
 from dcsched.stage import (
     Shift,
@@ -557,6 +560,45 @@ def test_validate_decision_reports_what_the_model_has_no_column_for():
     assert reshaped(starts=decision.starts[:, :3]) == ["starts has shape (3, 3), expected (3, 4)"]
     assert reshaped(active=decision.active[1:], slack=np.zeros(4, dtype=int)) == [
         "active has shape (5,), expected (6,)", "slack has shape (4,), expected (3,)"]
+
+
+@pytest.mark.parametrize("terminations", CANCEL_CASES)
+def test_recheck_and_state_step_refuse_the_same_terminations(terminations):
+    # the rule table of SystemState.cancel, on a stage whose realized
+    # capacity (0) holds none of the running jobs and whose queue waits on
+    # slack: the re-check reports exactly the refusal the state step
+    # raises, and accepts what it accepts, its occupancy identity included
+    state = cancel_state()
+    n_c = len(state.classes)
+    inputs = make_inputs(state, capacity=0, cfg=DCConfig(20, 10.0, 2.0))
+    b = inputs.bounds
+    decision = with_occupancy(inputs, StageDecision(
+        starts=np.zeros((n_c, 4), dtype=np.int64), terminations=terminations,
+        slack=np.where(b.k > 0, b.required, 0)))
+    try:
+        advance_state(state, decision, np.zeros(n_c, dtype=np.int64))
+        refused = []
+    except DomainError as exc:
+        refused = [str(exc)]
+    assert bool(refused) == (reference_cancel(state.stage, state.classes, terminations) is None)
+    assert [v for v in validate_decision(inputs, decision)
+            if not v.startswith("capacity exceeded")] == refused
+
+
+def test_recheck_reports_a_bad_termination_beside_an_inadmissible_start():
+    # the run ends at hour 5, so no (2,3) job may start at hour 4; the
+    # refused terminations leave every other check running
+    state = cancel_state()
+    inputs = make_inputs(state, capacity=0, t_end=5, cfg=DCConfig(20, 10.0, 2.0))
+    starts = np.zeros((3, 4), dtype=np.int64)
+    starts[1, 0] = 1
+    for terminations, refusal in (({(C23, 3): -1}, f"negative count -1 for {(C23, 3)}"),
+                                  ({(C23, 3): 3}, f"terminating 3 of {(C23, 3)}, only 2 running")):
+        decision = with_occupancy(inputs, StageDecision(
+            starts=starts, terminations=terminations, slack=np.zeros(3, dtype=np.int64)))
+        bad = validate_decision(inputs, decision)
+        assert f"class {C23} started at inadmissible hour 4" in bad
+        assert refusal in bad
 
 
 def test_peak_weight_flattens_profile():
